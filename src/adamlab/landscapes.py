@@ -161,20 +161,11 @@ class FiniteSumObjective:
 
     def value(self, w: Sequence[float]) -> float:
         self._check_point(w)
-        v = self._value_fn
-        return math.fsum(v(j, w) for j in range(self.n)) / self.n
+        return self._mean_value(w)
 
     def full_grad(self, w: Sequence[float]) -> Vector:
         self._check_point(w)
-        if self._full_grad_fn is not None:
-            return self._full_grad_fn(w)
-        acc = [0.0] * self.d
-        for j in range(self.n):
-            g = self._grad_fn(j, w)
-            for l in range(self.d):
-                acc[l] += g[l]
-        inv = 1.0 / self.n
-        return [a * inv for a in acc]
+        return self._mean_grad(w)
 
     def full_grad_norm(self, w: Sequence[float]) -> float:
         return math.hypot(*self.full_grad(w))
@@ -185,6 +176,26 @@ class FiniteSumObjective:
         if self._smooth_fn is None:
             return None
         return self._smooth_fn(w)
+
+    # -- unchecked evaluation ----------------------------------------------
+    # For the optimizers, which validate the start point once per run and
+    # guard every later iterate to be finite. Together with ``_grad_fn`` this
+    # is the hot path; the public methods above validate every call.
+
+    def _mean_value(self, w: Sequence[float]) -> float:
+        v = self._value_fn
+        return math.fsum(v(j, w) for j in range(self.n)) / self.n
+
+    def _mean_grad(self, w: Sequence[float]) -> Vector:
+        if self._full_grad_fn is not None:
+            return self._full_grad_fn(w)
+        acc = [0.0] * self.d
+        for j in range(self.n):
+            g = self._grad_fn(j, w)
+            for l in range(self.d):
+                acc[l] += g[l]
+        inv = 1.0 / self.n
+        return [a * inv for a in acc]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FiniteSumObjective(kind={self.kind!r}, n={self.n}, d={self.d})"

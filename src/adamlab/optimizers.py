@@ -22,6 +22,9 @@ from .rng import SplitMix64, stream_for_run
 
 GUARD_SUP_NORM = 1e100
 
+# Epoch permutations are drawn in blocks of at most this many stream draws.
+PERM_BLOCK_DRAWS = 8192
+
 SCHEDULE_DIMINISHING = "Diminishing"
 SCHEDULE_CONSTANT = "Constant"
 INIT_PAPER_THEORY = "PaperTheory"
@@ -203,44 +206,55 @@ def adam_epoch(
     state: AdamState,
     obj: FiniteSumObjective,
     params: AdamParams,
+    tau: list[int],
     grad_norm_epoch_start: float = math.nan,
 ) -> tuple[list[StepRecord], Optional[tuple[int, int]]]:
-    """Advance one epoch in place. Returns (records, fail) where fail is the
+    """Advance one epoch in place, visiting the components in the order tau
+    (a permutation of range(n)). Returns (records, fail) where fail is the
     (epoch, inner index) of the step whose result tripped the guard, or None.
-    Draws the epoch permutation from the state's stream."""
-    n, d = obj.n, obj.d
+
+    The iterate entering each step is the start point adam_init validated
+    or one the guard passed, so components are evaluated unchecked."""
+    d = obj.d
+    grad_fn = obj._grad_fn
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
-    eta = eta_for_epoch(params, state.k)
-    record = params.record_steps
-
-    state.tau = state.stream.permutation(n)
-    w, m, nu = state.w, state.m, state.nu
-    records: list[StepRecord] = []
     k = state.k
+    eta = eta_for_epoch(params, k)
+    record = params.record_steps
+    sqrt, sup = math.sqrt, GUARD_SUP_NORM
+    coords = range(d)
 
-    for i in range(n):
-        j = state.tau[i]
-        state.i = i
-        g = obj.component_grad(j, w)
-        w_before = tuple(w) if record else None
-        ratios = [0.0] * d
-        upds = [0.0] * d
-        for l in range(d):
+    state.tau = tau
+    w, m, nu, w_prev = state.w, state.m, state.nu, state.w_prev
+    records: list[StepRecord] = []
+
+    for i, j in enumerate(tau):
+        g = grad_fn(j, w)
+        if record:
+            w_before = tuple(w)
+            ratios = [0.0] * d
+            upds = [0.0] * d
+        tripped = False
+        for l in coords:
             gl = g[l]
-            nu[l] = beta2 * nu[l] + one_m_b2 * gl * gl
-            m[l] = beta1 * m[l] + one_m_b1 * gl
-            den = math.sqrt(nu[l]) + xi
+            nu_l = nu[l] = beta2 * nu[l] + one_m_b2 * gl * gl
+            m_l = m[l] = beta1 * m[l] + one_m_b1 * gl
+            den = sqrt(nu_l) + xi
             if den > 0.0:
-                r = m[l] / den
+                r = m_l / den
             else:
                 r = 0.0  # no signal ever seen on this coordinate
             upd = eta * r
-            ratios[l] = abs(r)
-            upds[l] = abs(upd)
-            state.w_prev[l] = w[l]
-            w[l] = w[l] - upd
+            w_l = w_prev[l] = w[l]
+            w_l = w[l] = w_l - upd
+            # true for NaN and for |w_l| above the bound, infinities included
+            if not abs(w_l) <= sup:
+                tripped = True
+            if record:
+                ratios[l] = abs(r)
+                upds[l] = abs(upd)
         if record:
             records.append(
                 StepRecord(
@@ -252,12 +266,12 @@ def adam_epoch(
                     comp_grad=tuple(g),
                     ratio=tuple(ratios),
                     update_abs=tuple(upds),
-                    f_value=obj.value(w_before),
+                    f_value=obj._mean_value(w_before),
                 )
             )
-        bad = _classify(w)
-        if bad is not None:
+        if tripped:
             state.k = k + 1
+            state.i = i
             return records, (k, i)
     state.k = k + 1
     state.i = 0
@@ -265,7 +279,7 @@ def adam_epoch(
 
 
 def _snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams) -> EpochSnapshot:
-    gn = math.hypot(*obj.full_grad(state.w))
+    gn = math.hypot(*obj._mean_grad(state.w))
     return EpochSnapshot(
         k=state.k,
         eta=eta_for_epoch(params, state.k),
@@ -274,8 +288,17 @@ def _snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams) -> 
         m_prev=tuple(state.m),
         nu_prev=tuple(state.nu),
         grad_norm=gn,
-        f_value=obj.value(state.w),
+        f_value=obj._mean_value(state.w),
     )
+
+
+def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
+    """The component order of each epoch, drawn from the run's stream in
+    blocks of at most PERM_BLOCK_DRAWS draws, so memory stays bounded on
+    long runs."""
+    block = max(1, PERM_BLOCK_DRAWS // n)
+    for start in range(0, epochs, block):
+        yield from stream.permutations(n, min(block, epochs - start))
 
 
 def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> Trajectory:
@@ -287,10 +310,10 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
     status = STATUS_COMPLETED
     fail: Optional[tuple[int, int]] = None
 
-    for _ in range(params.epochs):
+    for tau in _epoch_orders(state.stream, obj.n, params.epochs):
         snap = _snapshot(state, obj, params)
         snaps.append(snap)
-        records, fail = adam_epoch(state, obj, params, grad_norm_epoch_start=snap.grad_norm)
+        records, fail = adam_epoch(state, obj, params, tau, grad_norm_epoch_start=snap.grad_norm)
         if params.record_steps:
             steps.extend(records)
         if fail is not None:
@@ -344,10 +367,14 @@ def gd_run(
     if schedule not in (SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT):
         raise ValueError(f"unknown schedule {schedule!r}")
 
+    if len(w0) != obj.d:
+        raise ValueError("w0 dimension mismatch")
     w = [float(v) for v in w0]
     for v in w:
         if not math.isfinite(v):
             raise ValueError("non-finite start point")
+    # every later iterate has passed the guard, so the objective is
+    # evaluated unchecked
     d = obj.d
     recs: list[StepRecord] = []
     snaps: list[EpochSnapshot] = []
@@ -357,8 +384,9 @@ def gd_run(
 
     for k in range(1, steps + 1):
         eta = eta1 if schedule == SCHEDULE_CONSTANT else eta1 / math.sqrt(k)
-        g = obj.full_grad(w)
+        g = obj._mean_grad(w)
         gn = math.hypot(*g)
+        f = obj._mean_value(w)
         snaps.append(
             EpochSnapshot(
                 k=k,
@@ -368,7 +396,7 @@ def gd_run(
                 m_prev=None,
                 nu_prev=None,
                 grad_norm=gn,
-                f_value=obj.value(w),
+                f_value=f,
             )
         )
         step_vec = list(g)
@@ -395,7 +423,7 @@ def gd_run(
                     comp_grad=tuple(g),
                     ratio=tuple(abs(v) for v in step_vec),
                     update_abs=tuple(abs(u) for u in upds),
-                    f_value=obj.value(w),
+                    f_value=f,
                 )
             )
         w_prev = list(w)
@@ -407,7 +435,7 @@ def gd_run(
             fail = (k, 0)
             break
     else:
-        g = obj.full_grad(w)
+        g = obj._mean_grad(w)
         snaps.append(
             EpochSnapshot(
                 k=steps + 1,
@@ -417,7 +445,7 @@ def gd_run(
                 m_prev=None,
                 nu_prev=None,
                 grad_norm=math.hypot(*g),
-                f_value=obj.value(w),
+                f_value=obj._mean_value(w),
             )
         )
 

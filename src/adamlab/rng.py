@@ -1,9 +1,18 @@
 """Deterministic random streams for reshuffling experiments.
 
-Everything here is pure-integer arithmetic on Python ints, so results are
+Everything here is exact 64-bit integer arithmetic, so results are
 bit-identical across platforms and Python versions. The generator is
 SplitMix64 (Steele/Lea/Flood mixing constants); shuffles are Fisher-Yates
 with rejection-sampled bounded draws, so no modulo bias.
+
+SplitMix64 is counter-based: draw t of a stream at state s is
+mix(s + t * gamma). ``SplitMix64.permutations`` uses that to draw a block of
+epoch permutations with one vectorized uint64 mix and a Fisher-Yates pass
+vectorized over the block. It returns exactly what as many successive
+``permutation`` calls would and leaves the state where they would. Every
+rejection zone lies in the top n values of the 64-bit range; a block with
+any draw there (about n / 2**64 likely per draw) is redrawn by those
+scalar calls from the same state.
 
 Algorithm identifier echoed into configs and reports: ``ALGORITHM_ID``.
 """
@@ -70,6 +79,35 @@ class SplitMix64:
         out = list(range(n))
         self.shuffle(out)
         return out
+
+    def permutations(self, n: int, count: int) -> list[list[int]]:
+        """``count`` successive ``permutation(n)`` results, drawn as a block."""
+        import numpy as np  # deferred: importing rng alone loads no NumPy
+
+        draws = max(n - 1, 0)  # permutation(n) takes one draw per m = n, ..., 2
+        # draw t mixes state + t * gamma: the _mix64 finalizer on uint64 arrays
+        t = np.arange(1, count * draws + 1, dtype=np.uint64)
+        z = t * np.uint64(_GOLDEN) + np.uint64(self._state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = (z ^ (z >> np.uint64(31))).reshape(count, draws)
+        moduli = range(n, 1, -1)
+        # randbelow(m) rejects r > 2**64 - 1 - 2**64 % m. Any draw above the
+        # lowest of these bounds sends the block to the scalar path, which
+        # is exact whether or not that draw is rejected.
+        lowest_bound = _MASK64 - max(((1 << 64) % m for m in moduli), default=0)
+        if int(z.max(initial=0)) > lowest_bound:
+            return [self.permutation(n) for _ in range(count)]
+        picks = (z % np.array(moduli, dtype=np.uint64)).astype(np.intp)
+        out = np.tile(np.arange(n), (count, 1))
+        rows = np.arange(count)
+        for col, i in enumerate(range(n - 1, 0, -1)):
+            j = picks[:, col]
+            held = out[:, i].copy()
+            out[:, i] = out[rows, j]
+            out[rows, j] = held
+        self._state = (self._state + count * draws * _GOLDEN) & _MASK64
+        return out.tolist()
 
 
 def stream_for_run(seed: int, run_index: int = 0) -> SplitMix64:

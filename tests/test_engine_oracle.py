@@ -1,0 +1,265 @@
+"""The reshuffled-Adam engine against a scalar reference, bit for bit.
+
+The reference below is the engine as it was before its hot path was
+tightened: one ``SplitMix64.permutation`` call per epoch and the checked
+public objective methods on every step. It is kept verbatim as the oracle;
+do not optimize it.
+"""
+
+import math
+from typing import Optional, Sequence
+
+from hypothesis import event, given, settings, strategies as st
+
+from adamlab import optimizers
+from adamlab.landscapes import (
+    FiniteSumObjective,
+    custom_objective,
+    lowerbound_objective,
+    quadratic_sum,
+    to_spec,
+    zhang_counterexample,
+)
+from adamlab.optimizers import (
+    GUARD_SUP_NORM,
+    STATUS_COMPLETED,
+    STATUS_DIVERGED,
+    STATUS_NONFINITE,
+    AdamParams,
+    AdamState,
+    EpochSnapshot,
+    StepRecord,
+    Trajectory,
+    adam_init,
+    adam_run,
+    eta_for_epoch,
+)
+
+# ---------------------------------------------------------------- reference
+
+
+def _classify(w: Sequence[float]) -> Optional[str]:
+    """None if the iterate is acceptable, else a failure status."""
+    for v in w:
+        if math.isnan(v):
+            return STATUS_NONFINITE
+    for v in w:
+        if abs(v) > GUARD_SUP_NORM:
+            return STATUS_DIVERGED
+    return None
+
+
+def reference_adam_epoch(
+    state: AdamState,
+    obj: FiniteSumObjective,
+    params: AdamParams,
+    grad_norm_epoch_start: float = math.nan,
+) -> tuple[list[StepRecord], Optional[tuple[int, int]]]:
+    n, d = obj.n, obj.d
+    beta1, beta2, xi = params.beta1, params.beta2, params.xi
+    one_m_b1 = 1.0 - beta1
+    one_m_b2 = 1.0 - beta2
+    eta = eta_for_epoch(params, state.k)
+    record = params.record_steps
+
+    state.tau = state.stream.permutation(n)
+    w, m, nu = state.w, state.m, state.nu
+    records: list[StepRecord] = []
+    k = state.k
+
+    for i in range(n):
+        j = state.tau[i]
+        state.i = i
+        g = obj.component_grad(j, w)
+        w_before = tuple(w) if record else None
+        ratios = [0.0] * d
+        upds = [0.0] * d
+        for l in range(d):
+            gl = g[l]
+            nu[l] = beta2 * nu[l] + one_m_b2 * gl * gl
+            m[l] = beta1 * m[l] + one_m_b1 * gl
+            den = math.sqrt(nu[l]) + xi
+            if den > 0.0:
+                r = m[l] / den
+            else:
+                r = 0.0  # no signal ever seen on this coordinate
+            upd = eta * r
+            ratios[l] = abs(r)
+            upds[l] = abs(upd)
+            state.w_prev[l] = w[l]
+            w[l] = w[l] - upd
+        if record:
+            records.append(
+                StepRecord(
+                    k=k,
+                    i=i,
+                    tau_j=j,
+                    w_before=w_before,
+                    grad_norm_epoch_start=grad_norm_epoch_start,
+                    comp_grad=tuple(g),
+                    ratio=tuple(ratios),
+                    update_abs=tuple(upds),
+                    f_value=obj.value(w_before),
+                )
+            )
+        bad = _classify(w)
+        if bad is not None:
+            state.k = k + 1
+            return records, (k, i)
+    state.k = k + 1
+    state.i = 0
+    return records, None
+
+
+def _reference_snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams) -> EpochSnapshot:
+    gn = math.hypot(*obj.full_grad(state.w))
+    return EpochSnapshot(
+        k=state.k,
+        eta=eta_for_epoch(params, state.k),
+        w0=tuple(state.w),
+        w_prev=tuple(state.w_prev),
+        m_prev=tuple(state.m),
+        nu_prev=tuple(state.nu),
+        grad_norm=gn,
+        f_value=obj.value(state.w),
+    )
+
+
+def reference_adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> Trajectory:
+    state = adam_init(obj, w0, params)
+    steps: list[StepRecord] = []
+    snaps: list[EpochSnapshot] = []
+    status = STATUS_COMPLETED
+    fail: Optional[tuple[int, int]] = None
+
+    for _ in range(params.epochs):
+        snap = _reference_snapshot(state, obj, params)
+        snaps.append(snap)
+        records, fail = reference_adam_epoch(state, obj, params, grad_norm_epoch_start=snap.grad_norm)
+        if params.record_steps:
+            steps.extend(records)
+        if fail is not None:
+            status = _classify(state.w) or STATUS_DIVERGED
+            break
+    else:
+        snaps.append(_reference_snapshot(state, obj, params))
+
+    try:
+        spec = to_spec(obj)
+    except ValueError:
+        spec = None
+    return Trajectory(
+        algo="adam",
+        params=params.to_dict(),
+        objective_spec=spec,
+        steps=steps,
+        epochs=snaps,
+        status=status,
+        fail_step=fail,
+        final_w=tuple(state.w),
+    )
+
+
+# ---------------------------------------------------------------- problems
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def problems(draw):
+    """(objective, start point) across the serializable kinds plus a custom
+    objective that drifts the iterate upward at a constant gradient and
+    turns its gradient non-finite past a bound, so runs fail at varied
+    steps."""
+    kind = draw(st.sampled_from(["zhang", "quadratic", "lowerbound", "drift", "drift"]))
+    if kind == "zhang":
+        scale = draw(st.floats(0.1, 20.0, **finite)) * draw(st.sampled_from([1.0, -1.0]))
+        return zhang_counterexample(scale), [draw(st.floats(-5.0, 5.0, **finite))]
+    if kind == "quadratic":
+        n = draw(st.integers(1, 5))
+        d = draw(st.integers(2, 3))
+        coords = st.floats(-5.0, 5.0, **finite)
+        curv = draw(st.lists(st.floats(0.1, 10.0, **finite), min_size=n, max_size=n))
+        centers = [draw(st.lists(coords, min_size=d, max_size=d)) for _ in range(n)]
+        return quadratic_sum(curv, centers), draw(st.lists(coords, min_size=d, max_size=d))
+    if kind == "lowerbound":
+        obj = lowerbound_objective(
+            draw(st.floats(0.5, 2.0, **finite)),
+            draw(st.floats(0.5, 2.0, **finite)),
+            draw(st.floats(1e-3, 0.5, **finite)),
+        )
+        return obj, [draw(st.floats(-3.0, 3.0, **finite)), draw(st.floats(-3.0, 3.0, **finite))]
+    bound = draw(st.one_of(st.floats(0.5, 5.0, **finite), st.just(math.inf)))
+    # -inf makes the update inf/inf, a NaN iterate; a NaN gradient leaves
+    # NaN moments, which zero the update, so the run goes on
+    past = draw(st.sampled_from([-math.inf, math.nan]))
+
+    def grad_fn(j, w):
+        return [-1.0 - 0.5 * j] if w[0] <= bound else [past]
+
+    obj = custom_objective(
+        n=3, d=1, value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0], grad_fn=grad_fn
+    )
+    return obj, [draw(st.floats(-1.0, 0.5, **finite))]
+
+
+adam_params = st.builds(
+    AdamParams,
+    beta1=st.floats(0.0, 0.99, **finite),
+    beta2=st.floats(0.01, 0.9999, **finite),
+    # small, large enough to overflow or go NaN mid-run, and past the guard
+    eta1=st.one_of(st.floats(1e-3, 2.0, **finite), st.sampled_from([1e3, 1e99, 1e101])),
+    xi=st.one_of(st.just(0.0), st.just(1e-8), st.floats(0.0, 1.0, **finite)),
+    schedule=st.sampled_from(["Diminishing", "Constant"]),
+    epochs=st.integers(0, 25),
+    init_mode=st.sampled_from(["PaperTheory", "ZeroState"]),
+    seed=st.integers(0, 2**32),
+    run_index=st.integers(0, 100),
+    record_steps=st.booleans(),
+)
+
+
+@given(problems(), adam_params, st.integers(1, 40))
+@settings(max_examples=250, deadline=None)
+def test_adam_run_matches_scalar_reference_bit_for_bit(problem, params, block_draws):
+    # small permutation blocks put block boundaries inside short runs
+    obj, w0 = problem
+    expected = reference_adam_run(obj, w0, params)
+    event(f"status {expected.status}")
+    saved = optimizers.PERM_BLOCK_DRAWS
+    optimizers.PERM_BLOCK_DRAWS = block_draws
+    try:
+        got = adam_run(obj, w0, params)
+    finally:
+        optimizers.PERM_BLOCK_DRAWS = saved
+    # repr is exact for floats and tells NaN and -0.0 apart
+    assert repr(got.steps) == repr(expected.steps)
+    assert repr(got.epochs) == repr(expected.epochs)
+    assert (got.status, got.fail_step) == (expected.status, expected.fail_step)
+    assert repr(got.final_w) == repr(expected.final_w)
+    assert (got.params, got.objective_spec) == (expected.params, expected.objective_spec)
+
+
+def test_adam_run_matches_reference_across_default_blocks():
+    # longer than one default block of epochs for n = 10
+    obj = zhang_counterexample()
+    params = AdamParams(beta2=0.9, epochs=2000, seed=4, record_steps=False)
+    assert repr(adam_run(obj, [-2.0], params)) == repr(reference_adam_run(obj, [-2.0], params))
+
+
+def test_oracle_covers_every_status():
+    # the strategies reach each status; pinned examples keep that visible
+    zhang = zhang_counterexample()
+    runs = {
+        STATUS_COMPLETED: (zhang, [0.5], AdamParams(epochs=5)),
+        STATUS_DIVERGED: (zhang, [0.5], AdamParams(eta1=1e101, epochs=5)),
+        STATUS_NONFINITE: (
+            lowerbound_objective(1.0, 1.0, 0.01),
+            [3.0, 2.0],
+            AdamParams(eta1=1e3, schedule="Constant", epochs=10, seed=3),
+        ),
+    }
+    for status, (obj, w0, params) in runs.items():
+        got, expected = adam_run(obj, w0, params), reference_adam_run(obj, w0, params)
+        assert got.status == status
+        assert repr(got) == repr(expected)

@@ -1,0 +1,89 @@
+"""Golden emitted bytes for reduced-size configs of every experiment.
+
+The digests were recorded from the scalar engine before its hot path was
+rewritten. Any change to the arithmetic, the permutation stream or the
+emission format moves at least one of them; such a change must say which
+bytes changed and why, and record the new digests here.
+"""
+
+import hashlib
+import os
+import sys
+
+import pytest
+
+from adamlab.harness import default_config_for, emit, merge_config, run_experiment
+from adamlab.landscapes import lowerbound_objective, quadratic_sum, to_spec
+
+CONFIGS = {
+    "Fig3": {"T": 1000},
+    "LemmaSuite": {"T": 60},
+    "Thm2Divergence": {},
+    "Thm2Slow": {"options": {"steps": 1000}},
+    "AdamVsGd": {"options": {"gd_steps": 1000, "adam": {
+        "beta1": 0.9, "beta2": 0.999, "eta1": 0.5, "xi": 1e-8, "epochs": 1000,
+        "schedule": "Diminishing", "init_mode": "PaperTheory",
+    }}},
+    "Custom": {
+        "objective": to_spec(
+            quadratic_sum([1.0, 3.0, 0.5], [[1.0, -2.0], [0.0, 4.0], [-3.0, 1.5]])
+        ),
+        "seeds": [1, 2],
+        "T": 25,
+        "options": {"algo": "adam", "x0": [5.0, -5.0], "record_steps": True},
+    },
+    # Adam overflows the exponential branch and ends NonFinite mid-epoch
+    "CustomNonFinite": {
+        "experiment": "Custom",
+        "objective": to_spec(lowerbound_objective(1.0, 1.0, 0.01)),
+        "seeds": [3],
+        "T": 10,
+        "options": {
+            "algo": "adam",
+            "x0": [3.0, 2.0],
+            "record_steps": True,
+            "require_completed": False,
+            "adam": {"eta1": 1000.0, "schedule": "Constant"},
+        },
+    },
+}
+
+GOLDEN = {
+    "AdamVsGd": "eef96fcfe511ec18cec26ff3d7c1f7652b070c0783a1ca5f11e6d628dff5e016",
+    "Custom": "fe2328e917607398b6a2061ded071342dfecb021bd32282ae5ef0ff515a0bedc",
+    "CustomNonFinite": "938d31cb5c71db76856e49d3be4bed66e6b09d52a5e32ba1bf2322a4452b6599",
+    "Fig3": "1bfe348d3584d35975441d3b8bfff3506081062b06f32c0ae61dd0fc529767f7",
+    "LemmaSuite": "5d062710f7dccbfac3e8b92a751c607be0cdb37e74b98ec4f5b6af76e2fbe02f",
+    "Thm2Divergence": "5e667ff5e4ce50d0967dcce028c9ae5cb192b76375a8368a9ad51917730b445d",
+    "Thm2Slow": "ede254cedfc8e0b35d73677e32860241808a6bb688b1421e628be7849a3c2f87",
+}
+
+
+def tree_digest(root):
+    """One sha256 over the sorted relative paths and bytes of every file.
+    The interpreter version echoed into report.json is masked, so the
+    digest does not depend on the Python that runs the test."""
+    version = f'"python": "{sys.version_info.major}.{sys.version_info.minor}"'.encode()
+    h = hashlib.sha256()
+    for dirpath, _, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name == "report.json":
+                data = data.replace(version, b'"python": "*"')
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            h.update(hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+def emit_tree(label, out_dir):
+    overrides = CONFIGS[label]
+    config = merge_config(default_config_for(overrides.get("experiment", label)), overrides)
+    emit(run_experiment(config), out_dir)
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_emitted_tree_matches_golden_digest(label, tmp_path):
+    emit_tree(label, str(tmp_path))
+    assert tree_digest(tmp_path) == GOLDEN[label]

@@ -299,3 +299,14 @@ def test_clipped_gd_caps_step_length():
     moves = [abs(traj.epochs[i + 1].w0[0] - traj.epochs[i].w0[0]) for i in range(3)]
     for mv in moves:
         assert mv <= 1.0 * thresh + 1e-12
+
+
+@pytest.mark.parametrize("w0", [[1.0, 2.0], [math.nan], [math.inf]])
+def test_runs_validate_start_point_at_entry(w0):
+    # the hot paths evaluate the objective unchecked, so a bad start point
+    # must be refused before the first step, even for an empty run
+    obj = quadratic_sum([2.0], [[1.0]], known_D0_D1=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        gd_run(obj, w0, eta1=0.1, steps=0)
+    with pytest.raises(ValueError):
+        adam_run(obj, w0, params(epochs=0))

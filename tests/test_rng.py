@@ -90,3 +90,52 @@ def test_random_unit_interval():
 
 def test_algorithm_id_frozen():
     assert ALGORITHM_ID == "splitmix64/fisher-yates-v1"
+
+
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=64),
+)
+@settings(max_examples=300)
+def test_block_permutations_equal_successive_scalar_draws(seed, run_index, n, count):
+    block, scalar = stream_for_run(seed, run_index), stream_for_run(seed, run_index)
+    drawn = block.permutations(n, count)
+    assert drawn == [scalar.permutation(n) for _ in range(count)]
+    assert all(type(v) is int for p in drawn for v in p)
+    assert block._state == scalar._state
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(z):
+    """Inverse of the finalizer: undo each xorshift and odd multiply."""
+    mod = 1 << 64
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, mod)) % mod
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, mod)) % mod
+    return _unxorshift(z, 30)
+
+
+def test_block_permutations_fall_back_to_scalar_draws_on_rejection():
+    # a stream whose next output is 2**64 - 1: randbelow(3) rejects it, since
+    # 2**64 % 3 == 1 puts only that value in the rejection zone
+    top = (1 << 64) - 1
+    state = _unmix64(top)
+    assert _mix64(state) == top
+    start = (state - 0x9E3779B97F4A7C15) % (1 << 64)
+    assert SplitMix64(start).next_u64() == top
+
+    block, scalar = SplitMix64(start), SplitMix64(start)
+    count = 4
+    assert block.permutations(3, count) == [scalar.permutation(3) for _ in range(count)]
+    assert block._state == scalar._state
+    # two draws per permutation plus the rejected one
+    assert block._state == (start + (2 * count + 1) * 0x9E3779B97F4A7C15) % (1 << 64)
