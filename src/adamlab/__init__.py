@@ -7,6 +7,8 @@ thresholds, bound checks, the divergence construction), probes (empirical
 smoothness / noise-envelope / lemma audits), harness + cli (experiments).
 """
 
+__version__ = "0.1.0"
+
 from .landscapes import (
     FiniteSumObjective,
     custom_objective,
@@ -27,7 +29,6 @@ from .optimizers import (
     adam_init,
     adam_run,
     aux_sequence,
-    clipped_gd_run,
     export_trajectory_csv,
     gd_run,
     tail_mean_grad_norm,
@@ -73,5 +74,3 @@ from .harness import (
     emit,
     run_experiment,
 )
-
-__version__ = "0.1.0"

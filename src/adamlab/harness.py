@@ -28,6 +28,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import __version__
 from .landscapes import from_spec, lowerbound_objective, to_spec, zhang_counterexample
 from .optimizers import (
     AdamParams,
@@ -48,8 +49,6 @@ from .theory import (
     gamma_threshold,
     theorem2_construction,
 )
-
-PACKAGE_VERSION = "0.1.0"
 
 EXPERIMENTS = ("Fig3", "Thm2Divergence", "Thm2Slow", "AdamVsGd", "LemmaSuite", "Custom")
 
@@ -242,7 +241,7 @@ class ExperimentResult:
 def _environment() -> dict:
     return {
         "package": "adamlab",
-        "version": PACKAGE_VERSION,
+        "version": __version__,
         "rng": ALGORITHM_ID,
         "python": f"{sys.version_info.major}.{sys.version_info.minor}",
     }
@@ -269,7 +268,6 @@ def _fmt(x: float) -> str:
 
 
 def run_fig3(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
     opt = config.options
     obj = from_spec(config.objective)
     report = _base_report(config)
@@ -353,7 +351,6 @@ def _growth_ratios(traj: Trajectory) -> list[float]:
 
 
 def run_thm2(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
     opt = config.options
     c = opt["construction"]
     con = theorem2_construction(L0=c["L0"], L1=c["L1"], T=config.T, M=c["M"], f_bar=c["f_bar"])
@@ -460,7 +457,6 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_comparison(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
     opt = config.options
     c = opt["construction"]
     con = theorem2_construction(L0=c["L0"], L1=c["L1"], T=config.T, M=c["M"], f_bar=c["f_bar"])
@@ -561,7 +557,6 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_lemma_suite(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
     opt = config.options
     obj = from_spec(config.objective)
     report = _base_report(config)
@@ -650,7 +645,6 @@ def run_lemma_suite(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_custom(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
     opt = config.options
     if config.objective is None:
         raise ValueError("custom experiment needs an objective spec")

@@ -154,11 +154,19 @@ class Trajectory:
             return self.epochs[-1].k - 1
         return len(self.epochs)
 
+    def epoch_starts(self) -> list[EpochSnapshot]:
+        """Snapshots at epoch starts k = 1..T: a completed run's closing
+        boundary snapshot is dropped, unless it is the only one (0 epochs)."""
+        if self.status == STATUS_COMPLETED and len(self.epochs) >= 2:
+            return self.epochs[:-1]
+        return self.epochs
 
-def eta_for_epoch(params: AdamParams, k: int) -> float:
-    if params.schedule == SCHEDULE_CONSTANT:
-        return params.eta1
-    return params.eta1 / math.sqrt(k)
+
+def eta_schedule(eta1: float, schedule: str, k: int) -> float:
+    """Step size of epoch (or GD step) k >= 1."""
+    if schedule == SCHEDULE_CONSTANT:
+        return eta1
+    return eta1 / math.sqrt(k)
 
 
 def _classify(w: Sequence[float]) -> Optional[str]:
@@ -221,7 +229,7 @@ def adam_epoch(
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
     k = state.k
-    eta = eta_for_epoch(params, k)
+    eta = eta_schedule(params.eta1, params.schedule, k)
     record = params.record_steps
     sqrt, sup = math.sqrt, GUARD_SUP_NORM
     coords = range(d)
@@ -242,7 +250,8 @@ def adam_epoch(
             nu_l = nu[l] = beta2 * nu[l] + one_m_b2 * gl * gl
             m_l = m[l] = beta1 * m[l] + one_m_b1 * gl
             den = sqrt(nu_l) + xi
-            if den > 0.0:
+            # never negative: only a true zero (not NaN) means no signal
+            if den != 0.0:
                 r = m_l / den
             else:
                 r = 0.0  # no signal ever seen on this coordinate
@@ -282,7 +291,7 @@ def _snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams) -> 
     gn = math.hypot(*obj._mean_grad(state.w))
     return EpochSnapshot(
         k=state.k,
-        eta=eta_for_epoch(params, state.k),
+        eta=eta_schedule(params.eta1, params.schedule, state.k),
         w0=tuple(state.w),
         w_prev=tuple(state.w_prev),
         m_prev=tuple(state.m),
@@ -382,8 +391,8 @@ def gd_run(
     fail = None
     w_prev = list(w)
 
-    for k in range(1, steps + 1):
-        eta = eta1 if schedule == SCHEDULE_CONSTANT else eta1 / math.sqrt(k)
+    for k in range(1, steps + 2):
+        eta = eta_schedule(eta1, schedule, k)
         g = obj._mean_grad(w)
         gn = math.hypot(*g)
         f = obj._mean_value(w)
@@ -399,6 +408,8 @@ def gd_run(
                 f_value=f,
             )
         )
+        if k > steps:
+            break  # closing boundary snapshot k = steps + 1
         step_vec = list(g)
         if clip_threshold is not None and gn > clip_threshold:
             if math.isfinite(gn):
@@ -434,20 +445,6 @@ def gd_run(
             status = bad
             fail = (k, 0)
             break
-    else:
-        g = obj._mean_grad(w)
-        snaps.append(
-            EpochSnapshot(
-                k=steps + 1,
-                eta=eta1 if schedule == SCHEDULE_CONSTANT else eta1 / math.sqrt(steps + 1),
-                w0=tuple(w),
-                w_prev=tuple(w_prev),
-                m_prev=None,
-                nu_prev=None,
-                grad_norm=math.hypot(*g),
-                f_value=obj._mean_value(w),
-            )
-        )
 
     try:
         spec = to_spec(obj)
@@ -470,26 +467,6 @@ def gd_run(
     )
 
 
-def clipped_gd_run(
-    obj: FiniteSumObjective,
-    w0: Sequence[float],
-    eta1: float,
-    steps: int,
-    clip_threshold: float,
-    schedule: str = SCHEDULE_CONSTANT,
-    record_steps: bool = True,
-) -> Trajectory:
-    return gd_run(
-        obj,
-        w0,
-        eta1,
-        steps,
-        schedule=schedule,
-        clip_threshold=clip_threshold,
-        record_steps=record_steps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # derived sequences and summaries
 
@@ -509,9 +486,7 @@ def aux_sequence(traj: Trajectory, beta1: float) -> list[tuple]:
 def tail_mean_grad_norm(traj: Trajectory, frac: float = 0.1) -> float:
     """Mean epoch-start gradient norm over the last ceil-free max(1,
     floor(K * frac)) epochs k <= K (closing boundary snapshot excluded)."""
-    norms = [s.grad_norm for s in traj.epochs]
-    if traj.status == STATUS_COMPLETED and len(norms) >= 2:
-        norms = norms[:-1]
+    norms = [s.grad_norm for s in traj.epoch_starts()]
     if not norms:
         return math.nan
     count = max(1, int(len(norms) * frac))

@@ -281,23 +281,17 @@ class LemmaReport:
     examples: list = field(default_factory=list)  # first few (k, i, coord, value, bound)
 
 
-def _eta_for(params: dict, k: int) -> float:
-    eta1 = params["eta1"]
-    if params.get("schedule") == "Constant":
-        return eta1
-    return eta1 / math.sqrt(k)
-
-
 def check_bounded_update(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
     """Audit |m_l| / (sqrt(nu_l) + xi) <= C1 and |delta w_l| <= C1 eta_k on
-    every recorded inner step (needs record_steps=True)."""
+    every recorded inner step (needs record_steps=True); eta_k is the step
+    size stored in epoch k's snapshot."""
     c1 = tc.C1
     violations = []
     count = 0
     max_ratio = 0.0
+    snaps = traj.epochs
     for s in traj.steps:
-        eta_k = _eta_for(traj.params, s.k)
-        cap = c1 * eta_k
+        cap = c1 * snaps[s.k - 1].eta
         for l, (r, u) in enumerate(zip(s.ratio, s.update_abs)):
             count += 2
             rr = r / c1
@@ -329,7 +323,7 @@ def check_u_gap(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
     count = 0
     max_ratio = 0.0
     for snap, u in zip(traj.epochs, us):
-        cap = c2 * _eta_for(traj.params, snap.k)
+        cap = c2 * snap.eta
         for l in range(len(u)):
             gap = abs(u[l] - snap.w0[l])
             count += 1
@@ -339,7 +333,7 @@ def check_u_gap(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
             if gap > cap:
                 violations.append((snap.k, -1, l, gap, cap))
     for (sa, ua), ub in zip(zip(traj.epochs, us), us[1:]):
-        cap = c2 * _eta_for(traj.params, sa.k)
+        cap = c2 * sa.eta
         for l in range(len(ua)):
             move = abs(ub[l] - ua[l])
             count += 1
@@ -381,9 +375,7 @@ def progress_metric_min(
 ) -> float:
     """Min of the progress metric over epoch-start snapshots k = 1..T (the
     closing boundary of a completed run is excluded)."""
-    snaps = traj.epochs
-    if traj.status == "Completed" and len(snaps) >= 2:
-        snaps = snaps[:-1]
+    snaps = traj.epoch_starts()
     if not snaps:
         raise ValueError("trajectory has no epoch snapshots")
     return min(progress_metric(s.grad_norm, D0, D1, xi, variant) for s in snaps)

@@ -412,9 +412,7 @@ def check_theorem1(traj, pc: ProblemConstants, tc: TheoryConstants, xi: float) -
     is excluded to match the bound's stated range). Verdict favors the main
     branch; Violated only when both sides fail with relative slack 1e-9.
     """
-    snaps = traj.epochs
-    if traj.status == "Completed" and len(snaps) >= 2:
-        snaps = snaps[:-1]
+    snaps = traj.epoch_starts()
     if not snaps:
         raise ValueError("trajectory has no epoch snapshots")
     T = len(snaps)

@@ -2,8 +2,10 @@
 
 The reference below is the engine as it was before its hot path was
 tightened: one ``SplitMix64.permutation`` call per epoch and the checked
-public objective methods on every step. It is kept verbatim as the oracle;
-do not optimize it.
+public objective methods on every step. It is kept verbatim as the oracle,
+except that, like the engine, it takes the no-signal branch only when the
+denominator is exactly zero, so a NaN gradient ends the run NonFinite; do
+not optimize it.
 """
 
 import math
@@ -32,7 +34,7 @@ from adamlab.optimizers import (
     Trajectory,
     adam_init,
     adam_run,
-    eta_for_epoch,
+    eta_schedule,
 )
 
 # ---------------------------------------------------------------- reference
@@ -59,7 +61,7 @@ def reference_adam_epoch(
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
-    eta = eta_for_epoch(params, state.k)
+    eta = eta_schedule(params.eta1, params.schedule, state.k)
     record = params.record_steps
 
     state.tau = state.stream.permutation(n)
@@ -79,7 +81,7 @@ def reference_adam_epoch(
             nu[l] = beta2 * nu[l] + one_m_b2 * gl * gl
             m[l] = beta1 * m[l] + one_m_b1 * gl
             den = math.sqrt(nu[l]) + xi
-            if den > 0.0:
+            if den != 0.0:
                 r = m[l] / den
             else:
                 r = 0.0  # no signal ever seen on this coordinate
@@ -115,7 +117,7 @@ def _reference_snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamP
     gn = math.hypot(*obj.full_grad(state.w))
     return EpochSnapshot(
         k=state.k,
-        eta=eta_for_epoch(params, state.k),
+        eta=eta_schedule(params.eta1, params.schedule, state.k),
         w0=tuple(state.w),
         w_prev=tuple(state.w_prev),
         m_prev=tuple(state.m),
@@ -190,8 +192,8 @@ def problems(draw):
         )
         return obj, [draw(st.floats(-3.0, 3.0, **finite)), draw(st.floats(-3.0, 3.0, **finite))]
     bound = draw(st.one_of(st.floats(0.5, 5.0, **finite), st.just(math.inf)))
-    # -inf makes the update inf/inf, a NaN iterate; a NaN gradient leaves
-    # NaN moments, which zero the update, so the run goes on
+    # -inf makes the update inf/inf, a NaN iterate; a NaN gradient makes
+    # the moments, the update and the iterate NaN, so the run ends NonFinite
     past = draw(st.sampled_from([-math.inf, math.nan]))
 
     def grad_fn(j, w):

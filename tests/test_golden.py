@@ -7,11 +7,13 @@ bytes changed and why, and record the new digests here.
 """
 
 import hashlib
+import json
 import os
 import sys
 
 import pytest
 
+from adamlab import cli
 from adamlab.harness import default_config_for, emit, merge_config, run_experiment
 from adamlab.landscapes import lowerbound_objective, quadratic_sum, to_spec
 
@@ -87,3 +89,19 @@ def emit_tree(label, out_dir):
 def test_emitted_tree_matches_golden_digest(label, tmp_path):
     emit_tree(label, str(tmp_path))
     assert tree_digest(tmp_path) == GOLDEN[label]
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_cli_emits_golden_tree(label, tmp_path):
+    # the CLI is the one entry point: --config keys reach the same bytes
+    overrides = CONFIGS[label]
+    experiment = overrides.get("experiment", label)
+    [command] = [c for c, e in cli.COMMANDS.items() if e == experiment]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(config_path), "--out", str(out)])
+    assert tree_digest(out) == GOLDEN[label]
+    # some reduced runs fail an experiment-level assertion: exit 1, not 2
+    report = json.loads((out / experiment / "report.json").read_text())
+    assert code == (0 if report["conclusions"]["all_ok"] else 1)

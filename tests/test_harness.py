@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import adamlab
 from adamlab.cli import main as cli_main
 from adamlab.harness import (
     EXPERIMENTS,
@@ -221,6 +223,18 @@ def test_emit_layout(tmp_path):
     report = json.loads((root / "report.json").read_text())
     assert report["conclusions"]["all_ok"] is True
     assert report["config"]["out_dir"] is None
+
+
+def test_version_has_one_source(tmp_path):
+    # pyproject reads the version from the package, and reports echo it
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert "version" in project["dynamic"]
+    assert "version" not in project
+    emit(run_experiment(small_custom_config()), str(tmp_path))
+    report = json.loads((tmp_path / "Custom" / "report.json").read_text())
+    assert report["environment"]["version"] == adamlab.__version__
 
 
 def test_emit_json_format_tables(tmp_path):

@@ -16,8 +16,7 @@ from adamlab.optimizers import (
     AdamParams,
     adam_run,
     aux_sequence,
-    clipped_gd_run,
-    eta_for_epoch,
+    eta_schedule,
     export_trajectory_csv,
     gd_run,
     tail_mean_grad_norm,
@@ -44,11 +43,9 @@ def params(**kw):
 
 
 def test_eta_schedule():
-    p = params(eta1=0.1, schedule=SCHEDULE_DIMINISHING)
-    assert eta_for_epoch(p, 1) == pytest.approx(0.1)
-    assert eta_for_epoch(p, 4) == pytest.approx(0.05)
-    c = params(eta1=0.1, schedule=SCHEDULE_CONSTANT)
-    assert eta_for_epoch(c, 9) == pytest.approx(0.1)
+    assert eta_schedule(0.1, SCHEDULE_DIMINISHING, 1) == pytest.approx(0.1)
+    assert eta_schedule(0.1, SCHEDULE_DIMINISHING, 4) == pytest.approx(0.05)
+    assert eta_schedule(0.1, SCHEDULE_CONSTANT, 9) == pytest.approx(0.1)
 
 
 def test_param_validation():
@@ -163,6 +160,11 @@ def test_zero_epochs_records_single_boundary_snapshot():
     assert len(traj.epochs) == 1
     assert traj.epochs[0].k == 1
     assert len(traj.steps) == 0
+    # GD's one loop takes only the closing snapshot when there is no step
+    gd = gd_run(obj, [1.5], eta1=0.1, steps=0)
+    assert gd.status == STATUS_COMPLETED
+    assert [e.k for e in gd.epochs] == [1]
+    assert gd.steps == []
 
 
 def test_completed_run_has_closing_snapshot():
@@ -170,6 +172,15 @@ def test_completed_run_has_closing_snapshot():
     traj = adam_run(obj, [1.5], params(epochs=3))
     assert [e.k for e in traj.epochs] == [1, 2, 3, 4]
     assert traj.completed_epochs() == 3
+    assert [e.k for e in traj.epoch_starts()] == [1, 2, 3]
+    # a completed 0-epoch run keeps its only snapshot
+    empty = adam_run(obj, [1.5], params(epochs=0))
+    assert [e.k for e in empty.epoch_starts()] == [1]
+    # a failed run has no closing snapshot to drop
+    obj = custom_objective(n=1, d=1, value_fn=lambda j, w: -float(w[0]), grad_fn=lambda j, w: [-1.0])
+    failed = adam_run(obj, [0.0], params(beta1=0.0, eta1=1e100, xi=0.0, schedule=SCHEDULE_CONSTANT))
+    assert failed.status == STATUS_DIVERGED
+    assert [e.k for e in failed.epoch_starts()] == [1]
 
 
 def test_divergence_guard_trips_on_runaway_iterate():
@@ -205,6 +216,23 @@ def test_nonfinite_guard_wins_over_divergence():
     assert traj.status == STATUS_NONFINITE
     assert traj.fail_step == (1, 0)
     assert math.isnan(traj.final_w[0])
+
+
+def test_nan_gradient_ends_run_nonfinite():
+    # the first step moves w to <= 0, where the gradient is NaN: the NaN
+    # moments must end the run, not zero the update and freeze the iterate
+    obj = custom_objective(
+        n=2,
+        d=1,
+        value_fn=lambda j, w: float(w[0]),
+        grad_fn=lambda j, w: [1.0] if w[0] > 0.0 else [math.nan],
+    )
+    p = params(beta1=0.9, beta2=0.999, eta1=1.0, schedule=SCHEDULE_CONSTANT, epochs=3)
+    traj = adam_run(obj, [0.5], p)
+    assert traj.status == STATUS_NONFINITE
+    assert traj.fail_step == (1, 1)
+    assert math.isnan(traj.final_w[0])
+    assert [e.k for e in traj.epochs] == [1]
 
 
 def test_zero_gradient_and_zero_xi_defines_zero_update():
@@ -295,7 +323,7 @@ def test_gd_contracts_on_quadratic():
 def test_clipped_gd_caps_step_length():
     obj = quadratic_sum([2.0], [[0.0]], known_D0_D1=(0.0, 1.0))
     thresh = 0.5
-    traj = clipped_gd_run(obj, [100.0], eta1=1.0, steps=3, clip_threshold=thresh)
+    traj = gd_run(obj, [100.0], eta1=1.0, steps=3, clip_threshold=thresh)
     moves = [abs(traj.epochs[i + 1].w0[0] - traj.epochs[i].w0[0]) for i in range(3)]
     for mv in moves:
         assert mv <= 1.0 * thresh + 1e-12
