@@ -22,8 +22,8 @@ from .landscapes import (
 from .optimizers import (
     AdamParams,
     AdamState,
-    EpochSnapshot,
-    StepRecord,
+    EpochTable,
+    StepTable,
     Trajectory,
     adam_epoch,
     adam_init,

@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -263,6 +264,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _epoch_norms(traj: Trajectory) -> list[tuple[int, float]]:
+    """(k, gradient norm) of every epoch-boundary snapshot, as Python numbers."""
+    return list(zip(traj.epochs.k.tolist(), traj.epochs.grad_norm.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Fig3
 
@@ -305,10 +311,8 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
                     "summary": trajectory_summary(traj),
                 }
             )
-            for s in traj.epochs:
-                rows.append(
-                    {"run_id": rid, "k": s.k, "grad_norm": s.grad_norm, "beta2": b2, "seed": seed}
-                )
+            for k, gn in _epoch_norms(traj):
+                rows.append({"run_id": rid, "k": k, "grad_norm": gn, "beta2": b2, "seed": seed})
 
     floor = opt["grad_floor"]
     b2_low = grid[0]
@@ -338,7 +342,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
 def _growth_ratios(traj: Trajectory) -> list[float]:
     """log |x_{j+1}| - log |x_j| along the first coordinate, including the
     final post-step iterate (possibly infinite)."""
-    xs = [s.w0[0] for s in traj.epochs]
+    xs = traj.epochs.w0[:, 0].tolist()
     if traj.status != STATUS_COMPLETED:
         # completed runs already end with the closing boundary snapshot
         xs.append(traj.final_w[0])
@@ -391,17 +395,9 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
             "status": traj.status,
             "summary": trajectory_summary(traj),
         }
-        for s in traj.epochs:
-            rows.append(
-                {
-                    "run_id": rid,
-                    "k": s.k,
-                    "x": s.w0[0],
-                    "y": s.w0[1],
-                    "grad_norm": s.grad_norm,
-                    "eta_mult": mult,
-                }
-            )
+        norms = _epoch_norms(traj)
+        for (k, gn), (x, y) in zip(norms, traj.epochs.w0[:, :2].tolist()):
+            rows.append({"run_id": rid, "k": k, "x": x, "y": y, "grad_norm": gn, "eta_mult": mult})
         if diverge_mode:
             ratios = _growth_ratios(traj)
             tol = opt["growth_tol"]
@@ -415,7 +411,7 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
             all_growth_ok = all_growth_ok and ok and traj.status == STATUS_DIVERGED
         else:
             horizon = con.slow_horizon
-            checked = [s.grad_norm for s in traj.epochs if s.k < horizon]
+            checked = [gn for k, gn in norms if k < horizon]
             fl = bool(checked) and min(checked) >= con.epsilon
             entry["floor_ok"] = fl
             entry["checked_before_horizon"] = len(checked)
@@ -483,7 +479,8 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
         rid = f"gd-eta_mult={mult!r}"
         trajectories[rid] = traj
         diverged = traj.status == STATUS_DIVERGED
-        before = [s.grad_norm for s in traj.epochs if s.k < con.slow_horizon]
+        norms = _epoch_norms(traj)
+        before = [gn for k, gn in norms if k < con.slow_horizon]
         stuck = bool(before) and min(before) >= con.epsilon
         verdict = "diverged" if diverged else ("stuck" if stuck else "progressed")
         gd_all_stuck = gd_all_stuck and verdict in ("diverged", "stuck")
@@ -499,8 +496,8 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
                 "summary": trajectory_summary(traj),
             }
         )
-        for s in traj.epochs:
-            rows.append({"run_id": rid, "k": s.k, "grad_norm": s.grad_norm})
+        for k, gn in norms:
+            rows.append({"run_id": rid, "k": k, "grad_norm": gn})
 
     a = opt["adam"]
     gamma = gamma_threshold(D1=1.0, n=1, d=2, beta1=a["beta1"])
@@ -518,11 +515,8 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
     traj = adam_run(obj, w0, params)
     rid = "adam"
     trajectories[rid] = traj
-    crossing = None
-    for s in traj.epochs:
-        if s.grad_norm < con.epsilon:
-            crossing = s.k
-            break
+    norms = _epoch_norms(traj)
+    crossing = next((k for k, gn in norms if gn < con.epsilon), None)
     adam_ok = traj.status == STATUS_COMPLETED and crossing is not None
     report["runs"].append(
         {
@@ -536,8 +530,8 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
             "summary": trajectory_summary(traj),
         }
     )
-    for s in traj.epochs:
-        rows.append({"run_id": rid, "k": s.k, "grad_norm": s.grad_norm})
+    for k, gn in norms:
+        rows.append({"run_id": rid, "k": k, "grad_norm": gn})
 
     report["conclusions"] = {
         "epsilon": con.epsilon,
@@ -562,9 +556,9 @@ def run_lemma_suite(config: ExperimentConfig) -> ExperimentResult:
     report = _base_report(config)
     trajectories: dict[str, Trajectory] = {}
 
-    # envelope fit once: problem-level constants for the constant pipeline
-    lo, hi = opt.get("fit_range", (-3.0, 3.0))
-    pts = [[lo + (hi - lo) * i / 100.0] * obj.d for i in range(101)]
+    # envelope fit once: problem-level constants for the constant pipeline,
+    # over 101 evenly spaced points of the diagonal from -3 to 3
+    pts = [[-3.0 + 6.0 * i / 100.0] * obj.d for i in range(101)]
     fit = affine_noise_fit(obj, pts)
     L0c, L1c = obj.known_L0_L1 if obj.known_L0_L1 else (0.0, 0.0)
     w0 = opt["x0"]
@@ -747,28 +741,40 @@ def emit(result: ExperimentResult, out_root: str, fmt: Optional[str] = None) -> 
     """Write report.json, per-run trajectory.csv + summary.json, and plot
     tables under <out_root>/<experiment>/. Returns the written paths.
     Bytes depend only on the result (no clocks, no environment noise beyond
-    the version echo)."""
+    the version echo). The tree is built in a hidden sibling directory and
+    renamed into place, so it replaces an earlier <experiment>/ whole."""
     fmt = fmt or result.report["config"].get("format", "csv")
     exp_dir = os.path.join(out_root, result.report["experiment"])
-    os.makedirs(exp_dir, exist_ok=True)
+    hidden = os.path.join(out_root, "." + result.report["experiment"])
+    work, old = f"{hidden}.partial-{os.getpid()}", f"{hidden}.old-{os.getpid()}"
+    for path in (work, old):
+        shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(work)
     written: list[str] = []
+    try:
+        report_path = os.path.join(work, "report.json")
+        _dump_json(result.report, report_path)
+        written.append(report_path)
 
-    report_path = os.path.join(exp_dir, "report.json")
-    _dump_json(result.report, report_path)
-    written.append(report_path)
+        for rid in sorted(result.trajectories):
+            traj = result.trajectories[rid]
+            run_dir = os.path.join(work, rid)
+            os.makedirs(run_dir, exist_ok=True)
+            tpath = os.path.join(run_dir, "trajectory.csv")
+            export_trajectory_csv(traj, tpath)
+            written.append(tpath)
+            spath = os.path.join(run_dir, "summary.json")
+            _dump_json(trajectory_summary(traj), spath)
+            written.append(spath)
 
-    for rid in sorted(result.trajectories):
-        traj = result.trajectories[rid]
-        run_dir = os.path.join(exp_dir, rid)
-        os.makedirs(run_dir, exist_ok=True)
-        tpath = os.path.join(run_dir, "trajectory.csv")
-        export_trajectory_csv(traj, tpath)
-        written.append(tpath)
-        spath = os.path.join(run_dir, "summary.json")
-        _dump_json(trajectory_summary(traj), spath)
-        written.append(spath)
+        for name in sorted(result.plot_tables):
+            rows = result.plot_tables[name]
+            written.append(_dump_table(rows, os.path.join(work, name), fmt))
 
-    for name in sorted(result.plot_tables):
-        rows = result.plot_tables[name]
-        written.append(_dump_table(rows, os.path.join(exp_dir, name), fmt))
-    return written
+        if os.path.isdir(exp_dir):
+            os.rename(exp_dir, old)
+        os.rename(work, exp_dir)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
+    return [os.path.join(exp_dir, os.path.relpath(p, work)) for p in written]

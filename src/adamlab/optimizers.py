@@ -14,8 +14,10 @@ included) or "NonFinite" (NaN in the iterate), recording the failing step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .landscapes import FiniteSumObjective, to_spec
 from .rng import SplitMix64, stream_for_run
@@ -96,42 +98,80 @@ class AdamState:
     m: list[float]
     nu: list[float]
     k: int
-    i: int
-    tau: list[int]
     stream: SplitMix64
     w_prev: list[float] = field(default_factory=list)  # iterate one step back
 
 
-@dataclass(slots=True)
-class StepRecord:
-    """One inner step. ratio[l] = |m_l| / (sqrt(nu_l) + xi) after the update;
-    update_abs[l] = eta_k * ratio[l] is the realized move magnitude."""
+class _Table:
+    """Equal-length NumPy columns, one row per record; len() is the row
+    count. MATRIX columns hold the d coordinates of each row (shape rows x
+    d). A column is None when the optimizer has no such state."""
 
-    k: int
-    i: int
-    tau_j: int
-    w_before: tuple
-    grad_norm_epoch_start: float
-    comp_grad: tuple
-    ratio: tuple
-    update_abs: tuple
-    f_value: float
+    INT: tuple = ()
+    MATRIX: tuple = ()
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, rows: slice):
+        if not isinstance(rows, slice):
+            raise TypeError("table rows are selected by slice; read a column for values")
+        return replace(self, **{
+            f.name: col[rows] for f in fields(self) if (col := getattr(self, f.name)) is not None
+        })
+
+    @classmethod
+    def lists(cls, *absent: str) -> dict[str, list]:
+        """Empty column lists a run appends plain numbers to, matrix rows flat."""
+        return {f.name: [] for f in fields(cls) if f.name not in absent}
+
+    @classmethod
+    def from_lists(cls, cols: dict[str, list], d: int):
+        """The table of a finished run's column lists; absent columns are None."""
+        out = dict.fromkeys(f.name for f in fields(cls))
+        for name, vals in cols.items():
+            col = np.array(vals, dtype=np.int64 if name in cls.INT else np.float64)
+            out[name] = col.reshape(-1, d) if name in cls.MATRIX else col
+        return cls(**out)
 
 
-@dataclass(slots=True)
-class EpochSnapshot:
-    """State at an epoch boundary: w0 = w_{k,0}, w_prev = the iterate one
-    inner step earlier (equal to w0 at k = 1), carried moments, full-gradient
-    norm and objective value at w0."""
+@dataclass(frozen=True, eq=False)
+class EpochTable(_Table):
+    """One row per epoch-boundary snapshot k = 1, 2, ...: w0 = w_{k,0},
+    w_prev = the iterate one inner step earlier (equal to w0 at k = 1), the
+    carried moments (None for GD), and the full-gradient norm and objective
+    value at w0. Row k - 1 holds snapshot k."""
 
-    k: int
-    eta: float
-    w0: tuple
-    w_prev: tuple
-    m_prev: Optional[tuple]
-    nu_prev: Optional[tuple]
-    grad_norm: float
-    f_value: float
+    INT = ("k",)
+    MATRIX = ("w0", "w_prev", "m_prev", "nu_prev")
+
+    k: np.ndarray
+    eta: np.ndarray
+    w0: np.ndarray
+    w_prev: np.ndarray
+    m_prev: Optional[np.ndarray]
+    nu_prev: Optional[np.ndarray]
+    grad_norm: np.ndarray
+    f_value: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class StepTable(_Table):
+    """One row per recorded inner step (0 rows without record_steps):
+    component tau visited at (k, i) from w_before. ratio_l = |m_l| /
+    (sqrt(nu_l) + xi) after the update; update_abs_l = eta_k * ratio_l is
+    the realized move magnitude; f_value is the objective at w_before."""
+
+    INT = ("k", "i", "tau")
+    MATRIX = ("w_before", "ratio", "update_abs")
+
+    k: np.ndarray
+    i: np.ndarray
+    tau: np.ndarray
+    w_before: np.ndarray
+    ratio: np.ndarray
+    update_abs: np.ndarray
+    f_value: np.ndarray
 
 
 @dataclass
@@ -139,23 +179,14 @@ class Trajectory:
     algo: str  # "adam" | "gd" | "clipped_gd"
     params: dict
     objective_spec: Optional[dict]
-    steps: list[StepRecord]
-    epochs: list[EpochSnapshot]
+    steps: StepTable
+    epochs: EpochTable
     status: str
     fail_step: Optional[tuple[int, int]]
     final_w: tuple
 
-    def epoch_grad_norms(self) -> list[float]:
-        return [s.grad_norm for s in self.epochs]
-
-    def completed_epochs(self) -> int:
-        # final boundary snapshot (k = K+1) exists only for completed runs
-        if self.status == STATUS_COMPLETED and self.epochs:
-            return self.epochs[-1].k - 1
-        return len(self.epochs)
-
-    def epoch_starts(self) -> list[EpochSnapshot]:
-        """Snapshots at epoch starts k = 1..T: a completed run's closing
+    def epoch_starts(self) -> EpochTable:
+        """Snapshot rows at epoch starts k = 1..T: a completed run's closing
         boundary snapshot is dropped, unless it is the only one (0 epochs)."""
         if self.status == STATUS_COMPLETED and len(self.epochs) >= 2:
             return self.epochs[:-1]
@@ -207,7 +238,7 @@ def adam_init(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) 
         m = [0.0] * obj.d
         nu = [0.0] * obj.d
     stream = stream_for_run(params.seed, params.run_index)
-    return AdamState(w=w, m=m, nu=nu, k=1, i=0, tau=[], stream=stream, w_prev=list(w))
+    return AdamState(w=w, m=m, nu=nu, k=1, stream=stream, w_prev=list(w))
 
 
 def adam_epoch(
@@ -215,35 +246,39 @@ def adam_epoch(
     obj: FiniteSumObjective,
     params: AdamParams,
     tau: list[int],
-    grad_norm_epoch_start: float = math.nan,
-) -> tuple[list[StepRecord], Optional[tuple[int, int]]]:
+    steps: Optional[dict[str, list]] = None,
+) -> Optional[tuple[int, int]]:
     """Advance one epoch in place, visiting the components in the order tau
-    (a permutation of range(n)). Returns (records, fail) where fail is the
-    (epoch, inner index) of the step whose result tripped the guard, or None.
+    (a permutation of range(n)), and append each step's row to the
+    StepTable column lists ``steps`` when given. Returns the (epoch, inner
+    index) of the step whose result tripped the guard, or None.
 
     The iterate entering each step is the start point adam_init validated
     or one the guard passed, so components are evaluated unchecked."""
-    d = obj.d
     grad_fn = obj._grad_fn
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
     k = state.k
     eta = eta_schedule(params.eta1, params.schedule, k)
-    record = params.record_steps
+    record = steps is not None
+    if record:
+        add_k, add_i, add_tau = steps["k"].append, steps["i"].append, steps["tau"].append
+        add_w, add_f = steps["w_before"].extend, steps["f_value"].append
+        add_ratio, add_upd = steps["ratio"].append, steps["update_abs"].append
+        value = obj._mean_value
     sqrt, sup = math.sqrt, GUARD_SUP_NORM
-    coords = range(d)
-
-    state.tau = tau
+    coords = range(obj.d)
     w, m, nu, w_prev = state.w, state.m, state.nu, state.w_prev
-    records: list[StepRecord] = []
 
     for i, j in enumerate(tau):
         g = grad_fn(j, w)
         if record:
-            w_before = tuple(w)
-            ratios = [0.0] * d
-            upds = [0.0] * d
+            add_k(k)
+            add_i(i)
+            add_tau(j)
+            add_w(w)
+            add_f(value(w))
         tripped = False
         for l in coords:
             gl = g[l]
@@ -262,43 +297,25 @@ def adam_epoch(
             if not abs(w_l) <= sup:
                 tripped = True
             if record:
-                ratios[l] = abs(r)
-                upds[l] = abs(upd)
-        if record:
-            records.append(
-                StepRecord(
-                    k=k,
-                    i=i,
-                    tau_j=j,
-                    w_before=w_before,
-                    grad_norm_epoch_start=grad_norm_epoch_start,
-                    comp_grad=tuple(g),
-                    ratio=tuple(ratios),
-                    update_abs=tuple(upds),
-                    f_value=obj._mean_value(w_before),
-                )
-            )
+                add_ratio(abs(r))
+                add_upd(abs(upd))
         if tripped:
             state.k = k + 1
-            state.i = i
-            return records, (k, i)
+            return (k, i)
     state.k = k + 1
-    state.i = 0
-    return records, None
+    return None
 
 
-def _snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams) -> EpochSnapshot:
-    gn = math.hypot(*obj._mean_grad(state.w))
-    return EpochSnapshot(
-        k=state.k,
-        eta=eta_schedule(params.eta1, params.schedule, state.k),
-        w0=tuple(state.w),
-        w_prev=tuple(state.w_prev),
-        m_prev=tuple(state.m),
-        nu_prev=tuple(state.nu),
-        grad_norm=gn,
-        f_value=obj._mean_value(state.w),
-    )
+def _snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams, epochs: dict[str, list]) -> None:
+    """Append the boundary snapshot of state.k to the EpochTable column lists."""
+    epochs["k"].append(state.k)
+    epochs["eta"].append(eta_schedule(params.eta1, params.schedule, state.k))
+    epochs["w0"].extend(state.w)
+    epochs["w_prev"].extend(state.w_prev)
+    epochs["m_prev"].extend(state.m)
+    epochs["nu_prev"].extend(state.nu)
+    epochs["grad_norm"].append(math.hypot(*obj._mean_grad(state.w)))
+    epochs["f_value"].append(obj._mean_value(state.w))
 
 
 def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
@@ -314,23 +331,21 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
     """Full reshuffled-Adam run with epoch-boundary snapshots for k = 1..K+1
     (the final boundary only when the run completes)."""
     state = adam_init(obj, w0, params)
-    steps: list[StepRecord] = []
-    snaps: list[EpochSnapshot] = []
+    snaps = EpochTable.lists()
+    steps = StepTable.lists()
+    record = steps if params.record_steps else None
     status = STATUS_COMPLETED
     fail: Optional[tuple[int, int]] = None
 
     for tau in _epoch_orders(state.stream, obj.n, params.epochs):
-        snap = _snapshot(state, obj, params)
-        snaps.append(snap)
-        records, fail = adam_epoch(state, obj, params, tau, grad_norm_epoch_start=snap.grad_norm)
-        if params.record_steps:
-            steps.extend(records)
+        _snapshot(state, obj, params, snaps)
+        fail = adam_epoch(state, obj, params, tau, record)
         if fail is not None:
             status = _classify(state.w) or STATUS_DIVERGED
             break
     else:
         # closing boundary snapshot k = K+1
-        snaps.append(_snapshot(state, obj, params))
+        _snapshot(state, obj, params, snaps)
 
     try:
         spec = to_spec(obj)
@@ -340,8 +355,8 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
         algo="adam",
         params=params.to_dict(),
         objective_spec=spec,
-        steps=steps,
-        epochs=snaps,
+        steps=StepTable.from_lists(steps, obj.d),
+        epochs=EpochTable.from_lists(snaps, obj.d),
         status=status,
         fail_step=fail,
         final_w=tuple(state.w),
@@ -385,8 +400,8 @@ def gd_run(
     # every later iterate has passed the guard, so the objective is
     # evaluated unchecked
     d = obj.d
-    recs: list[StepRecord] = []
-    snaps: list[EpochSnapshot] = []
+    snaps = EpochTable.lists("m_prev", "nu_prev")
+    recs = StepTable.lists()
     status = STATUS_COMPLETED
     fail = None
     w_prev = list(w)
@@ -396,18 +411,12 @@ def gd_run(
         g = obj._mean_grad(w)
         gn = math.hypot(*g)
         f = obj._mean_value(w)
-        snaps.append(
-            EpochSnapshot(
-                k=k,
-                eta=eta,
-                w0=tuple(w),
-                w_prev=tuple(w_prev),
-                m_prev=None,
-                nu_prev=None,
-                grad_norm=gn,
-                f_value=f,
-            )
-        )
+        snaps["k"].append(k)
+        snaps["eta"].append(eta)
+        snaps["w0"].extend(w)
+        snaps["w_prev"].extend(w_prev)
+        snaps["grad_norm"].append(gn)
+        snaps["f_value"].append(f)
         if k > steps:
             break  # closing boundary snapshot k = steps + 1
         step_vec = list(g)
@@ -424,19 +433,13 @@ def gd_run(
                 ]
         upds = [eta * v for v in step_vec]
         if record_steps:
-            recs.append(
-                StepRecord(
-                    k=k,
-                    i=0,
-                    tau_j=-1,
-                    w_before=tuple(w),
-                    grad_norm_epoch_start=gn,
-                    comp_grad=tuple(g),
-                    ratio=tuple(abs(v) for v in step_vec),
-                    update_abs=tuple(abs(u) for u in upds),
-                    f_value=f,
-                )
-            )
+            recs["k"].append(k)
+            recs["i"].append(0)
+            recs["tau"].append(-1)
+            recs["w_before"].extend(w)
+            recs["ratio"].extend([abs(v) for v in step_vec])
+            recs["update_abs"].extend([abs(u) for u in upds])
+            recs["f_value"].append(f)
         w_prev = list(w)
         for l in range(d):
             w[l] = w[l] - upds[l]
@@ -459,8 +462,8 @@ def gd_run(
             "clip_threshold": clip_threshold,
         },
         objective_spec=spec,
-        steps=recs,
-        epochs=snaps,
+        steps=StepTable.from_lists(recs, d),
+        epochs=EpochTable.from_lists(snaps, d),
         status=status,
         fail_step=fail,
         final_w=tuple(w),
@@ -471,22 +474,19 @@ def gd_run(
 # derived sequences and summaries
 
 
-def aux_sequence(traj: Trajectory, beta1: float) -> list[tuple]:
+def aux_sequence(traj: Trajectory, beta1: float) -> np.ndarray:
     """Momentum-corrected epoch sequence u_k = (w_{k,0} - beta1 w_{k,-1}) /
-    (1 - beta1), with w_{1,-1} taken as w_{1,0}. One entry per snapshot."""
+    (1 - beta1), with w_{1,-1} taken as w_{1,0}. One row per snapshot."""
     if not 0.0 <= beta1 < 1.0:
         raise ValueError("beta1 must be in [0, 1)")
-    out = []
-    inv = 1.0 / (1.0 - beta1)
-    for s in traj.epochs:
-        out.append(tuple((s.w0[l] - beta1 * s.w_prev[l]) * inv for l in range(len(s.w0))))
-    return out
+    e = traj.epochs
+    return (e.w0 - beta1 * e.w_prev) * (1.0 / (1.0 - beta1))
 
 
 def tail_mean_grad_norm(traj: Trajectory, frac: float = 0.1) -> float:
     """Mean epoch-start gradient norm over the last ceil-free max(1,
     floor(K * frac)) epochs k <= K (closing boundary snapshot excluded)."""
-    norms = [s.grad_norm for s in traj.epoch_starts()]
+    norms = traj.epoch_starts().grad_norm.tolist()
     if not norms:
         return math.nan
     count = max(1, int(len(norms) * frac))
@@ -494,39 +494,37 @@ def tail_mean_grad_norm(traj: Trajectory, frac: float = 0.1) -> float:
     return math.fsum(tail) / len(tail)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Python's max() of each row of a (rows x d, d >= 1): a NaN wins only
+    in the first column, later ones are skipped."""
+    return np.where(np.isnan(a[:, 0]), a[:, 0], np.fmax.reduce(a, axis=1))
+
+
 def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write trajectory.csv. With step records: one row per inner step. When
     records were disabled: one row per epoch boundary, marked i = -1 and
-    tau = -1, with update_inf_norm = |w0 - w_prev|_inf (0.0 at k = 1)."""
+    tau = -1, with update_inf_norm = |w0 - w_prev|_inf (0.0 at k = 1).
+    Every number is written as repr of a Python int or float."""
     d = len(traj.final_w)
     header = (
         ["k", "i", "tau"]
         + [f"w{l}" for l in range(d)]
         + ["grad_norm_epoch_start", "f_value", "update_inf_norm"]
     )
-    lines = [",".join(header)]
-    if traj.steps:
-        for s in traj.steps:
-            row = [str(s.k), str(s.i), str(s.tau_j)]
-            row += [repr(v) for v in s.w_before]
-            row += [repr(s.grad_norm_epoch_start), repr(s.f_value)]
-            row.append(repr(max(s.update_abs) if s.update_abs else 0.0))
-            lines.append(",".join(row))
+    e, s = traj.epochs, traj.steps
+    if s:
+        cols = [s.k, s.i, s.tau, *s.w_before.T, e.grad_norm[s.k - 1], s.f_value, _row_max(s.update_abs)]
     else:
-        for s in traj.epochs:
-            row = [str(s.k), "-1", "-1"]
-            row += [repr(v) for v in s.w0]
-            row += [repr(s.grad_norm), repr(s.f_value)]
-            move = max(abs(s.w0[l] - s.w_prev[l]) for l in range(d)) if d else 0.0
-            row.append(repr(move))
-            lines.append(",".join(row))
+        sentinel = np.full(len(e), -1)
+        cols = [e.k, sentinel, sentinel, *e.w0.T, e.grad_norm, e.f_value, _row_max(np.abs(e.w0 - e.w_prev))]
+    cells = [map(repr, col.tolist()) for col in cols]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
     """JSON-ready run summary (no timestamps)."""
-    norms = traj.epoch_grad_norms()
+    norms = traj.epochs.grad_norm.tolist()
     return {
         "algo": traj.algo,
         "status": traj.status,

@@ -88,15 +88,16 @@ def smoothness_pairs(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     out: list[tuple[float, float]] = []
-    snaps = traj.epochs
-    for idx in range(0, len(snaps) - 1, stride):
-        a, b = snaps[idx], snaps[idx + 1]
-        if not all(math.isfinite(v) for v in (*a.w0, *b.w0)):
+    w0 = traj.epochs.w0
+    finite = np.isfinite(w0).all(axis=1).tolist()
+    norms = traj.epochs.grad_norm.tolist()
+    for idx in range(0, len(w0) - 1, stride):
+        if not (finite[idx] and finite[idx + 1]):
             continue
-        est = local_smoothness(obj, list(a.w0), list(b.w0), alpha=alpha)
+        est = local_smoothness(obj, w0[idx].tolist(), w0[idx + 1].tolist(), alpha=alpha)
         if est.degenerate or not math.isfinite(est.estimate):
             continue
-        out.append((a.grad_norm, est.estimate))
+        out.append((norms[idx], est.estimate))
     return out
 
 
@@ -281,74 +282,61 @@ class LemmaReport:
     examples: list = field(default_factory=list)  # first few (k, i, coord, value, bound)
 
 
+def _lemma_report(name: str, value: np.ndarray, bound: np.ndarray, where) -> LemmaReport:
+    """Report over flat check arrays in audit order: check c fails when
+    value[c] > bound[c] and feeds value[c] / bound[c] (0.0 for a zero bound)
+    to max_ratio, which starts at 0.0. A NaN never wins a comparison. where(c)
+    gives the (k, i, coord) of check c for the examples."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bound == 0.0, 0.0, value / bound)
+    bad = np.flatnonzero(value > bound)
+    peak = float(np.fmax.reduce(ratio, initial=0.0))
+    return LemmaReport(
+        name=name,
+        checked=len(value),
+        violation_count=len(bad),
+        max_ratio=peak if peak > 0.0 else 0.0,
+        examples=[(*where(c), float(value[c]), float(bound[c])) for c in bad[:10].tolist()],
+    )
+
+
 def check_bounded_update(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
     """Audit |m_l| / (sqrt(nu_l) + xi) <= C1 and |delta w_l| <= C1 eta_k on
     every recorded inner step (needs record_steps=True); eta_k is the step
-    size stored in epoch k's snapshot."""
+    size stored in epoch k's snapshot. C1 >= 1 by its formula."""
     c1 = tc.C1
-    violations = []
-    count = 0
-    max_ratio = 0.0
-    snaps = traj.epochs
-    for s in traj.steps:
-        cap = c1 * snaps[s.k - 1].eta
-        for l, (r, u) in enumerate(zip(s.ratio, s.update_abs)):
-            count += 2
-            rr = r / c1
-            if rr > max_ratio:
-                max_ratio = rr
-            if r > c1:
-                violations.append((s.k, s.i, l, r, c1))
-            uu = 0.0 if cap == 0.0 else u / cap
-            if uu > max_ratio:
-                max_ratio = uu
-            if u > cap:
-                violations.append((s.k, s.i, l, u, cap))
-    return LemmaReport(
-        name="bounded_update",
-        checked=count,
-        violation_count=len(violations),
-        max_ratio=max_ratio,
-        examples=violations[:10],
+    s = traj.steps
+    d = s.ratio.shape[1]
+    cap = np.broadcast_to((c1 * traj.epochs.eta[s.k - 1])[:, None], s.ratio.shape)
+    # axis 2 holds the two checks of one (step, coordinate), ratio first
+    value = np.stack([s.ratio, s.update_abs], axis=2).ravel()
+    bound = np.stack([np.full_like(s.ratio, c1), cap], axis=2).ravel()
+    k, i = s.k.tolist(), s.i.tolist()
+    return _lemma_report(
+        "bounded_update", value, bound, lambda c: (k[c // (2 * d)], i[c // (2 * d)], c // 2 % d)
     )
 
 
 def check_u_gap(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
     """Audit the momentum-corrected sequence u_k = (w_{k,0} - beta1
     w_{k,-1}) / (1 - beta1): per-coordinate |u_k - w_{k,0}| <= C2 eta_k and
-    |u_{k+1} - u_k| <= C2 eta_k on epoch-boundary snapshots."""
-    c2 = tc.C2
-    us = aux_sequence(traj, tc.beta1)
-    violations = []
-    count = 0
-    max_ratio = 0.0
-    for snap, u in zip(traj.epochs, us):
-        cap = c2 * snap.eta
-        for l in range(len(u)):
-            gap = abs(u[l] - snap.w0[l])
-            count += 1
-            rr = 0.0 if cap == 0.0 else gap / cap
-            if rr > max_ratio:
-                max_ratio = rr
-            if gap > cap:
-                violations.append((snap.k, -1, l, gap, cap))
-    for (sa, ua), ub in zip(zip(traj.epochs, us), us[1:]):
-        cap = c2 * sa.eta
-        for l in range(len(ua)):
-            move = abs(ub[l] - ua[l])
-            count += 1
-            rr = 0.0 if cap == 0.0 else move / cap
-            if rr > max_ratio:
-                max_ratio = rr
-            if move > cap:
-                violations.append((sa.k, -2, l, move, cap))
-    return LemmaReport(
-        name="u_gap",
-        checked=count,
-        violation_count=len(violations),
-        max_ratio=max_ratio,
-        examples=violations[:10],
-    )
+    |u_{k+1} - u_k| <= C2 eta_k on epoch-boundary snapshots; all gap checks
+    (i = -1) come before the move checks (i = -2)."""
+    e = traj.epochs
+    u = aux_sequence(traj, tc.beta1)
+    T, d = u.shape
+    cap = np.broadcast_to((tc.C2 * e.eta)[:, None], u.shape)
+    value = np.concatenate([np.abs(u - e.w0).ravel(), np.abs(u[1:] - u[:-1]).ravel()])
+    bound = np.concatenate([cap.ravel(), cap[:-1].ravel()])
+    k = e.k.tolist()
+
+    def where(c: int) -> tuple:
+        if c < T * d:
+            return k[c // d], -1, c % d
+        c -= T * d
+        return k[c // d], -2, c % d
+
+    return _lemma_report("u_gap", value, bound, where)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +363,7 @@ def progress_metric_min(
 ) -> float:
     """Min of the progress metric over epoch-start snapshots k = 1..T (the
     closing boundary of a completed run is excluded)."""
-    snaps = traj.epoch_starts()
-    if not snaps:
+    norms = traj.epoch_starts().grad_norm.tolist()
+    if not norms:
         raise ValueError("trajectory has no epoch snapshots")
-    return min(progress_metric(s.grad_norm, D0, D1, xi, variant) for s in snaps)
+    return min(progress_metric(gn, D0, D1, xi, variant) for gn in norms)

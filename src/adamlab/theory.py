@@ -412,18 +412,17 @@ def check_theorem1(traj, pc: ProblemConstants, tc: TheoryConstants, xi: float) -
     is excluded to match the bound's stated range). Verdict favors the main
     branch; Violated only when both sides fail with relative slack 1e-9.
     """
-    snaps = traj.epoch_starts()
-    if not snaps:
+    norms = traj.epoch_starts().grad_norm.tolist()
+    if not norms:
         raise ValueError("trajectory has no epoch snapshots")
-    T = len(snaps)
+    T = len(norms)
     main_rhs, neigh_rhs = theorem1_rhs(T, tc, pc, xi)
 
     sD1 = math.sqrt(pc.D1)
     floor = math.sqrt(pc.D0) + xi
     lhs = math.inf
     min_gn = math.inf
-    for s in snaps:
-        gn = s.grad_norm
+    for gn in norms:
         min_gn = min(min_gn, gn)
         quad = math.inf if floor == 0.0 else gn * gn / floor
         lhs = min(lhs, min(gn / sD1, quad))

@@ -87,7 +87,7 @@ def test_gd_above_threshold_doubles_every_two_steps():
     total_checks = 0
     for rid, traj in result.trajectories.items():
         assert traj.status == STATUS_DIVERGED
-        xs = [abs(s.w0[0]) for s in traj.epochs]
+        xs = [abs(x) for x in traj.epochs.w0[:, 0].tolist()]
         xs.append(abs(traj.final_w[0]))  # iterate that tripped the guard
         logs = [math.log(x) for x in xs if x > 0.0]
         ratios = [b - a for a, b in zip(logs, logs[1:])]
@@ -107,7 +107,7 @@ def test_gd_below_threshold_keeps_gradient_above_epsilon():
     con = result.report["construction"]
     assert con["slow_horizon"] >= 100
     for rid, traj in result.trajectories.items():
-        before = [s.grad_norm for s in traj.epochs if s.k < con["slow_horizon"]]
+        before = traj.epochs.grad_norm[traj.epochs.k < con["slow_horizon"]].tolist()
         assert before, rid
         assert min(before) >= con["epsilon"], rid
     assert result.ok
@@ -249,9 +249,8 @@ def test_trajectories_invariant_under_objective_scaling():
             traj = adam_run(zhang_counterexample(c), x0, params)
             assert traj.status == STATUS_COMPLETED
             assert len(traj.epochs) == len(ref.epochs)
-            for sa, sb in zip(ref.epochs, traj.epochs):
-                for u, v in zip(sa.w0, sb.w0):
-                    assert v == pytest.approx(u, rel=1e-9, abs=1e-30)
+            for u, v in zip(ref.epochs.w0.ravel(), traj.epochs.w0.ravel()):
+                assert v == pytest.approx(u, rel=1e-9, abs=1e-30)
             for u, v in zip(ref.final_w, traj.final_w):
                 assert v == pytest.approx(u, rel=1e-9, abs=1e-30)
 

@@ -1,14 +1,23 @@
 """The reshuffled-Adam engine against a scalar reference, bit for bit.
 
 The reference below is the engine as it was before its hot path was
-tightened: one ``SplitMix64.permutation`` call per epoch and the checked
-public objective methods on every step. It is kept verbatim as the oracle,
-except that, like the engine, it takes the no-signal branch only when the
-denominator is exactly zero, so a NaN gradient ends the run NonFinite; do
-not optimize it.
+tightened: one ``SplitMix64.permutation`` call per epoch, the checked
+public objective methods on every step, and one record object per step and
+per epoch. It is kept verbatim as the oracle, except that, like the engine,
+it takes the no-signal branch only when the denominator is exactly zero, so
+a NaN gradient ends the run NonFinite, and it keeps the epoch's permutation
+and inner index in locals; do not optimize it.
+
+The engine stores its trajectory as NumPy columns; every stored column is
+compared with the reference's records by repr. Two record fields are not
+stored, because they are functions of stored columns: the component
+gradient of a step is the gradient of component tau at w_before, and the
+gradient norm at its epoch start is the norm in epoch row k - 1. Both are
+recomputed from the columns and compared too.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from hypothesis import event, given, settings, strategies as st
@@ -29,8 +38,6 @@ from adamlab.optimizers import (
     STATUS_NONFINITE,
     AdamParams,
     AdamState,
-    EpochSnapshot,
-    StepRecord,
     Trajectory,
     adam_init,
     adam_run,
@@ -38,6 +45,43 @@ from adamlab.optimizers import (
 )
 
 # ---------------------------------------------------------------- reference
+
+
+@dataclass(slots=True)
+class StepRecord:
+    k: int
+    i: int
+    tau_j: int
+    w_before: tuple
+    grad_norm_epoch_start: float
+    comp_grad: tuple
+    ratio: tuple
+    update_abs: tuple
+    f_value: float
+
+
+@dataclass(slots=True)
+class EpochSnapshot:
+    k: int
+    eta: float
+    w0: tuple
+    w_prev: tuple
+    m_prev: Optional[tuple]
+    nu_prev: Optional[tuple]
+    grad_norm: float
+    f_value: float
+
+
+@dataclass
+class ReferenceTrajectory:
+    algo: str
+    params: dict
+    objective_spec: Optional[dict]
+    steps: list[StepRecord]
+    epochs: list[EpochSnapshot]
+    status: str
+    fail_step: Optional[tuple[int, int]]
+    final_w: tuple
 
 
 def _classify(w: Sequence[float]) -> Optional[str]:
@@ -64,14 +108,13 @@ def reference_adam_epoch(
     eta = eta_schedule(params.eta1, params.schedule, state.k)
     record = params.record_steps
 
-    state.tau = state.stream.permutation(n)
+    tau = state.stream.permutation(n)
     w, m, nu = state.w, state.m, state.nu
     records: list[StepRecord] = []
     k = state.k
 
     for i in range(n):
-        j = state.tau[i]
-        state.i = i
+        j = tau[i]
         g = obj.component_grad(j, w)
         w_before = tuple(w) if record else None
         ratios = [0.0] * d
@@ -109,7 +152,6 @@ def reference_adam_epoch(
             state.k = k + 1
             return records, (k, i)
     state.k = k + 1
-    state.i = 0
     return records, None
 
 
@@ -127,7 +169,7 @@ def _reference_snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamP
     )
 
 
-def reference_adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> Trajectory:
+def reference_adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> ReferenceTrajectory:
     state = adam_init(obj, w0, params)
     steps: list[StepRecord] = []
     snaps: list[EpochSnapshot] = []
@@ -150,7 +192,7 @@ def reference_adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: Ada
         spec = to_spec(obj)
     except ValueError:
         spec = None
-    return Trajectory(
+    return ReferenceTrajectory(
         algo="adam",
         params=params.to_dict(),
         objective_spec=spec,
@@ -159,6 +201,39 @@ def reference_adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: Ada
         status=status,
         fail_step=fail,
         final_w=tuple(state.w),
+    )
+
+
+STEP_COLUMNS = {
+    "k": "k", "i": "i", "tau": "tau_j", "w_before": "w_before",
+    "ratio": "ratio", "update_abs": "update_abs", "f_value": "f_value",
+}
+EPOCH_COLUMNS = ("k", "eta", "w0", "w_prev", "m_prev", "nu_prev", "grad_norm", "f_value")
+
+
+def _plain(v):
+    return list(v) if isinstance(v, tuple) else v
+
+
+def assert_same_run(got: Trajectory, expected: ReferenceTrajectory, obj: FiniteSumObjective) -> None:
+    """Every stored column equals the reference records by repr, which is
+    exact for floats and tells NaN and -0.0 apart; so do the two record
+    fields recomputed from the columns."""
+    for col, field in STEP_COLUMNS.items():
+        want = [_plain(getattr(s, field)) for s in expected.steps]
+        assert repr(getattr(got.steps, col).tolist()) == repr(want), col
+    for col in EPOCH_COLUMNS:
+        want = [_plain(getattr(s, col)) for s in expected.epochs]
+        assert repr(getattr(got.epochs, col).tolist()) == repr(want), col
+    s = got.steps
+    start_norms = got.epochs.grad_norm[s.k - 1].tolist()
+    assert repr(start_norms) == repr([r.grad_norm_epoch_start for r in expected.steps])
+    comp_grads = [tuple(obj._grad_fn(j, w)) for j, w in zip(s.tau.tolist(), s.w_before.tolist())]
+    assert repr(comp_grads) == repr([r.comp_grad for r in expected.steps])
+    assert (got.status, got.fail_step) == (expected.status, expected.fail_step)
+    assert repr(got.final_w) == repr(expected.final_w)
+    assert (got.algo, got.params, got.objective_spec) == (
+        expected.algo, expected.params, expected.objective_spec,
     )
 
 
@@ -234,19 +309,14 @@ def test_adam_run_matches_scalar_reference_bit_for_bit(problem, params, block_dr
         got = adam_run(obj, w0, params)
     finally:
         optimizers.PERM_BLOCK_DRAWS = saved
-    # repr is exact for floats and tells NaN and -0.0 apart
-    assert repr(got.steps) == repr(expected.steps)
-    assert repr(got.epochs) == repr(expected.epochs)
-    assert (got.status, got.fail_step) == (expected.status, expected.fail_step)
-    assert repr(got.final_w) == repr(expected.final_w)
-    assert (got.params, got.objective_spec) == (expected.params, expected.objective_spec)
+    assert_same_run(got, expected, obj)
 
 
 def test_adam_run_matches_reference_across_default_blocks():
     # longer than one default block of epochs for n = 10
     obj = zhang_counterexample()
     params = AdamParams(beta2=0.9, epochs=2000, seed=4, record_steps=False)
-    assert repr(adam_run(obj, [-2.0], params)) == repr(reference_adam_run(obj, [-2.0], params))
+    assert_same_run(adam_run(obj, [-2.0], params), reference_adam_run(obj, [-2.0], params), obj)
 
 
 def test_oracle_covers_every_status():
@@ -264,4 +334,4 @@ def test_oracle_covers_every_status():
     for status, (obj, w0, params) in runs.items():
         got, expected = adam_run(obj, w0, params), reference_adam_run(obj, w0, params)
         assert got.status == status
-        assert repr(got) == repr(expected)
+        assert_same_run(got, expected, obj)

@@ -319,3 +319,30 @@ def test_cli_seed_replaces_seed_list(tmp_path):
     report = json.loads((tmp_path / "o" / "Fig3" / "report.json").read_text())
     assert report["config"]["seeds"] == [9]
     assert {r["seed"] for r in report["runs"]} == {9}
+
+
+def test_cli_rerun_replaces_the_experiment_tree(tmp_path, capsys):
+    # a smaller grid rerun into the same --out must not leave the larger
+    # run's directories looking current
+    def fig3(seeds, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 20, "seeds": seeds}))
+        assert cli_main(["fig3", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    fig3([1, 2, 3], shared)
+    (shared / "notes.txt").write_text("kept")
+    fig3([1], shared)
+    fig3([1], fresh)
+    assert tree_digest(shared / "Fig3") == tree_digest(fresh / "Fig3")
+    assert sorted(os.listdir(shared / "Fig3")) == sorted(os.listdir(fresh / "Fig3"))
+    # only <out>/Fig3 is replaced; no work directory is left behind
+    assert sorted(os.listdir(shared)) == ["Fig3", "notes.txt"]
+    capsys.readouterr()
+
+
+def test_emit_returns_the_final_paths(tmp_path):
+    result = run_experiment(small_custom_config())
+    paths = emit(result, str(tmp_path))
+    root = tmp_path / "Custom"
+    assert sorted(paths) == sorted(str(root / rel) for rel in tree_digest(root))

@@ -75,8 +75,8 @@ def test_single_step_matches_hand_simulation():
     expected = 1.0 - 0.1 * m / math.sqrt(nu)
     assert traj.status == STATUS_COMPLETED
     assert len(traj.steps) == 1
-    assert traj.steps[0].w_before[0] == 1.0
-    assert traj.epochs[-1].w0[0] == pytest.approx(expected, rel=1e-15)
+    assert traj.steps.w_before[0, 0] == 1.0
+    assert traj.epochs.w0[-1, 0] == pytest.approx(expected, rel=1e-15)
     assert traj.final_w[0] == pytest.approx(expected, rel=1e-15)
 
 
@@ -85,20 +85,20 @@ def test_paper_theory_init_seeds_state_from_start_point():
     p = params(init_mode=INIT_PAPER_THEORY, epochs=1)
     w0 = [2.0]
     traj = adam_run(obj, w0, p)
-    snap = traj.epochs[0]
+    snap = traj.epochs
     # first moment starts at component-0 gradient, second at the largest
     # squared per-component partial
     g0 = obj.component_grad(0, w0)[0]
     worst = max(obj.component_grad(j, w0)[0] ** 2 for j in range(obj.n))
-    assert snap.m_prev[0] == pytest.approx(g0, rel=1e-15)
-    assert snap.nu_prev[0] == pytest.approx(worst, rel=1e-15)
+    assert snap.m_prev[0, 0] == pytest.approx(g0, rel=1e-15)
+    assert snap.nu_prev[0, 0] == pytest.approx(worst, rel=1e-15)
 
 
 def test_zero_state_init():
     obj = zhang_counterexample(1.0)
     traj = adam_run(obj, [2.0], params(epochs=1))
-    assert traj.epochs[0].m_prev[0] == 0.0
-    assert traj.epochs[0].nu_prev[0] == 0.0
+    assert traj.epochs.m_prev[0, 0] == 0.0
+    assert traj.epochs.nu_prev[0, 0] == 0.0
 
 
 def test_state_carries_over_between_epochs():
@@ -107,26 +107,27 @@ def test_state_carries_over_between_epochs():
     obj = zhang_counterexample(1.0)
     p = params(epochs=2, beta1=0.3, beta2=0.99, eta1=0.05)
     traj = adam_run(obj, [0.5], p)
-    snap2, snap3 = traj.epochs[1], traj.epochs[2]
-    assert snap2.k == 2 and snap3.k == 3
-    assert abs(snap2.m_prev[0]) > 0.0
-    assert snap2.nu_prev[0] > 0.0
-    m, nu = snap2.m_prev[0], snap2.nu_prev[0]
-    for s in (s for s in traj.steps if s.k == 2):
-        g = s.comp_grad[0]
+    e, s = traj.epochs, traj.steps
+    assert e.k[1] == 2 and e.k[2] == 3
+    assert abs(e.m_prev[1, 0]) > 0.0
+    assert e.nu_prev[1, 0] > 0.0
+    m, nu = e.m_prev[1, 0], e.nu_prev[1, 0]
+    epoch2 = np.flatnonzero(s.k == 2)
+    for row in epoch2:
+        # the component gradient each step used, at the iterate it started from
+        g = obj.component_grad(int(s.tau[row]), s.w_before[row].tolist())[0]
         nu = 0.99 * nu + 0.01 * g * g
         m = 0.3 * m + 0.7 * g
-    assert snap3.m_prev[0] == pytest.approx(m, rel=1e-12)
-    assert snap3.nu_prev[0] == pytest.approx(nu, rel=1e-12)
-    first_step_epoch2 = [s for s in traj.steps if s.k == 2][0]
-    assert first_step_epoch2.w_before[0] == pytest.approx(snap2.w0[0], rel=1e-15)
+    assert e.m_prev[2, 0] == pytest.approx(m, rel=1e-12)
+    assert e.nu_prev[2, 0] == pytest.approx(nu, rel=1e-12)
+    assert s.w_before[epoch2[0], 0] == pytest.approx(e.w0[1, 0], rel=1e-15)
 
 
 def test_each_epoch_uses_a_fresh_permutation_of_all_components():
     obj = zhang_counterexample(1.0)
     traj = adam_run(obj, [0.9], params(epochs=4))
     for k in range(1, 5):
-        taus = [s.tau_j for s in traj.steps if s.k == k]
+        taus = traj.steps.tau[traj.steps.k == k].tolist()
         assert sorted(taus) == list(range(10))
 
 
@@ -135,10 +136,10 @@ def test_permutations_reproducible_across_runs():
     p = params(epochs=3, seed=77)
     t1 = adam_run(obj, [0.9], p)
     t2 = adam_run(obj, [0.9], p)
-    assert [s.tau_j for s in t1.steps] == [s.tau_j for s in t2.steps]
+    assert t1.steps.tau.tolist() == t2.steps.tau.tolist()
     assert t1.final_w[0] == t2.final_w[0]
     t3 = adam_run(obj, [0.9], params(epochs=3, seed=78))
-    assert [s.tau_j for s in t1.steps] != [s.tau_j for s in t3.steps]
+    assert t1.steps.tau.tolist() != t3.steps.tau.tolist()
 
 
 def test_permutation_stream_matches_published_rng_contract():
@@ -149,8 +150,8 @@ def test_permutation_stream_matches_published_rng_contract():
     stream = stream_for_run(5, 3)
     exp1 = stream.permutation(10)
     exp2 = stream.permutation(10)
-    assert [s.tau_j for s in traj.steps if s.k == 1] == list(exp1)
-    assert [s.tau_j for s in traj.steps if s.k == 2] == list(exp2)
+    assert traj.steps.tau[traj.steps.k == 1].tolist() == list(exp1)
+    assert traj.steps.tau[traj.steps.k == 2].tolist() == list(exp2)
 
 
 def test_zero_epochs_records_single_boundary_snapshot():
@@ -158,29 +159,28 @@ def test_zero_epochs_records_single_boundary_snapshot():
     traj = adam_run(obj, [1.5], params(epochs=0))
     assert traj.status == STATUS_COMPLETED
     assert len(traj.epochs) == 1
-    assert traj.epochs[0].k == 1
+    assert traj.epochs.k.tolist() == [1]
     assert len(traj.steps) == 0
     # GD's one loop takes only the closing snapshot when there is no step
     gd = gd_run(obj, [1.5], eta1=0.1, steps=0)
     assert gd.status == STATUS_COMPLETED
-    assert [e.k for e in gd.epochs] == [1]
-    assert gd.steps == []
+    assert gd.epochs.k.tolist() == [1]
+    assert len(gd.steps) == 0
 
 
 def test_completed_run_has_closing_snapshot():
     obj = zhang_counterexample(1.0)
     traj = adam_run(obj, [1.5], params(epochs=3))
-    assert [e.k for e in traj.epochs] == [1, 2, 3, 4]
-    assert traj.completed_epochs() == 3
-    assert [e.k for e in traj.epoch_starts()] == [1, 2, 3]
+    assert traj.epochs.k.tolist() == [1, 2, 3, 4]
+    assert traj.epoch_starts().k.tolist() == [1, 2, 3]
     # a completed 0-epoch run keeps its only snapshot
     empty = adam_run(obj, [1.5], params(epochs=0))
-    assert [e.k for e in empty.epoch_starts()] == [1]
+    assert empty.epoch_starts().k.tolist() == [1]
     # a failed run has no closing snapshot to drop
     obj = custom_objective(n=1, d=1, value_fn=lambda j, w: -float(w[0]), grad_fn=lambda j, w: [-1.0])
     failed = adam_run(obj, [0.0], params(beta1=0.0, eta1=1e100, xi=0.0, schedule=SCHEDULE_CONSTANT))
     assert failed.status == STATUS_DIVERGED
-    assert [e.k for e in failed.epoch_starts()] == [1]
+    assert failed.epoch_starts().k.tolist() == [1]
 
 
 def test_divergence_guard_trips_on_runaway_iterate():
@@ -200,7 +200,7 @@ def test_divergence_guard_trips_on_runaway_iterate():
     # the failing step is still recorded for diagnostics
     assert len(traj.steps) == 1
     # no closing boundary snapshot after a failed epoch
-    assert [e.k for e in traj.epochs] == [1]
+    assert traj.epochs.k.tolist() == [1]
 
 
 def test_nonfinite_guard_wins_over_divergence():
@@ -232,7 +232,7 @@ def test_nan_gradient_ends_run_nonfinite():
     assert traj.status == STATUS_NONFINITE
     assert traj.fail_step == (1, 1)
     assert math.isnan(traj.final_w[0])
-    assert [e.k for e in traj.epochs] == [1]
+    assert traj.epochs.k.tolist() == [1]
 
 
 def test_zero_gradient_and_zero_xi_defines_zero_update():
@@ -247,11 +247,11 @@ def test_zero_gradient_and_zero_xi_defines_zero_update():
 def test_epoch_grad_norms_and_tail_mean():
     obj = zhang_counterexample(1.0)
     traj = adam_run(obj, [1.0], params(epochs=20, record_steps=False))
-    norms = traj.epoch_grad_norms()
+    norms = traj.epochs.grad_norm
     assert len(norms) == 21
     tail = tail_mean_grad_norm(traj, frac=0.1)
     # closing snapshot dropped: mean over the last 2 of 20 epoch-start norms
-    expected = np.mean([e.grad_norm for e in traj.epochs[:-1]][-2:])
+    expected = np.mean(norms[:-1][-2:])
     assert tail == pytest.approx(float(expected), rel=1e-12)
 
 
@@ -259,8 +259,8 @@ def test_aux_sequence_identity_at_zero_beta1():
     obj = zhang_counterexample(1.0)
     traj = adam_run(obj, [1.0], params(beta1=0.0, epochs=3))
     u = aux_sequence(traj, beta1=0.0)
-    for row, snap in zip(u, traj.epochs):
-        assert row[0] == pytest.approx(snap.w0[0], rel=1e-15)
+    for row, w0 in zip(u, traj.epochs.w0):
+        assert row[0] == pytest.approx(w0[0], rel=1e-15)
 
 
 def test_aux_sequence_momentum_correction():
@@ -268,8 +268,8 @@ def test_aux_sequence_momentum_correction():
     b1 = 0.6
     traj = adam_run(obj, [1.0], params(beta1=b1, epochs=3))
     u = aux_sequence(traj, beta1=b1)
-    for row, snap in zip(u, traj.epochs):
-        expect = (snap.w0[0] - b1 * snap.w_prev[0]) / (1.0 - b1)
+    for row, w0, w_prev in zip(u, traj.epochs.w0, traj.epochs.w_prev):
+        expect = (w0[0] - b1 * w_prev[0]) / (1.0 - b1)
         assert row[0] == pytest.approx(expect, rel=1e-15)
 
 
@@ -284,7 +284,7 @@ def test_csv_export_step_rows(tmp_path):
     assert rows[0][3] == "w0"
     assert len(rows) - 1 == len(traj.steps)
     # floats round-trip exactly through repr
-    assert float(rows[1][3]) == traj.steps[0].w_before[0]
+    assert float(rows[1][3]) == traj.steps.w_before[0, 0]
 
 
 def test_csv_export_epoch_rows_when_steps_not_recorded(tmp_path):
@@ -306,7 +306,7 @@ def test_summary_contents():
     assert s["status"] == STATUS_COMPLETED
     assert s["epoch_snapshots"] == 3
     assert s["recorded_steps"] == 20
-    assert s["last_grad_norm"] == pytest.approx(traj.epochs[-1].grad_norm, rel=1e-15)
+    assert s["last_grad_norm"] == pytest.approx(traj.epochs.grad_norm[-1], rel=1e-15)
     assert s["fail_step"] is None
 
 
@@ -324,7 +324,8 @@ def test_clipped_gd_caps_step_length():
     obj = quadratic_sum([2.0], [[0.0]], known_D0_D1=(0.0, 1.0))
     thresh = 0.5
     traj = gd_run(obj, [100.0], eta1=1.0, steps=3, clip_threshold=thresh)
-    moves = [abs(traj.epochs[i + 1].w0[0] - traj.epochs[i].w0[0]) for i in range(3)]
+    moves = np.abs(np.diff(traj.epochs.w0[:, 0]))
+    assert len(moves) == 3
     for mv in moves:
         assert mv <= 1.0 * thresh + 1e-12
 

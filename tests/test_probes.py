@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from adamlab.landscapes import (
     expquad_grad,
@@ -14,12 +15,14 @@ from adamlab.landscapes import (
 from adamlab.optimizers import (
     SCHEDULE_CONSTANT,
     AdamParams,
-    EpochSnapshot,
+    EpochTable,
+    StepTable,
     Trajectory,
     adam_run,
     gd_run,
 )
 from adamlab.probes import (
+    LemmaReport,
     affine_noise_fit,
     check_bounded_update,
     check_u_gap,
@@ -256,6 +259,164 @@ def test_lemma_audits_catch_fabricated_violations():
     assert check_u_gap(traj, tiny).violation_count > 0
 
 
+# The audits as plain loops over each row's Python floats, as they were
+# written before the trajectory became columns: the oracle for the
+# vectorized audits.
+
+
+def reference_bounded_update(traj, tc):
+    c1 = tc.C1
+    violations = []
+    count = 0
+    max_ratio = 0.0
+    eta = traj.epochs.eta.tolist()
+    s = traj.steps
+    for k, i, ratio, update_abs in zip(s.k.tolist(), s.i.tolist(), s.ratio.tolist(), s.update_abs.tolist()):
+        cap = c1 * eta[k - 1]
+        for l, (r, u) in enumerate(zip(ratio, update_abs)):
+            count += 2
+            rr = r / c1
+            if rr > max_ratio:
+                max_ratio = rr
+            if r > c1:
+                violations.append((k, i, l, r, c1))
+            uu = 0.0 if cap == 0.0 else u / cap
+            if uu > max_ratio:
+                max_ratio = uu
+            if u > cap:
+                violations.append((k, i, l, u, cap))
+    return LemmaReport(
+        name="bounded_update",
+        checked=count,
+        violation_count=len(violations),
+        max_ratio=max_ratio,
+        examples=violations[:10],
+    )
+
+
+def reference_u_gap(traj, tc):
+    c2, beta1 = tc.C2, tc.beta1
+    inv = 1.0 / (1.0 - beta1)
+    e = traj.epochs
+    snaps = list(zip(e.k.tolist(), e.eta.tolist(), e.w0.tolist()))
+    us = [
+        tuple((w0[l] - beta1 * wp[l]) * inv for l in range(len(w0)))
+        for w0, wp in zip(e.w0.tolist(), e.w_prev.tolist())
+    ]
+    violations = []
+    count = 0
+    max_ratio = 0.0
+    for (k, eta, w0), u in zip(snaps, us):
+        cap = c2 * eta
+        for l in range(len(u)):
+            gap = abs(u[l] - w0[l])
+            count += 1
+            rr = 0.0 if cap == 0.0 else gap / cap
+            if rr > max_ratio:
+                max_ratio = rr
+            if gap > cap:
+                violations.append((k, -1, l, gap, cap))
+    for ((k, eta, _), ua), ub in zip(zip(snaps, us), us[1:]):
+        cap = c2 * eta
+        for l in range(len(ua)):
+            move = abs(ub[l] - ua[l])
+            count += 1
+            rr = 0.0 if cap == 0.0 else move / cap
+            if rr > max_ratio:
+                max_ratio = rr
+            if move > cap:
+                violations.append((k, -2, l, move, cap))
+    return LemmaReport(
+        name="u_gap",
+        checked=count,
+        violation_count=len(violations),
+        max_ratio=max_ratio,
+        examples=violations[:10],
+    )
+
+
+# ordinary magnitudes mixed with the values the comparisons treat specially
+audit_floats = st.one_of(
+    st.floats(0.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300]),
+)
+
+
+@st.composite
+def audited_trajectories(draw):
+    d = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 6))
+    S = draw(st.integers(0, 20))
+
+    def matrix(rows):
+        return draw(st.lists(audit_floats, min_size=rows * d, max_size=rows * d))
+
+    epochs = EpochTable.from_lists(
+        {
+            "k": list(range(1, T + 1)),
+            # 0.0 gives a zero cap
+            "eta": draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, math.nan, math.inf])),
+                                 min_size=T, max_size=T)),
+            "w0": matrix(T),
+            "w_prev": matrix(T),
+            "grad_norm": [1.0] * T,
+            "f_value": [0.0] * T,
+        },
+        d,
+    )
+    steps = StepTable.from_lists(
+        {
+            "k": sorted(draw(st.lists(st.integers(1, T), min_size=S, max_size=S))),
+            "i": draw(st.lists(st.integers(0, 9), min_size=S, max_size=S)),
+            "tau": [0] * S,
+            "w_before": [0.0] * (S * d),
+            "ratio": matrix(S),
+            "update_abs": matrix(S),
+            "f_value": [0.0] * S,
+        },
+        d,
+    )
+    traj = Trajectory(
+        algo="adam", params={}, objective_spec=None, steps=steps, epochs=epochs,
+        status="Completed", fail_step=None, final_w=(0.0,) * d,
+    )
+    # C1 >= 1 by its formula, so it is never 0; C2 = 0 gives a zero cap
+    tc = dataclasses.replace(
+        zhang_tc(),
+        C1=draw(st.one_of(st.floats(1e-3, 10.0), st.just(math.inf))),
+        C2=draw(st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, math.inf]))),
+        beta1=draw(st.sampled_from([0.0, 0.5, 0.9])),
+    )
+    return traj, tc
+
+
+@given(audited_trajectories())
+@settings(max_examples=200, deadline=None)
+def test_vectorized_audits_equal_scalar_reference(case):
+    traj, tc = case
+    with np.errstate(all="ignore"):
+        got_b, got_u = check_bounded_update(traj, tc), check_u_gap(traj, tc)
+    want_b, want_u = reference_bounded_update(traj, tc), reference_u_gap(traj, tc)
+    event(f"more than 10 violations: {got_b.violation_count > 10 or got_u.violation_count > 10}")
+    # repr tells NaN, -0.0 and NumPy scalars apart from Python floats
+    assert repr(got_b) == repr(want_b)
+    assert repr(got_u) == repr(want_u)
+
+
+def test_vectorized_audits_keep_violation_order():
+    # many violations: the examples are the first ten in audit order
+    obj = zhang_counterexample(1.0)
+    traj = adam_run(obj, [1.0], AdamParams(epochs=10, seed=3))
+    tc = dataclasses.replace(zhang_tc(), C1=1e-9, C2=1e-9)
+    for got, want in (
+        (check_bounded_update(traj, tc), reference_bounded_update(traj, tc)),
+        (check_u_gap(traj, tc), reference_u_gap(traj, tc)),
+    ):
+        assert got.violation_count > 10
+        assert repr(got) == repr(want)
+
+
 # ------------------------------------------------------------ progress metric
 
 
@@ -272,24 +433,26 @@ def test_progress_metric_conventions():
         progress_metric(1.0, 0.0, 1.0, 0.0, variant="other")
 
 
-def snap(k, gn):
-    return EpochSnapshot(
-        k=k, eta=0.1, w0=(0.0,), w_prev=(0.0,), m_prev=None, nu_prev=None,
-        grad_norm=gn, f_value=0.0,
+def epochs(grad_norms):
+    return EpochTable.from_lists(
+        {"k": [1, 2, 3], "eta": [0.1] * 3, "w0": [0.0] * 3, "w_prev": [0.0] * 3,
+         "grad_norm": grad_norms, "f_value": [0.0] * 3},
+        1,
     )
 
 
 def test_progress_metric_min_excludes_closing_snapshot():
+    no_steps = StepTable.from_lists(StepTable.lists(), 1)
     traj = Trajectory(
-        algo="adam", params={}, objective_spec=None, steps=[],
-        epochs=[snap(1, 4.0), snap(2, 3.0), snap(3, 0.001)],
+        algo="adam", params={}, objective_spec=None, steps=no_steps,
+        epochs=epochs([4.0, 3.0, 0.001]),
         status="Completed", fail_step=None, final_w=(0.0,),
     )
     # closing snapshot (gn = 0.001) is outside the bound's range
     assert progress_metric_min(traj, 0.0, 1.0, 0.0) == pytest.approx(3.0)
     failed = Trajectory(
-        algo="adam", params={}, objective_spec=None, steps=[],
-        epochs=[snap(1, 4.0), snap(2, 3.0), snap(3, 0.001)],
+        algo="adam", params={}, objective_spec=None, steps=no_steps,
+        epochs=epochs([4.0, 3.0, 0.001]),
         status="Diverged", fail_step=(3, 0), final_w=(0.0,),
     )
     assert progress_metric_min(failed, 0.0, 1.0, 0.0) == pytest.approx(0.001)

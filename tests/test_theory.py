@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from adamlab.landscapes import expquad_grad
-from adamlab.optimizers import EpochSnapshot, Trajectory
+from adamlab.optimizers import EpochTable, StepTable, Trajectory
 from adamlab.theory import (
     VERDICT_MAIN,
     VERDICT_NEIGHBORHOOD,
@@ -277,18 +278,15 @@ def test_eta1_feasible_large_momentum_quadratic_is_impossible():
 # bound evaluation against recorded trajectories
 
 
-def snap(k, gn):
-    return EpochSnapshot(
-        k=k, eta=0.1, w0=(0.0,), w_prev=(0.0,), m_prev=None, nu_prev=None,
-        grad_norm=gn, f_value=0.0,
-    )
-
-
 def fake_traj(grad_norms, status="Completed"):
-    snaps = [snap(k + 1, g) for k, g in enumerate(grad_norms)]
+    T = len(grad_norms)
+    epochs = EpochTable(
+        k=np.arange(1, T + 1), eta=np.full(T, 0.1), w0=np.zeros((T, 1)), w_prev=np.zeros((T, 1)),
+        m_prev=None, nu_prev=None, grad_norm=np.array(grad_norms, dtype=float), f_value=np.zeros(T),
+    )
     return Trajectory(
-        algo="adam", params={}, objective_spec=None, steps=[], epochs=snaps,
-        status=status, fail_step=None, final_w=(0.0,),
+        algo="adam", params={}, objective_spec=None, steps=StepTable.from_lists(StepTable.lists(), 1),
+        epochs=epochs, status=status, fail_step=None, final_w=(0.0,),
     )
 
 
