@@ -29,6 +29,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .landscapes import from_spec, lowerbound_objective, to_spec, zhang_counterexample
 from .optimizers import (
@@ -41,6 +43,7 @@ from .optimizers import (
     gd_run,
     tail_mean_grad_norm,
     trajectory_summary,
+    write_csv,
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
@@ -227,12 +230,16 @@ def default_config_for(experiment: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # result container
 
+# A plot table: equal-length NumPy columns by name, one row per epoch-boundary
+# snapshot of each run.
+PlotTable = dict[str, np.ndarray]
+
 
 @dataclass
 class ExperimentResult:
     report: dict
     trajectories: dict[str, Trajectory]
-    plot_tables: dict[str, list[dict]]
+    plot_tables: dict[str, PlotTable]
 
     @property
     def ok(self) -> bool:
@@ -260,13 +267,27 @@ def _base_report(config: ExperimentConfig) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _run_columns(traj: Trajectory, **constants) -> PlotTable:
+    """A run's plot-table block: k and grad_norm from its epoch table, and
+    each per-run constant repeated to the run's length in an object column,
+    which keeps the value's Python type (a multiplier given as 2 stays 2)."""
+    e = traj.epochs
+    block = {"k": e.k, "grad_norm": e.grad_norm}
+    for name, value in constants.items():
+        # fill() makes every row refer to the one object; np.full would
+        # build a new str per row
+        col = block[name] = np.empty(len(e), dtype=object)
+        col.fill(value)
+    return block
 
 
-def _epoch_norms(traj: Trajectory) -> list[tuple[int, float]]:
-    """(k, gradient norm) of every epoch-boundary snapshot, as Python numbers."""
-    return list(zip(traj.epochs.k.tolist(), traj.epochs.grad_norm.tolist()))
+def _plot_table(blocks: dict[str, PlotTable]) -> PlotTable:
+    """The runs' blocks concatenated in sorted run id order; within a run
+    the rows are in k order already."""
+    order = [blocks[rid] for rid in sorted(blocks)]
+    if not order:
+        return {}
+    return {name: np.concatenate([b[name] for b in order]) for name in order[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +299,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
     obj = from_spec(config.objective)
     report = _base_report(config)
     trajectories: dict[str, Trajectory] = {}
-    rows: list[dict] = []
+    blocks: dict[str, PlotTable] = {}
     tails: dict[tuple[float, int], float] = {}
 
     grid = sorted(opt["beta2_grid"])
@@ -311,8 +332,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
                     "summary": trajectory_summary(traj),
                 }
             )
-            for k, gn in _epoch_norms(traj):
-                rows.append({"run_id": rid, "k": k, "grad_norm": gn, "beta2": b2, "seed": seed})
+            blocks[rid] = _run_columns(traj, run_id=rid, beta2=b2, seed=seed)
 
     floor = opt["grad_floor"]
     b2_low = grid[0]
@@ -331,8 +351,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
         "all_ok": completed and all(floor_ok.values()) and all(order_ok.values()),
     }
     report["runs"].sort(key=lambda r: r["run_id"])
-    rows.sort(key=lambda r: (r["run_id"], r["k"]))
-    return ExperimentResult(report, trajectories, {"grad_norms": rows})
+    return ExperimentResult(report, trajectories, {"grad_norms": _plot_table(blocks)})
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +392,7 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
         "detail": con.detail,
     }
     trajectories: dict[str, Trajectory] = {}
-    rows: list[dict] = []
+    blocks: dict[str, PlotTable] = {}
 
     total_checks = 0
     all_growth_ok = True
@@ -395,9 +414,9 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
             "status": traj.status,
             "summary": trajectory_summary(traj),
         }
-        norms = _epoch_norms(traj)
-        for (k, gn), (x, y) in zip(norms, traj.epochs.w0[:, :2].tolist()):
-            rows.append({"run_id": rid, "k": k, "x": x, "y": y, "grad_norm": gn, "eta_mult": mult})
+        e = traj.epochs
+        blocks[rid] = _run_columns(traj, run_id=rid, eta_mult=mult)
+        blocks[rid].update(x=e.w0[:, 0], y=e.w0[:, 1])
         if diverge_mode:
             ratios = _growth_ratios(traj)
             tol = opt["growth_tol"]
@@ -410,8 +429,7 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
             per_run_counts[rid] = len(ratios)
             all_growth_ok = all_growth_ok and ok and traj.status == STATUS_DIVERGED
         else:
-            horizon = con.slow_horizon
-            checked = [gn for k, gn in norms if k < horizon]
+            checked = e.grad_norm[e.k < con.slow_horizon].tolist()
             fl = bool(checked) and min(checked) >= con.epsilon
             entry["floor_ok"] = fl
             entry["checked_before_horizon"] = len(checked)
@@ -444,8 +462,7 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
             "all_ok": floor_ok_all and complete_ok and horizon_in_window,
         }
     report["runs"].sort(key=lambda r: r["run_id"])
-    rows.sort(key=lambda r: (r["run_id"], r["k"]))
-    return ExperimentResult(report, trajectories, {"iterates": rows})
+    return ExperimentResult(report, trajectories, {"iterates": _plot_table(blocks)})
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +485,7 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
         "y0": con.y0,
     }
     trajectories: dict[str, Trajectory] = {}
-    rows: list[dict] = []
+    blocks: dict[str, PlotTable] = {}
 
     gd_all_stuck = True
     for mult in sorted(opt["gd_eta_multipliers"]):
@@ -479,8 +496,8 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
         rid = f"gd-eta_mult={mult!r}"
         trajectories[rid] = traj
         diverged = traj.status == STATUS_DIVERGED
-        norms = _epoch_norms(traj)
-        before = [gn for k, gn in norms if k < con.slow_horizon]
+        e = traj.epochs
+        before = e.grad_norm[e.k < con.slow_horizon].tolist()
         stuck = bool(before) and min(before) >= con.epsilon
         verdict = "diverged" if diverged else ("stuck" if stuck else "progressed")
         gd_all_stuck = gd_all_stuck and verdict in ("diverged", "stuck")
@@ -496,8 +513,7 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
                 "summary": trajectory_summary(traj),
             }
         )
-        for k, gn in norms:
-            rows.append({"run_id": rid, "k": k, "grad_norm": gn})
+        blocks[rid] = _run_columns(traj, run_id=rid)
 
     a = opt["adam"]
     gamma = gamma_threshold(D1=1.0, n=1, d=2, beta1=a["beta1"])
@@ -515,8 +531,10 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
     traj = adam_run(obj, w0, params)
     rid = "adam"
     trajectories[rid] = traj
-    norms = _epoch_norms(traj)
-    crossing = next((k for k, gn in norms if gn < con.epsilon), None)
+    e = traj.epochs
+    crossing = next(
+        (k for k, gn in zip(e.k.tolist(), e.grad_norm.tolist()) if gn < con.epsilon), None
+    )
     adam_ok = traj.status == STATUS_COMPLETED and crossing is not None
     report["runs"].append(
         {
@@ -530,8 +548,7 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
             "summary": trajectory_summary(traj),
         }
     )
-    for k, gn in norms:
-        rows.append({"run_id": rid, "k": k, "grad_norm": gn})
+    blocks[rid] = _run_columns(traj, run_id=rid)
 
     report["conclusions"] = {
         "epsilon": con.epsilon,
@@ -542,8 +559,7 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
         "all_ok": gd_all_stuck and adam_ok and a["beta2"] > gamma,
     }
     report["runs"].sort(key=lambda r: r["run_id"])
-    rows.sort(key=lambda r: (r["run_id"], r["k"]))
-    return ExperimentResult(report, trajectories, {"grad_norms": rows})
+    return ExperimentResult(report, trajectories, {"grad_norms": _plot_table(blocks)})
 
 
 # ---------------------------------------------------------------------------
@@ -711,29 +727,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # emission
 
 
-def _dump_json(payload: dict, path: str) -> None:
+def _dump_json(payload: dict | list, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _dump_table(rows: list[dict], path_base: str, fmt: str) -> str:
+def _dump_table(table: PlotTable, path_base: str, fmt: str) -> str:
+    """Write a plot table with its columns in name order: as JSON, a list of
+    one object per row; as CSV, a header line and the rows, or one empty
+    line when the table has no rows."""
+    names = sorted(table)
+    cols = [table[name] for name in names]
     if fmt == "json":
         path = path_base + ".json"
-        with open(path, "w") as fh:
-            json.dump(rows, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _dump_json([dict(zip(names, vals)) for vals in zip(*(c.tolist() for c in cols))], path)
         return path
     path = path_base + ".csv"
-    if rows:
-        cols = sorted(rows[0].keys())
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols))
-    else:
-        lines = [""]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, names if cols and len(cols[0]) else [], cols)
     return path
 
 
@@ -768,8 +779,8 @@ def emit(result: ExperimentResult, out_root: str, fmt: Optional[str] = None) -> 
             written.append(spath)
 
         for name in sorted(result.plot_tables):
-            rows = result.plot_tables[name]
-            written.append(_dump_table(rows, os.path.join(work, name), fmt))
+            table = result.plot_tables[name]
+            written.append(_dump_table(table, os.path.join(work, name), fmt))
 
         if os.path.isdir(exp_dir):
             os.rename(exp_dir, old)

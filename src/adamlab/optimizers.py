@@ -27,6 +27,9 @@ GUARD_SUP_NORM = 1e100
 # Epoch permutations are drawn in blocks of at most this many stream draws.
 PERM_BLOCK_DRAWS = 8192
 
+# write_csv formats and writes this many rows at a time.
+CSV_BLOCK_ROWS = 4096
+
 SCHEDULE_DIMINISHING = "Diminishing"
 SCHEDULE_CONSTANT = "Constant"
 INIT_PAPER_THEORY = "PaperTheory"
@@ -500,11 +503,25 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(a[:, 0]), a[:, 0], np.fmax.reduce(a, axis=1))
 
 
+def write_csv(path: str, header: Sequence[str], cols: Sequence[np.ndarray]) -> None:
+    """Write equal-length NumPy columns under a header line, CSV_BLOCK_ROWS
+    rows at a time, so at most one block of formatted rows is held. A cell
+    is the repr of the Python int or float the column holds, or the string
+    itself."""
+    rows = len(cols[0]) if cols else 0
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in cols]
+            cells = [vals if isinstance(vals[0], str) else map(repr, vals) for vals in block]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write trajectory.csv. With step records: one row per inner step. When
     records were disabled: one row per epoch boundary, marked i = -1 and
     tau = -1, with update_inf_norm = |w0 - w_prev|_inf (0.0 at k = 1).
-    Every number is written as repr of a Python int or float."""
+    Every number is written as repr of a Python int or float (write_csv)."""
     d = len(traj.final_w)
     header = (
         ["k", "i", "tau"]
@@ -517,9 +534,7 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     else:
         sentinel = np.full(len(e), -1)
         cols = [e.k, sentinel, sentinel, *e.w0.T, e.grad_norm, e.f_value, _row_max(np.abs(e.w0 - e.w_prev))]
-    cells = [map(repr, col.tolist()) for col in cols]
-    with open(path, "w") as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+    write_csv(path, header, cols)
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

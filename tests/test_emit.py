@@ -1,0 +1,129 @@
+"""Plot tables written from columns equal the per-row writer they replaced.
+
+The reference below is the emission path as it was when a plot table was a
+list of one dict per epoch snapshot: rows sorted by (run_id, k), then every
+cell formatted on its own. The property builds the same random runs both
+ways and compares the written bytes, CSV and JSON.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adamlab.harness import _dump_table, _plot_table
+from adamlab.optimizers import CSV_BLOCK_ROWS
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def reference_dump_table(rows, path_base, fmt):
+    if fmt == "json":
+        path = path_base + ".json"
+        with open(path, "w") as fh:
+            json.dump(rows, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        return path
+    path = path_base + ".csv"
+    if rows:
+        cols = sorted(rows[0].keys())
+        lines = [",".join(cols)]
+        for r in rows:
+            lines.append(",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols))
+    else:
+        lines = [""]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+# multipliers as a config gives them: the int 2 beside floats; as run ids,
+# "eta_mult=10.0" sorts before "eta_mult=2.0"
+MULTS = [2, 2.0, 10.0, 0.5, 0.99, 1.05, 1e300, 5e-324, -0.0, 100]
+# total row counts around the write block, and small ones
+ROW_COUNTS = [0, 1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
+
+
+def _fill(pool, stride, n):
+    """n values cycled out of a small drawn pool, so big tables stay cheap."""
+    return [pool[(i * stride + i // len(pool)) % len(pool)] for i in range(n)]
+
+
+@st.composite
+def runs(draw):
+    """[(run_id, {column: Python values})] in build order."""
+    mults = draw(st.lists(st.sampled_from(MULTS), max_size=5, unique_by=repr))
+    rows = draw(st.sampled_from(ROW_COUNTS)) if mults else 0
+    parts = max(len(mults) - 1, 0)
+    cuts = sorted(draw(st.lists(st.integers(0, rows), min_size=parts, max_size=parts)))
+    lengths = [b - a for a, b in zip([0, *cuts], [*cuts, rows])]
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=12))
+    stride = draw(st.integers(1, 13))
+    out = []
+    for mult, m in zip(mults, lengths):
+        seed = draw(st.integers(0, 2**63 - 1))
+        out.append((f"eta_mult={mult!r}", {
+            "k": list(range(1, m + 1)),
+            "grad_norm": _fill(pool, stride, m),
+            "x": _fill(pool, stride + 1, m),
+            "eta_mult": [mult] * m,
+            "seed": [seed] * m,
+        }))
+    return out
+
+
+def _columns(values):
+    """A run's block as the runners build it: NumPy columns from the
+    epoch table, per-run constants in object columns."""
+    block = {
+        "k": np.array(values["k"], dtype=np.int64),
+        "grad_norm": np.array(values["grad_norm"], dtype=np.float64),
+        "x": np.array(values["x"], dtype=np.float64),
+    }
+    for name in ("run_id", "eta_mult", "seed"):
+        block[name] = np.array(values[name], dtype=object)
+    return block
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs(), st.sampled_from(["csv", "json"]))
+def test_column_tables_write_the_bytes_of_row_dicts(tmp_path_factory, built, fmt):
+    out = tmp_path_factory.mktemp("emit")
+    rows, blocks = [], {}
+    for rid, values in built:
+        values = dict(values, run_id=[rid] * len(values["k"]))
+        rows.extend(dict(zip(values, cells)) for cells in zip(*values.values()))
+        blocks[rid] = _columns(values)
+    rows.sort(key=lambda r: (r["run_id"], r["k"]))
+    old = reference_dump_table(rows, str(out / "old"), fmt)
+    new = _dump_table(_plot_table(blocks), str(out / "new"), fmt)
+    assert _read(new) == _read(old)
+
+
+def test_run_ids_sort_as_strings_not_as_numbers(tmp_path):
+    blocks = {
+        rid: _columns({"k": [1, 2], "grad_norm": [1.0, 0.5], "x": [0.0, 0.0],
+                       "run_id": [rid] * 2, "eta_mult": [mult] * 2, "seed": [0] * 2})
+        for rid, mult in (("eta_mult=2", 2), ("eta_mult=10.0", 10.0))
+    }
+    table = _plot_table(blocks)
+    assert table["run_id"].tolist() == ["eta_mult=10.0"] * 2 + ["eta_mult=2"] * 2
+    path = _dump_table(table, str(tmp_path / "t"), "csv")
+    assert _read(path).decode().splitlines() == [
+        "eta_mult,grad_norm,k,run_id,seed,x",
+        "10.0,1.0,1,eta_mult=10.0,0,0.0",
+        "10.0,0.5,2,eta_mult=10.0,0,0.0",
+        "2,1.0,1,eta_mult=2,0,0.0",
+        "2,0.5,2,eta_mult=2,0,0.0",
+    ]

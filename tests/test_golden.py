@@ -1,9 +1,11 @@
 """Golden emitted bytes for reduced-size configs of every experiment.
 
 The digests were recorded from the scalar engine before its hot path was
-rewritten. Any change to the arithmetic, the permutation stream or the
-emission format moves at least one of them; such a change must say which
-bytes changed and why, and record the new digests here.
+rewritten; the two JSON plot-table entries were recorded from the per-row
+plot-table writer before plot tables became columns. Any change to the
+arithmetic, the permutation stream or the emission format moves at least
+one of them; such a change must say which bytes changed and why, and
+record the new digests here.
 """
 
 import hashlib
@@ -48,6 +50,9 @@ CONFIGS = {
             "adam": {"eta1": 1000.0, "schedule": "Constant"},
         },
     },
+    # plot tables written as JSON row lists
+    "Fig3Json": {"experiment": "Fig3", "T": 50, "format": "json"},
+    "Thm2DivergenceJson": {"experiment": "Thm2Divergence", "format": "json"},
 }
 
 GOLDEN = {
@@ -55,8 +60,10 @@ GOLDEN = {
     "Custom": "fe2328e917607398b6a2061ded071342dfecb021bd32282ae5ef0ff515a0bedc",
     "CustomNonFinite": "938d31cb5c71db76856e49d3be4bed66e6b09d52a5e32ba1bf2322a4452b6599",
     "Fig3": "1bfe348d3584d35975441d3b8bfff3506081062b06f32c0ae61dd0fc529767f7",
+    "Fig3Json": "bd3cd6b95badea2df5abb7acced9b3f0a2276a82a5318dd72549869870ad34cd",
     "LemmaSuite": "5d062710f7dccbfac3e8b92a751c607be0cdb37e74b98ec4f5b6af76e2fbe02f",
     "Thm2Divergence": "5e667ff5e4ce50d0967dcce028c9ae5cb192b76375a8368a9ad51917730b445d",
+    "Thm2DivergenceJson": "6eb98a418fc32e3df7477f3321d5eadc1ecbacd12f55f4429d44f7c0a357186c",
     "Thm2Slow": "ede254cedfc8e0b35d73677e32860241808a6bb688b1421e628be7849a3c2f87",
 }
 

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adamlab
+from adamlab import harness
 from adamlab.cli import main as cli_main
 from adamlab.harness import (
     EXPERIMENTS,
@@ -123,8 +127,13 @@ def test_run_fig3_structure_and_ordering_of_rows():
     for r in runs:
         assert r["status"] == "Completed"
         assert isinstance(r["tail_mean_grad_norm"], float)
-    rows = result.plot_tables["grad_norms"]
-    assert rows == sorted(rows, key=lambda r: (r["run_id"], r["k"]))
+    # the plot table is each run's epoch columns, runs in sorted run id order
+    table = result.plot_tables["grad_norms"]
+    order = sorted(result.trajectories)
+    epochs = [result.trajectories[rid].epochs for rid in order]
+    assert table["run_id"].tolist() == [rid for rid, e in zip(order, epochs) for _ in range(len(e))]
+    assert table["k"].tolist() == np.concatenate([e.k for e in epochs]).tolist()
+    assert table["grad_norm"].tolist() == np.concatenate([e.grad_norm for e in epochs]).tolist()
     con = result.report["conclusions"]
     assert set(con) >= {"floor_ok_per_seed", "ordering_ok_per_seed", "all_ok"}
 
@@ -149,6 +158,28 @@ def test_run_thm2_slow_shortened_floor_holds():
     assert con["completions_ok"] is True
     assert con["all_ok"] is True
     assert result.report["construction"]["slow_horizon"] == 9390
+
+
+def test_horizon_scan_skips_a_later_nan_as_python_min_does(monkeypatch):
+    # the floor scan reads the grad_norm column as Python floats: a NaN
+    # after the first norm never wins a comparison, so min() skips it
+    real_gd_run = harness.gd_run
+
+    def gd_run_with_nan(*args, **kwargs):
+        traj = real_gd_run(*args, **kwargs)
+        norms = traj.epochs.grad_norm.copy()
+        norms[1] = math.nan
+        traj.epochs = replace(traj.epochs, grad_norm=norms)
+        return traj
+
+    monkeypatch.setattr(harness, "gd_run", gd_run_with_nan)
+    cfg = merge_config(default_thm2_slow_config(), {"options": {"steps": 400}})
+    result = run_experiment(cfg)
+    for run in result.report["runs"]:
+        norms = result.trajectories[run["run_id"]].epochs.grad_norm.tolist()
+        assert run["checked_before_horizon"] == len(norms) >= 3
+        assert run["min_grad_before_horizon"] == min(norms[:1] + norms[2:])
+        assert run["floor_ok"] is True
 
 
 def test_run_comparison_structure():
