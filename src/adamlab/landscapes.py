@@ -220,8 +220,10 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
     def value_fn(j: int, w: Sequence[float]) -> float:
         x = w[0]
         if j == 0:
-            return s * (x - 1.0) ** 2
-        return -0.1 * s * (x - c) ** 2
+            t = x - 1.0
+            return s * (t * t)
+        t = x - c
+        return -0.1 * s * (t * t)
 
     def grad_fn(j: int, w: Sequence[float]) -> Vector:
         x = w[0]

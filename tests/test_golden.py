@@ -2,10 +2,16 @@
 
 The digests were recorded from the scalar engine before its hot path was
 rewritten; the two JSON plot-table entries were recorded from the per-row
-plot-table writer before plot tables became columns. Any change to the
-arithmetic, the permutation stream or the emission format moves at least
-one of them; such a change must say which bytes changed and why, and
-record the new digests here.
+plot-table writer before plot tables became columns. Fig3, Fig3Json and
+LemmaSuite were re-recorded when the counterexample's two squares
+``(x - 1.0) ** 2`` and ``(x - c) ** 2`` became products ``t * t``, so that
+a NumPy row kernel, which squares by multiplying, can evaluate ``f_value``
+bit for bit: libm ``pow`` is not correctly rounded, while a product is one
+IEEE operation. Only ``f_value`` cells of ``trajectory.csv`` moved (17, 2
+and 19 rows), each by at most 2e-16; no report or summary changed. Any
+change to the arithmetic, the permutation stream or the emission format
+moves at least one of them; such a change must say which bytes changed and
+why, and record the new digests here.
 """
 
 import hashlib
@@ -59,9 +65,9 @@ GOLDEN = {
     "AdamVsGd": "eef96fcfe511ec18cec26ff3d7c1f7652b070c0783a1ca5f11e6d628dff5e016",
     "Custom": "fe2328e917607398b6a2061ded071342dfecb021bd32282ae5ef0ff515a0bedc",
     "CustomNonFinite": "938d31cb5c71db76856e49d3be4bed66e6b09d52a5e32ba1bf2322a4452b6599",
-    "Fig3": "1bfe348d3584d35975441d3b8bfff3506081062b06f32c0ae61dd0fc529767f7",
-    "Fig3Json": "bd3cd6b95badea2df5abb7acced9b3f0a2276a82a5318dd72549869870ad34cd",
-    "LemmaSuite": "5d062710f7dccbfac3e8b92a751c607be0cdb37e74b98ec4f5b6af76e2fbe02f",
+    "Fig3": "ebef03175873279a3be6215f61b97154ecbd13c7361e398eb79a6a46387140b7",
+    "Fig3Json": "efe8ca765feae81a04a0aebe6f9042d31704c9a2392b201b10eb540362b39bcd",
+    "LemmaSuite": "1256d5ef37756284ceb46ba6faa9c13c14ad7a6309570f7f576e06255f2b60f2",
     "Thm2Divergence": "5e667ff5e4ce50d0967dcce028c9ae5cb192b76375a8368a9ad51917730b445d",
     "Thm2DivergenceJson": "6eb98a418fc32e3df7477f3321d5eadc1ecbacd12f55f4429d44f7c0a357186c",
     "Thm2Slow": "ede254cedfc8e0b35d73677e32860241808a6bb688b1421e628be7849a3c2f87",
