@@ -4,6 +4,16 @@ Each objective is f(w) = (1/n) * sum_j f_j(w). Component values and gradients
 are exposed raw (unaveraged) because reshuffled optimizers consume them one at
 a time; ``value`` and ``full_grad`` average.
 
+``mean_values(W)`` is the one entry point for the objective value at many
+points: the optimizers fill their ``f_value`` columns with it after a run,
+from the stored iterates, never inside their loops. Each row's mean is
+``math.fsum`` of the n component values divided by n, exactly as
+``value`` computes it. The component values come from a row kernel where
+the builder supplies one (only ``ZhangCounterexample`` does, and its
+scalar squares are written as products so the kernel matches them bit for
+bit: libm ``pow`` is not correctly rounded, a product is one IEEE
+operation); every other kind evaluates row by row with the scalar code.
+
 Built-in kinds:
 
 * ``ZhangCounterexample`` -- one steep quadratic pulling toward x = 1 plus
@@ -24,7 +34,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 Vector = list[float]
+
+# mean_values evaluates this many rows at a time. A block's n component
+# values per row are held as Python floats for math.fsum, so keep it small:
+# 256-row blocks raised Fig3's peak RSS by about 1 MB, 64-row ones do not.
+VALUE_BLOCK_ROWS = 64
 
 KIND_ZHANG = "ZhangCounterexample"
 KIND_LOWERBOUND = "LowerBound"
@@ -102,6 +119,7 @@ class FiniteSumObjective:
         "_grad_fn",
         "_full_grad_fn",
         "_smooth_fn",
+        "_values_fn",
     )
 
     def __init__(
@@ -114,6 +132,7 @@ class FiniteSumObjective:
         grad_fn: Callable[[int, Sequence[float]], Vector],
         full_grad_fn: Optional[Callable[[Sequence[float]], Vector]] = None,
         smooth_fn: Optional[Callable[[Sequence[float]], float]] = None,
+        values_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         known_min: Optional[float] = None,
         known_D0_D1: Optional[tuple[float, float]] = None,
         known_L0_L1: Optional[tuple[float, float]] = None,
@@ -133,6 +152,9 @@ class FiniteSumObjective:
         self._grad_fn = grad_fn
         self._full_grad_fn = full_grad_fn
         self._smooth_fn = smooth_fn
+        # row kernel: rows x d points -> rows x n component values, each
+        # equal to value_fn's bit for bit
+        self._values_fn = values_fn
 
     # -- validation ---------------------------------------------------------
 
@@ -167,9 +189,6 @@ class FiniteSumObjective:
         self._check_point(w)
         return self._mean_grad(w)
 
-    def full_grad_norm(self, w: Sequence[float]) -> float:
-        return math.hypot(*self.full_grad(w))
-
     def analytic_smoothness(self, w: Sequence[float]) -> Optional[float]:
         """Local Lipschitz bound for the full gradient at w, if known."""
         self._check_point(w)
@@ -185,6 +204,20 @@ class FiniteSumObjective:
     def _mean_value(self, w: Sequence[float]) -> float:
         v = self._value_fn
         return math.fsum(v(j, w) for j in range(self.n)) / self.n
+
+    def mean_values(self, W: np.ndarray) -> np.ndarray:
+        """The mean objective of each row of W (rows x d), unchecked, equal
+        to ``_mean_value`` of the row; VALUE_BLOCK_ROWS rows at a time."""
+        n, kernel = self.n, self._values_fn
+        out = np.empty(len(W))
+        for start in range(0, len(W), VALUE_BLOCK_ROWS):
+            block = W[start:start + VALUE_BLOCK_ROWS]
+            if kernel is None:
+                vals = list(map(self._mean_value, block.tolist()))
+            else:
+                vals = np.array(list(map(math.fsum, kernel(block).tolist()))) / n
+            out[start:start + len(block)] = vals
+        return out
 
     def _mean_grad(self, w: Sequence[float]) -> Vector:
         if self._full_grad_fn is not None:
@@ -231,6 +264,17 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
             return [2.0 * s * (x - 1.0)]
         return [-0.2 * s * (x - c)]
 
+    def values_fn(W: np.ndarray) -> np.ndarray:
+        # value_fn's expressions, one column per component
+        x = W[:, 0]
+        out = np.empty((len(x), 10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = x - 1.0
+            out[:, 0] = s * (t * t)
+            t = x - c
+            out[:, 1:] = ((-0.1 * s) * (t * t))[:, None]
+        return out
+
     def full_grad_fn(w: Sequence[float]) -> Vector:
         return [0.02 * s * w[0]]
 
@@ -246,6 +290,7 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
         grad_fn=grad_fn,
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
+        values_fn=values_fn,
         known_min=-s / 90.0 if s > 0 else None,
         known_D0_D1=None,
         known_L0_L1=(2.0 * abs(s), 0.0),

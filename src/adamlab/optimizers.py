@@ -143,7 +143,8 @@ class EpochTable(_Table):
     """One row per epoch-boundary snapshot k = 1, 2, ...: w0 = w_{k,0},
     w_prev = the iterate one inner step earlier (equal to w0 at k = 1), the
     carried moments (None for GD), and the full-gradient norm and objective
-    value at w0. Row k - 1 holds snapshot k."""
+    value at w0, the value evaluated after the run. Row k - 1 holds
+    snapshot k."""
 
     INT = ("k",)
     MATRIX = ("w0", "w_prev", "m_prev", "nu_prev")
@@ -163,7 +164,8 @@ class StepTable(_Table):
     """One row per recorded inner step (0 rows without record_steps):
     component tau visited at (k, i) from w_before. ratio_l = |m_l| /
     (sqrt(nu_l) + xi) after the update; update_abs_l = eta_k * ratio_l is
-    the realized move magnitude; f_value is the objective at w_before."""
+    the realized move magnitude; f_value is the objective at w_before,
+    evaluated after the run."""
 
     INT = ("k", "i", "tau")
     MATRIX = ("w_before", "ratio", "update_abs")
@@ -252,9 +254,10 @@ def adam_epoch(
     steps: Optional[dict[str, list]] = None,
 ) -> Optional[tuple[int, int]]:
     """Advance one epoch in place, visiting the components in the order tau
-    (a permutation of range(n)), and append each step's row to the
-    StepTable column lists ``steps`` when given. Returns the (epoch, inner
-    index) of the step whose result tripped the guard, or None.
+    (a permutation of range(n)), and append each step's row, all but its
+    f_value, to the StepTable column lists ``steps`` when given. Returns the
+    (epoch, inner index) of the step whose result tripped the guard, or
+    None.
 
     The iterate entering each step is the start point adam_init validated
     or one the guard passed, so components are evaluated unchecked."""
@@ -267,9 +270,8 @@ def adam_epoch(
     record = steps is not None
     if record:
         add_k, add_i, add_tau = steps["k"].append, steps["i"].append, steps["tau"].append
-        add_w, add_f = steps["w_before"].extend, steps["f_value"].append
+        add_w = steps["w_before"].extend
         add_ratio, add_upd = steps["ratio"].append, steps["update_abs"].append
-        value = obj._mean_value
     sqrt, sup = math.sqrt, GUARD_SUP_NORM
     coords = range(obj.d)
     w, m, nu, w_prev = state.w, state.m, state.nu, state.w_prev
@@ -281,7 +283,6 @@ def adam_epoch(
             add_i(i)
             add_tau(j)
             add_w(w)
-            add_f(value(w))
         tripped = False
         for l in coords:
             gl = g[l]
@@ -310,7 +311,8 @@ def adam_epoch(
 
 
 def _snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams, epochs: dict[str, list]) -> None:
-    """Append the boundary snapshot of state.k to the EpochTable column lists."""
+    """Append the boundary snapshot of state.k to the EpochTable column
+    lists (all but f_value, which the run fills from w0)."""
     epochs["k"].append(state.k)
     epochs["eta"].append(eta_schedule(params.eta1, params.schedule, state.k))
     epochs["w0"].extend(state.w)
@@ -318,7 +320,6 @@ def _snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams, epo
     epochs["m_prev"].extend(state.m)
     epochs["nu_prev"].extend(state.nu)
     epochs["grad_norm"].append(math.hypot(*obj._mean_grad(state.w)))
-    epochs["f_value"].append(obj._mean_value(state.w))
 
 
 def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
@@ -332,10 +333,11 @@ def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
 
 def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> Trajectory:
     """Full reshuffled-Adam run with epoch-boundary snapshots for k = 1..K+1
-    (the final boundary only when the run completes)."""
+    (the final boundary only when the run completes). Both f_value columns
+    are evaluated after the loop, from w0 and w_before."""
     state = adam_init(obj, w0, params)
-    snaps = EpochTable.lists()
-    steps = StepTable.lists()
+    snaps = EpochTable.lists("f_value")
+    steps = StepTable.lists("f_value")
     record = steps if params.record_steps else None
     status = STATUS_COMPLETED
     fail: Optional[tuple[int, int]] = None
@@ -354,12 +356,14 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
         spec = to_spec(obj)
     except ValueError:
         spec = None
+    epochs = EpochTable.from_lists(snaps, obj.d)
+    recorded = StepTable.from_lists(steps, obj.d)
     return Trajectory(
         algo="adam",
         params=params.to_dict(),
         objective_spec=spec,
-        steps=StepTable.from_lists(steps, obj.d),
-        epochs=EpochTable.from_lists(snaps, obj.d),
+        steps=replace(recorded, f_value=obj.mean_values(recorded.w_before)),
+        epochs=replace(epochs, f_value=obj.mean_values(epochs.w0)),
         status=status,
         fail_step=fail,
         final_w=tuple(state.w),
@@ -383,7 +387,8 @@ def gd_run(
 
     With clip_threshold the gradient is rescaled to that Euclidean norm when
     it exceeds it. Snapshots reuse the epoch structure with one inner step
-    per epoch (i = 0, tau = -1); moment fields are None.
+    per epoch (i = 0, tau = -1); moment fields are None. f_value is
+    evaluated after the loop from w0; the step table's is a view of it.
     """
     if not (math.isfinite(eta1) and eta1 > 0):
         raise ValueError("eta1 must be positive and finite")
@@ -403,8 +408,8 @@ def gd_run(
     # every later iterate has passed the guard, so the objective is
     # evaluated unchecked
     d = obj.d
-    snaps = EpochTable.lists("m_prev", "nu_prev")
-    recs = StepTable.lists()
+    snaps = EpochTable.lists("m_prev", "nu_prev", "f_value")
+    recs = StepTable.lists("f_value")
     status = STATUS_COMPLETED
     fail = None
     w_prev = list(w)
@@ -413,13 +418,11 @@ def gd_run(
         eta = eta_schedule(eta1, schedule, k)
         g = obj._mean_grad(w)
         gn = math.hypot(*g)
-        f = obj._mean_value(w)
         snaps["k"].append(k)
         snaps["eta"].append(eta)
         snaps["w0"].extend(w)
         snaps["w_prev"].extend(w_prev)
         snaps["grad_norm"].append(gn)
-        snaps["f_value"].append(f)
         if k > steps:
             break  # closing boundary snapshot k = steps + 1
         step_vec = list(g)
@@ -442,7 +445,6 @@ def gd_run(
             recs["w_before"].extend(w)
             recs["ratio"].extend([abs(v) for v in step_vec])
             recs["update_abs"].extend([abs(u) for u in upds])
-            recs["f_value"].append(f)
         w_prev = list(w)
         for l in range(d):
             w[l] = w[l] - upds[l]
@@ -456,6 +458,10 @@ def gd_run(
         spec = to_spec(obj)
     except ValueError:
         spec = None
+    epochs = EpochTable.from_lists(snaps, d)
+    epochs = replace(epochs, f_value=obj.mean_values(epochs.w0))
+    # step k starts from snapshot k's w0, so its value is epoch row k - 1's
+    step_table = StepTable.from_lists(recs, d)
     return Trajectory(
         algo="gd" if clip_threshold is None else "clipped_gd",
         params={
@@ -465,8 +471,8 @@ def gd_run(
             "clip_threshold": clip_threshold,
         },
         objective_spec=spec,
-        steps=StepTable.from_lists(recs, d),
-        epochs=EpochTable.from_lists(snaps, d),
+        steps=replace(step_table, f_value=epochs.f_value[:len(step_table)]),
+        epochs=epochs,
         status=status,
         fail_step=fail,
         final_w=tuple(w),

@@ -17,7 +17,7 @@ import pytest
 
 from adamlab import cli, optimizers
 from adamlab.harness import run_experiment
-from adamlab.landscapes import zhang_counterexample
+from adamlab.landscapes import FiniteSumObjective, lowerbound_objective, zhang_counterexample
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -51,6 +51,37 @@ def test_adam_run_calls_adam_epoch_as_module_global_once_per_epoch(monkeypatch):
     traj = optimizers.adam_run(zhang_counterexample(), [-2.0], optimizers.AdamParams(epochs=7))
     assert traj.status == optimizers.STATUS_COMPLETED
     assert len(calls) == 7
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(FiniteSumObjective, name)
+
+    def counted(self, *args):
+        calls.append(len(args[0]) if name == "mean_values" else 1)
+        return real(self, *args)
+
+    monkeypatch.setattr(FiniteSumObjective, name, counted)
+    return calls
+
+
+def test_runs_evaluate_f_value_once_per_table_after_the_loop(monkeypatch):
+    # f_value is filled from the stored iterates through mean_values, never
+    # by a scalar evaluation inside the loop
+    scalar = _counted(monkeypatch, "_mean_value")
+    tables = _counted(monkeypatch, "mean_values")
+    p = optimizers.AdamParams(epochs=7, record_steps=True)
+    traj = optimizers.adam_run(zhang_counterexample(), [-2.0], p)
+    assert traj.status == optimizers.STATUS_COMPLETED
+    assert scalar == []
+    # the epoch table (8 snapshots) and the step table (70 steps)
+    assert sorted(tables) == [8, 70]
+    # GD: the epoch table only; its step table slices those values
+    tables.clear()
+    obj = lowerbound_objective(1.0, 1.0, 0.5)
+    traj = optimizers.gd_run(obj, [0.5, 2.0], eta1=0.1, steps=5)
+    assert tables == [6]
+    assert scalar == [1] * 6  # LowerBound has no row kernel
 
 
 def _result(command, overrides, tmp_path):

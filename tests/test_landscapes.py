@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adamlab.landscapes import (
+    VALUE_BLOCK_ROWS,
     custom_objective,
     expquad_grad,
     expquad_value,
@@ -122,6 +123,82 @@ def test_counterexample_full_grad_matches_component_average():
     for x in (-1.0, 0.3, 7.0):
         avg = math.fsum(obj.component_grad(j, [x])[0] for j in range(10)) / 10.0
         assert obj.full_grad([x])[0] == pytest.approx(avg, rel=1e-12, abs=1e-15)
+
+
+def _bits(values):
+    # the int64 view tells -0.0 from 0.0 and keeps NaN payloads apart
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(x=finite, scale=finite.filter(lambda s: s != 0.0))
+@example(x=-0.0, scale=1.0)
+@example(x=5e-324, scale=-5e-324)
+@example(x=1e300, scale=1e300)
+@example(x=-1e300, scale=-1e-300)
+@example(x=1e300, scale=5e-324)  # -0.1 * s underflows to -0.0, times inf: NaN
+@example(x=-10.0, scale=3.0)  # (-0.1 * s) * (t * t) != -0.1 * (s * t * t)
+@settings(max_examples=300, deadline=None)
+def test_counterexample_kernel_matches_value_fn_bit_for_bit(x, scale):
+    obj = zhang_counterexample(scale)
+    # the kernel silences its own overflow to inf and inf * 0 = NaN
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        row = obj._values_fn(np.array([[x]]))
+    assert row.shape == (1, obj.n)
+    assert _bits(row[0]) == _bits([obj._value_fn(j, [x]) for j in range(obj.n)])
+
+
+def test_counterexample_squares_by_multiplying():
+    # libm pow rounds this square differently from the one IEEE product
+    x = -0.8704829527801667
+    t = x - 1.0
+    assert t ** 2 != t * t
+    assert _bits([zhang_counterexample(1.0).component_value(0, [x])]) == _bits([t * t])
+
+
+def _custom():
+    return custom_objective(
+        n=3,
+        d=2,
+        value_fn=lambda j, w: (j + 1) * w[0] * w[1] - math.sin(w[1]) / (j + 2),
+        grad_fn=lambda j, w: [(j + 1) * w[1], (j + 1) * w[0] - math.cos(w[1]) / (j + 2)],
+    )
+
+
+# rows of each objective's points: uniform, in the exponential x-branch for
+# LowerBound (|x| > 1 / L1)
+MEAN_VALUE_CASES = {
+    "Zhang": (lambda: zhang_counterexample(2.5), [(-30.0, 30.0)]),
+    "QuadraticSum": (
+        lambda: quadratic_sum(
+            [1.0, 3.0, 0.5, 2.0],
+            [[1.0, -2.0, 0.5], [0.0, 4.0, -1.0], [-3.0, 1.5, 2.0], [0.3, 0.3, 0.3]],
+        ),
+        [(-10.0, 10.0)] * 3,
+    ),
+    "LowerBound": (lambda: lowerbound_objective(1.0, 0.5, 0.25), [(2.5, 40.0), (-5.0, 5.0)]),
+    "Custom": (_custom, [(-4.0, 4.0)] * 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MEAN_VALUE_CASES))
+@pytest.mark.parametrize(
+    "rows",
+    [0, 1, VALUE_BLOCK_ROWS - 1, VALUE_BLOCK_ROWS, VALUE_BLOCK_ROWS + 1, 2 * VALUE_BLOCK_ROWS + 1],
+)
+def test_mean_values_equal_value_of_each_row(kind, rows):
+    build, box = MEAN_VALUE_CASES[kind]
+    obj = build()
+    rng = np.random.default_rng(rows)
+    lo, hi = np.array(box).T
+    W = rng.uniform(lo, hi, size=(rows, obj.d))
+    if kind == "LowerBound":
+        W[::2, 0] *= -1.0  # both exponential arms
+    got = obj.mean_values(W)
+    assert got.shape == (rows,) and got.dtype == np.float64
+    assert _bits(got) == _bits([obj.value(w) for w in W.tolist()])
 
 
 # ------------------------------------------------------------ slow landscape

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adamlab.landscapes import custom_objective, quadratic_sum, zhang_counterexample
+from adamlab.landscapes import custom_objective, lowerbound_objective, quadratic_sum, zhang_counterexample
 from adamlab.optimizers import (
     INIT_PAPER_THEORY,
     INIT_ZERO_STATE,
@@ -328,6 +328,23 @@ def test_clipped_gd_caps_step_length():
     assert len(moves) == 3
     for mv in moves:
         assert mv <= 1.0 * thresh + 1e-12
+
+
+@pytest.mark.parametrize(
+    "w0, eta1, status, steps",
+    [([1.0, 2.0], 0.1, STATUS_COMPLETED, 4), ([3.0, 2.0], 2.0, STATUS_DIVERGED, 3)],
+)
+def test_gd_step_values_are_the_epoch_values_of_their_start(w0, eta1, status, steps):
+    # step k starts from snapshot k's w0: one f_value column, read by both
+    obj = lowerbound_objective(1.0, 1.0, 0.5)
+    traj = gd_run(obj, w0, eta1=eta1, steps=4)
+    assert traj.status == status
+    assert len(traj.steps) == steps
+    e, s = traj.epochs, traj.steps
+    assert np.array_equal(s.w_before, e.w0[:steps])
+    assert s.f_value.tolist() == [obj.value(w) for w in s.w_before.tolist()]
+    assert e.f_value.tolist() == [obj.value(w) for w in e.w0.tolist()]
+    assert np.shares_memory(s.f_value, e.f_value)
 
 
 @pytest.mark.parametrize("w0", [[1.0, 2.0], [math.nan], [math.inf]])
