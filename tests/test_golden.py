@@ -8,7 +8,9 @@ LemmaSuite were re-recorded when the counterexample's two squares
 a NumPy row kernel, which squares by multiplying, can evaluate ``f_value``
 bit for bit: libm ``pow`` is not correctly rounded, while a product is one
 IEEE operation. Only ``f_value`` cells of ``trajectory.csv`` moved (17, 2
-and 19 rows), each by at most 2e-16; no report or summary changed. Any
+and 19 rows), each by at most 2e-16; no report or summary changed.
+CustomClippedGd was recorded from the GD runner whose loop appended every
+column of its tables, before those tables were derived after the run. Any
 change to the arithmetic, the permutation stream or the emission format
 moves at least one of them; such a change must say which bytes changed and
 why, and record the new digests here.
@@ -56,6 +58,20 @@ CONFIGS = {
             "adam": {"eta1": 1000.0, "schedule": "Constant"},
         },
     },
+    # clipped GD with step records: the exponential arm's gradient is
+    # clipped to norm 1 until the iterate reaches the quadratic band
+    "CustomClippedGd": {
+        "experiment": "Custom",
+        "objective": to_spec(lowerbound_objective(1.0, 1.0, 0.01)),
+        "seeds": [1],
+        "T": 200,
+        "options": {
+            "algo": "clipped_gd",
+            "x0": [3.0, 2.0],
+            "record_steps": True,
+            "gd": {"eta1": 0.5, "schedule": "Diminishing", "clip_threshold": 1.0},
+        },
+    },
     # plot tables written as JSON row lists
     "Fig3Json": {"experiment": "Fig3", "T": 50, "format": "json"},
     "Thm2DivergenceJson": {"experiment": "Thm2Divergence", "format": "json"},
@@ -64,6 +80,7 @@ CONFIGS = {
 GOLDEN = {
     "AdamVsGd": "eef96fcfe511ec18cec26ff3d7c1f7652b070c0783a1ca5f11e6d628dff5e016",
     "Custom": "fe2328e917607398b6a2061ded071342dfecb021bd32282ae5ef0ff515a0bedc",
+    "CustomClippedGd": "4a0c76da66339118fd3e45c82bc538d2301b119f7cbb7b1260048c620ac9355c",
     "CustomNonFinite": "938d31cb5c71db76856e49d3be4bed66e6b09d52a5e32ba1bf2322a4452b6599",
     "Fig3": "ebef03175873279a3be6215f61b97154ecbd13c7361e398eb79a6a46387140b7",
     "Fig3Json": "efe8ca765feae81a04a0aebe6f9042d31704c9a2392b201b10eb540362b39bcd",
