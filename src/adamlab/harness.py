@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .landscapes import from_spec, lowerbound_objective, to_spec, zhang_counterexample
+from .landscapes import from_spec, make_lowerbound, to_spec, zhang_counterexample
 from .optimizers import (
     AdamParams,
     STATUS_COMPLETED,
@@ -47,12 +47,7 @@ from .optimizers import (
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
-from .theory import (
-    ProblemConstants,
-    compute_constants,
-    gamma_threshold,
-    theorem2_construction,
-)
+from .theory import ProblemConstants, compute_constants, gamma_threshold
 
 EXPERIMENTS = ("Fig3", "Thm2Divergence", "Thm2Slow", "AdamVsGd", "LemmaSuite", "Custom")
 
@@ -91,11 +86,6 @@ class ExperimentConfig:
             "out_dir": self.out_dir,
             "options": self.options,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        base = ExperimentConfig(experiment=d.get("experiment", "Custom"))
-        return merge_config(base, d)
 
 
 def merge_config(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
@@ -376,9 +366,7 @@ def _growth_ratios(traj: Trajectory) -> list[float]:
 def run_thm2(config: ExperimentConfig) -> ExperimentResult:
     opt = config.options
     c = opt["construction"]
-    con = theorem2_construction(L0=c["L0"], L1=c["L1"], T=config.T, M=c["M"], f_bar=c["f_bar"])
-    obj = lowerbound_objective(c["L0"], c["L1"], con.epsilon)
-    w0 = [con.x0, con.y0]
+    obj, w0, con = make_lowerbound(c["L0"], c["L1"], config.T, c["M"], c["f_bar"])
     diverge_mode = config.experiment == "Thm2Divergence"
 
     report = _base_report(config)
@@ -472,9 +460,7 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
 def run_comparison(config: ExperimentConfig) -> ExperimentResult:
     opt = config.options
     c = opt["construction"]
-    con = theorem2_construction(L0=c["L0"], L1=c["L1"], T=config.T, M=c["M"], f_bar=c["f_bar"])
-    obj = lowerbound_objective(c["L0"], c["L1"], con.epsilon)
-    w0 = [con.x0, con.y0]
+    obj, w0, con = make_lowerbound(c["L0"], c["L1"], config.T, c["M"], c["f_bar"])
 
     report = _base_report(config)
     report["construction"] = {

@@ -7,7 +7,8 @@ a time; ``value`` and ``full_grad`` average.
 ``mean_values(W)`` is the one entry point for the objective value at many
 points: the optimizers fill their ``f_value`` columns with it after a run,
 from the stored iterates, never inside their loops. Each row's mean is
-``math.fsum`` of the n component values divided by n, exactly as
+``math.fsum`` of the n component values divided by n (their IEEE sum
+where ``fsum`` refuses mixed infinities or overflows), exactly as
 ``value`` computes it. The component values come from a row kernel where
 the builder supplies one (only ``ZhangCounterexample`` does, and its
 scalar squares are written as products so the kernel matches them bit for
@@ -47,6 +48,18 @@ KIND_ZHANG = "ZhangCounterexample"
 KIND_LOWERBOUND = "LowerBound"
 KIND_QUADRATIC = "QuadraticSum"
 KIND_CUSTOM = "Custom"
+
+
+def _sum(vals: list[float]) -> float:
+    """math.fsum of vals, or their IEEE sum left to right where fsum refuses:
+    NaN when +inf and -inf are mixed, +-inf when the partial sums overflow."""
+    try:
+        return math.fsum(vals)
+    except (ValueError, OverflowError):
+        total = 0.0
+        for v in vals:
+            total += v
+        return total
 
 
 def _exp(x: float) -> float:
@@ -203,7 +216,7 @@ class FiniteSumObjective:
 
     def _mean_value(self, w: Sequence[float]) -> float:
         v = self._value_fn
-        return math.fsum(v(j, w) for j in range(self.n)) / self.n
+        return _sum([v(j, w) for j in range(self.n)]) / self.n
 
     def mean_values(self, W: np.ndarray) -> np.ndarray:
         """The mean objective of each row of W (rows x d), unchecked, equal
@@ -215,7 +228,7 @@ class FiniteSumObjective:
             if kernel is None:
                 vals = list(map(self._mean_value, block.tolist()))
             else:
-                vals = np.array(list(map(math.fsum, kernel(block).tolist()))) / n
+                vals = np.array(list(map(_sum, kernel(block).tolist()))) / n
             out[start:start + len(block)] = vals
         return out
 

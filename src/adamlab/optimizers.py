@@ -107,11 +107,8 @@ class AdamState:
 
 class _Table:
     """Equal-length NumPy columns, one row per record; len() is the row
-    count. MATRIX columns hold the d coordinates of each row (shape rows x
+    count. Iterate columns hold the d coordinates of each row (shape rows x
     d). A column is None when the optimizer has no such state."""
-
-    INT: tuple = ()
-    MATRIX: tuple = ()
 
     def __len__(self) -> int:
         return len(self.k)
@@ -123,20 +120,6 @@ class _Table:
             f.name: col[rows] for f in fields(self) if (col := getattr(self, f.name)) is not None
         })
 
-    @classmethod
-    def lists(cls, *absent: str) -> dict[str, list]:
-        """Empty column lists a run appends plain numbers to, matrix rows flat."""
-        return {f.name: [] for f in fields(cls) if f.name not in absent}
-
-    @classmethod
-    def from_lists(cls, cols: dict[str, list], d: int):
-        """The table of a finished run's column lists; absent columns are None."""
-        out = dict.fromkeys(f.name for f in fields(cls))
-        for name, vals in cols.items():
-            col = np.array(vals, dtype=np.int64 if name in cls.INT else np.float64)
-            out[name] = col.reshape(-1, d) if name in cls.MATRIX else col
-        return cls(**out)
-
 
 @dataclass(frozen=True, eq=False)
 class EpochTable(_Table):
@@ -145,9 +128,6 @@ class EpochTable(_Table):
     carried moments (None for GD), and the full-gradient norm and objective
     value at w0, the value evaluated after the run. Row k - 1 holds
     snapshot k."""
-
-    INT = ("k",)
-    MATRIX = ("w0", "w_prev", "m_prev", "nu_prev")
 
     k: np.ndarray
     eta: np.ndarray
@@ -166,9 +146,6 @@ class StepTable(_Table):
     (sqrt(nu_l) + xi) after the update; update_abs_l = eta_k * ratio_l is
     the realized move magnitude; f_value is the objective at w_before,
     evaluated after the run."""
-
-    INT = ("k", "i", "tau")
-    MATRIX = ("w_before", "ratio", "update_abs")
 
     k: np.ndarray
     i: np.ndarray
@@ -216,6 +193,19 @@ def _classify(w: Sequence[float]) -> Optional[str]:
     return None
 
 
+def _start_point(obj: FiniteSumObjective, w0: Sequence[float]) -> list[float]:
+    """w0 as a list of floats, refused unless it has the objective's
+    dimension and only finite coordinates: every later iterate is guarded,
+    so the runs evaluate the objective unchecked."""
+    if len(w0) != obj.d:
+        raise ValueError("w0 dimension mismatch")
+    w = [float(v) for v in w0]
+    for v in w:
+        if not math.isfinite(v):
+            raise ValueError("non-finite start point")
+    return w
+
+
 def adam_init(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> AdamState:
     """Fresh state at w0.
 
@@ -224,12 +214,7 @@ def adam_init(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) 
     ZeroState starts both at zero.
     """
     params.validate()
-    if len(w0) != obj.d:
-        raise ValueError("w0 dimension mismatch")
-    w = [float(v) for v in w0]
-    for v in w:
-        if not math.isfinite(v):
-            raise ValueError("non-finite start point")
+    w = _start_point(obj, w0)
     if params.init_mode == INIT_PAPER_THEORY:
         m = list(obj.component_grad(0, w))
         nu = [0.0] * obj.d
@@ -254,10 +239,10 @@ def adam_epoch(
     steps: Optional[dict[str, list]] = None,
 ) -> Optional[tuple[int, int]]:
     """Advance one epoch in place, visiting the components in the order tau
-    (a permutation of range(n)), and append each step's row, all but its
-    f_value, to the StepTable column lists ``steps`` when given. Returns the
-    (epoch, inner index) of the step whose result tripped the guard, or
-    None.
+    (a permutation of range(n)). When the step column lists ``steps`` are
+    given, append tau to them once and each step's w_before and ratio;
+    _trajectory derives the rest of each row. Returns the (epoch, inner
+    index) of the step whose result tripped the guard, or None.
 
     The iterate entering each step is the start point adam_init validated
     or one the guard passed, so components are evaluated unchecked."""
@@ -269,9 +254,8 @@ def adam_epoch(
     eta = eta_schedule(params.eta1, params.schedule, k)
     record = steps is not None
     if record:
-        add_k, add_i, add_tau = steps["k"].append, steps["i"].append, steps["tau"].append
-        add_w = steps["w_before"].extend
-        add_ratio, add_upd = steps["ratio"].append, steps["update_abs"].append
+        steps["tau"].extend(tau)
+        add_w, add_ratio = steps["w_before"].extend, steps["ratio"].append
     sqrt, sup = math.sqrt, GUARD_SUP_NORM
     coords = range(obj.d)
     w, m, nu, w_prev = state.w, state.m, state.nu, state.w_prev
@@ -279,9 +263,6 @@ def adam_epoch(
     for i, j in enumerate(tau):
         g = grad_fn(j, w)
         if record:
-            add_k(k)
-            add_i(i)
-            add_tau(j)
             add_w(w)
         tripped = False
         for l in coords:
@@ -294,15 +275,13 @@ def adam_epoch(
                 r = m_l / den
             else:
                 r = 0.0  # no signal ever seen on this coordinate
-            upd = eta * r
             w_l = w_prev[l] = w[l]
-            w_l = w[l] = w_l - upd
+            w_l = w[l] = w_l - eta * r
             # true for NaN and for |w_l| above the bound, infinities included
             if not abs(w_l) <= sup:
                 tripped = True
             if record:
                 add_ratio(abs(r))
-                add_upd(abs(upd))
         if tripped:
             state.k = k + 1
             return (k, i)
@@ -310,11 +289,9 @@ def adam_epoch(
     return None
 
 
-def _snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamParams, epochs: dict[str, list]) -> None:
-    """Append the boundary snapshot of state.k to the EpochTable column
-    lists (all but f_value, which the run fills from w0)."""
-    epochs["k"].append(state.k)
-    epochs["eta"].append(eta_schedule(params.eta1, params.schedule, state.k))
+def _snapshot(state: AdamState, obj: FiniteSumObjective, epochs: dict[str, list]) -> None:
+    """Append the boundary snapshot's w0, w_prev, moments and gradient norm
+    to the epoch column lists; _trajectory derives the rest of the row."""
     epochs["w0"].extend(state.w)
     epochs["w_prev"].extend(state.w_prev)
     epochs["m_prev"].extend(state.m)
@@ -331,43 +308,87 @@ def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
         yield from stream.permutations(n, min(block, epochs - start))
 
 
+def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, steps: dict,
+                status: str, fail: Optional[tuple[int, int]], final_w: list[float]) -> Trajectory:
+    """The Trajectory of a finished run, built from the column lists only
+    its loop knows (plain numbers, iterate rows flat): snapshot w0 and
+    grad_norm and step ratio, and for Adam snapshot w_prev and moments,
+    step w_before and each epoch's order tau. Derived here:
+
+    * epoch k = 1..rows, and eta from eta_schedule;
+    * step (k - 1, i) = divmod(row, n), with one step per epoch for GD;
+    * step update_abs = eta_k * ratio, bit for bit |eta_k * r| as eta_k >= 0;
+    * for GD: tau = -1; step k starts from snapshot k, so w_before and
+      f_value are views of the epoch columns; w_prev is w0 one row down;
+    * both f_value columns through mean_values.
+    """
+    d, adam = obj.d, algo == "adam"
+
+    def matrix(vals: list) -> np.ndarray:
+        return np.array(vals, dtype=np.float64).reshape(-1, d)
+
+    w0 = matrix(snaps["w0"])
+    rows = len(w0)
+    epochs = EpochTable(
+        k=np.arange(1, rows + 1),
+        eta=np.array([eta_schedule(params["eta1"], params["schedule"], k) for k in range(1, rows + 1)]),
+        w0=w0,
+        w_prev=matrix(snaps["w_prev"]) if adam else np.concatenate([w0[:1], w0[:-1]]),
+        m_prev=matrix(snaps["m_prev"]) if adam else None,
+        nu_prev=matrix(snaps["nu_prev"]) if adam else None,
+        grad_norm=np.array(snaps["grad_norm"], dtype=np.float64),
+        f_value=obj.mean_values(w0),
+    )
+    ratio = matrix(steps["ratio"])
+    recorded = len(ratio)
+    k0, i = np.divmod(np.arange(recorded), obj.n if adam else 1)
+    if adam:
+        tau = np.array(steps["tau"][:recorded], dtype=np.int64)
+        w_before = matrix(steps["w_before"])
+        f_value = obj.mean_values(w_before)
+    else:
+        tau = np.full(recorded, -1)
+        w_before, f_value = w0[:recorded], epochs.f_value[:recorded]
+    with np.errstate(all="ignore"):  # overflow and 0 * inf, silent as on Python floats
+        update_abs = epochs.eta[k0, None] * ratio
+    try:
+        spec = to_spec(obj)
+    except ValueError:
+        spec = None
+    return Trajectory(
+        algo=algo,
+        params=params,
+        objective_spec=spec,
+        steps=StepTable(k=k0 + 1, i=i, tau=tau, w_before=w_before, ratio=ratio,
+                        update_abs=update_abs, f_value=f_value),
+        epochs=epochs,
+        status=status,
+        fail_step=fail,
+        final_w=tuple(final_w),
+    )
+
+
 def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> Trajectory:
     """Full reshuffled-Adam run with epoch-boundary snapshots for k = 1..K+1
-    (the final boundary only when the run completes). Both f_value columns
-    are evaluated after the loop, from w0 and w_before."""
+    (the final boundary only when the run completes)."""
     state = adam_init(obj, w0, params)
-    snaps = EpochTable.lists("f_value")
-    steps = StepTable.lists("f_value")
+    snaps = {"w0": [], "w_prev": [], "m_prev": [], "nu_prev": [], "grad_norm": []}
+    steps = {"tau": [], "w_before": [], "ratio": []}
     record = steps if params.record_steps else None
     status = STATUS_COMPLETED
     fail: Optional[tuple[int, int]] = None
 
     for tau in _epoch_orders(state.stream, obj.n, params.epochs):
-        _snapshot(state, obj, params, snaps)
+        _snapshot(state, obj, snaps)
         fail = adam_epoch(state, obj, params, tau, record)
         if fail is not None:
             status = _classify(state.w) or STATUS_DIVERGED
             break
     else:
         # closing boundary snapshot k = K+1
-        _snapshot(state, obj, params, snaps)
+        _snapshot(state, obj, snaps)
 
-    try:
-        spec = to_spec(obj)
-    except ValueError:
-        spec = None
-    epochs = EpochTable.from_lists(snaps, obj.d)
-    recorded = StepTable.from_lists(steps, obj.d)
-    return Trajectory(
-        algo="adam",
-        params=params.to_dict(),
-        objective_spec=spec,
-        steps=replace(recorded, f_value=obj.mean_values(recorded.w_before)),
-        epochs=replace(epochs, f_value=obj.mean_values(epochs.w0)),
-        status=status,
-        fail_step=fail,
-        final_w=tuple(state.w),
-    )
+    return _trajectory(obj, "adam", params.to_dict(), snaps, steps, status, fail, state.w)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +408,9 @@ def gd_run(
 
     With clip_threshold the gradient is rescaled to that Euclidean norm when
     it exceeds it. Snapshots reuse the epoch structure with one inner step
-    per epoch (i = 0, tau = -1); moment fields are None. f_value is
-    evaluated after the loop from w0; the step table's is a view of it.
+    per epoch (i = 0, tau = -1); moment fields are None. The loop records
+    each snapshot's w0 and gradient norm and, with record_steps, each
+    step's ratio |step_l|; _trajectory derives the rest.
     """
     if not (math.isfinite(eta1) and eta1 > 0):
         raise ValueError("eta1 must be positive and finite")
@@ -398,34 +420,21 @@ def gd_run(
         raise ValueError("clip_threshold must be positive")
     if schedule not in (SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT):
         raise ValueError(f"unknown schedule {schedule!r}")
-
-    if len(w0) != obj.d:
-        raise ValueError("w0 dimension mismatch")
-    w = [float(v) for v in w0]
-    for v in w:
-        if not math.isfinite(v):
-            raise ValueError("non-finite start point")
-    # every later iterate has passed the guard, so the objective is
-    # evaluated unchecked
+    w = _start_point(obj, w0)
     d = obj.d
-    snaps = EpochTable.lists("m_prev", "nu_prev", "f_value")
-    recs = StepTable.lists("f_value")
+    snaps = {"w0": [], "grad_norm": []}
+    recs = {"ratio": []}
     status = STATUS_COMPLETED
     fail = None
-    w_prev = list(w)
 
     for k in range(1, steps + 2):
-        eta = eta_schedule(eta1, schedule, k)
         g = obj._mean_grad(w)
         gn = math.hypot(*g)
-        snaps["k"].append(k)
-        snaps["eta"].append(eta)
         snaps["w0"].extend(w)
-        snaps["w_prev"].extend(w_prev)
         snaps["grad_norm"].append(gn)
         if k > steps:
             break  # closing boundary snapshot k = steps + 1
-        step_vec = list(g)
+        step_vec = g
         if clip_threshold is not None and gn > clip_threshold:
             if math.isfinite(gn):
                 c = clip_threshold / gn
@@ -437,46 +446,20 @@ def gd_run(
                 step_vec = [
                     math.copysign(scale, g[l]) if l in infs else 0.0 for l in range(d)
                 ]
-        upds = [eta * v for v in step_vec]
         if record_steps:
-            recs["k"].append(k)
-            recs["i"].append(0)
-            recs["tau"].append(-1)
-            recs["w_before"].extend(w)
             recs["ratio"].extend([abs(v) for v in step_vec])
-            recs["update_abs"].extend([abs(u) for u in upds])
-        w_prev = list(w)
+        eta = eta_schedule(eta1, schedule, k)
         for l in range(d):
-            w[l] = w[l] - upds[l]
+            w[l] = w[l] - eta * step_vec[l]
         bad = _classify(w)
         if bad is not None:
             status = bad
             fail = (k, 0)
             break
 
-    try:
-        spec = to_spec(obj)
-    except ValueError:
-        spec = None
-    epochs = EpochTable.from_lists(snaps, d)
-    epochs = replace(epochs, f_value=obj.mean_values(epochs.w0))
-    # step k starts from snapshot k's w0, so its value is epoch row k - 1's
-    step_table = StepTable.from_lists(recs, d)
-    return Trajectory(
-        algo="gd" if clip_threshold is None else "clipped_gd",
-        params={
-            "eta1": eta1,
-            "steps": steps,
-            "schedule": schedule,
-            "clip_threshold": clip_threshold,
-        },
-        objective_spec=spec,
-        steps=replace(step_table, f_value=epochs.f_value[:len(step_table)]),
-        epochs=epochs,
-        status=status,
-        fail_step=fail,
-        final_w=tuple(w),
-    )
+    params = {"eta1": eta1, "steps": steps, "schedule": schedule, "clip_threshold": clip_threshold}
+    algo = "gd" if clip_threshold is None else "clipped_gd"
+    return _trajectory(obj, algo, params, snaps, recs, status, fail, w)
 
 
 # ---------------------------------------------------------------------------

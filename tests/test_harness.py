@@ -80,7 +80,7 @@ def test_config_validation_errors():
 
 def test_config_round_trip():
     cfg = default_thm2_slow_config()
-    back = ExperimentConfig.from_dict(cfg.to_dict())
+    back = merge_config(ExperimentConfig(experiment=cfg.experiment), cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
 
 

@@ -201,6 +201,26 @@ def test_mean_values_equal_value_of_each_row(kind, rows):
     assert _bits(got) == _bits([obj.value(w) for w in W.tolist()])
 
 
+@pytest.mark.parametrize(
+    "build, w, want",
+    [
+        # component 0 overflows to +inf and the nine concave ones to -inf
+        (zhang_counterexample, [1e200], math.nan),
+        # two finite components of about 1.1e308 whose sum overflows
+        (lambda: quadratic_sum([1e200, 1e200], [[0.0], [1.0]]), [1.5e54], math.inf),
+    ],
+)
+def test_mean_value_is_the_ieee_sum_where_fsum_refuses(build, w, want):
+    obj = build()
+    with pytest.raises((ValueError, OverflowError)):
+        math.fsum(obj.component_value(j, w) for j in range(obj.n))
+    assert repr(obj.value(w)) == repr(want)
+    # Zhang's row kernel and the per-row fallback agree with value, between
+    # rows fsum accepts
+    W = np.array([[0.5], w, [0.25]])
+    assert _bits(obj.mean_values(W)) == _bits([obj.value(row) for row in W.tolist()])
+
+
 # ------------------------------------------------------------ slow landscape
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adamlab.landscapes import custom_objective, lowerbound_objective, quadratic_sum, zhang_counterexample
 from adamlab.optimizers import (
@@ -345,6 +346,51 @@ def test_gd_step_values_are_the_epoch_values_of_their_start(w0, eta1, status, st
     assert s.f_value.tolist() == [obj.value(w) for w in s.w_before.tolist()]
     assert e.f_value.tolist() == [obj.value(w) for w in e.w0.tolist()]
     assert np.shares_memory(s.f_value, e.f_value)
+    # the step table derives w_before from the epoch table, and each
+    # snapshot's w_prev is the previous snapshot's w0
+    assert np.shares_memory(s.w_before, e.w0)
+    assert np.array_equal(e.w_prev[1:], e.w0[:-1])
+    assert np.array_equal(e.w_prev[0], e.w0[0])
+
+
+def test_adam_step_positions_are_divmod_of_the_row():
+    # x's partial turns -inf past x = 1: the run ends inside epoch 6
+    obj = custom_objective(
+        n=3, d=1, value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0],
+        grad_fn=lambda j, w: [-1.0 - 0.5 * j] if w[0] <= 1.0 else [-math.inf],
+    )
+    traj = adam_run(obj, [0.0], AdamParams(eta1=0.1, epochs=10, schedule=SCHEDULE_CONSTANT, seed=2))
+    assert (traj.status, traj.fail_step) == (STATUS_NONFINITE, (6, 1))
+    s = traj.steps
+    assert len(s) == 5 * 3 + 2
+    rows = np.arange(len(s))
+    assert s.k.tolist() == (rows // 3 + 1).tolist()
+    assert s.i.tolist() == (rows % 3).tolist()
+    # each complete epoch visits every component once
+    assert all(sorted(order) == [0, 1, 2] for order in s.tau[:15].reshape(5, 3).tolist())
+
+
+@given(
+    eta=st.floats(0.0, 1e300),
+    r=st.floats(),
+)
+@example(eta=0.0, r=-0.0)
+@example(eta=5e-324, r=-5e-324)
+@example(eta=5e-324, r=math.inf)
+@example(eta=0.0, r=-math.inf)
+@example(eta=1e300, r=-1e300)
+@example(eta=0.5, r=math.nan)
+@settings(max_examples=300, deadline=None)
+def test_eta_times_abs_ratio_is_abs_of_the_update(eta, r):
+    # update_abs is derived as eta_k * |r| in NumPy; the loop once stored
+    # |eta_k * r| from Python floats. Equal by bits for eta >= 0, NaN as NaN.
+    with np.errstate(all="ignore"):
+        got = (np.array([eta])[:, None] * np.array([[abs(r)]]))[0, 0]
+    want = abs(eta * r)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.array([got]).view(np.int64)[0] == np.array([want]).view(np.int64)[0]
 
 
 @pytest.mark.parametrize("w0", [[1.0, 2.0], [math.nan], [math.inf]])

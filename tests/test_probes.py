@@ -350,32 +350,31 @@ def audited_trajectories(draw):
     S = draw(st.integers(0, 20))
 
     def matrix(rows):
-        return draw(st.lists(audit_floats, min_size=rows * d, max_size=rows * d))
+        return np.array(draw(st.lists(audit_floats, min_size=rows * d, max_size=rows * d))).reshape(rows, d)
 
-    epochs = EpochTable.from_lists(
-        {
-            "k": list(range(1, T + 1)),
-            # 0.0 gives a zero cap
-            "eta": draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, math.nan, math.inf])),
-                                 min_size=T, max_size=T)),
-            "w0": matrix(T),
-            "w_prev": matrix(T),
-            "grad_norm": [1.0] * T,
-            "f_value": [0.0] * T,
-        },
-        d,
+    def ints(strategy, size):
+        return np.array(draw(st.lists(strategy, min_size=size, max_size=size)), dtype=np.int64)
+
+    epochs = EpochTable(
+        k=np.arange(1, T + 1),
+        # 0.0 gives a zero cap
+        eta=np.array(draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, math.nan, math.inf])),
+                                   min_size=T, max_size=T))),
+        w0=matrix(T),
+        w_prev=matrix(T),
+        m_prev=None,
+        nu_prev=None,
+        grad_norm=np.ones(T),
+        f_value=np.zeros(T),
     )
-    steps = StepTable.from_lists(
-        {
-            "k": sorted(draw(st.lists(st.integers(1, T), min_size=S, max_size=S))),
-            "i": draw(st.lists(st.integers(0, 9), min_size=S, max_size=S)),
-            "tau": [0] * S,
-            "w_before": [0.0] * (S * d),
-            "ratio": matrix(S),
-            "update_abs": matrix(S),
-            "f_value": [0.0] * S,
-        },
-        d,
+    steps = StepTable(
+        k=np.sort(ints(st.integers(1, T), S)),
+        i=ints(st.integers(0, 9), S),
+        tau=np.zeros(S, dtype=np.int64),
+        w_before=np.zeros((S, d)),
+        ratio=matrix(S),
+        update_abs=matrix(S),
+        f_value=np.zeros(S),
     )
     traj = Trajectory(
         algo="adam", params={}, objective_spec=None, steps=steps, epochs=epochs,
@@ -434,15 +433,18 @@ def test_progress_metric_conventions():
 
 
 def epochs(grad_norms):
-    return EpochTable.from_lists(
-        {"k": [1, 2, 3], "eta": [0.1] * 3, "w0": [0.0] * 3, "w_prev": [0.0] * 3,
-         "grad_norm": grad_norms, "f_value": [0.0] * 3},
-        1,
+    return EpochTable(
+        k=np.arange(1, 4), eta=np.full(3, 0.1), w0=np.zeros((3, 1)), w_prev=np.zeros((3, 1)),
+        m_prev=None, nu_prev=None, grad_norm=np.array(grad_norms), f_value=np.zeros(3),
     )
 
 
 def test_progress_metric_min_excludes_closing_snapshot():
-    no_steps = StepTable.from_lists(StepTable.lists(), 1)
+    empty = np.empty((0, 1))
+    no_steps = StepTable(
+        k=np.empty(0, dtype=np.int64), i=np.empty(0, dtype=np.int64), tau=np.empty(0, dtype=np.int64),
+        w_before=empty, ratio=empty, update_abs=empty, f_value=np.empty(0),
+    )
     traj = Trajectory(
         algo="adam", params={}, objective_spec=None, steps=no_steps,
         epochs=epochs([4.0, 3.0, 0.001]),

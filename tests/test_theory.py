@@ -284,8 +284,13 @@ def fake_traj(grad_norms, status="Completed"):
         k=np.arange(1, T + 1), eta=np.full(T, 0.1), w0=np.zeros((T, 1)), w_prev=np.zeros((T, 1)),
         m_prev=None, nu_prev=None, grad_norm=np.array(grad_norms, dtype=float), f_value=np.zeros(T),
     )
+    empty = np.empty((0, 1))
+    no_steps = StepTable(
+        k=np.empty(0, dtype=np.int64), i=np.empty(0, dtype=np.int64), tau=np.empty(0, dtype=np.int64),
+        w_before=empty, ratio=empty, update_abs=empty, f_value=np.empty(0),
+    )
     return Trajectory(
-        algo="adam", params={}, objective_spec=None, steps=StepTable.from_lists(StepTable.lists(), 1),
+        algo="adam", params={}, objective_spec=None, steps=no_steps,
         epochs=epochs, status=status, fail_step=None, final_w=(0.0,),
     )
 
