@@ -372,13 +372,15 @@ def quadratic_sum(
     abar = math.fsum(a) / n
     # stationary point of the mean: weighted center
     wstar = [math.fsum(a[j] * cs[j][l] for j in range(n)) / (n * abar) for l in range(d)]
+    # squares as products: `t ** 2` raises OverflowError past about 1.3e154,
+    # `t * t` rounds to inf
     fmin = math.fsum(
-        0.5 * a[j] * math.fsum((wstar[l] - cs[j][l]) ** 2 for l in range(d))
+        0.5 * a[j] * math.fsum(t * t for t in (wstar[l] - cs[j][l] for l in range(d)))
         for j in range(n)
     ) / n
 
     def value_fn(j: int, w: Sequence[float]) -> float:
-        return 0.5 * a[j] * math.fsum((w[l] - cs[j][l]) ** 2 for l in range(d))
+        return 0.5 * a[j] * math.fsum(t * t for t in (w[l] - cs[j][l] for l in range(d)))
 
     def grad_fn(j: int, w: Sequence[float]) -> Vector:
         return [a[j] * (w[l] - cs[j][l]) for l in range(d)]

@@ -342,6 +342,16 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_overflowing_start_point_is_a_config_error(tmp_path, capsys):
+    # f(x0) overflows to inf, which the problem constants reject
+    cfg = tmp_path / "cfg.json"
+    objective = to_spec(quadratic_sum([2.0, 2.0], [[-1.0], [3.0]]))
+    cfg.write_text(json.dumps({"objective": objective, "options": {"x0": [1e200]}}))
+    rc = cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "f_gap must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_cli_seed_replaces_seed_list(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T": 10, "seeds": [5, 6, 7]}))

@@ -221,6 +221,14 @@ def test_mean_value_is_the_ieee_sum_where_fsum_refuses(build, w, want):
     assert _bits(obj.mean_values(W)) == _bits([obj.value(row) for row in W.tolist()])
 
 
+def test_quadratic_value_overflows_to_inf_not_error():
+    # each square is about 1e400: inf as a product, OverflowError as `** 2`
+    obj = quadratic_sum([2.0, 2.0], [[-1.0], [3.0]])
+    assert obj.component_value(0, [1e200]) == math.inf
+    assert obj.value([1e200]) == math.inf
+    assert obj.mean_values(np.array([[1e200]])).tolist() == [math.inf]
+
+
 # ------------------------------------------------------------ slow landscape
 
 

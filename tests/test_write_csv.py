@@ -1,0 +1,144 @@
+"""write_csv writes the bytes of the per-cell repr writer it replaced.
+
+The reference below is write_csv as it was before numeric columns were
+formatted by orjson: every cell of a block went through `tolist()` and then
+`repr`, or was written as is when the block's first cell was a string. The
+property draws columns of every kind the writer takes and compares the
+written bytes.
+"""
+
+import math
+import struct
+
+import numpy as np
+import orjson
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adamlab.optimizers import CSV_BLOCK_ROWS, write_csv
+
+B = CSV_BLOCK_ROWS
+
+
+def reference_write_csv(path, header, cols):
+    rows = len(cols[0]) if cols else 0
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, 4096):
+            block = [col[start:start + 4096].tolist() for col in cols]
+            cells = [vals if isinstance(vals[0], str) else map(repr, vals) for vals in block]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits % 2**64))[0]
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+# repr's positional window is 1e-4 <= |x| < 1e16; its edges and their
+# neighbours, the zeros, the infinities, subnormals and NaNs with payloads
+# and either sign
+EDGES = [s * v for s in (1.0, -1.0) for e in (1e-4, 1e16) for v in _neighbours(e)]
+SPECIAL_FLOATS = EDGES + [
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0, 1e15, 1e-5,
+    _float(0x7FF8000000000000), _float(0xFFF8000000000000),
+    _float(0x7FF0000000000001), _float(0xFFFFFFFFFFFFFFFF),
+]
+INT64 = st.integers(-(2**63), 2**63 - 1)
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), INT64.map(_float))
+INTS = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, -1, 0, 1, 10**16]), INT64)
+ROW_COUNTS = [0, 1, 2, B - 1, B, B + 1, 2 * B + 3]
+
+
+def _fill(draw, rng, rows, pool, bulk):
+    """rows values: drawn pool values at drawn positions over a bulk of
+    rng draws, so big columns stay cheap to draw."""
+    col = bulk(rng, rows)
+    if rows:
+        for value in pool:
+            col[draw(st.integers(0, rows - 1))] = value
+    return col
+
+
+def _float_bulk(rng, rows):
+    """Arbitrary bit patterns, mantissas at 2^-14..2^53, where orjson writes
+    the cells, and one cell in eight from SPECIAL_FLOATS."""
+    bits = rng.integers(-(2**63), 2**63 - 1, size=rows, dtype=np.int64, endpoint=True).view(np.float64)
+    mantissas = rng.uniform(-1.0, 1.0, rows) * np.exp2(rng.integers(-14, 54, rows))
+    specials = rng.choice(np.array(SPECIAL_FLOATS), rows)
+    return np.select([rng.random(rows) < 0.125, rng.random(rows) < 0.5], [specials, bits], mantissas)
+
+
+def _int_bulk(rng, rows):
+    wide = rng.integers(-(2**63), 2**63 - 1, size=rows, dtype=np.int64, endpoint=True)
+    return np.where(rng.random(rows) < 0.5, wide, wide % 2001 - 1000)
+
+
+# An object column holds one kind of cell, strings or numbers: a number
+# column mixes ints and floats as a config gives them (2 beside 2.0). A
+# column mixing strings and numbers has no CSV form in either writer.
+OBJECT_CELLS = st.one_of(
+    st.lists(st.text("abcxyz=._-0123456789", max_size=8), min_size=1, max_size=6),
+    st.lists(st.one_of(st.sampled_from([2, 2.0, 10.0, -0.0, 2**70]), FLOATS, INTS), min_size=1, max_size=6),
+)
+
+
+@st.composite
+def columns(draw):
+    rows = draw(st.sampled_from(ROW_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "object", "strided"]), min_size=1, max_size=5)):
+        if kind == "float":
+            cols.append(_fill(draw, rng, rows, draw(st.lists(FLOATS, max_size=8)), _float_bulk))
+        elif kind == "int":
+            cols.append(_fill(draw, rng, rows, draw(st.lists(INTS, max_size=8)), _int_bulk))
+        elif kind == "object":
+            pool = draw(OBJECT_CELLS)
+            col = np.empty(rows, dtype=object)
+            col[:] = [pool[j] for j in rng.integers(0, len(pool), rows)]
+            cols.append(col)
+        else:
+            # a column of a rows x 2 matrix, as trajectory.csv writes w0, w1
+            matrix = _float_bulk(rng, 2 * rows).reshape(rows, 2)
+            cols.append(matrix[:, draw(st.integers(0, 1))])
+    return [f"c{j}" for j in range(len(cols))], cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns())
+def test_write_csv_writes_the_bytes_of_the_repr_writer(tmp_path_factory, table):
+    header, cols = table
+    out = tmp_path_factory.mktemp("csv")
+    reference_write_csv(str(out / "old.csv"), header, cols)
+    write_csv(str(out / "new.csv"), header, cols)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+# Inside repr's window write_csv keeps the cells orjson writes; these are
+# the notations it relies on.
+ORJSON_NOTATION = [
+    (1.0, "1.0"),
+    (0.0001, "0.0001"),
+    (9999999999999998.0, "9999999999999998.0"),
+    (-0.0, "-0.0"),
+    (0.0, "0.0"),
+    (0.1, "0.1"),
+    (-123.456, "-123.456"),
+    (1e15, "1000000000000000.0"),
+]
+
+
+def test_orjson_notation_inside_the_window_is_repr():
+    values = np.array([x for x, _ in ORJSON_NOTATION])
+    got = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    want = [cell for _, cell in ORJSON_NOTATION]
+    assert want == [repr(v) for v in values.tolist()]
+    assert got == want, (
+        f"orjson {orjson.__version__} no longer writes floats inside 1e-4 <= |x| < 1e16 "
+        f"as repr does ({got} != {want}); write_csv relies on it"
+    )
