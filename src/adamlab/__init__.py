@@ -39,6 +39,7 @@ from .probes import (
     L0L1Fit,
     LemmaReport,
     SmoothnessEstimate,
+    affine_envelope,
     affine_noise_fit,
     check_bounded_update,
     check_u_gap,

@@ -54,6 +54,10 @@ EXPERIMENTS = ("Fig3", "Thm2Divergence", "Thm2Slow", "AdamVsGd", "LemmaSuite", "
 HALF_LOG2 = 0.5 * math.log(2.0)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -69,8 +73,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
+        if not _is_int(self.T):
+            raise ValueError("T must be an integer")
         if self.T < 0:
             raise ValueError("T must be >= 0")
+        if not (isinstance(self.seeds, list) and all(_is_int(s) for s in self.seeds)):
+            raise ValueError("seeds must be a list of integers")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if any(s < 0 for s in self.seeds):
@@ -94,13 +102,14 @@ def merge_config(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     out = ExperimentConfig(
         experiment=overrides.get("experiment", base.experiment),
         objective=overrides.get("objective", base.objective),
-        seeds=list(overrides.get("seeds", base.seeds)),
+        seeds=overrides.get("seeds", base.seeds),
         T=overrides.get("T", base.T),
         format=overrides.get("format", base.format),
         out_dir=overrides.get("out_dir", base.out_dir),
         options={**base.options, **overrides.get("options", {})},
     )
     out.validate()
+    out.seeds = list(out.seeds)  # the merged config shares no list with its inputs
     return out
 
 
@@ -502,7 +511,7 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
         blocks[rid] = _run_columns(traj, run_id=rid)
 
     a = opt["adam"]
-    gamma = gamma_threshold(D1=1.0, n=1, d=2, beta1=a["beta1"])
+    gamma = gamma_threshold(D1=obj.known_D0_D1[1], n=obj.n, d=obj.d, beta1=a["beta1"])
     params = AdamParams(
         beta1=a["beta1"],
         beta2=a["beta2"],
@@ -594,7 +603,7 @@ def run_lemma_suite(config: ExperimentConfig) -> ExperimentResult:
             record_steps=True,
         )
         traj = adam_run(obj, w0, params)
-        tc = compute_constants(beta1, beta2, obj.n, obj.d, eta1, pc, include_gamma=False)
+        tc = compute_constants(beta1, beta2, obj.n, obj.d, eta1, pc)
         rep_b = check_bounded_update(traj, tc)
         rep_u = check_u_gap(traj, tc)
         rid = f"b1={beta1!r}-b2={beta2!r}-eta={eta1!r}-{schedule}"

@@ -14,6 +14,7 @@ included) or "NonFinite" (NaN in the iterate), recording the failing step.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
@@ -313,10 +314,11 @@ def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
 
 def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, steps: dict,
                 status: str, fail: Optional[tuple[int, int]], final_w: list[float]) -> Trajectory:
-    """The Trajectory of a finished run, built from the column lists only
-    its loop knows (plain numbers, iterate rows flat): snapshot w0 and
-    grad_norm and step ratio, and for Adam snapshot w_prev and moments,
-    step w_before and each epoch's order tau. Derived here:
+    """The Trajectory of a finished run, built from the columns only its
+    loop knows (plain numbers, iterate rows flat; Adam's are lists, GD's
+    are float arrays whose buffers become the NumPy columns uncopied):
+    snapshot w0 and grad_norm and step ratio, and for Adam snapshot w_prev
+    and moments, step w_before and each epoch's order tau. Derived here:
 
     * epoch k = 1..rows, and eta from eta_schedule;
     * step (k - 1, i) = divmod(row, n), with one step per epoch for GD;
@@ -327,8 +329,8 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, s
     """
     d, adam = obj.d, algo == "adam"
 
-    def matrix(vals: list) -> np.ndarray:
-        return np.array(vals, dtype=np.float64).reshape(-1, d)
+    def matrix(vals) -> np.ndarray:
+        return np.asarray(vals, dtype=np.float64).reshape(-1, d)
 
     w0 = matrix(snaps["w0"])
     rows = len(w0)
@@ -339,7 +341,7 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, s
         w_prev=matrix(snaps["w_prev"]) if adam else np.concatenate([w0[:1], w0[:-1]]),
         m_prev=matrix(snaps["m_prev"]) if adam else None,
         nu_prev=matrix(snaps["nu_prev"]) if adam else None,
-        grad_norm=np.array(snaps["grad_norm"], dtype=np.float64),
+        grad_norm=np.asarray(snaps["grad_norm"], dtype=np.float64),
         f_value=obj.mean_values(w0),
     )
     ratio = matrix(steps["ratio"])
@@ -425,8 +427,8 @@ def gd_run(
         raise ValueError(f"unknown schedule {schedule!r}")
     w = _start_point(obj, w0)
     d = obj.d
-    snaps = {"w0": [], "grad_norm": []}
-    recs = {"ratio": []}
+    snaps = {"w0": array("d"), "grad_norm": array("d")}
+    recs = {"ratio": array("d")}
     status = STATUS_COMPLETED
     fail = None
 
@@ -450,7 +452,7 @@ def gd_run(
                     math.copysign(scale, g[l]) if l in infs else 0.0 for l in range(d)
                 ]
         if record_steps:
-            recs["ratio"].extend([abs(v) for v in step_vec])
+            recs["ratio"].extend(map(abs, step_vec))
         eta = eta_schedule(eta1, schedule, k)
         for l in range(d):
             w[l] = w[l] - eta * step_vec[l]

@@ -1,9 +1,10 @@
 """Empirical probes: local smoothness, noise envelopes, and lemma checks.
 
 These measure what the analytic side predicts: directional gradient-Lipschitz
-estimates along segments, the minimal affine envelope of per-component
-gradient second moments, linear smoothness-vs-gradient fits, and per-step
-audits of the update-magnitude and momentum-gap bounds.
+estimates along segments, one minimal affine upper envelope fitted both to
+per-component gradient second moments (D0, D1) and to smoothness against
+gradient norm (L0, L1), and per-step audits of the update-magnitude and
+momentum-gap bounds.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .optimizers import Trajectory, aux_sequence
 from .theory import TheoryConstants
 
 DEGENERATE_SEGMENT = 1e-14
+
+# l0l1_fit calls smoothness estimates flat (a constant-curvature landscape)
+# when their spread is at most this share of their magnitude.
+FLAT_REL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +107,7 @@ def smoothness_pairs(
 
 
 # ---------------------------------------------------------------------------
-# affine noise envelope
+# affine upper envelope
 
 
 @dataclass(frozen=True)
@@ -148,20 +153,14 @@ def _upper_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return hull
 
 
-def affine_noise_fit(
-    obj: FiniteSumObjective,
-    points: Sequence[Sequence[float]],
-    pairs: Optional[Sequence[tuple[float, float]]] = None,
-) -> AffineNoiseFit:
-    """Minimal affine envelope v <= D1 u + D0 over sampled points, with
+def affine_envelope(pairs: Sequence[tuple[float, float]]) -> AffineNoiseFit:
+    """Minimal affine upper envelope v <= D1 u + D0 of (u, v) pairs, with
     D0, D1 >= 0, minimizing D0 + D1 * median(u).
 
     The optimum is attained either on a line through two adjacent upper-hull
     vertices or on one of the two axis-aligned single-support lines
     (D1 = 0 with D0 = max v, or D0 = 0 with D1 = max v/u).
     """
-    if pairs is None:
-        pairs = noise_pairs(obj, points)
     pts = [(float(u), float(v)) for u, v in pairs]
     if not pts:
         raise ValueError("need at least one sample point")
@@ -216,27 +215,33 @@ def affine_noise_fit(
     )
 
 
+def affine_noise_fit(obj: FiniteSumObjective, points: Sequence[Sequence[float]]) -> AffineNoiseFit:
+    """The (D0, D1) envelope of the noise pairs at the sampled points."""
+    return affine_envelope(noise_pairs(obj, points))
+
+
 # ---------------------------------------------------------------------------
 # smoothness-vs-gradient-norm fit
 
 
 @dataclass(frozen=True)
 class L0L1Fit:
-    L0_hat: float  # intercept of the linear fit est ~ L0 + L1 * gnorm
-    L1_hat: float  # slope of the linear fit
+    L0_hat: float  # intercept of the envelope est <= L0 + L1 * gnorm
+    L1_hat: float  # slope of the envelope
     slope: float  # log-log slope
     intercept: float  # log-log intercept
     r_squared: float  # of the log-log fit
     flat: bool  # estimates show no dependence on gradient norm
 
 
-def l0l1_fit(pairs: Sequence[tuple[float, float]], flat_rel_tol: float = 1e-6) -> L0L1Fit:
+def l0l1_fit(pairs: Sequence[tuple[float, float]]) -> L0L1Fit:
     """Fit smoothness estimates against gradient norms.
 
-    Linear fit est = L0_hat + L1_hat * gnorm by least squares; log-log fit
+    (L0_hat, L1_hat) is the affine_envelope of the (gnorm, est) pairs, so
+    no pair lies above est = L0_hat + L1_hat * gnorm; log-log fit
     log est = slope * log gnorm + intercept on the strictly positive pairs.
-    ``flat`` is set when the estimates' relative spread is below
-    flat_rel_tol (constant-curvature landscape).
+    ``flat`` is set when the estimates' relative spread is at most
+    FLAT_REL_TOL.
     """
     if len(pairs) < 2:
         raise ValueError("need at least two pairs")
@@ -246,12 +251,8 @@ def l0l1_fit(pairs: Sequence[tuple[float, float]], flat_rel_tol: float = 1e-6) -
         raise ValueError("non-finite pair values")
 
     spread = float(y.max() - y.min())
-    flat = spread <= flat_rel_tol * max(1.0, float(np.abs(y).max()))
-
-    if flat or float(np.ptp(x)) == 0.0:
-        l1_hat, l0_hat = 0.0, float(y.mean())
-    else:
-        l1_hat, l0_hat = (float(c) for c in np.polyfit(x, y, 1))
+    flat = spread <= FLAT_REL_TOL * max(1.0, float(np.abs(y).max()))
+    env = affine_envelope(pairs)
 
     mask = (x > 0.0) & (y > 0.0)
     if int(mask.sum()) >= 2 and float(np.ptp(np.log(x[mask]))) > 0.0:
@@ -264,7 +265,7 @@ def l0l1_fit(pairs: Sequence[tuple[float, float]], flat_rel_tol: float = 1e-6) -
     else:
         slope, intercept, r2 = 0.0, float(np.log(y.mean())) if y.mean() > 0 else math.nan, 1.0
     return L0L1Fit(
-        L0_hat=l0_hat, L1_hat=l1_hat, slope=slope, intercept=intercept,
+        L0_hat=env.D0_hat, L1_hat=env.D1_hat, slope=slope, intercept=intercept,
         r_squared=r2, flat=flat,
     )
 
@@ -343,27 +344,20 @@ def check_u_gap(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
 # progress metric
 
 
-def progress_metric(grad_norm: float, D0: float, D1: float, xi: float, variant: str = "restated") -> float:
-    """min{ gn / sqrt(D1), gn^2 / (sqrt(D0) + xi) }; the "body" variant
-    drops xi from the denominator. Zero denominators give +inf."""
+def progress_metric(grad_norm: float, D0: float, D1: float, xi: float) -> float:
+    """min{ gn / sqrt(D1), gn^2 / (sqrt(D0) + xi) }. Zero denominators give
+    +inf."""
     if D1 <= 0.0:
         raise ValueError("progress metric needs D1 > 0")
-    if variant == "restated":
-        den = math.sqrt(D0) + xi
-    elif variant == "body":
-        den = math.sqrt(D0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    den = math.sqrt(D0) + xi
     quad = math.inf if den == 0.0 else grad_norm * grad_norm / den
     return min(grad_norm / math.sqrt(D1), quad)
 
 
-def progress_metric_min(
-    traj: Trajectory, D0: float, D1: float, xi: float, variant: str = "restated"
-) -> float:
+def progress_metric_min(traj: Trajectory, D0: float, D1: float, xi: float) -> float:
     """Min of the progress metric over epoch-start snapshots k = 1..T (the
     closing boundary of a completed run is excluded)."""
     norms = traj.epoch_starts().grad_norm.tolist()
     if not norms:
         raise ValueError("trajectory has no epoch snapshots")
-    return min(progress_metric(gn, D0, D1, xi, variant) for gn in norms)
+    return min(progress_metric(gn, D0, D1, xi) for gn in norms)

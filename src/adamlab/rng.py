@@ -66,9 +66,6 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(seq) - 1, 0, -1):

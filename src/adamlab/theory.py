@@ -118,7 +118,6 @@ class TheoryConstants:
     C12: float
     C13: float
     g_value: float
-    gamma: Optional[float]
     smooth_L0: float  # additive smoothness constant of the averaged objective
     smooth_L1: float  # gradient-proportional smoothness constant of the average
     beta1: float
@@ -126,14 +125,6 @@ class TheoryConstants:
     n: int
     d: int
     eta1: float
-
-    def as_dict(self) -> dict:
-        return {f"C{i}": getattr(self, f"C{i}") for i in range(1, 14)} | {
-            "g_value": self.g_value,
-            "gamma": self.gamma,
-            "smooth_L0": self.smooth_L0,
-            "smooth_L1": self.smooth_L1,
-        }
 
 
 def compute_constants(
@@ -143,7 +134,6 @@ def compute_constants(
     d: int,
     eta1: float,
     pc: ProblemConstants,
-    include_gamma: bool = True,
 ) -> TheoryConstants:
     """Materialize the thirteen composite constants.
 
@@ -215,18 +205,10 @@ def compute_constants(
         C12 = (0.5 + C2) * C6 + C9 + 0.5 * (n * L0 + L1 * sqn * sD0) * 3.0 * C2 * C2 * d * eta1 * eta1
         C13 = (0.5 + C2) * C7 + C10 + 0.5 * (n * L0 + L1 * sqn * sD0) * 3.0 * C2 * C2 * d * eta1 * eta1
 
-    gamma: Optional[float] = None
-    if include_gamma and D1 > 0.0:
-        try:
-            gamma = gamma_threshold(D1, n, d, beta1)
-        except (NoRootError, NonMonotoneError):
-            gamma = None
-
     return TheoryConstants(
         C1=C1, C2=C2, C3=C3, C4=C4, C5=C5, C6=C6, C7=C7, C8=C8, C9=C9, C10=C10,
         C11=C11, C12=C12, C13=C13,
         g_value=gval,
-        gamma=gamma,
         smooth_L0=n * L0 + L1 * sqn * sD0,
         smooth_L1=L1 * sqn * sD1,
         beta1=beta1,
@@ -240,27 +222,27 @@ def compute_constants(
 # ---------------------------------------------------------------------------
 # beta2 admissibility threshold
 
+# gamma_threshold's bracket search: the left end lies on a grid of this step,
+# and the LHS must not rise by more than this relative tolerance between
+# this many evenly spaced points of the bracket.
+GAMMA_SCAN_STEP = 1e-4
+GAMMA_SCAN_POINTS = 1000
+GAMMA_MONO_TOL = 1e-12
+
 
 def _gamma_lhs(x: float, n: int, d: int) -> float:
     return math.sqrt(d) * g_of_beta2(x, n) * n / (x ** (n / 2.0))
 
 
-def gamma_threshold(
-    D1: float,
-    n: int,
-    d: int,
-    beta1: float,
-    scan_step: float = 1e-4,
-    scan_points: int = 1000,
-    mono_tol: float = 1e-12,
-) -> float:
+def gamma_threshold(D1: float, n: int, d: int, beta1: float) -> float:
     """Smallest admissible beta2: the root of
 
         sqrt(d) * g(x) * n / x^(n/2)  =  1 / (2 (4+sqrt2) sqrtD1 (n-1+(1+b1)/(1-b1)))
 
-    Bracket: left end = smallest beta2 on a scan_step grid where g is finite;
-    right end = 1 - 1e-12. The LHS is checked to be decreasing on a
-    scan_points grid (NonMonotoneError otherwise), then bisected until no
+    Bracket: left end = smallest beta2 on a GAMMA_SCAN_STEP grid where g is
+    finite; right end = 1 - 1e-12. The LHS is checked to be decreasing, up
+    to GAMMA_MONO_TOL, on GAMMA_SCAN_POINTS evenly spaced points of the
+    bracket (NonMonotoneError otherwise), then bisected until no
     representable midpoint remains; the endpoint with the smaller residual
     is returned. NoRootError if the target is outside [LHS(hi), LHS(lo)].
     """
@@ -274,22 +256,22 @@ def gamma_threshold(
     rhs = 1.0 / (2.0 * (4.0 + SQRT2) * math.sqrt(D1) * (n - 1.0 + (1.0 + beta1) / (1.0 - beta1)))
 
     lo = None
-    x = scan_step
+    x = GAMMA_SCAN_STEP
     while x < 1.0:
         if math.isfinite(g_of_beta2(min(x, 1.0 - 1e-12), n)):
             lo = min(x, 1.0 - 1e-12)
             break
-        x += scan_step
+        x += GAMMA_SCAN_STEP
     if lo is None:
         raise NoRootError("g is infinite on the whole scan grid")
     hi = 1.0 - 1e-12
 
     # monotonicity precondition
     prev = _gamma_lhs(lo, n, d)
-    for idx in range(1, scan_points + 1):
-        xx = lo + (hi - lo) * idx / scan_points
+    for idx in range(1, GAMMA_SCAN_POINTS + 1):
+        xx = lo + (hi - lo) * idx / GAMMA_SCAN_POINTS
         cur = _gamma_lhs(xx, n, d)
-        if cur > prev + mono_tol * max(1.0, abs(prev)):
+        if cur > prev + GAMMA_MONO_TOL * max(1.0, abs(prev)):
             raise NonMonotoneError(
                 f"threshold LHS increased at x={xx!r}: {prev!r} -> {cur!r}"
             )
@@ -460,7 +442,6 @@ class Thm2Construction:
     f_bar: float
     eta_star: float
     slow_horizon: int
-    constraints_ok: bool
     detail: dict
     T: int
     L0: float
@@ -474,7 +455,6 @@ def theorem2_construction(
     T: int,
     M: float,
     f_bar: float,
-    strict: bool = True,
 ) -> Thm2Construction:
     """Size the two-piece landscape for a horizon of T descent steps.
 
@@ -484,9 +464,9 @@ def theorem2_construction(
     sublevel set at M, and the slow-progress horizon below T for the
     default sizing f_bar = 2M/L1 - L0/L1^2.
 
-    Hard admissibility (ConstraintViolation when strict): M above both the
-    landscape floor and eps; f_bar > 6 eps; start y0 inside the linear
-    branch.
+    Hard admissibility (ConstraintViolation otherwise, its detail naming
+    every check): M above both the landscape floor and eps; f_bar > 6 eps;
+    start y0 inside the linear branch.
     """
     if not (L0 > 0 and L1 > 0 and math.isfinite(L0) and math.isfinite(L1)):
         raise ValueError("L0 and L1 must be positive and finite")
@@ -522,14 +502,8 @@ def theorem2_construction(
         "slow_horizon_lt_T": slow_horizon < T,
         "value_gap": 2.0 * axis_gap,
     }
-    ok = (
-        detail["m_above_floor"]
-        and detail["m_above_epsilon"]
-        and detail["fbar_condition"]
-        and detail["y0_in_linear_branch"]
-    )
-    if strict and not ok:
-        failed = [k for k in ("m_above_floor", "m_above_epsilon", "fbar_condition", "y0_in_linear_branch") if not detail[k]]
+    failed = [k for k in ("m_above_floor", "m_above_epsilon", "fbar_condition", "y0_in_linear_branch") if not detail[k]]
+    if failed:
         raise ConstraintViolation(f"construction constraints failed: {failed}", detail)
 
     return Thm2Construction(
@@ -540,7 +514,6 @@ def theorem2_construction(
         f_bar=f_bar,
         eta_star=eta_star,
         slow_horizon=slow_horizon,
-        constraints_ok=ok,
         detail=detail,
         T=T,
         L0=L0,

@@ -339,6 +339,15 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     # negative seed
     rc = cli_main(["thm2-diverge", "--seed", "-4"])
     assert rc == 2
+    # mistyped top-level values, bools included
+    mistyped = tmp_path / "mistyped.json"
+    for overrides in (
+        {"T": 10.5}, {"seeds": [1.5]}, {"seeds": 3}, {"seeds": ["a"]}, {"T": True}, {"seeds": [True]},
+    ):
+        mistyped.write_text(json.dumps(overrides))
+        rc = cli_main(["fig3", "--config", str(mistyped), "--out", str(tmp_path / "o")])
+        assert rc == 2, overrides
+    assert not (tmp_path / "o").exists()
     capsys.readouterr()
 
 

@@ -112,7 +112,7 @@ GRID = [
 def test_constant_chain_agrees_with_independent_transcription():
     for b1, b2, n, d, eta, L0, L1, D0, D1 in GRID:
         pc = ProblemConstants(L0=L0, L1=L1, D0=D0, D1=D1, n=n, d=d, f_gap=1.0)
-        tc = compute_constants(b1, b2, n, d, eta, pc, include_gamma=False)
+        tc = compute_constants(b1, b2, n, d, eta, pc)
         alt, gv = constants_alt(b1, b2, n, d, eta, L0, L1, D0, D1)
         assert tc.g_value == pytest.approx(gv, rel=1e-12)
         for i in range(1, 14):
@@ -126,7 +126,7 @@ def test_constant_chain_agrees_with_independent_transcription():
 def test_bound_rhs_agrees_with_independent_transcription():
     for b1, b2, n, d, eta, L0, L1, D0, D1 in GRID:
         pc = ProblemConstants(L0=L0, L1=L1, D0=D0, D1=D1, n=n, d=d, f_gap=2.5)
-        tc = compute_constants(b1, b2, n, d, eta, pc, include_gamma=False)
+        tc = compute_constants(b1, b2, n, d, eta, pc)
         if math.isinf(tc.C13):
             continue
         for T in (10, 1000):
@@ -172,8 +172,8 @@ def test_g_rejects_bad_arguments():
 
 def test_c1_anchor_values():
     pc = ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=10, d=1, f_gap=1.0)
-    tc99 = compute_constants(0.0, 0.99, 10, 1, 0.1, pc, include_gamma=False)
-    tc999 = compute_constants(0.0, 0.999, 10, 1, 0.1, pc, include_gamma=False)
+    tc99 = compute_constants(0.0, 0.99, 10, 1, 0.1, pc)
+    tc999 = compute_constants(0.0, 0.999, 10, 1, 0.1, pc)
     assert tc99.C1 == pytest.approx(101.0, rel=1e-12)
     assert tc999.C1 == pytest.approx(1001.0, rel=1e-12)
     # at zero momentum the hop constant collapses to n C1
@@ -195,7 +195,7 @@ def test_compute_constants_domain_errors():
 
 def test_short_memory_region_yields_infinite_tail_constants():
     pc = ProblemConstants(L0=1.0, L1=1.0, D0=1.0, D1=1.0, n=10, d=1, f_gap=1.0)
-    tc = compute_constants(0.0, 0.9, 10, 1, 0.1, pc, include_gamma=False)
+    tc = compute_constants(0.0, 0.9, 10, 1, 0.1, pc)
     assert math.isinf(tc.g_value)
     for i in range(8, 14):
         assert math.isinf(getattr(tc, f"C{i}"))
@@ -246,7 +246,7 @@ def quad_pc(D0, D1, n=2, d=1):
 
 def test_eta1_feasible_zero_momentum_quadratic_is_unconstrained():
     pc = quad_pc(16.0, 1.0)
-    tc = compute_constants(0.0, 0.999, 2, 1, 0.05, pc, include_gamma=False)
+    tc = compute_constants(0.0, 0.999, 2, 1, 0.05, pc)
     rep = eta1_feasible(tc, pc)
     assert rep.ok
     assert math.isinf(rep.max_eta_smooth)
@@ -255,7 +255,7 @@ def test_eta1_feasible_zero_momentum_quadratic_is_unconstrained():
 
 def test_eta1_feasible_tiny_momentum_quadratic_has_finite_margin():
     pc = quad_pc(0.0, 1.25)
-    tc = compute_constants(1e-5, 0.999, 2, 1, 0.01, pc, include_gamma=False)
+    tc = compute_constants(1e-5, 0.999, 2, 1, 0.01, pc)
     rep = eta1_feasible(tc, pc)
     assert rep.ok
     assert math.isinf(rep.max_eta_smooth)  # L1 = 0 leaves the smooth cap open
@@ -268,7 +268,7 @@ def test_eta1_feasible_large_momentum_quadratic_is_impossible():
     # cannot satisfy it once beta1 C1 is large
     pc = quad_pc(0.0, 1.0)
     for eta in (0.1, 1e-3, 1e-6):
-        tc = compute_constants(0.5, 0.999, 2, 1, eta, pc, include_gamma=False)
+        tc = compute_constants(0.5, 0.999, 2, 1, eta, pc)
         rep = eta1_feasible(tc, pc)
         assert not rep.ok
         assert rep.margin_second < 0.0
@@ -298,7 +298,7 @@ def fake_traj(grad_norms, status="Completed"):
 def hand_tc(**kw):
     base = dict(
         C1=1.0, C2=1.0, C3=0.0, C4=0.0, C5=0.0, C6=0.0, C7=0.0, C8=0.0,
-        C9=0.0, C10=0.0, C11=0.0, C12=0.0, C13=0.0, g_value=1.0, gamma=None,
+        C9=0.0, C10=0.0, C11=0.0, C12=0.0, C13=0.0, g_value=1.0,
         smooth_L0=1.0, smooth_L1=0.0, beta1=0.0, beta2=0.5, n=2, d=1, eta1=1.0,
     )
     base.update(kw)
@@ -363,7 +363,6 @@ def test_construction_frozen_values():
     assert con.y0 == pytest.approx(48.98215547194294, rel=1e-12)
     assert con.axis_gap == pytest.approx(49.75, rel=1e-15)
     assert con.slow_horizon == 9390
-    assert con.constraints_ok
     assert con.detail["value_gap"] == pytest.approx(99.5, rel=1e-15)
     assert con.detail["m_floor"] == pytest.approx(3.4218069514168894, rel=1e-12)
 
@@ -385,12 +384,6 @@ def test_construction_rejects_small_gradient_budget():
     with pytest.raises(ConstraintViolation) as exc:
         theorem2_construction(L0=1.0, L1=1.0, T=10_000, M=1.0, f_bar=199.0)
     assert not exc.value.detail["m_above_floor"]
-
-
-def test_construction_non_strict_reports_instead_of_raising():
-    con = theorem2_construction(L0=1.0, L1=1.0, T=10_000, M=1.0, f_bar=199.0, strict=False)
-    assert not con.constraints_ok
-    assert not con.detail["m_above_floor"]
 
 
 def test_construction_argument_validation():
