@@ -83,6 +83,12 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be >= 0")
+        if not (self.objective is None or isinstance(self.objective, dict)):
+            raise ValueError("objective must be an object or null")
+        if not (self.out_dir is None or isinstance(self.out_dir, str)):
+            raise ValueError("out_dir must be a string or null")
+        if not isinstance(self.options, dict):
+            raise ValueError("options must be an object")
 
     def to_dict(self) -> dict:
         return {
@@ -106,10 +112,12 @@ def merge_config(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
         T=overrides.get("T", base.T),
         format=overrides.get("format", base.format),
         out_dir=overrides.get("out_dir", base.out_dir),
-        options={**base.options, **overrides.get("options", {})},
+        options=overrides.get("options", {}),
     )
     out.validate()
-    out.seeds = list(out.seeds)  # the merged config shares no list with its inputs
+    # the merged config shares no list or dict with its inputs
+    out.seeds = list(out.seeds)
+    out.options = {**base.options, **out.options}
     return out
 
 
@@ -302,6 +310,8 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
     tails: dict[tuple[float, int], float] = {}
 
     grid = sorted(opt["beta2_grid"])
+    if not grid:
+        raise ValueError("beta2_grid must not be empty")
     seeds = sorted(config.seeds)
     for b2 in grid:
         for seed in seeds:

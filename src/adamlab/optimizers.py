@@ -497,26 +497,63 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(a[:, 0]), a[:, 0], np.fmax.reduce(a, axis=1))
 
 
+# orjson writes a float64 with repr's shortest round-trip digits, and spells
+# it as repr does for 1e-4 <= |x| < 1e16 and +-0.0. Outside that window
+# _cells rewrites its text, with "," after every cell, to repr's spelling.
+# Exponents (0 < |x| < 1e-5 and finite |x| >= 1e16) gain repr's "+" and the
+# leading zero of a one-digit negative exponent: "1e16" -> "1e+16",
+# "1e-7" -> "1e-07".
+_EXPONENT_SPELLING = [(b"e", b"e+"), (b"e+-", b"e-")] + [(b"e-%d," % d, b"e-0%d," % d) for d in range(6, 10)]
+# 1e-5 <= |x| < 1e-4, which orjson writes positionally and repr with exponent
+# -5: "0.0000123" -> "1.23e-05", "0.00001" -> "1e-05".
+_BAND_SPELLING = [(b"0.0000%d" % d, b"%d." % d) for d in range(1, 10)] + [(b",", b"e-05,"), (b".e", b"e")]
+
+
+def _orjson_cells(vals: np.ndarray, rewrites: Sequence[tuple[bytes, bytes]] = ()) -> list[str]:
+    """The cells of one orjson call on a contiguous numeric array, its text
+    rewritten first."""
+    if not len(vals):
+        return []
+    text = orjson.dumps(vals, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+    for old, new in rewrites:
+        text = text.replace(old, new)
+    cells = text.decode().split(",")
+    cells.pop()
+    return cells
+
+
 def _cells(vals: np.ndarray) -> list[str]:
     """The CSV cells of one column block: the repr of each Python int or
-    float the column holds, or each string itself. Numeric columns are
-    formatted by one orjson call; float cells outside repr's positional
-    window are then overwritten with repr. Other dtypes (objects, bools,
-    narrower floats, which orjson writes in their own precision) are
-    written cell by cell."""
+    float the column holds, or each string itself. Int and float64 blocks
+    are formatted by one orjson call and never by a per-cell repr. A float64
+    block with cells outside repr's window gets them re-spelled by mask: the
+    exponent cells and the 1e-5 <= |x| < 1e-4 cells each from one more
+    orjson call whose text is rewritten in bulk (_EXPONENT_SPELLING,
+    _BAND_SPELLING), and NaN and +-inf, which orjson writes as null, as
+    "nan", "inf" and "-inf". Other dtypes (objects, bools, narrower floats,
+    which orjson writes in their own precision) are written cell by cell."""
     if vals.dtype.kind not in "iu" and vals.dtype != np.float64:
         vals = vals.tolist()
         return vals if isinstance(vals[0], str) else list(map(repr, vals))
-    cells = orjson.dumps(np.ascontiguousarray(vals), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    if vals.dtype.kind == "f":
-        # orjson writes a float as repr does only for 1e-4 <= |x| < 1e16 and
-        # +-0.0. Outside that window repr switches to exponent notation
-        # ("1e-05", "1e+16"), which orjson spells "0.00001" and "1e16", and
-        # orjson writes nan and inf as null.
-        a = np.abs(vals)
-        outside = ~((a < 1e16) & ((a >= 1e-4) | (vals == 0)))
-        for j, v in zip(np.flatnonzero(outside).tolist(), vals[outside].tolist()):
-            cells[j] = repr(v)
+    vals = np.ascontiguousarray(vals)
+    cells = _orjson_cells(vals)
+    if vals.dtype.kind != "f":
+        return cells
+    a = np.abs(vals)
+    # most blocks lie inside repr's window (a NaN fails the max test)
+    if a.min(where=a > 0, initial=math.inf) >= 1e-4 and a.max() < 1e16:
+        return cells
+    exponent = ((a > 0) & (a < 1e-5)) | ((a >= 1e16) & (a < math.inf))
+    band = (a >= 1e-5) & (a < 1e-4)
+    nonfinite = ~np.isfinite(vals)
+    infs_nans = vals[nonfinite]
+    respelled = (
+        _orjson_cells(vals[exponent], _EXPONENT_SPELLING)
+        + _orjson_cells(vals[band], _BAND_SPELLING)
+        + np.where(np.isnan(infs_nans), "nan", np.where(infs_nans > 0, "inf", "-inf")).tolist()
+    )
+    for j, cell in zip(np.concatenate([np.flatnonzero(m) for m in (exponent, band, nonfinite)]).tolist(), respelled):
+        cells[j] = cell
     return cells
 
 
@@ -524,7 +561,8 @@ def write_csv(path: str, header: Sequence[str], cols: Sequence[np.ndarray]) -> N
     """Write equal-length NumPy columns under a header line, CSV_BLOCK_ROWS
     rows at a time, so at most one block of formatted cells is held. A cell
     is the repr of the Python int or float the column holds, or the string
-    itself."""
+    itself; int and float64 blocks reach those bytes through orjson and
+    rewrites of its text (_cells), not through repr."""
     rows = len(cols[0]) if cols else 0
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

@@ -339,10 +339,11 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     # negative seed
     rc = cli_main(["thm2-diverge", "--seed", "-4"])
     assert rc == 2
-    # mistyped top-level values, bools included
+    # mistyped top-level values, bools included, and an empty beta2 grid
     mistyped = tmp_path / "mistyped.json"
     for overrides in (
         {"T": 10.5}, {"seeds": [1.5]}, {"seeds": 3}, {"seeds": ["a"]}, {"T": True}, {"seeds": [True]},
+        {"options": 3}, {"objective": 5}, {"out_dir": 5}, {"options": {"beta2_grid": []}},
     ):
         mistyped.write_text(json.dumps(overrides))
         rc = cli_main(["fig3", "--config", str(mistyped), "--out", str(tmp_path / "o")])

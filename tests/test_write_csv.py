@@ -47,6 +47,10 @@ SPECIAL_FLOATS = EDGES + [
     2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0, 1e15, 1e-5,
     _float(0x7FF8000000000000), _float(0xFFF8000000000000),
     _float(0x7FF0000000000001), _float(0xFFFFFFFFFFFFFFFF),
+    # write_csv's rewrites of orjson's text: the edge of the band
+    # 1e-5 <= |x| < 1e-4 and one-digit band mantissas, the padded exponents
+    # -6..-9, and exponents of two and three digits
+    *_neighbours(1e-5), -1e-05, 9e-05, 1e-6, -1e-6, 5e-7, 1.5e-8, 9e-9, 1e-10, 1e-100, 1e100, 1e308,
 ]
 INT64 = st.integers(-(2**63), 2**63 - 1)
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), INT64.map(_float))
@@ -119,6 +123,16 @@ def test_write_csv_writes_the_bytes_of_the_repr_writer(tmp_path_factory, table):
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
+def test_write_csv_writes_each_special_float_among_window_cells(tmp_path):
+    # a column per special value, so each is the one cell of its block that
+    # may lie outside repr's window
+    cols = [np.array([0.5, x, -2.0]) for x in SPECIAL_FLOATS]
+    header = [f"c{j}" for j in range(len(cols))]
+    reference_write_csv(str(tmp_path / "old.csv"), header, cols)
+    write_csv(str(tmp_path / "new.csv"), header, cols)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 # Inside repr's window write_csv keeps the cells orjson writes; these are
 # the notations it relies on.
 ORJSON_NOTATION = [
@@ -141,4 +155,27 @@ def test_orjson_notation_inside_the_window_is_repr():
     assert got == want, (
         f"orjson {orjson.__version__} no longer writes floats inside 1e-4 <= |x| < 1e16 "
         f"as repr does ({got} != {want}); write_csv relies on it"
+    )
+
+
+# Outside the window write_csv rewrites the cells orjson writes; these are
+# the notations its rewrites expect.
+ORJSON_SPELLING = [
+    (1e-5, "0.00001"),
+    (1e-7, "1e-7"),
+    (1e16, "1e16"),
+    (5e-324, "5e-324"),
+    (math.nan, "null"),
+    (math.inf, "null"),
+    (-math.inf, "null"),
+]
+
+
+def test_orjson_notation_outside_the_window_is_the_one_write_csv_rewrites():
+    values = np.array([x for x, _ in ORJSON_SPELLING])
+    got = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    want = [cell for _, cell in ORJSON_SPELLING]
+    assert got == want, (
+        f"orjson {orjson.__version__} no longer writes floats outside 1e-4 <= |x| < 1e16 "
+        f"as write_csv expects ({got} != {want}); its rewrites to repr's spelling rely on it"
     )
