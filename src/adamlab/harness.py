@@ -26,13 +26,19 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Callable, Literal, Optional
 
 import numpy as np
 
 from . import __version__
-from .landscapes import from_spec, make_lowerbound, to_spec, zhang_counterexample
+from .landscapes import (
+    FiniteSumObjective,
+    from_spec,
+    make_lowerbound,
+    to_spec,
+    zhang_counterexample,
+)
 from .optimizers import (
     AdamParams,
     STATUS_COMPLETED,
@@ -47,15 +53,10 @@ from .optimizers import (
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
+from .schema import fields_of, parse
 from .theory import ProblemConstants, compute_constants, gamma_threshold
 
-EXPERIMENTS = ("Fig3", "Thm2Divergence", "Thm2Slow", "AdamVsGd", "LemmaSuite", "Custom")
-
 HALF_LOG2 = 0.5 * math.log(2.0)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
@@ -64,174 +65,148 @@ class ExperimentConfig:
     objective: Optional[dict] = None
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     T: int = 10_000
-    format: str = "csv"
+    format: Literal["csv", "json"] = "csv"
     out_dir: Optional[str] = None
     options: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
-        if not _is_int(self.T):
-            raise ValueError("T must be an integer")
+    def validate(self):
+        """Check every field, the objective and the options; return the
+        experiment's typed options record. Every failure is a ValueError."""
+        for name, (hint, _) in fields_of(ExperimentConfig).items():
+            parse(hint, getattr(self, name), name)
+        exp = _experiment(self.experiment)
         if self.T < 0:
             raise ValueError("T must be >= 0")
-        if not (isinstance(self.seeds, list) and all(_is_int(s) for s in self.seeds)):
-            raise ValueError("seeds must be a list of integers")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be >= 0")
-        if not (self.objective is None or isinstance(self.objective, dict)):
-            raise ValueError("objective must be an object or null")
-        if not (self.out_dir is None or isinstance(self.out_dir, str)):
-            raise ValueError("out_dir must be a string or null")
-        if not isinstance(self.options, dict):
-            raise ValueError("options must be an object")
+        if self.objective is not None:
+            if not exp.takes_objective:
+                raise ValueError(f"{exp.name} takes no objective")
+            from_spec(self.objective)
+        return parse(exp.Options, self.options, "options")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "objective": self.objective,
-            "seeds": list(self.seeds),
-            "T": self.T,
-            "format": self.format,
-            "out_dir": self.out_dir,
-            "options": self.options,
-        }
+        return asdict(self)
 
 
 def merge_config(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     """Shallow-merge a config dict onto a default: top-level fields replace,
-    ``options`` merges key by key."""
-    out = ExperimentConfig(
-        experiment=overrides.get("experiment", base.experiment),
-        objective=overrides.get("objective", base.objective),
-        seeds=overrides.get("seeds", base.seeds),
-        T=overrides.get("T", base.T),
-        format=overrides.get("format", base.format),
-        out_dir=overrides.get("out_dir", base.out_dir),
-        options=overrides.get("options", {}),
-    )
-    out.validate()
-    # the merged config shares no list or dict with its inputs
-    out.seeds = list(out.seeds)
-    out.options = {**base.options, **out.options}
-    return out
+    ``options`` merges key by key. An unknown or mistyped top-level key
+    raises ValueError; ``validate`` checks the rest."""
+    merged = {**base.to_dict(), **overrides}
+    if isinstance(merged["options"], dict):
+        merged["options"] = {**base.options, **merged["options"]}
+    return parse(ExperimentConfig, merged)
 
 
 # ---------------------------------------------------------------------------
-# default configs
+# typed options: each field's default is the experiment's default option
 
 
-def default_fig3_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="Fig3",
-        objective=to_spec(zhang_counterexample()),
-        seeds=[1, 2, 3],
-        T=10_000,
-        options={
-            "beta1": 0.9,
-            "beta2_grid": [0.9, 0.99, 0.999],
-            "eta1": 0.1,
-            "xi": 1e-8,
-            "schedule": "Diminishing",
-            "init_mode": "PaperTheory",
-            "x0": [-2.0],
-            "tail_frac": 0.1,
-            "grad_floor": 1e-4,
-        },
-    )
+def _list(*values):
+    return field(default_factory=lambda: list(values))
 
 
-def _default_construction() -> dict:
-    return {"L0": 1.0, "L1": 1.0, "M": 100.0, "f_bar": 199.0}
+@dataclass(frozen=True)
+class Construction:
+    L0: float = 1.0
+    L1: float = 1.0
+    M: float = 100.0
+    f_bar: float = 199.0
 
 
-def default_thm2_diverge_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="Thm2Divergence",
-        seeds=[0],
-        T=10_000,
-        options={
-            "construction": _default_construction(),
-            "eta_multipliers": [1.0, 1.05, 2.0],
-            "steps": 50,
-            "growth_tol": 1e-9,
-            "min_checks_per_run": 3,
-            "min_checks_total": 10,
-        },
-    )
+@dataclass(frozen=True)
+class AdamOptions:
+    beta1: float = AdamParams.beta1
+    beta2: float = AdamParams.beta2
+    eta1: float = AdamParams.eta1
+    xi: float = AdamParams.xi
+    schedule: str = AdamParams.schedule
+    init_mode: str = AdamParams.init_mode
 
 
-def default_thm2_slow_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="Thm2Slow",
-        seeds=[0],
-        T=10_000,
-        options={
-            "construction": _default_construction(),
-            "eta_multipliers": [0.1, 0.5, 0.99],
-            "steps": 10_000,
-            "complete_multipliers": [0.1, 0.5],
-        },
-    )
+@dataclass(frozen=True)
+class ComparisonAdamOptions(AdamOptions):
+    eta1: float = 0.5
+    epochs: int = 4000
 
 
-def default_comparison_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="AdamVsGd",
-        seeds=[1],
-        T=10_000,
-        options={
-            "construction": _default_construction(),
-            "gd_eta_multipliers": [0.25, 0.5, 1.0, 2.0, 4.0],
-            "gd_steps": 10_000,
-            "adam": {
-                "beta1": 0.9,
-                "beta2": 0.999,
-                "eta1": 0.5,
-                "xi": 1e-8,
-                "epochs": 4000,
-                "schedule": "Diminishing",
-                "init_mode": "PaperTheory",
-            },
-        },
-    )
+@dataclass(frozen=True)
+class GdOptions:
+    eta1: float = 0.1
+    schedule: str = "Diminishing"
+    clip_threshold: Optional[float] = None
 
 
-def default_lemma_suite_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="LemmaSuite",
-        objective=to_spec(zhang_counterexample()),
-        seeds=[1],
-        T=1000,
-        options={
-            "beta1_grid": [0.0, 0.5, 0.9],
-            "beta2_grid": [0.99, 0.999],
-            "eta1_grid": [0.01, 0.1],
-            "schedules": ["Diminishing", "Constant"],
-            "xi": 1e-8,
-            "init_mode": "PaperTheory",
-            "x0": [-2.0],
-        },
-    )
+@dataclass(frozen=True)
+class Fig3Options:
+    beta1: float = 0.9
+    beta2_grid: list[float] = _list(0.9, 0.99, 0.999)
+    eta1: float = 0.1
+    xi: float = 1e-8
+    schedule: str = "Diminishing"
+    init_mode: str = "PaperTheory"
+    x0: list[float] = _list(-2.0)
+    tail_frac: float = 0.1
+    grad_floor: float = 1e-4
+
+    def __post_init__(self):
+        if not self.beta2_grid:
+            raise ValueError("options.beta2_grid: must not be empty")
 
 
-def default_config_for(experiment: str) -> ExperimentConfig:
-    table = {
-        "Fig3": default_fig3_config,
-        "Thm2Divergence": default_thm2_diverge_config,
-        "Thm2Slow": default_thm2_slow_config,
-        "AdamVsGd": default_comparison_config,
-        "LemmaSuite": default_lemma_suite_config,
-    }
-    if experiment == "Custom":
-        return ExperimentConfig(experiment="Custom", seeds=[1], T=100)
-    if experiment not in table:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    return table[experiment]()
+@dataclass(frozen=True)
+class Thm2DivergenceOptions:
+    construction: Construction = Construction()
+    eta_multipliers: list[float] = _list(1.0, 1.05, 2.0)
+    steps: int = 50
+    growth_tol: float = 1e-9
+    min_checks_per_run: int = 3
+    min_checks_total: int = 10
+
+
+@dataclass(frozen=True)
+class Thm2SlowOptions:
+    construction: Construction = Construction()
+    eta_multipliers: list[float] = _list(0.1, 0.5, 0.99)
+    steps: int = 10_000
+    complete_multipliers: list[float] = _list(0.1, 0.5)
+
+    def __post_init__(self):
+        stray = [m for m in self.complete_multipliers if m not in self.eta_multipliers]
+        if stray:
+            raise ValueError(f"options.complete_multipliers: {stray} not in eta_multipliers")
+
+
+@dataclass(frozen=True)
+class ComparisonOptions:
+    construction: Construction = Construction()
+    gd_eta_multipliers: list[float] = _list(0.25, 0.5, 1.0, 2.0, 4.0)
+    gd_steps: int = 10_000
+    adam: ComparisonAdamOptions = ComparisonAdamOptions()
+
+
+@dataclass(frozen=True)
+class LemmaSuiteOptions:
+    beta1_grid: list[float] = _list(0.0, 0.5, 0.9)
+    beta2_grid: list[float] = _list(0.99, 0.999)
+    eta1_grid: list[float] = _list(0.01, 0.1)
+    schedules: list[str] = _list("Diminishing", "Constant")
+    xi: float = 1e-8
+    init_mode: str = "PaperTheory"
+    x0: list[float] = _list(-2.0)
+
+
+@dataclass(frozen=True)
+class CustomOptions:
+    algo: Literal["adam", "gd", "clipped_gd"] = "adam"
+    x0: Optional[list[float]] = None  # the origin
+    record_steps: bool = False
+    require_completed: bool = True
+    adam: AdamOptions = AdamOptions()
+    gd: GdOptions = GdOptions()
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +249,10 @@ def _base_report(config: ExperimentConfig) -> dict:
     }
 
 
+def _pick(record, *names: str) -> dict:
+    return {name: getattr(record, name) for name in names}
+
+
 def _run_columns(traj: Trajectory, **constants) -> PlotTable:
     """A run's plot-table block: k and grad_norm from its epoch table, and
     each per-run constant repeated to the run's length in an object column,
@@ -301,35 +280,26 @@ def _plot_table(blocks: dict[str, PlotTable]) -> PlotTable:
 # Fig3
 
 
-def run_fig3(config: ExperimentConfig) -> ExperimentResult:
-    opt = config.options
+def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> ExperimentResult:
     obj = from_spec(config.objective)
     report = _base_report(config)
     trajectories: dict[str, Trajectory] = {}
     blocks: dict[str, PlotTable] = {}
     tails: dict[tuple[float, int], float] = {}
 
-    grid = sorted(opt["beta2_grid"])
-    if not grid:
-        raise ValueError("beta2_grid must not be empty")
+    grid = sorted(opt.beta2_grid)
     seeds = sorted(config.seeds)
+    base = AdamParams(
+        beta1=opt.beta1, eta1=opt.eta1, xi=opt.xi, schedule=opt.schedule,
+        epochs=config.T, init_mode=opt.init_mode, record_steps=False,
+    )
     for b2 in grid:
         for seed in seeds:
-            params = AdamParams(
-                beta1=opt["beta1"],
-                beta2=b2,
-                eta1=opt["eta1"],
-                xi=opt["xi"],
-                schedule=opt["schedule"],
-                epochs=config.T,
-                init_mode=opt["init_mode"],
-                seed=seed,
-                record_steps=False,
-            )
-            traj = adam_run(obj, opt["x0"], params)
+            params = replace(base, beta2=b2, seed=seed)
+            traj = adam_run(obj, opt.x0, params)
             rid = f"b2={b2!r}-seed={seed}"
             trajectories[rid] = traj
-            tail = tail_mean_grad_norm(traj, opt["tail_frac"])
+            tail = tail_mean_grad_norm(traj, opt.tail_frac)
             tails[(b2, seed)] = tail
             report["runs"].append(
                 {
@@ -343,7 +313,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
             )
             blocks[rid] = _run_columns(traj, run_id=rid, beta2=b2, seed=seed)
 
-    floor = opt["grad_floor"]
+    floor = opt.grad_floor
     b2_low = grid[0]
     floor_ok = {s: tails[(b2_low, s)] > floor for s in seeds}
     order_ok = {
@@ -359,7 +329,6 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
         "all_completed": completed,
         "all_ok": completed and all(floor_ok.values()) and all(order_ok.values()),
     }
-    report["runs"].sort(key=lambda r: r["run_id"])
     return ExperimentResult(report, trajectories, {"grad_norms": _plot_table(blocks)})
 
 
@@ -382,22 +351,17 @@ def _growth_ratios(traj: Trajectory) -> list[float]:
     return out
 
 
-def run_thm2(config: ExperimentConfig) -> ExperimentResult:
-    opt = config.options
-    c = opt["construction"]
-    obj, w0, con = make_lowerbound(c["L0"], c["L1"], config.T, c["M"], c["f_bar"])
+def run_thm2(
+    config: ExperimentConfig, opt: Thm2DivergenceOptions | Thm2SlowOptions
+) -> ExperimentResult:
+    c = opt.construction
+    obj, w0, con = make_lowerbound(c.L0, c.L1, config.T, c.M, c.f_bar)
     diverge_mode = config.experiment == "Thm2Divergence"
 
     report = _base_report(config)
-    report["construction"] = {
-        "epsilon": con.epsilon,
-        "x0": con.x0,
-        "y0": con.y0,
-        "eta_star": con.eta_star,
-        "slow_horizon": con.slow_horizon,
-        "axis_gap": con.axis_gap,
-        "detail": con.detail,
-    }
+    report["construction"] = _pick(
+        con, "epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_gap", "detail"
+    )
     trajectories: dict[str, Trajectory] = {}
     blocks: dict[str, PlotTable] = {}
 
@@ -407,11 +371,9 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
     floor_ok_all = True
     complete_ok = True
 
-    for mult in sorted(opt["eta_multipliers"]):
+    for mult in sorted(opt.eta_multipliers):
         eta1 = mult * con.eta_star
-        traj = gd_run(
-            obj, w0, eta1, steps=opt["steps"], schedule="Diminishing", record_steps=True
-        )
+        traj = gd_run(obj, w0, eta1, steps=opt.steps, schedule="Diminishing", record_steps=True)
         rid = f"eta_mult={mult!r}"
         trajectories[rid] = traj
         entry = {
@@ -426,8 +388,7 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
         blocks[rid].update(x=e.w0[:, 0], y=e.w0[:, 1])
         if diverge_mode:
             ratios = _growth_ratios(traj)
-            tol = opt["growth_tol"]
-            ok = all(r >= HALF_LOG2 - tol for r in ratios)
+            ok = all(r >= HALF_LOG2 - opt.growth_tol for r in ratios)
             entry["growth_ratios"] = ratios
             entry["growth_ok"] = ok
             entry["growth_checks"] = len(ratios)
@@ -442,22 +403,20 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
             entry["checked_before_horizon"] = len(checked)
             entry["min_grad_before_horizon"] = min(checked) if checked else None
             floor_ok_all = floor_ok_all and fl
-            if mult in opt.get("complete_multipliers", []):
+            if mult in opt.complete_multipliers:
                 done = traj.status == STATUS_COMPLETED
                 entry["completed_as_expected"] = done
                 complete_ok = complete_ok and done
         report["runs"].append(entry)
 
     if diverge_mode:
-        per_run_ok = all(v >= opt["min_checks_per_run"] for v in per_run_counts.values())
+        per_run_ok = all(v >= opt.min_checks_per_run for v in per_run_counts.values())
         report["conclusions"] = {
             "total_growth_checks": total_checks,
-            "min_checks_total": opt["min_checks_total"],
+            "min_checks_total": opt.min_checks_total,
             "per_run_counts": per_run_counts,
             "all_growth_ok": all_growth_ok,
-            "all_ok": all_growth_ok
-            and per_run_ok
-            and total_checks >= opt["min_checks_total"],
+            "all_ok": all_growth_ok and per_run_ok and total_checks >= opt.min_checks_total,
         }
     else:
         horizon_in_window = 100 <= con.slow_horizon < config.T
@@ -468,7 +427,6 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
             "completions_ok": complete_ok,
             "all_ok": floor_ok_all and complete_ok and horizon_in_window,
         }
-    report["runs"].sort(key=lambda r: r["run_id"])
     return ExperimentResult(report, trajectories, {"iterates": _plot_table(blocks)})
 
 
@@ -476,28 +434,19 @@ def run_thm2(config: ExperimentConfig) -> ExperimentResult:
 # Adam vs GD
 
 
-def run_comparison(config: ExperimentConfig) -> ExperimentResult:
-    opt = config.options
-    c = opt["construction"]
-    obj, w0, con = make_lowerbound(c["L0"], c["L1"], config.T, c["M"], c["f_bar"])
+def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> ExperimentResult:
+    c = opt.construction
+    obj, w0, con = make_lowerbound(c.L0, c.L1, config.T, c.M, c.f_bar)
 
     report = _base_report(config)
-    report["construction"] = {
-        "epsilon": con.epsilon,
-        "eta_star": con.eta_star,
-        "slow_horizon": con.slow_horizon,
-        "x0": con.x0,
-        "y0": con.y0,
-    }
+    report["construction"] = _pick(con, "epsilon", "eta_star", "slow_horizon", "x0", "y0")
     trajectories: dict[str, Trajectory] = {}
     blocks: dict[str, PlotTable] = {}
 
     gd_all_stuck = True
-    for mult in sorted(opt["gd_eta_multipliers"]):
+    for mult in sorted(opt.gd_eta_multipliers):
         eta1 = mult * con.eta_star
-        traj = gd_run(
-            obj, w0, eta1, steps=opt["gd_steps"], schedule="Diminishing", record_steps=False
-        )
+        traj = gd_run(obj, w0, eta1, steps=opt.gd_steps, schedule="Diminishing", record_steps=False)
         rid = f"gd-eta_mult={mult!r}"
         trajectories[rid] = traj
         diverged = traj.status == STATUS_DIVERGED
@@ -520,19 +469,9 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
         )
         blocks[rid] = _run_columns(traj, run_id=rid)
 
-    a = opt["adam"]
-    gamma = gamma_threshold(D1=obj.known_D0_D1[1], n=obj.n, d=obj.d, beta1=a["beta1"])
-    params = AdamParams(
-        beta1=a["beta1"],
-        beta2=a["beta2"],
-        eta1=a["eta1"],
-        xi=a["xi"],
-        schedule=a["schedule"],
-        epochs=a["epochs"],
-        init_mode=a["init_mode"],
-        seed=sorted(config.seeds)[0],
-        record_steps=False,
-    )
+    a = opt.adam
+    gamma = gamma_threshold(D1=obj.known_D0_D1[1], n=obj.n, d=obj.d, beta1=a.beta1)
+    params = AdamParams(**vars(a), seed=sorted(config.seeds)[0], record_steps=False)
     traj = adam_run(obj, w0, params)
     rid = "adam"
     trajectories[rid] = traj
@@ -546,10 +485,10 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
             "run_id": rid,
             "algo": "adam",
             "status": traj.status,
-            "beta2_admissible": a["beta2"] > gamma,
+            "beta2_admissible": a.beta2 > gamma,
             "gamma": gamma,
             "first_epsilon_crossing": crossing,
-            "budget_epochs": a["epochs"],
+            "budget_epochs": a.epochs,
             "summary": trajectory_summary(traj),
         }
     )
@@ -560,10 +499,9 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
         "gd_all_stuck_or_diverged": gd_all_stuck,
         "adam_reached_epsilon": adam_ok,
         "adam_crossing_epoch": crossing,
-        "beta2_admissible": a["beta2"] > gamma,
-        "all_ok": gd_all_stuck and adam_ok and a["beta2"] > gamma,
+        "beta2_admissible": a.beta2 > gamma,
+        "all_ok": gd_all_stuck and adam_ok and a.beta2 > gamma,
     }
-    report["runs"].sort(key=lambda r: r["run_id"])
     return ExperimentResult(report, trajectories, {"grad_norms": _plot_table(blocks)})
 
 
@@ -571,8 +509,7 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
 # lemma suite
 
 
-def run_lemma_suite(config: ExperimentConfig) -> ExperimentResult:
-    opt = config.options
+def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> ExperimentResult:
     obj = from_spec(config.objective)
     report = _base_report(config)
     trajectories: dict[str, Trajectory] = {}
@@ -582,35 +519,20 @@ def run_lemma_suite(config: ExperimentConfig) -> ExperimentResult:
     pts = [[-3.0 + 6.0 * i / 100.0] * obj.d for i in range(101)]
     fit = affine_noise_fit(obj, pts)
     L0c, L1c = obj.known_L0_L1 if obj.known_L0_L1 else (0.0, 0.0)
-    w0 = opt["x0"]
+    w0 = opt.x0
     f_gap = obj.value(w0) - (obj.known_min if obj.known_min is not None else 0.0)
-    pc = ProblemConstants(
-        L0=L0c, L1=L1c, D0=fit.D0_hat, D1=fit.D1_hat, n=obj.n, d=obj.d, f_gap=f_gap
-    )
-    report["problem_constants"] = {
-        "L0": pc.L0, "L1": pc.L1, "D0": pc.D0, "D1": pc.D1, "f_gap": pc.f_gap,
-    }
+    pc = ProblemConstants(L0=L0c, L1=L1c, D0=fit.D0_hat, D1=fit.D1_hat, n=obj.n, d=obj.d, f_gap=f_gap)
+    report["problem_constants"] = _pick(pc, "L0", "L1", "D0", "D1", "f_gap")
 
-    combos = sorted(
-        itertools.product(
-            opt["beta1_grid"], opt["beta2_grid"], opt["eta1_grid"], opt["schedules"]
-        )
-    )
+    combos = sorted(itertools.product(opt.beta1_grid, opt.beta2_grid, opt.eta1_grid, opt.schedules))
     total_violations = 0
     max_ratio = 0.0
     for beta1, beta2, eta1, schedule in combos:
         if beta1 * beta1 >= beta2:
             continue
         params = AdamParams(
-            beta1=beta1,
-            beta2=beta2,
-            eta1=eta1,
-            xi=opt["xi"],
-            schedule=schedule,
-            epochs=config.T,
-            init_mode=opt["init_mode"],
-            seed=sorted(config.seeds)[0],
-            record_steps=True,
+            beta1=beta1, beta2=beta2, eta1=eta1, xi=opt.xi, schedule=schedule, epochs=config.T,
+            init_mode=opt.init_mode, seed=sorted(config.seeds)[0], record_steps=True,
         )
         traj = adam_run(obj, w0, params)
         tc = compute_constants(beta1, beta2, obj.n, obj.d, eta1, pc)
@@ -651,7 +573,6 @@ def run_lemma_suite(config: ExperimentConfig) -> ExperimentResult:
         "all_completed": completed,
         "all_ok": completed and total_violations == 0,
     }
-    report["runs"].sort(key=lambda r: r["run_id"])
     return ExperimentResult(report, trajectories, {})
 
 
@@ -659,73 +580,105 @@ def run_lemma_suite(config: ExperimentConfig) -> ExperimentResult:
 # custom
 
 
-def run_custom(config: ExperimentConfig) -> ExperimentResult:
-    opt = config.options
+def run_custom(config: ExperimentConfig, opt: CustomOptions) -> ExperimentResult:
     if config.objective is None:
         raise ValueError("custom experiment needs an objective spec")
     obj = from_spec(config.objective)
-    algo = opt.get("algo", "adam")
-    w0 = opt.get("x0", [0.0] * obj.d)
+    w0 = [0.0] * obj.d if opt.x0 is None else opt.x0
     report = _base_report(config)
     trajectories: dict[str, Trajectory] = {}
 
     statuses = []
     for seed in sorted(config.seeds):
-        if algo == "adam":
-            p = opt.get("adam", {})
+        if opt.algo == "adam":
             params = AdamParams(
-                beta1=p.get("beta1", 0.9),
-                beta2=p.get("beta2", 0.999),
-                eta1=p.get("eta1", 0.1),
-                xi=p.get("xi", 1e-8),
-                schedule=p.get("schedule", "Diminishing"),
-                epochs=config.T,
-                init_mode=p.get("init_mode", "PaperTheory"),
-                seed=seed,
-                record_steps=opt.get("record_steps", False),
+                **vars(opt.adam), epochs=config.T, seed=seed, record_steps=opt.record_steps
             )
             traj = adam_run(obj, w0, params)
-        elif algo in ("gd", "clipped_gd"):
-            p = opt.get("gd", {})
-            traj = gd_run(
-                obj,
-                w0,
-                p.get("eta1", 0.1),
-                steps=config.T,
-                schedule=p.get("schedule", "Diminishing"),
-                clip_threshold=p.get("clip_threshold") if algo == "clipped_gd" else None,
-                record_steps=opt.get("record_steps", False),
-            )
         else:
-            raise ValueError(f"unknown algo {algo!r}")
-        rid = f"{algo}-seed={seed}"
+            p = opt.gd
+            clip = p.clip_threshold if opt.algo == "clipped_gd" else None
+            traj = gd_run(
+                obj, w0, p.eta1, steps=config.T, schedule=p.schedule, clip_threshold=clip,
+                record_steps=opt.record_steps,
+            )
+        rid = f"{opt.algo}-seed={seed}"
         trajectories[rid] = traj
         statuses.append(traj.status)
         report["runs"].append(
             {"run_id": rid, "seed": seed, "status": traj.status, "summary": trajectory_summary(traj)}
         )
 
-    ok = True
-    if opt.get("require_completed", True):
-        ok = all(s == STATUS_COMPLETED for s in statuses)
+    ok = not opt.require_completed or all(s == STATUS_COMPLETED for s in statuses)
     report["conclusions"] = {"statuses": sorted(set(statuses)), "all_ok": ok}
-    report["runs"].sort(key=lambda r: r["run_id"])
     return ExperimentResult(report, trajectories, {})
 
 
-RUNNERS = {
-    "Fig3": run_fig3,
-    "Thm2Divergence": run_thm2,
-    "Thm2Slow": run_thm2,
-    "AdamVsGd": run_comparison,
-    "LemmaSuite": run_lemma_suite,
-    "Custom": run_custom,
+# ---------------------------------------------------------------------------
+# the registry
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's name, CLI subcommand, typed options (whose defaults are
+    its default options), runner and top-level defaults. ``objective`` builds
+    the default objective. Custom's default config leaves its options empty."""
+
+    name: str
+    command: str
+    Options: type
+    run: Callable[[ExperimentConfig, Any], ExperimentResult]
+    seeds: tuple[int, ...]
+    T: int
+    objective: Optional[Callable[[], FiniteSumObjective]] = None
+    takes_objective: bool = False
+    echo_defaults: bool = True
+
+
+REGISTRY = {
+    e.name: e
+    for e in (
+        Experiment(
+            "Fig3", "fig3", Fig3Options, run_fig3, (1, 2, 3), 10_000,
+            objective=zhang_counterexample, takes_objective=True,
+        ),
+        Experiment("Thm2Divergence", "thm2-diverge", Thm2DivergenceOptions, run_thm2, (0,), 10_000),
+        Experiment("Thm2Slow", "thm2-slow", Thm2SlowOptions, run_thm2, (0,), 10_000),
+        Experiment("AdamVsGd", "compare", ComparisonOptions, run_comparison, (1,), 10_000),
+        Experiment(
+            "LemmaSuite", "lemmas", LemmaSuiteOptions, run_lemma_suite, (1,), 1000,
+            objective=zhang_counterexample, takes_objective=True,
+        ),
+        Experiment(
+            "Custom", "custom", CustomOptions, run_custom, (1,), 100,
+            takes_objective=True, echo_defaults=False,
+        ),
+    )
 }
 
 
+def _experiment(name: str) -> Experiment:
+    if name not in REGISTRY:
+        raise ValueError(f"unknown experiment {name!r}")
+    return REGISTRY[name]
+
+
+def default_config_for(experiment: str) -> ExperimentConfig:
+    exp = _experiment(experiment)
+    return ExperimentConfig(
+        experiment=exp.name,
+        objective=to_spec(exp.objective()) if exp.objective else None,
+        seeds=list(exp.seeds),
+        T=exp.T,
+        options=asdict(exp.Options()) if exp.echo_defaults else {},
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
-    return RUNNERS[config.experiment](config)
+    options = config.validate()
+    result = REGISTRY[config.experiment].run(config, options)
+    result.report["runs"].sort(key=lambda r: r["run_id"])
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,12 @@ Built-in kinds:
 from __future__ import annotations
 
 import math
+from dataclasses import field, make_dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .schema import parse
 
 Vector = list[float]
 
@@ -458,18 +461,31 @@ def to_spec(obj: FiniteSumObjective) -> dict:
     return {"kind": obj.kind, "n": obj.n, "d": obj.d, "parameters": obj.parameters}
 
 
+_SPEC = make_dataclass("Spec", [
+    ("kind", str), ("n", Optional[int], field(default=None)),
+    ("d", Optional[int], field(default=None)), ("parameters", dict, field(default_factory=dict)),
+])
+_LOADABLE = {  # kind -> (constructor, its typed parameters)
+    kind: (build, make_dataclass(kind, params))
+    for kind, build, params in (
+        (KIND_ZHANG, zhang_counterexample, [("scale", float, field(default=1.0))]),
+        (KIND_LOWERBOUND, lowerbound_objective, [("L0", float), ("L1", float), ("epsilon", float)]),
+        (KIND_QUADRATIC, quadratic_sum, [("curvatures", list[float]), ("centers", list[list[float]])]),
+    )
+}
+
+
 def from_spec(spec: dict) -> FiniteSumObjective:
-    kind = spec.get("kind")
-    params = spec.get("parameters", {})
-    if kind == KIND_ZHANG:
-        obj = zhang_counterexample(scale=params.get("scale", 1.0))
-    elif kind == KIND_LOWERBOUND:
-        obj = lowerbound_objective(params["L0"], params["L1"], params["epsilon"])
-    elif kind == KIND_QUADRATIC:
-        obj = quadratic_sum(params["curvatures"], params["centers"])
-    else:
-        raise ValueError(f"unknown or non-loadable objective kind: {kind!r}")
-    for field in ("n", "d"):
-        if field in spec and spec[field] != getattr(obj, field):
-            raise ValueError(f"spec {field}={spec[field]} inconsistent with kind")
+    """The objective a spec describes. An unknown key or kind, a missing or
+    mistyped parameter, and an ``n`` or ``d`` that the kind contradicts
+    raise ValueError."""
+    s = parse(_SPEC, spec, "objective")
+    if s.kind not in _LOADABLE:
+        raise ValueError(f"unknown or non-loadable objective kind: {s.kind!r}")
+    build, params = _LOADABLE[s.kind]
+    obj = build(**vars(parse(params, s.parameters, "objective.parameters")))
+    for name in ("n", "d"):
+        given = getattr(s, name)
+        if given is not None and given != getattr(obj, name):
+            raise ValueError(f"spec {name}={given} inconsistent with kind")
     return obj

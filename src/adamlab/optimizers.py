@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,18 +83,7 @@ class AdamParams:
             raise ValueError("seed and run_index must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eta1": self.eta1,
-            "xi": self.xi,
-            "schedule": self.schedule,
-            "epochs": self.epochs,
-            "init_mode": self.init_mode,
-            "seed": self.seed,
-            "run_index": self.run_index,
-            "record_steps": self.record_steps,
-        }
+        return asdict(self)
 
 
 @dataclass

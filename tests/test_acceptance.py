@@ -17,9 +17,7 @@ import pytest
 
 from adamlab.harness import (
     ExperimentConfig,
-    default_fig3_config,
-    default_thm2_diverge_config,
-    default_thm2_slow_config,
+    default_config_for,
     emit,
     merge_config,
     run_experiment,
@@ -65,7 +63,7 @@ HALF_LOG2 = 0.5 * math.log(2.0)
 
 
 def test_beta2_controls_the_stationarity_floor():
-    result = run_experiment(default_fig3_config())
+    result = run_experiment(default_config_for("Fig3"))
     tails = {}
     for rid, traj in result.trajectories.items():
         assert traj.status == STATUS_COMPLETED
@@ -83,7 +81,7 @@ def test_beta2_controls_the_stationarity_floor():
 
 
 def test_gd_above_threshold_doubles_every_two_steps():
-    result = run_experiment(default_thm2_diverge_config())
+    result = run_experiment(default_config_for("Thm2Divergence"))
     total_checks = 0
     for rid, traj in result.trajectories.items():
         assert traj.status == STATUS_DIVERGED
@@ -103,7 +101,7 @@ def test_gd_above_threshold_doubles_every_two_steps():
 
 
 def test_gd_below_threshold_keeps_gradient_above_epsilon():
-    result = run_experiment(default_thm2_slow_config())
+    result = run_experiment(default_config_for("Thm2Slow"))
     con = result.report["construction"]
     assert con["slow_horizon"] >= 100
     for rid, traj in result.trajectories.items():
@@ -297,9 +295,9 @@ def test_reruns_and_permuted_sweeps_are_bit_identical(tmp_path):
     assert da == db
     assert any(p.endswith("trajectory.csv") for p in da)
 
-    base = merge_config(default_fig3_config(), {"T": 50})
+    base = merge_config(default_config_for("Fig3"), {"T": 50})
     permuted = merge_config(
-        default_fig3_config(),
+        default_config_for("Fig3"),
         {"T": 50, "seeds": [3, 1, 2], "options": {"beta2_grid": [0.999, 0.9, 0.99]}},
     )
     ra = run_experiment(base).report

@@ -24,7 +24,7 @@ import sys
 import pytest
 
 from adamlab import cli
-from adamlab.harness import default_config_for, emit, merge_config, run_experiment
+from adamlab.harness import REGISTRY, default_config_for, emit, merge_config, run_experiment
 from adamlab.landscapes import lowerbound_objective, quadratic_sum, to_spec
 
 CONFIGS = {
@@ -126,7 +126,7 @@ def test_cli_emits_golden_tree(label, tmp_path):
     # the CLI is the one entry point: --config keys reach the same bytes
     overrides = CONFIGS[label]
     experiment = overrides.get("experiment", label)
-    [command] = [c for c, e in cli.COMMANDS.items() if e == experiment]
+    command = REGISTRY[experiment].command
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(overrides))
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -10,21 +11,18 @@ import pytest
 
 import adamlab
 from adamlab import harness
+from adamlab.cli import build_parser, load_config
 from adamlab.cli import main as cli_main
 from adamlab.harness import (
-    EXPERIMENTS,
+    REGISTRY,
     ExperimentConfig,
-    default_comparison_config,
     default_config_for,
-    default_fig3_config,
-    default_lemma_suite_config,
-    default_thm2_diverge_config,
-    default_thm2_slow_config,
     emit,
     merge_config,
     run_experiment,
 )
-from adamlab.landscapes import quadratic_sum, to_spec
+from adamlab.landscapes import lowerbound_objective, quadratic_sum, to_spec, zhang_counterexample
+from adamlab.optimizers import AdamParams
 
 
 def small_custom_config(**options):
@@ -54,7 +52,7 @@ def tree_digest(root):
 
 
 def test_merge_config_replaces_top_level_and_merges_options():
-    base = default_fig3_config()
+    base = default_config_for("Fig3")
     out = merge_config(base, {"T": 42, "options": {"eta1": 0.5}})
     assert out.T == 42
     assert out.options["eta1"] == 0.5
@@ -79,13 +77,13 @@ def test_config_validation_errors():
 
 
 def test_config_round_trip():
-    cfg = default_thm2_slow_config()
+    cfg = default_config_for("Thm2Slow")
     back = merge_config(ExperimentConfig(experiment=cfg.experiment), cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
 
 
 def test_all_default_configs_validate():
-    for name in EXPERIMENTS:
+    for name in REGISTRY:
         default_config_for(name).validate()
     with pytest.raises(ValueError):
         default_config_for("Mystery")
@@ -119,7 +117,7 @@ def test_run_custom_gd_and_clipped_gd():
 
 
 def test_run_fig3_structure_and_ordering_of_rows():
-    cfg = merge_config(default_fig3_config(), {"T": 50, "seeds": [2, 1]})
+    cfg = merge_config(default_config_for("Fig3"), {"T": 50, "seeds": [2, 1]})
     result = run_experiment(cfg)
     runs = result.report["runs"]
     assert len(runs) == 6  # 3 grid values x 2 seeds
@@ -139,7 +137,7 @@ def test_run_fig3_structure_and_ordering_of_rows():
 
 
 def test_run_thm2_diverge_defaults_pass():
-    result = run_experiment(default_thm2_diverge_config())
+    result = run_experiment(default_config_for("Thm2Divergence"))
     con = result.report["conclusions"]
     assert con["all_ok"] is True
     assert con["total_growth_checks"] >= con["min_checks_total"]
@@ -150,7 +148,7 @@ def test_run_thm2_diverge_defaults_pass():
 
 
 def test_run_thm2_slow_shortened_floor_holds():
-    cfg = merge_config(default_thm2_slow_config(), {"options": {"steps": 400}})
+    cfg = merge_config(default_config_for("Thm2Slow"), {"options": {"steps": 400}})
     result = run_experiment(cfg)
     con = result.report["conclusions"]
     assert con["horizon_in_window"] is True
@@ -173,7 +171,7 @@ def test_horizon_scan_skips_a_later_nan_as_python_min_does(monkeypatch):
         return traj
 
     monkeypatch.setattr(harness, "gd_run", gd_run_with_nan)
-    cfg = merge_config(default_thm2_slow_config(), {"options": {"steps": 400}})
+    cfg = merge_config(default_config_for("Thm2Slow"), {"options": {"steps": 400}})
     result = run_experiment(cfg)
     for run in result.report["runs"]:
         norms = result.trajectories[run["run_id"]].epochs.grad_norm.tolist()
@@ -183,9 +181,9 @@ def test_horizon_scan_skips_a_later_nan_as_python_min_does(monkeypatch):
 
 
 def test_run_comparison_structure():
-    adam_opts = dict(default_comparison_config().options["adam"], epochs=40)
+    adam_opts = dict(default_config_for("AdamVsGd").options["adam"], epochs=40)
     cfg = merge_config(
-        default_comparison_config(),
+        default_config_for("AdamVsGd"),
         {"options": {"gd_steps": 300, "adam": adam_opts}},
     )
     result = run_experiment(cfg)
@@ -201,7 +199,7 @@ def test_run_comparison_structure():
 
 def test_run_lemma_suite_small_grid_clean():
     cfg = merge_config(
-        default_lemma_suite_config(),
+        default_config_for("LemmaSuite"),
         {
             "T": 20,
             "options": {
@@ -222,7 +220,7 @@ def test_run_lemma_suite_small_grid_clean():
 
 def test_lemma_suite_skips_momentum_dominated_combos():
     cfg = merge_config(
-        default_lemma_suite_config(),
+        default_config_for("LemmaSuite"),
         {
             "T": 5,
             "options": {
@@ -241,7 +239,7 @@ def test_lemma_suite_skips_momentum_dominated_combos():
 
 
 def test_emit_layout(tmp_path):
-    result = run_experiment(default_thm2_diverge_config())
+    result = run_experiment(default_config_for("Thm2Divergence"))
     paths = emit(result, str(tmp_path))
     root = tmp_path / "Thm2Divergence"
     assert (root / "report.json").exists()
@@ -269,7 +267,7 @@ def test_version_has_one_source(tmp_path):
 
 
 def test_emit_json_format_tables(tmp_path):
-    cfg = default_thm2_diverge_config()
+    cfg = default_config_for("Thm2Divergence")
     cfg.format = "json"
     result = run_experiment(cfg)
     emit(result, str(tmp_path))
@@ -278,17 +276,17 @@ def test_emit_json_format_tables(tmp_path):
 
 def test_emitted_bytes_are_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    emit(run_experiment(default_thm2_diverge_config()), str(a))
-    emit(run_experiment(default_thm2_diverge_config()), str(b))
+    emit(run_experiment(default_config_for("Thm2Divergence")), str(a))
+    emit(run_experiment(default_config_for("Thm2Divergence")), str(b))
     da, db = tree_digest(a), tree_digest(b)
     assert da == db
     assert len(da) > 0
 
 
 def test_report_invariant_under_sweep_permutation():
-    base = merge_config(default_fig3_config(), {"T": 30})
+    base = merge_config(default_config_for("Fig3"), {"T": 30})
     permuted = merge_config(
-        default_fig3_config(),
+        default_config_for("Fig3"),
         {"T": 30, "seeds": [3, 1, 2], "options": {"beta2_grid": [0.999, 0.9, 0.99]}},
     )
     ra = run_experiment(base).report
@@ -339,17 +337,85 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     # negative seed
     rc = cli_main(["thm2-diverge", "--seed", "-4"])
     assert rc == 2
-    # mistyped top-level values, bools included, and an empty beta2 grid
+    capsys.readouterr()
+    # mistyped or unknown keys, bools included, and configs the experiment
+    # cannot take: each is reported as a config error, without a traceback
+    # and without an output tree
+    quad = to_spec(quadratic_sum([2.0, 2.0], [[-1.0], [3.0]]))
+    zhang = to_spec(zhang_counterexample())
+    lowerbound = to_spec(lowerbound_objective(1.0, 1.0, 0.5))
+    del lowerbound["parameters"]["epsilon"]
     mistyped = tmp_path / "mistyped.json"
-    for overrides in (
-        {"T": 10.5}, {"seeds": [1.5]}, {"seeds": 3}, {"seeds": ["a"]}, {"T": True}, {"seeds": [True]},
-        {"options": 3}, {"objective": 5}, {"out_dir": 5}, {"options": {"beta2_grid": []}},
+    for command, overrides in (
+        *(("fig3", o) for o in (
+            {"T": 10.5}, {"seeds": [1.5]}, {"seeds": 3}, {"seeds": ["a"]}, {"T": True},
+            {"seeds": [True]}, {"options": 3}, {"objective": 5}, {"out_dir": 5},
+            {"options": {"beta2_grid": []}}, {"options": {"beta2_grd": [0.5]}},
+            {"options": {"beta1": "x"}}, {"options": {"grad_floor": True}}, {"Tee": 5},
+            {"objective": None}, {"objective": {**zhang, "parameters": {"scale": "a"}}},
+        )),
+        ("thm2-diverge", {"options": {"steps": "5"}}),
+        ("thm2-diverge", {"options": {"eta_multipliers": 2.0}}),
+        ("thm2-diverge", {"options": {"construction": {"L2": 1.0}}}),
+        ("thm2-diverge", {"objective": zhang}),
+        ("thm2-slow", {"objective": zhang}),
+        ("thm2-slow", {"options": {"complete_multipliers": [0.3]}}),
+        ("compare", {"objective": zhang}),
+        ("custom", {"objective": quad, "options": {"adam": {"beta": 0.9}}}),
+        ("custom", {"objective": quad, "options": {"record_steps": 1}}),
+        ("custom", {"objective": quad, "options": {"algo": "sgd"}}),
+        ("custom", {"objective": lowerbound}),
     ):
         mistyped.write_text(json.dumps(overrides))
-        rc = cli_main(["fig3", "--config", str(mistyped), "--out", str(tmp_path / "o")])
-        assert rc == 2, overrides
+        rc = cli_main([command, "--config", str(mistyped), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2, (command, overrides)
+        assert err.startswith("config error: ") and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
-    capsys.readouterr()
+
+
+def test_cli_bug_inside_a_run_keeps_its_traceback(monkeypatch, tmp_path):
+    # only config errors exit 2; a KeyError raised by the program propagates
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(harness, "gd_run", broken)
+    with pytest.raises(KeyError):
+        cli_main(["thm2-diverge", "--out", str(tmp_path / "o")])
+
+
+def test_nested_options_fill_from_defaults_and_keep_ints():
+    cfg = merge_config(
+        default_config_for("AdamVsGd"),
+        {"options": {"gd_eta_multipliers": [2], "adam": {"epochs": 40}}},
+    )
+    opt = cfg.validate()
+    assert opt.adam.epochs == 40 and opt.adam.eta1 == 0.5 and opt.adam.beta2 == 0.999
+    assert opt.gd_eta_multipliers == [2] and type(opt.gd_eta_multipliers[0]) is int
+    # the echo is the merged input, not the filled record
+    assert cfg.to_dict()["options"]["adam"] == {"epochs": 40}
+    # Custom's Adam defaults are AdamParams'
+    custom = small_custom_config().validate()
+    assert vars(custom.adam) == {
+        k: getattr(AdamParams(), k) for k in ("beta1", "beta2", "eta1", "xi", "schedule", "init_mode")
+    }
+
+
+def test_benchmark_subcommands_are_registered(tmp_path):
+    # perfbench/workloads.py names experiments by subcommand; every pair it
+    # holds must be in the registry, and every config it generates must load
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for command, name in workloads.SUBCOMMAND_EXPERIMENT.items():
+        assert REGISTRY[name].command == command
+    for workload in workloads.WORKLOADS:
+        for command, overrides in workloads.configs(workload, 0):
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(overrides))
+            args = build_parser().parse_args([command, "--config", str(config_path)])
+            assert load_config(command, args).experiment == workloads.SUBCOMMAND_EXPERIMENT[command]
 
 
 def test_cli_overflowing_start_point_is_a_config_error(tmp_path, capsys):
