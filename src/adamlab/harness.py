@@ -202,7 +202,7 @@ class LemmaSuiteOptions:
 @dataclass(frozen=True)
 class CustomOptions:
     algo: Literal["adam", "gd", "clipped_gd"] = "adam"
-    x0: Optional[list[float]] = None  # the origin
+    x0: Optional[list[float]] = None  # None: the origin
     record_steps: bool = False
     require_completed: bool = True
     adam: AdamOptions = AdamOptions()
