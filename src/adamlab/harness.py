@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .landscapes import (
     FiniteSumObjective,
+    check_point,
     from_spec,
     make_lowerbound,
     to_spec,
@@ -109,6 +110,13 @@ def _list(*values):
     return field(default_factory=lambda: list(values))
 
 
+def _require(opt, *names: str) -> None:
+    """Refuse empty lists, on which an experiment would run nothing and pass."""
+    for name in names:
+        if not getattr(opt, name):
+            raise ValueError(f"options.{name}: must not be empty")
+
+
 @dataclass(frozen=True)
 class Construction:
     L0: float = 1.0
@@ -153,8 +161,7 @@ class Fig3Options:
     grad_floor: float = 1e-4
 
     def __post_init__(self):
-        if not self.beta2_grid:
-            raise ValueError("options.beta2_grid: must not be empty")
+        _require(self, "beta2_grid")
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,9 @@ class Thm2DivergenceOptions:
     min_checks_per_run: int = 3
     min_checks_total: int = 10
 
+    def __post_init__(self):
+        _require(self, "eta_multipliers")
+
 
 @dataclass(frozen=True)
 class Thm2SlowOptions:
@@ -175,6 +185,7 @@ class Thm2SlowOptions:
     complete_multipliers: list[float] = _list(0.1, 0.5)
 
     def __post_init__(self):
+        _require(self, "eta_multipliers")
         stray = [m for m in self.complete_multipliers if m not in self.eta_multipliers]
         if stray:
             raise ValueError(f"options.complete_multipliers: {stray} not in eta_multipliers")
@@ -187,6 +198,9 @@ class ComparisonOptions:
     gd_steps: int = 10_000
     adam: ComparisonAdamOptions = ComparisonAdamOptions()
 
+    def __post_init__(self):
+        _require(self, "gd_eta_multipliers")
+
 
 @dataclass(frozen=True)
 class LemmaSuiteOptions:
@@ -198,6 +212,11 @@ class LemmaSuiteOptions:
     init_mode: str = "PaperTheory"
     x0: list[float] = _list(-2.0)
 
+    def __post_init__(self):
+        _require(self, "beta1_grid", "beta2_grid", "eta1_grid", "schedules")
+        if all(b1 * b1 >= b2 for b1 in self.beta1_grid for b2 in self.beta2_grid):
+            raise ValueError("options.beta1_grid: beta1**2 >= beta2 on every pair, so no run is audited")
+
 
 @dataclass(frozen=True)
 class CustomOptions:
@@ -208,13 +227,19 @@ class CustomOptions:
     adam: AdamOptions = AdamOptions()
     gd: GdOptions = GdOptions()
 
+    def __post_init__(self):
+        if self.algo == "clipped_gd" and self.gd.clip_threshold is None:
+            raise ValueError("options.gd.clip_threshold: clipped_gd needs one")
+
 
 # ---------------------------------------------------------------------------
 # result container
 
-# A plot table: equal-length NumPy columns by name, one row per epoch-boundary
-# snapshot of each run.
-PlotTable = dict[str, np.ndarray]
+# A plot table: the runs' blocks in sorted run id order, one row per
+# epoch-boundary snapshot of each run. A block maps each column name to the
+# run's NumPy column or to the one value all the run's rows share.
+PlotBlock = dict[str, Any]
+PlotTable = list[PlotBlock]
 
 
 @dataclass
@@ -253,27 +278,18 @@ def _pick(record, *names: str) -> dict:
     return {name: getattr(record, name) for name in names}
 
 
-def _run_columns(traj: Trajectory, **constants) -> PlotTable:
+def _run_columns(traj: Trajectory, **constants) -> PlotBlock:
     """A run's plot-table block: k and grad_norm from its epoch table, and
-    each per-run constant repeated to the run's length in an object column,
-    which keeps the value's Python type (a multiplier given as 2 stays 2)."""
+    each per-run constant once, as the Python value it was given (a
+    multiplier given as 2 stays 2)."""
     e = traj.epochs
-    block = {"k": e.k, "grad_norm": e.grad_norm}
-    for name, value in constants.items():
-        # fill() makes every row refer to the one object; np.full would
-        # build a new str per row
-        col = block[name] = np.empty(len(e), dtype=object)
-        col.fill(value)
-    return block
+    return {"k": e.k, "grad_norm": e.grad_norm, **constants}
 
 
-def _plot_table(blocks: dict[str, PlotTable]) -> PlotTable:
-    """The runs' blocks concatenated in sorted run id order; within a run
-    the rows are in k order already."""
-    order = [blocks[rid] for rid in sorted(blocks)]
-    if not order:
-        return {}
-    return {name: np.concatenate([b[name] for b in order]) for name in order[0]}
+def _plot_table(blocks: dict[str, PlotBlock]) -> PlotTable:
+    """The runs' blocks in sorted run id order; within a run the rows are in
+    k order already."""
+    return [blocks[rid] for rid in sorted(blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +300,7 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> ExperimentResult:
     obj = from_spec(config.objective)
     report = _base_report(config)
     trajectories: dict[str, Trajectory] = {}
-    blocks: dict[str, PlotTable] = {}
+    blocks: dict[str, PlotBlock] = {}
     tails: dict[tuple[float, int], float] = {}
 
     grid = sorted(opt.beta2_grid)
@@ -363,7 +379,7 @@ def run_thm2(
         con, "epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_gap", "detail"
     )
     trajectories: dict[str, Trajectory] = {}
-    blocks: dict[str, PlotTable] = {}
+    blocks: dict[str, PlotBlock] = {}
 
     total_checks = 0
     all_growth_ok = True
@@ -441,7 +457,7 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> Experime
     report = _base_report(config)
     report["construction"] = _pick(con, "epsilon", "eta_star", "slow_horizon", "x0", "y0")
     trajectories: dict[str, Trajectory] = {}
-    blocks: dict[str, PlotTable] = {}
+    blocks: dict[str, PlotBlock] = {}
 
     gd_all_stuck = True
     for mult in sorted(opt.gd_eta_multipliers):
@@ -511,6 +527,7 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> Experime
 
 def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> ExperimentResult:
     obj = from_spec(config.objective)
+    w0 = check_point(obj, opt.x0)
     report = _base_report(config)
     trajectories: dict[str, Trajectory] = {}
 
@@ -519,7 +536,6 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> Experim
     pts = [[-3.0 + 6.0 * i / 100.0] * obj.d for i in range(101)]
     fit = affine_noise_fit(obj, pts)
     L0c, L1c = obj.known_L0_L1 if obj.known_L0_L1 else (0.0, 0.0)
-    w0 = opt.x0
     f_gap = obj.value(w0) - (obj.known_min if obj.known_min is not None else 0.0)
     pc = ProblemConstants(L0=L0c, L1=L1c, D0=fit.D0_hat, D1=fit.D1_hat, n=obj.n, d=obj.d, f_gap=f_gap)
     report["problem_constants"] = _pick(pc, "L0", "L1", "D0", "D1", "f_gap")
@@ -692,17 +708,23 @@ def _dump_json(payload: dict | list, path: str) -> None:
 
 
 def _dump_table(table: PlotTable, path_base: str, fmt: str) -> str:
-    """Write a plot table with its columns in name order: as JSON, a list of
-    one object per row; as CSV, a header line and the rows, or one empty
-    line when the table has no rows."""
-    names = sorted(table)
-    cols = [table[name] for name in names]
+    """Write a plot table with its columns in name order, each run's shared
+    values repeated down its rows: as JSON, a list of one object per row; as
+    CSV, a header line and the rows, or one empty line when the table has no
+    rows."""
+    names = sorted(table[0]) if table else []
+    runs = [[block[name] for name in names] for block in table]
+    rows = [len(block["k"]) for block in table]
     if fmt == "json":
         path = path_base + ".json"
-        _dump_json([dict(zip(names, vals)) for vals in zip(*(c.tolist() for c in cols))], path)
+        _dump_json([
+            dict(zip(names, vals))
+            for cols, n in zip(runs, rows)
+            for vals in zip(*(c.tolist() if isinstance(c, np.ndarray) else [c] * n for c in cols))
+        ], path)
         return path
     path = path_base + ".csv"
-    write_csv(path, names if cols and len(cols[0]) else [], cols)
+    write_csv(path, names if any(rows) else [], runs)
     return path
 
 

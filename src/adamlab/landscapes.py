@@ -4,6 +4,10 @@ Each objective is f(w) = (1/n) * sum_j f_j(w). Component values and gradients
 are exposed raw (unaveraged) because reshuffled optimizers consume them one at
 a time; ``value`` and ``full_grad`` average.
 
+No method checks its point or index: ``check_point`` refuses a wrong
+dimension or a non-finite coordinate once, where a point enters a run or a
+probe, and the optimizers guard every iterate they produce.
+
 ``mean_values(W)`` is the one entry point for the objective value at many
 points: the optimizers fill their ``f_value`` columns with it after a run,
 from the stored iterates, never inside their loops. Each row's mean is
@@ -172,70 +176,19 @@ class FiniteSumObjective:
         # equal to value_fn's bit for bit
         self._values_fn = values_fn
 
-    # -- validation ---------------------------------------------------------
-
-    def _check_point(self, w: Sequence[float]) -> None:
-        if len(w) != self.d:
-            raise ValueError(f"point has dim {len(w)}, objective has d={self.d}")
-        for v in w:
-            if not math.isfinite(v):
-                raise ValueError("non-finite input point")
-
-    def _check_index(self, j: int) -> None:
-        if not 0 <= j < self.n:
-            raise IndexError(f"component index {j} out of range [0, {self.n})")
-
-    # -- evaluation ---------------------------------------------------------
+    # -- evaluation, unchecked (see check_point) -----------------------------
 
     def component_value(self, j: int, w: Sequence[float]) -> float:
-        self._check_index(j)
-        self._check_point(w)
         return self._value_fn(j, w)
 
     def component_grad(self, j: int, w: Sequence[float]) -> Vector:
-        self._check_index(j)
-        self._check_point(w)
         return self._grad_fn(j, w)
 
     def value(self, w: Sequence[float]) -> float:
-        self._check_point(w)
-        return self._mean_value(w)
-
-    def full_grad(self, w: Sequence[float]) -> Vector:
-        self._check_point(w)
-        return self._mean_grad(w)
-
-    def analytic_smoothness(self, w: Sequence[float]) -> Optional[float]:
-        """Local Lipschitz bound for the full gradient at w, if known."""
-        self._check_point(w)
-        if self._smooth_fn is None:
-            return None
-        return self._smooth_fn(w)
-
-    # -- unchecked evaluation ----------------------------------------------
-    # For the optimizers, which validate the start point once per run and
-    # guard every later iterate to be finite. Together with ``_grad_fn`` this
-    # is the hot path; the public methods above validate every call.
-
-    def _mean_value(self, w: Sequence[float]) -> float:
         v = self._value_fn
         return _sum([v(j, w) for j in range(self.n)]) / self.n
 
-    def mean_values(self, W: np.ndarray) -> np.ndarray:
-        """The mean objective of each row of W (rows x d), unchecked, equal
-        to ``_mean_value`` of the row; VALUE_BLOCK_ROWS rows at a time."""
-        n, kernel = self.n, self._values_fn
-        out = np.empty(len(W))
-        for start in range(0, len(W), VALUE_BLOCK_ROWS):
-            block = W[start:start + VALUE_BLOCK_ROWS]
-            if kernel is None:
-                vals = list(map(self._mean_value, block.tolist()))
-            else:
-                vals = np.array(list(map(_sum, kernel(block).tolist()))) / n
-            out[start:start + len(block)] = vals
-        return out
-
-    def _mean_grad(self, w: Sequence[float]) -> Vector:
+    def full_grad(self, w: Sequence[float]) -> Vector:
         if self._full_grad_fn is not None:
             return self._full_grad_fn(w)
         acc = [0.0] * self.d
@@ -246,8 +199,41 @@ class FiniteSumObjective:
         inv = 1.0 / self.n
         return [a * inv for a in acc]
 
+    def mean_values(self, W: np.ndarray) -> np.ndarray:
+        """The mean objective of each row of W (rows x d), equal to ``value``
+        of the row; VALUE_BLOCK_ROWS rows at a time."""
+        n, kernel = self.n, self._values_fn
+        out = np.empty(len(W))
+        for start in range(0, len(W), VALUE_BLOCK_ROWS):
+            block = W[start:start + VALUE_BLOCK_ROWS]
+            if kernel is None:
+                vals = list(map(self.value, block.tolist()))
+            else:
+                vals = np.array(list(map(_sum, kernel(block).tolist()))) / n
+            out[start:start + len(block)] = vals
+        return out
+
+    def analytic_smoothness(self, w: Sequence[float]) -> Optional[float]:
+        """Local Lipschitz bound for the full gradient at w, if known."""
+        return None if self._smooth_fn is None else self._smooth_fn(w)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"FiniteSumObjective(kind={self.kind!r}, n={self.n}, d={self.d})"
+
+
+def check_point(obj: FiniteSumObjective, w: Sequence[float]) -> list[float]:
+    """w as a list of floats; ValueError unless it has the objective's
+    dimension and only finite coordinates. The one check of a point, made
+    where it enters: a run's start point, a probe's points, LemmaSuite's x0."""
+    if len(w) != obj.d:
+        raise ValueError(f"point has dim {len(w)}, objective has d={obj.d}")
+    try:
+        w = [float(v) for v in w]
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("non-finite point") from None
+    if not all(map(math.isfinite, w)):
+        raise ValueError("non-finite point")
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 import orjson
 
-from .landscapes import FiniteSumObjective, to_spec
+from .landscapes import FiniteSumObjective, check_point, to_spec
 from .rng import SplitMix64, stream_for_run
 
 GUARD_SUP_NORM = 1e100
@@ -186,19 +186,6 @@ def _classify(w: Sequence[float]) -> Optional[str]:
     return None
 
 
-def _start_point(obj: FiniteSumObjective, w0: Sequence[float]) -> list[float]:
-    """w0 as a list of floats, refused unless it has the objective's
-    dimension and only finite coordinates: every later iterate is guarded,
-    so the runs evaluate the objective unchecked."""
-    if len(w0) != obj.d:
-        raise ValueError("w0 dimension mismatch")
-    w = [float(v) for v in w0]
-    for v in w:
-        if not math.isfinite(v):
-            raise ValueError("non-finite start point")
-    return w
-
-
 def adam_init(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> AdamState:
     """Fresh state at w0.
 
@@ -207,7 +194,7 @@ def adam_init(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) 
     ZeroState starts both at zero.
     """
     params.validate()
-    w = _start_point(obj, w0)
+    w = check_point(obj, w0)
     if params.init_mode == INIT_PAPER_THEORY:
         m = list(obj.component_grad(0, w))
         nu = [0.0] * obj.d
@@ -235,10 +222,11 @@ def adam_epoch(
     (a permutation of range(n)). When the step column lists ``steps`` are
     given, append tau to them once and each step's w_before and ratio;
     _trajectory derives the rest of each row. Returns the (epoch, inner
-    index) of the step whose result tripped the guard, or None.
-
-    The iterate entering each step is the start point adam_init validated
-    or one the guard passed, so components are evaluated unchecked."""
+    index) of the step whose result tripped the guard, or None."""
+    # Each step's iterate is the start point adam_init checked or one the
+    # guard passed. The builder's callable is bound once per epoch: the
+    # component_grad method only forwards to it, and calling that per inner
+    # step made Fig3's run 7-10% slower in CPU time.
     grad_fn = obj._grad_fn
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
@@ -289,7 +277,7 @@ def _snapshot(state: AdamState, obj: FiniteSumObjective, epochs: dict[str, list]
     epochs["w_prev"].extend(state.w_prev)
     epochs["m_prev"].extend(state.m)
     epochs["nu_prev"].extend(state.nu)
-    epochs["grad_norm"].append(math.hypot(*obj._mean_grad(state.w)))
+    epochs["grad_norm"].append(math.hypot(*obj.full_grad(state.w)))
 
 
 def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
@@ -414,7 +402,7 @@ def gd_run(
         raise ValueError("clip_threshold must be positive")
     if schedule not in (SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT):
         raise ValueError(f"unknown schedule {schedule!r}")
-    w = _start_point(obj, w0)
+    w = check_point(obj, w0)
     d = obj.d
     snaps = {"w0": array("d"), "grad_norm": array("d")}
     recs = {"ratio": array("d")}
@@ -422,7 +410,7 @@ def gd_run(
     fail = None
 
     for k in range(1, steps + 2):
-        g = obj._mean_grad(w)
+        g = obj.full_grad(w)
         gn = math.hypot(*g)
         snaps["w0"].extend(w)
         snaps["grad_norm"].append(gn)
@@ -512,18 +500,13 @@ def _orjson_cells(vals: np.ndarray, rewrites: Sequence[tuple[bytes, bytes]] = ()
 
 
 def _cells(vals: np.ndarray) -> list[str]:
-    """The CSV cells of one column block: the repr of each Python int or
-    float the column holds, or each string itself. Int and float64 blocks
-    are formatted by one orjson call and never by a per-cell repr. A float64
-    block with cells outside repr's window gets them re-spelled by mask: the
-    exponent cells and the 1e-5 <= |x| < 1e-4 cells each from one more
-    orjson call whose text is rewritten in bulk (_EXPONENT_SPELLING,
-    _BAND_SPELLING), and NaN and +-inf, which orjson writes as null, as
-    "nan", "inf" and "-inf". Other dtypes (objects, bools, narrower floats,
-    which orjson writes in their own precision) are written cell by cell."""
-    if vals.dtype.kind not in "iu" and vals.dtype != np.float64:
-        vals = vals.tolist()
-        return vals if isinstance(vals[0], str) else list(map(repr, vals))
+    """The CSV cells of one int or float64 column block: the repr of each
+    Python int or float it holds, formatted by one orjson call and never by
+    a per-cell repr. A float64 block with cells outside repr's window gets
+    them re-spelled by mask: the exponent cells and the 1e-5 <= |x| < 1e-4
+    cells each from one more orjson call whose text is rewritten in bulk
+    (_EXPONENT_SPELLING, _BAND_SPELLING), and NaN and +-inf, which orjson
+    writes as null, as "nan", "inf" and "-inf"."""
     vals = np.ascontiguousarray(vals)
     cells = _orjson_cells(vals)
     if vals.dtype.kind != "f":
@@ -546,18 +529,24 @@ def _cells(vals: np.ndarray) -> list[str]:
     return cells
 
 
-def write_csv(path: str, header: Sequence[str], cols: Sequence[np.ndarray]) -> None:
-    """Write equal-length NumPy columns under a header line, CSV_BLOCK_ROWS
-    rows at a time, so at most one block of formatted cells is held. A cell
-    is the repr of the Python int or float the column holds, or the string
-    itself; int and float64 blocks reach those bytes through orjson and
-    rewrites of its text (_cells), not through repr."""
-    rows = len(cols[0]) if cols else 0
+def write_csv(path: str, header: Sequence[str], runs: Sequence[Sequence]) -> None:
+    """Write a header line, then each run's rows, CSV_BLOCK_ROWS at a time so
+    that at most one block of cells is held. A run lists its columns in
+    header order: a NumPy column (int or float64, formatted by _cells) or one
+    value all its rows share, formatted once; its row count is its NumPy
+    columns' length. A cell is the repr of a Python int or float, or the
+    string itself."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, rows, CSV_BLOCK_ROWS):
-            cells = [_cells(col[start:start + CSV_BLOCK_ROWS]) for col in cols]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for cols in runs:
+            rows = next((len(c) for c in cols if isinstance(c, np.ndarray)), 0)
+            shared = [None if isinstance(c, np.ndarray) else c if isinstance(c, str) else repr(c)
+                      for c in cols]
+            for start in range(0, rows, CSV_BLOCK_ROWS):
+                stop = min(start + CSV_BLOCK_ROWS, rows)
+                cells = [_cells(col[start:stop]) if cell is None else [cell] * (stop - start)
+                         for col, cell in zip(cols, shared)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def export_trajectory_csv(traj: Trajectory, path: str) -> None:
@@ -577,7 +566,7 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     else:
         sentinel = np.full(len(e), -1)
         cols = [e.k, sentinel, sentinel, *e.w0.T, e.grad_norm, e.f_value, _row_max(np.abs(e.w0 - e.w_prev))]
-    write_csv(path, header, cols)
+    write_csv(path, header, [cols])
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

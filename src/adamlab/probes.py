@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .landscapes import FiniteSumObjective
+from .landscapes import FiniteSumObjective, check_point
 from .optimizers import Trajectory, aux_sequence
 from .theory import TheoryConstants
 
@@ -62,9 +62,8 @@ def local_smoothness(
     w_b. Segments shorter than 1e-14 return a degenerate estimate (NaN).
     """
     m = _check_alpha(alpha)
-    if len(w_a) != obj.d or len(w_b) != obj.d:
-        raise ValueError("endpoint dimension mismatch")
-    seg = [float(w_b[l]) - float(w_a[l]) for l in range(obj.d)]
+    w_a, w_b = check_point(obj, w_a), check_point(obj, w_b)
+    seg = [w_b[l] - w_a[l] for l in range(obj.d)]
     seg_norm = math.hypot(*seg)
     if seg_norm < DEGENERATE_SEGMENT:
         return SmoothnessEstimate(math.nan, alpha, seg_norm, m, True)
@@ -123,6 +122,7 @@ def noise_pairs(obj: FiniteSumObjective, points: Sequence[Sequence[float]]) -> l
     """(u, v) per point: u = |grad f|^2, v = mean_j |grad f_j|^2."""
     pairs = []
     for p in points:
+        p = check_point(obj, p)
         g = obj.full_grad(p)
         u = math.fsum(v * v for v in g)
         acc = 0.0

@@ -10,6 +10,7 @@ make it fail here first.
 import importlib
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -19,7 +20,8 @@ from adamlab import cli, optimizers
 from adamlab.harness import run_experiment
 from adamlab.landscapes import FiniteSumObjective, lowerbound_objective, zhang_counterexample
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +70,7 @@ def _counted(monkeypatch, name):
 def test_runs_evaluate_f_value_once_per_table_after_the_loop(monkeypatch):
     # f_value is filled from the stored iterates through mean_values, never
     # by a scalar evaluation inside the loop
-    scalar = _counted(monkeypatch, "_mean_value")
+    scalar = _counted(monkeypatch, "value")
     tables = _counted(monkeypatch, "mean_values")
     p = optimizers.AdamParams(epochs=7, record_steps=True)
     traj = optimizers.adam_run(zhang_counterexample(), [-2.0], p)
@@ -110,3 +112,39 @@ def test_count_work_counts_table_rows(op, tmp_path):
     work = Counter()
     op.count_work(lemmas, work)
     assert work["adam_inner_steps"] == work["step_records"]
+
+
+def test_traced_benchmark_counts_the_objective_leaves_the_runs_call(tmp_path):
+    # op.py traced in its own process, as the benchmark runs it: it replaces
+    # component_grad, full_grad and value on the class after objects exist,
+    # so they must stay plain methods there. Every epoch snapshot evaluates
+    # one full gradient, and every LowerBound f_value row one value.
+    experiments = [
+        ("fig3", {"seeds": [1, 2], "T": 20, "options": {"beta2_grid": [0.9]}}),
+        ("thm2-slow", {"options": {"steps": 200}}),
+    ]
+    paths = []
+    for command, config in experiments:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        paths.append([command, str(path)])
+    spec = {
+        "experiments": paths, "out_dir": str(tmp_path / "out"), "op_id": 1, "trace": True,
+        "result_path": str(tmp_path / "result.json"),
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "op.py"), str(tmp_path / "spec.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads((tmp_path / "result.json").read_text())
+    layers, leaves = res["layers"], res["leaves_by_experiment"]
+    # Fig3: 2 runs x (20 epochs + the closing snapshot)
+    assert leaves["landscapes.full_grad@Fig3"] == 2 * 21
+    assert layers["landscapes.full_grad.calls"] == layers["optimizers.epoch_snapshots"]
+    # the counterexample's f_value comes from its row kernel, LowerBound's
+    # from value, one call per Thm2Slow snapshot
+    assert "landscapes.value@Fig3" not in leaves
+    assert leaves["landscapes.value@Thm2Slow"] == leaves["landscapes.full_grad@Thm2Slow"]

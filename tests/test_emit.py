@@ -57,7 +57,7 @@ def _fill(pool, stride, n):
 
 @st.composite
 def runs(draw):
-    """[(run_id, {column: Python values})] in build order."""
+    """[(run_id, {constant: value}, {column: Python values})] in build order."""
     mults = draw(st.lists(st.sampled_from(MULTS), max_size=5, unique_by=repr))
     rows = draw(st.sampled_from(ROW_COUNTS)) if mults else 0
     parts = max(len(mults) - 1, 0)
@@ -67,28 +67,25 @@ def runs(draw):
     stride = draw(st.integers(1, 13))
     out = []
     for mult, m in zip(mults, lengths):
-        seed = draw(st.integers(0, 2**63 - 1))
-        out.append((f"eta_mult={mult!r}", {
+        rid = f"eta_mult={mult!r}"
+        constants = {"run_id": rid, "eta_mult": mult, "seed": draw(st.integers(0, 2**63 - 1))}
+        out.append((rid, constants, {
             "k": list(range(1, m + 1)),
             "grad_norm": _fill(pool, stride, m),
             "x": _fill(pool, stride + 1, m),
-            "eta_mult": [mult] * m,
-            "seed": [seed] * m,
         }))
     return out
 
 
-def _columns(values):
-    """A run's block as the runners build it: NumPy columns from the
-    epoch table, per-run constants in object columns."""
-    block = {
+def _block(constants, values):
+    """A run's block as the runners build it: NumPy columns from the epoch
+    table, and each per-run constant once."""
+    return {
         "k": np.array(values["k"], dtype=np.int64),
         "grad_norm": np.array(values["grad_norm"], dtype=np.float64),
         "x": np.array(values["x"], dtype=np.float64),
+        **constants,
     }
-    for name in ("run_id", "eta_mult", "seed"):
-        block[name] = np.array(values[name], dtype=object)
-    return block
 
 
 def _read(path):
@@ -101,10 +98,9 @@ def _read(path):
 def test_column_tables_write_the_bytes_of_row_dicts(tmp_path_factory, built, fmt):
     out = tmp_path_factory.mktemp("emit")
     rows, blocks = [], {}
-    for rid, values in built:
-        values = dict(values, run_id=[rid] * len(values["k"]))
-        rows.extend(dict(zip(values, cells)) for cells in zip(*values.values()))
-        blocks[rid] = _columns(values)
+    for rid, constants, values in built:
+        rows.extend({**constants, **dict(zip(values, cells))} for cells in zip(*values.values()))
+        blocks[rid] = _block(constants, values)
     rows.sort(key=lambda r: (r["run_id"], r["k"]))
     old = reference_dump_table(rows, str(out / "old"), fmt)
     new = _dump_table(_plot_table(blocks), str(out / "new"), fmt)
@@ -113,12 +109,12 @@ def test_column_tables_write_the_bytes_of_row_dicts(tmp_path_factory, built, fmt
 
 def test_run_ids_sort_as_strings_not_as_numbers(tmp_path):
     blocks = {
-        rid: _columns({"k": [1, 2], "grad_norm": [1.0, 0.5], "x": [0.0, 0.0],
-                       "run_id": [rid] * 2, "eta_mult": [mult] * 2, "seed": [0] * 2})
+        rid: _block({"run_id": rid, "eta_mult": mult, "seed": 0},
+                    {"k": [1, 2], "grad_norm": [1.0, 0.5], "x": [0.0, 0.0]})
         for rid, mult in (("eta_mult=2", 2), ("eta_mult=10.0", 10.0))
     }
     table = _plot_table(blocks)
-    assert table["run_id"].tolist() == ["eta_mult=10.0"] * 2 + ["eta_mult=2"] * 2
+    assert [block["run_id"] for block in table] == ["eta_mult=10.0", "eta_mult=2"]
     path = _dump_table(table, str(tmp_path / "t"), "csv")
     assert _read(path).decode().splitlines() == [
         "eta_mult,grad_norm,k,run_id,seed,x",

@@ -90,7 +90,7 @@ def reference_gd_run(
 
     for k in range(1, steps + 2):
         eta = eta_schedule(eta1, schedule, k)
-        g = obj._mean_grad(w)
+        g = obj.full_grad(w)
         gn = math.hypot(*g)
         snaps["k"].append(k)
         snaps["eta"].append(eta)

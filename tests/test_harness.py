@@ -125,13 +125,15 @@ def test_run_fig3_structure_and_ordering_of_rows():
     for r in runs:
         assert r["status"] == "Completed"
         assert isinstance(r["tail_mean_grad_norm"], float)
-    # the plot table is each run's epoch columns, runs in sorted run id order
+    # the plot table is each run's epoch columns and constants, runs in
+    # sorted run id order
     table = result.plot_tables["grad_norms"]
     order = sorted(result.trajectories)
-    epochs = [result.trajectories[rid].epochs for rid in order]
-    assert table["run_id"].tolist() == [rid for rid, e in zip(order, epochs) for _ in range(len(e))]
-    assert table["k"].tolist() == np.concatenate([e.k for e in epochs]).tolist()
-    assert table["grad_norm"].tolist() == np.concatenate([e.grad_norm for e in epochs]).tolist()
+    assert [block["run_id"] for block in table] == order
+    for block, r in zip(table, runs):
+        e = result.trajectories[r["run_id"]].epochs
+        assert (block["beta2"], block["seed"]) == (r["beta2"], r["seed"])
+        assert block["k"] is e.k and block["grad_norm"] is e.grad_norm
     con = result.report["conclusions"]
     assert set(con) >= {"floor_ok_per_seed", "ordering_ok_per_seed", "all_ok"}
 
@@ -224,7 +226,7 @@ def test_lemma_suite_skips_momentum_dominated_combos():
         {
             "T": 5,
             "options": {
-                "beta1_grid": [0.9],
+                "beta1_grid": [0.0, 0.9],
                 "beta2_grid": [0.5],  # beta1^2 = 0.81 >= 0.5 is skipped
                 "eta1_grid": [0.01],
                 "schedules": ["Diminishing"],
@@ -232,7 +234,11 @@ def test_lemma_suite_skips_momentum_dominated_combos():
         },
     )
     result = run_experiment(cfg)
-    assert result.report["conclusions"]["runs"] == 0
+    assert result.report["conclusions"]["runs"] == 1
+    assert [r["beta1"] for r in result.report["runs"]] == [0.0]
+    # a grid whose every pair is skipped would audit nothing: a config error
+    with pytest.raises(ValueError, match="beta1_grid"):
+        merge_config(cfg, {"options": {"beta1_grid": [0.9]}}).validate()
 
 
 # ----------------------------------------------------------------- emission
@@ -365,6 +371,21 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
         ("custom", {"objective": quad, "options": {"record_steps": 1}}),
         ("custom", {"objective": quad, "options": {"algo": "sgd"}}),
         ("custom", {"objective": lowerbound}),
+        # experiments that would run nothing on an axis and pass
+        ("compare", {"options": {"gd_eta_multipliers": []}}),
+        ("thm2-slow", {"options": {"eta_multipliers": [], "complete_multipliers": []}}),
+        ("thm2-diverge", {"options": {"eta_multipliers": []}}),
+        *(("lemmas", {"options": o}) for o in (
+            {"beta1_grid": []}, {"beta2_grid": []}, {"eta1_grid": []}, {"schedules": []},
+            {"beta1_grid": [0.999], "beta2_grid": [0.99]},
+        )),
+        # clipped GD without a threshold would run plain GD
+        ("custom", {"objective": quad, "options": {"algo": "clipped_gd"}}),
+        ("custom", {"objective": quad, "options": {"algo": "clipped_gd", "gd": {"eta1": 0.1}}}),
+        # start points the objective cannot take
+        ("lemmas", {"options": {"x0": [1.0, 2.0]}}),
+        ("lemmas", {"options": {"x0": [math.nan]}}),
+        ("lemmas", {"options": {"x0": [10**400]}}),
     ):
         mistyped.write_text(json.dumps(overrides))
         rc = cli_main([command, "--config", str(mistyped), "--out", str(tmp_path / "o")])

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from adamlab.landscapes import (
     VALUE_BLOCK_ROWS,
+    check_point,
     custom_objective,
     expquad_grad,
     expquad_value,
@@ -18,6 +19,8 @@ from adamlab.landscapes import (
     to_spec,
     zhang_counterexample,
 )
+from adamlab.optimizers import AdamParams, adam_run, gd_run
+from adamlab.probes import affine_noise_fit, local_smoothness
 
 
 def central_diff(f, x, h=1e-6):
@@ -348,16 +351,23 @@ def test_analytic_smoothness_local_bound():
 # ------------------------------------------------------------- validation
 
 
-def test_dimension_and_finiteness_checks():
+def test_each_boundary_refuses_a_wrong_dimension_or_non_finite_point():
+    # the objective's methods check nothing: a point is checked once, by
+    # check_point, where it enters a run or a probe
     obj = zhang_counterexample(1.0)
-    with pytest.raises(ValueError):
-        obj.value([1.0, 2.0])
-    with pytest.raises(ValueError):
-        obj.value([float("nan")])
-    with pytest.raises(IndexError):
-        obj.component_value(10, [0.0])
-    with pytest.raises(IndexError):
-        obj.component_grad(-1, [0.0])
+    good = [0.5]
+    assert check_point(obj, [1]) == [1.0]
+    for bad in ([1.0, 2.0], [], [math.nan], [math.inf], [-math.inf], [10**400]):
+        for enter in (
+            lambda: check_point(obj, bad),
+            lambda: adam_run(obj, bad, AdamParams(epochs=0)),
+            lambda: gd_run(obj, bad, eta1=0.1, steps=0),
+            lambda: local_smoothness(obj, bad, good),
+            lambda: local_smoothness(obj, good, bad),
+            lambda: affine_noise_fit(obj, [good, bad]),
+        ):
+            with pytest.raises(ValueError):
+                enter()
 
 
 def test_spec_round_trip():

@@ -82,10 +82,11 @@ def _int_bulk(rng, rows):
     return np.where(rng.random(rows) < 0.5, wide, wide % 2001 - 1000)
 
 
-# An object column holds one kind of cell, strings or numbers: a number
-# column mixes ints and floats as a config gives them (2 beside 2.0). A
-# column mixing strings and numbers has no CSV form in either writer.
-OBJECT_CELLS = st.one_of(
+# A shared column holds one value per run, of one kind of cell, strings or
+# numbers: a number column mixes ints and floats as a config gives them (2
+# beside 2.0). A column mixing strings and numbers has no CSV form in either
+# writer.
+SHARED_CELLS = st.one_of(
     st.lists(st.text("abcxyz=._-0123456789", max_size=8), min_size=1, max_size=6),
     st.lists(st.one_of(st.sampled_from([2, 2.0, 10.0, -0.0, 2**70]), FLOATS, INTS), min_size=1, max_size=6),
 )
@@ -93,33 +94,48 @@ OBJECT_CELLS = st.one_of(
 
 @st.composite
 def columns(draw):
+    """(header, the table's full columns, the same table as runs): a run is
+    a list of its rows of each NumPy column and, for a shared column, its
+    one value, which the full column repeats in an object column."""
     rows = draw(st.sampled_from(ROW_COUNTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cols = []
-    for kind in draw(st.lists(st.sampled_from(["float", "int", "object", "strided"]), min_size=1, max_size=5)):
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "shared", "strided"]), min_size=1, max_size=5))
+    if all(kind == "shared" for kind in kinds):
+        kinds.append("int")  # a run's row count is its NumPy columns' length
+    cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
+    bounds = list(zip([0, *cuts], [*cuts, rows]))
+    cols, per_run = [], []
+    for kind in kinds:
         if kind == "float":
-            cols.append(_fill(draw, rng, rows, draw(st.lists(FLOATS, max_size=8)), _float_bulk))
+            col = _fill(draw, rng, rows, draw(st.lists(FLOATS, max_size=8)), _float_bulk)
         elif kind == "int":
-            cols.append(_fill(draw, rng, rows, draw(st.lists(INTS, max_size=8)), _int_bulk))
-        elif kind == "object":
-            pool = draw(OBJECT_CELLS)
+            col = _fill(draw, rng, rows, draw(st.lists(INTS, max_size=8)), _int_bulk)
+        elif kind == "shared":
+            pool = draw(SHARED_CELLS)
+            values = [pool[j] for j in rng.integers(0, len(pool), len(bounds))]
             col = np.empty(rows, dtype=object)
-            col[:] = [pool[j] for j in rng.integers(0, len(pool), rows)]
+            for (a, b), value in zip(bounds, values):
+                col[a:b] = [value] * (b - a)
+            per_run.append(values)
             cols.append(col)
+            continue
         else:
             # a column of a rows x 2 matrix, as trajectory.csv writes w0, w1
             matrix = _float_bulk(rng, 2 * rows).reshape(rows, 2)
-            cols.append(matrix[:, draw(st.integers(0, 1))])
-    return [f"c{j}" for j in range(len(cols))], cols
+            col = matrix[:, draw(st.integers(0, 1))]
+        per_run.append([col[a:b] for a, b in bounds])
+        cols.append(col)
+    runs = [[run_cols[r] for run_cols in per_run] for r in range(len(bounds))]
+    return [f"c{j}" for j in range(len(cols))], cols, runs
 
 
 @settings(max_examples=150, deadline=None)
 @given(columns())
 def test_write_csv_writes_the_bytes_of_the_repr_writer(tmp_path_factory, table):
-    header, cols = table
+    header, cols, runs = table
     out = tmp_path_factory.mktemp("csv")
     reference_write_csv(str(out / "old.csv"), header, cols)
-    write_csv(str(out / "new.csv"), header, cols)
+    write_csv(str(out / "new.csv"), header, runs)
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
@@ -129,7 +145,7 @@ def test_write_csv_writes_each_special_float_among_window_cells(tmp_path):
     cols = [np.array([0.5, x, -2.0]) for x in SPECIAL_FLOATS]
     header = [f"c{j}" for j in range(len(cols))]
     reference_write_csv(str(tmp_path / "old.csv"), header, cols)
-    write_csv(str(tmp_path / "new.csv"), header, cols)
+    write_csv(str(tmp_path / "new.csv"), header, [cols])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
