@@ -14,6 +14,13 @@ Five canned experiments plus a pass-through custom mode:
 * ``LemmaSuite`` -- per-step audits of the update-magnitude and momentum-gap
   bounds across a hyperparameter grid.
 
+Each experiment is one ``REGISTRY`` record. Its runner returns its runs,
+each a ``Run`` (id, trajectory, report row, plot values), and a dict of the
+experiment's own report keys (``conclusions``, and ``construction`` or
+``problem_constants``). ``run_experiment`` alone joins them: it sorts the
+runs by id and builds the report's rows, the trajectories and the plot table
+the record names, so a run's row, trajectory and block share one id.
+
 Emission is byte-deterministic: runs are sorted by run id, JSON is written
 with sorted keys, and no timestamps appear anywhere.
 """
@@ -41,6 +48,10 @@ from .landscapes import (
     zhang_counterexample,
 )
 from .optimizers import (
+    INIT_PAPER_THEORY,
+    INIT_ZERO_STATE,
+    SCHEDULE_CONSTANT,
+    SCHEDULE_DIMINISHING,
     AdamParams,
     STATUS_COMPLETED,
     STATUS_DIVERGED,
@@ -58,6 +69,9 @@ from .schema import fields_of, parse
 from .theory import ProblemConstants, compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
+
+Schedule = Literal[SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT]
+InitMode = Literal[INIT_PAPER_THEORY, INIT_ZERO_STATE]
 
 
 @dataclass
@@ -82,6 +96,9 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be >= 0")
+        if len(self.seeds) > 1 and not exp.sweeps_seeds:
+            raise ValueError(f"seeds: {exp.name} runs one seed, got {self.seeds}")
+        _distinct(self.seeds, "seeds")
         if self.objective is not None:
             if not exp.takes_objective:
                 raise ValueError(f"{exp.name} takes no objective")
@@ -110,11 +127,21 @@ def _list(*values):
     return field(default_factory=lambda: list(values))
 
 
-def _require(opt, *names: str) -> None:
-    """Refuse empty lists, on which an experiment would run nothing and pass."""
+def _distinct(values: list, path: str) -> None:
+    """Refuse a value equal to an earlier one (2 and 2.0 are one value): a run
+    axis would run it again, under one run id or two."""
+    repeats = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeats:
+        raise ValueError(f"{path}: {repeats[0]!r} repeated")
+
+
+def _axes(opt, *names: str) -> None:
+    """Refuse run axes that are empty, on which an experiment would run
+    nothing and pass, or that repeat a value."""
     for name in names:
         if not getattr(opt, name):
             raise ValueError(f"options.{name}: must not be empty")
+        _distinct(getattr(opt, name), f"options.{name}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +158,8 @@ class AdamOptions:
     beta2: float = AdamParams.beta2
     eta1: float = AdamParams.eta1
     xi: float = AdamParams.xi
-    schedule: str = AdamParams.schedule
-    init_mode: str = AdamParams.init_mode
+    schedule: Schedule = AdamParams.schedule
+    init_mode: InitMode = AdamParams.init_mode
 
 
 @dataclass(frozen=True)
@@ -144,7 +171,7 @@ class ComparisonAdamOptions(AdamOptions):
 @dataclass(frozen=True)
 class GdOptions:
     eta1: float = 0.1
-    schedule: str = "Diminishing"
+    schedule: Schedule = "Diminishing"
     clip_threshold: Optional[float] = None
 
 
@@ -154,14 +181,14 @@ class Fig3Options:
     beta2_grid: list[float] = _list(0.9, 0.99, 0.999)
     eta1: float = 0.1
     xi: float = 1e-8
-    schedule: str = "Diminishing"
-    init_mode: str = "PaperTheory"
+    schedule: Schedule = "Diminishing"
+    init_mode: InitMode = "PaperTheory"
     x0: list[float] = _list(-2.0)
     tail_frac: float = 0.1
     grad_floor: float = 1e-4
 
     def __post_init__(self):
-        _require(self, "beta2_grid")
+        _axes(self, "beta2_grid")
 
 
 @dataclass(frozen=True)
@@ -174,7 +201,7 @@ class Thm2DivergenceOptions:
     min_checks_total: int = 10
 
     def __post_init__(self):
-        _require(self, "eta_multipliers")
+        _axes(self, "eta_multipliers")
 
 
 @dataclass(frozen=True)
@@ -185,7 +212,7 @@ class Thm2SlowOptions:
     complete_multipliers: list[float] = _list(0.1, 0.5)
 
     def __post_init__(self):
-        _require(self, "eta_multipliers")
+        _axes(self, "eta_multipliers")
         stray = [m for m in self.complete_multipliers if m not in self.eta_multipliers]
         if stray:
             raise ValueError(f"options.complete_multipliers: {stray} not in eta_multipliers")
@@ -199,7 +226,7 @@ class ComparisonOptions:
     adam: ComparisonAdamOptions = ComparisonAdamOptions()
 
     def __post_init__(self):
-        _require(self, "gd_eta_multipliers")
+        _axes(self, "gd_eta_multipliers")
 
 
 @dataclass(frozen=True)
@@ -207,13 +234,13 @@ class LemmaSuiteOptions:
     beta1_grid: list[float] = _list(0.0, 0.5, 0.9)
     beta2_grid: list[float] = _list(0.99, 0.999)
     eta1_grid: list[float] = _list(0.01, 0.1)
-    schedules: list[str] = _list("Diminishing", "Constant")
+    schedules: list[Schedule] = _list("Diminishing", "Constant")
     xi: float = 1e-8
-    init_mode: str = "PaperTheory"
+    init_mode: InitMode = "PaperTheory"
     x0: list[float] = _list(-2.0)
 
     def __post_init__(self):
-        _require(self, "beta1_grid", "beta2_grid", "eta1_grid", "schedules")
+        _axes(self, "beta1_grid", "beta2_grid", "eta1_grid", "schedules")
         if all(b1 * b1 >= b2 for b1 in self.beta1_grid for b2 in self.beta2_grid):
             raise ValueError("options.beta1_grid: beta1**2 >= beta2 on every pair, so no run is audited")
 
@@ -242,6 +269,17 @@ PlotBlock = dict[str, Any]
 PlotTable = list[PlotBlock]
 
 
+class Run:
+    """One run as a runner hands it over: its id, its trajectory, its report
+    row without ``run_id`` and ``status``, and its plot block's values beside
+    ``k``, ``grad_norm`` and ``run_id`` (``None``: the run is not plotted).
+    A per-run constant is given once, as the Python value the config gave
+    (a multiplier given as 2 stays 2)."""
+
+    def __init__(self, rid: str, traj: Trajectory, row: dict, plot: Optional[PlotBlock] = None):
+        self.rid, self.traj, self.row, self.plot = rid, traj, row, plot
+
+
 @dataclass
 class ExperimentResult:
     report: dict
@@ -253,54 +291,17 @@ class ExperimentResult:
         return bool(self.report["conclusions"].get("all_ok", False))
 
 
-def _environment() -> dict:
-    return {
-        "package": "adamlab",
-        "version": __version__,
-        "rng": ALGORITHM_ID,
-        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
-    }
-
-
-def _base_report(config: ExperimentConfig) -> dict:
-    echo = config.to_dict()
-    echo["out_dir"] = None  # reports are location-independent
-    return {
-        "experiment": config.experiment,
-        "config": echo,
-        "environment": _environment(),
-        "runs": [],
-        "conclusions": {},
-    }
-
-
 def _pick(record, *names: str) -> dict:
     return {name: getattr(record, name) for name in names}
-
-
-def _run_columns(traj: Trajectory, **constants) -> PlotBlock:
-    """A run's plot-table block: k and grad_norm from its epoch table, and
-    each per-run constant once, as the Python value it was given (a
-    multiplier given as 2 stays 2)."""
-    e = traj.epochs
-    return {"k": e.k, "grad_norm": e.grad_norm, **constants}
-
-
-def _plot_table(blocks: dict[str, PlotBlock]) -> PlotTable:
-    """The runs' blocks in sorted run id order; within a run the rows are in
-    k order already."""
-    return [blocks[rid] for rid in sorted(blocks)]
 
 
 # ---------------------------------------------------------------------------
 # Fig3
 
 
-def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> ExperimentResult:
+def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> tuple[list[Run], dict]:
     obj = from_spec(config.objective)
-    report = _base_report(config)
-    trajectories: dict[str, Trajectory] = {}
-    blocks: dict[str, PlotBlock] = {}
+    runs: list[Run] = []
     tails: dict[tuple[float, int], float] = {}
 
     grid = sorted(opt.beta2_grid)
@@ -313,21 +314,15 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> ExperimentResult:
         for seed in seeds:
             params = replace(base, beta2=b2, seed=seed)
             traj = adam_run(obj, opt.x0, params)
-            rid = f"b2={b2!r}-seed={seed}"
-            trajectories[rid] = traj
             tail = tail_mean_grad_norm(traj, opt.tail_frac)
             tails[(b2, seed)] = tail
-            report["runs"].append(
-                {
-                    "run_id": rid,
-                    "beta2": b2,
-                    "seed": seed,
-                    "status": traj.status,
-                    "tail_mean_grad_norm": tail,
-                    "summary": trajectory_summary(traj),
-                }
-            )
-            blocks[rid] = _run_columns(traj, run_id=rid, beta2=b2, seed=seed)
+            row = {
+                "beta2": b2,
+                "seed": seed,
+                "tail_mean_grad_norm": tail,
+                "summary": trajectory_summary(traj),
+            }
+            runs.append(Run(f"b2={b2!r}-seed={seed}", traj, row, {"beta2": b2, "seed": seed}))
 
     floor = opt.grad_floor
     b2_low = grid[0]
@@ -336,8 +331,8 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> ExperimentResult:
         s: all(tails[(a, s)] > tails[(b, s)] for a, b in zip(grid, grid[1:]))
         for s in seeds
     }
-    completed = all(t.status == STATUS_COMPLETED for t in trajectories.values())
-    report["conclusions"] = {
+    completed = all(run.traj.status == STATUS_COMPLETED for run in runs)
+    conclusions = {
         "floor_value": floor,
         "lowest_beta2": b2_low,
         "floor_ok_per_seed": {str(s): floor_ok[s] for s in seeds},
@@ -345,7 +340,7 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> ExperimentResult:
         "all_completed": completed,
         "all_ok": completed and all(floor_ok.values()) and all(order_ok.values()),
     }
-    return ExperimentResult(report, trajectories, {"grad_norms": _plot_table(blocks)})
+    return runs, {"conclusions": conclusions}
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +364,15 @@ def _growth_ratios(traj: Trajectory) -> list[float]:
 
 def run_thm2(
     config: ExperimentConfig, opt: Thm2DivergenceOptions | Thm2SlowOptions
-) -> ExperimentResult:
+) -> tuple[list[Run], dict]:
     c = opt.construction
     obj, w0, con = make_lowerbound(c.L0, c.L1, config.T, c.M, c.f_bar)
     diverge_mode = config.experiment == "Thm2Divergence"
 
-    report = _base_report(config)
-    report["construction"] = _pick(
+    construction = _pick(
         con, "epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_gap", "detail"
     )
-    trajectories: dict[str, Trajectory] = {}
-    blocks: dict[str, PlotBlock] = {}
+    runs: list[Run] = []
 
     total_checks = 0
     all_growth_ok = True
@@ -391,17 +384,12 @@ def run_thm2(
         eta1 = mult * con.eta_star
         traj = gd_run(obj, w0, eta1, steps=opt.steps, schedule="Diminishing", record_steps=True)
         rid = f"eta_mult={mult!r}"
-        trajectories[rid] = traj
         entry = {
-            "run_id": rid,
             "eta_mult": mult,
             "eta1": eta1,
-            "status": traj.status,
             "summary": trajectory_summary(traj),
         }
         e = traj.epochs
-        blocks[rid] = _run_columns(traj, run_id=rid, eta_mult=mult)
-        blocks[rid].update(x=e.w0[:, 0], y=e.w0[:, 1])
         if diverge_mode:
             ratios = _growth_ratios(traj)
             ok = all(r >= HALF_LOG2 - opt.growth_tol for r in ratios)
@@ -423,11 +411,11 @@ def run_thm2(
                 done = traj.status == STATUS_COMPLETED
                 entry["completed_as_expected"] = done
                 complete_ok = complete_ok and done
-        report["runs"].append(entry)
+        runs.append(Run(rid, traj, entry, {"eta_mult": mult, "x": e.w0[:, 0], "y": e.w0[:, 1]}))
 
     if diverge_mode:
         per_run_ok = all(v >= opt.min_checks_per_run for v in per_run_counts.values())
-        report["conclusions"] = {
+        conclusions = {
             "total_growth_checks": total_checks,
             "min_checks_total": opt.min_checks_total,
             "per_run_counts": per_run_counts,
@@ -436,81 +424,67 @@ def run_thm2(
         }
     else:
         horizon_in_window = 100 <= con.slow_horizon < config.T
-        report["conclusions"] = {
+        conclusions = {
             "slow_horizon": con.slow_horizon,
             "horizon_in_window": horizon_in_window,
             "floor_ok_all": floor_ok_all,
             "completions_ok": complete_ok,
             "all_ok": floor_ok_all and complete_ok and horizon_in_window,
         }
-    return ExperimentResult(report, trajectories, {"iterates": _plot_table(blocks)})
+    return runs, {"construction": construction, "conclusions": conclusions}
 
 
 # ---------------------------------------------------------------------------
 # Adam vs GD
 
 
-def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> ExperimentResult:
+def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[list[Run], dict]:
     c = opt.construction
     obj, w0, con = make_lowerbound(c.L0, c.L1, config.T, c.M, c.f_bar)
 
-    report = _base_report(config)
-    report["construction"] = _pick(con, "epsilon", "eta_star", "slow_horizon", "x0", "y0")
-    trajectories: dict[str, Trajectory] = {}
-    blocks: dict[str, PlotBlock] = {}
+    construction = _pick(con, "epsilon", "eta_star", "slow_horizon", "x0", "y0")
+    runs: list[Run] = []
 
     gd_all_stuck = True
     for mult in sorted(opt.gd_eta_multipliers):
         eta1 = mult * con.eta_star
         traj = gd_run(obj, w0, eta1, steps=opt.gd_steps, schedule="Diminishing", record_steps=False)
-        rid = f"gd-eta_mult={mult!r}"
-        trajectories[rid] = traj
         diverged = traj.status == STATUS_DIVERGED
         e = traj.epochs
         before = e.grad_norm[e.k < con.slow_horizon].tolist()
         stuck = bool(before) and min(before) >= con.epsilon
         verdict = "diverged" if diverged else ("stuck" if stuck else "progressed")
         gd_all_stuck = gd_all_stuck and verdict in ("diverged", "stuck")
-        report["runs"].append(
-            {
-                "run_id": rid,
-                "algo": "gd",
-                "eta_mult": mult,
-                "eta1": eta1,
-                "status": traj.status,
-                "verdict": verdict,
-                "min_grad_before_horizon": min(before) if before else None,
-                "summary": trajectory_summary(traj),
-            }
-        )
-        blocks[rid] = _run_columns(traj, run_id=rid)
+        row = {
+            "algo": "gd",
+            "eta_mult": mult,
+            "eta1": eta1,
+            "verdict": verdict,
+            "min_grad_before_horizon": min(before) if before else None,
+            "summary": trajectory_summary(traj),
+        }
+        runs.append(Run(f"gd-eta_mult={mult!r}", traj, row, {}))
 
     a = opt.adam
     gamma = gamma_threshold(D1=obj.known_D0_D1[1], n=obj.n, d=obj.d, beta1=a.beta1)
-    params = AdamParams(**vars(a), seed=sorted(config.seeds)[0], record_steps=False)
+    params = AdamParams(**vars(a), seed=config.seeds[0], record_steps=False)
     traj = adam_run(obj, w0, params)
-    rid = "adam"
-    trajectories[rid] = traj
     e = traj.epochs
     crossing = next(
         (k for k, gn in zip(e.k.tolist(), e.grad_norm.tolist()) if gn < con.epsilon), None
     )
     adam_ok = traj.status == STATUS_COMPLETED and crossing is not None
-    report["runs"].append(
-        {
-            "run_id": rid,
-            "algo": "adam",
-            "status": traj.status,
-            "beta2_admissible": a.beta2 > gamma,
-            "gamma": gamma,
-            "first_epsilon_crossing": crossing,
-            "budget_epochs": a.epochs,
-            "summary": trajectory_summary(traj),
-        }
-    )
-    blocks[rid] = _run_columns(traj, run_id=rid)
+    row = {
+        "algo": "adam",
+        "beta2_admissible": a.beta2 > gamma,
+        "gamma": gamma,
+        "first_epsilon_crossing": crossing,
+        "budget_epochs": a.epochs,
+        "summary": trajectory_summary(traj),
+    }
+    runs.append(Run("adam", traj, row, {}))
 
-    report["conclusions"] = {
+    conclusions = {
         "epsilon": con.epsilon,
         "gd_all_stuck_or_diverged": gd_all_stuck,
         "adam_reached_epsilon": adam_ok,
@@ -518,18 +492,17 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> Experime
         "beta2_admissible": a.beta2 > gamma,
         "all_ok": gd_all_stuck and adam_ok and a.beta2 > gamma,
     }
-    return ExperimentResult(report, trajectories, {"grad_norms": _plot_table(blocks)})
+    return runs, {"construction": construction, "conclusions": conclusions}
 
 
 # ---------------------------------------------------------------------------
 # lemma suite
 
 
-def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> ExperimentResult:
+def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[list[Run], dict]:
     obj = from_spec(config.objective)
     w0 = check_point(obj, opt.x0)
-    report = _base_report(config)
-    trajectories: dict[str, Trajectory] = {}
+    runs: list[Run] = []
 
     # envelope fit once: problem-level constants for the constant pipeline,
     # over 101 evenly spaced points of the diagonal from -3 to 3
@@ -538,7 +511,7 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> Experim
     L0c, L1c = obj.known_L0_L1 if obj.known_L0_L1 else (0.0, 0.0)
     f_gap = obj.value(w0) - (obj.known_min if obj.known_min is not None else 0.0)
     pc = ProblemConstants(L0=L0c, L1=L1c, D0=fit.D0_hat, D1=fit.D1_hat, n=obj.n, d=obj.d, f_gap=f_gap)
-    report["problem_constants"] = _pick(pc, "L0", "L1", "D0", "D1", "f_gap")
+    problem_constants = _pick(pc, "L0", "L1", "D0", "D1", "f_gap")
 
     combos = sorted(itertools.product(opt.beta1_grid, opt.beta2_grid, opt.eta1_grid, opt.schedules))
     total_violations = 0
@@ -548,63 +521,56 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> Experim
             continue
         params = AdamParams(
             beta1=beta1, beta2=beta2, eta1=eta1, xi=opt.xi, schedule=schedule, epochs=config.T,
-            init_mode=opt.init_mode, seed=sorted(config.seeds)[0], record_steps=True,
+            init_mode=opt.init_mode, seed=config.seeds[0], record_steps=True,
         )
         traj = adam_run(obj, w0, params)
         tc = compute_constants(beta1, beta2, obj.n, obj.d, eta1, pc)
         rep_b = check_bounded_update(traj, tc)
         rep_u = check_u_gap(traj, tc)
-        rid = f"b1={beta1!r}-b2={beta2!r}-eta={eta1!r}-{schedule}"
-        trajectories[rid] = traj
         total_violations += rep_b.violation_count + rep_u.violation_count
         max_ratio = max(max_ratio, rep_b.max_ratio, rep_u.max_ratio)
-        report["runs"].append(
-            {
-                "run_id": rid,
-                "beta1": beta1,
-                "beta2": beta2,
-                "eta1": eta1,
-                "schedule": schedule,
-                "status": traj.status,
-                "C1": tc.C1,
-                "C2": tc.C2,
-                "bounded_update": {
-                    "checked": rep_b.checked,
-                    "violations": rep_b.violation_count,
-                    "max_ratio": rep_b.max_ratio,
-                },
-                "u_gap": {
-                    "checked": rep_u.checked,
-                    "violations": rep_u.violation_count,
-                    "max_ratio": rep_u.max_ratio,
-                },
-            }
-        )
+        row = {
+            "beta1": beta1,
+            "beta2": beta2,
+            "eta1": eta1,
+            "schedule": schedule,
+            "C1": tc.C1,
+            "C2": tc.C2,
+            "bounded_update": {
+                "checked": rep_b.checked,
+                "violations": rep_b.violation_count,
+                "max_ratio": rep_b.max_ratio,
+            },
+            "u_gap": {
+                "checked": rep_u.checked,
+                "violations": rep_u.violation_count,
+                "max_ratio": rep_u.max_ratio,
+            },
+        }
+        runs.append(Run(f"b1={beta1!r}-b2={beta2!r}-eta={eta1!r}-{schedule}", traj, row))
 
-    completed = all(t.status == STATUS_COMPLETED for t in trajectories.values())
-    report["conclusions"] = {
+    completed = all(run.traj.status == STATUS_COMPLETED for run in runs)
+    conclusions = {
         "total_violations": total_violations,
         "max_ratio": max_ratio,
-        "runs": len(trajectories),
+        "runs": len(runs),
         "all_completed": completed,
         "all_ok": completed and total_violations == 0,
     }
-    return ExperimentResult(report, trajectories, {})
+    return runs, {"problem_constants": problem_constants, "conclusions": conclusions}
 
 
 # ---------------------------------------------------------------------------
 # custom
 
 
-def run_custom(config: ExperimentConfig, opt: CustomOptions) -> ExperimentResult:
+def run_custom(config: ExperimentConfig, opt: CustomOptions) -> tuple[list[Run], dict]:
     if config.objective is None:
         raise ValueError("custom experiment needs an objective spec")
     obj = from_spec(config.objective)
     w0 = [0.0] * obj.d if opt.x0 is None else opt.x0
-    report = _base_report(config)
-    trajectories: dict[str, Trajectory] = {}
+    runs: list[Run] = []
 
-    statuses = []
     for seed in sorted(config.seeds):
         if opt.algo == "adam":
             params = AdamParams(
@@ -618,16 +584,12 @@ def run_custom(config: ExperimentConfig, opt: CustomOptions) -> ExperimentResult
                 obj, w0, p.eta1, steps=config.T, schedule=p.schedule, clip_threshold=clip,
                 record_steps=opt.record_steps,
             )
-        rid = f"{opt.algo}-seed={seed}"
-        trajectories[rid] = traj
-        statuses.append(traj.status)
-        report["runs"].append(
-            {"run_id": rid, "seed": seed, "status": traj.status, "summary": trajectory_summary(traj)}
-        )
+        row = {"seed": seed, "summary": trajectory_summary(traj)}
+        runs.append(Run(f"{opt.algo}-seed={seed}", traj, row))
 
+    statuses = [run.traj.status for run in runs]
     ok = not opt.require_completed or all(s == STATUS_COMPLETED for s in statuses)
-    report["conclusions"] = {"statuses": sorted(set(statuses)), "all_ok": ok}
-    return ExperimentResult(report, trajectories, {})
+    return runs, {"conclusions": {"statuses": sorted(set(statuses)), "all_ok": ok}}
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +600,22 @@ def run_custom(config: ExperimentConfig, opt: CustomOptions) -> ExperimentResult
 class Experiment:
     """An experiment's name, CLI subcommand, typed options (whose defaults are
     its default options), runner and top-level defaults. ``objective`` builds
-    the default objective. Custom's default config leaves its options empty."""
+    the default objective. ``table`` names the plot table of the runs the
+    runner plots; ``sweeps_seeds`` is whether it runs each seed of the list,
+    where the others take exactly one. Custom's default config leaves its
+    options empty."""
 
     name: str
     command: str
     Options: type
-    run: Callable[[ExperimentConfig, Any], ExperimentResult]
+    run: Callable[[ExperimentConfig, Any], tuple[list[Run], dict]]
     seeds: tuple[int, ...]
     T: int
     objective: Optional[Callable[[], FiniteSumObjective]] = None
     takes_objective: bool = False
     echo_defaults: bool = True
+    table: Optional[str] = None
+    sweeps_seeds: bool = False
 
 
 REGISTRY = {
@@ -656,18 +623,22 @@ REGISTRY = {
     for e in (
         Experiment(
             "Fig3", "fig3", Fig3Options, run_fig3, (1, 2, 3), 10_000,
-            objective=zhang_counterexample, takes_objective=True,
+            objective=zhang_counterexample, takes_objective=True, table="grad_norms", sweeps_seeds=True,
         ),
-        Experiment("Thm2Divergence", "thm2-diverge", Thm2DivergenceOptions, run_thm2, (0,), 10_000),
-        Experiment("Thm2Slow", "thm2-slow", Thm2SlowOptions, run_thm2, (0,), 10_000),
-        Experiment("AdamVsGd", "compare", ComparisonOptions, run_comparison, (1,), 10_000),
+        Experiment(
+            "Thm2Divergence", "thm2-diverge", Thm2DivergenceOptions, run_thm2, (0,), 10_000, table="iterates"
+        ),
+        Experiment("Thm2Slow", "thm2-slow", Thm2SlowOptions, run_thm2, (0,), 10_000, table="iterates"),
+        Experiment(
+            "AdamVsGd", "compare", ComparisonOptions, run_comparison, (1,), 10_000, table="grad_norms"
+        ),
         Experiment(
             "LemmaSuite", "lemmas", LemmaSuiteOptions, run_lemma_suite, (1,), 1000,
             objective=zhang_counterexample, takes_objective=True,
         ),
         Experiment(
             "Custom", "custom", CustomOptions, run_custom, (1,), 100,
-            takes_objective=True, echo_defaults=False,
+            takes_objective=True, echo_defaults=False, sweeps_seeds=True,
         ),
     )
 }
@@ -691,10 +662,34 @@ def default_config_for(experiment: str) -> ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Validate the config, run the experiment and build its result from the
+    runs, in sorted run id order: the report's rows, the trajectories and the
+    plot table of the plotted runs."""
     options = config.validate()
-    result = REGISTRY[config.experiment].run(config, options)
-    result.report["runs"].sort(key=lambda r: r["run_id"])
-    return result
+    exp = REGISTRY[config.experiment]
+    runs, own = exp.run(config, options)
+    runs.sort(key=lambda run: run.rid)
+    trajectories = {run.rid: run.traj for run in runs}
+    if len(trajectories) != len(runs):
+        raise AssertionError(f"{exp.name}: two runs share a run id")
+    report = {
+        "experiment": exp.name,
+        "config": {**config.to_dict(), "out_dir": None},  # reports are location-independent
+        "environment": {
+            "package": "adamlab",
+            "version": __version__,
+            "rng": ALGORITHM_ID,
+            "python": f"{sys.version_info.major}.{sys.version_info.minor}",
+        },
+        "runs": [{"run_id": run.rid, "status": run.traj.status, **run.row} for run in runs],
+        **own,
+    }
+    blocks = [
+        {"k": run.traj.epochs.k, "grad_norm": run.traj.epochs.grad_norm, "run_id": run.rid, **run.plot}
+        for run in runs
+        if run.plot is not None
+    ]
+    return ExperimentResult(report, trajectories, {exp.table: blocks} if exp.table else {})
 
 
 # ---------------------------------------------------------------------------

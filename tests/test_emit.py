@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.harness import _dump_table, _plot_table
+from adamlab.harness import _dump_table, default_config_for, merge_config, run_experiment
 from adamlab.optimizers import CSV_BLOCK_ROWS
 
 
@@ -103,19 +103,27 @@ def test_column_tables_write_the_bytes_of_row_dicts(tmp_path_factory, built, fmt
         blocks[rid] = _block(constants, values)
     rows.sort(key=lambda r: (r["run_id"], r["k"]))
     old = reference_dump_table(rows, str(out / "old"), fmt)
-    new = _dump_table(_plot_table(blocks), str(out / "new"), fmt)
+    new = _dump_table([blocks[rid] for rid in sorted(blocks)], str(out / "new"), fmt)
     assert _read(new) == _read(old)
 
 
 def test_run_ids_sort_as_strings_not_as_numbers(tmp_path):
+    # a run's id spells its multiplier as given, so 10.0 sorts before 2 in
+    # the report rows, the trajectories and the plot table
+    config = merge_config(default_config_for("Thm2Divergence"), {"options": {"eta_multipliers": [2, 10.0]}})
+    result = run_experiment(config)
+    order = ["eta_mult=10.0", "eta_mult=2"]
+    assert [row["run_id"] for row in result.report["runs"]] == order
+    assert list(result.trajectories) == order
+    assert [block["run_id"] for block in result.plot_tables["iterates"]] == order
+    assert [block["eta_mult"] for block in result.plot_tables["iterates"]] == [10.0, 2]
+    # the writer keeps the table's block order and each run's constants as given
     blocks = {
         rid: _block({"run_id": rid, "eta_mult": mult, "seed": 0},
                     {"k": [1, 2], "grad_norm": [1.0, 0.5], "x": [0.0, 0.0]})
         for rid, mult in (("eta_mult=2", 2), ("eta_mult=10.0", 10.0))
     }
-    table = _plot_table(blocks)
-    assert [block["run_id"] for block in table] == ["eta_mult=10.0", "eta_mult=2"]
-    path = _dump_table(table, str(tmp_path / "t"), "csv")
+    path = _dump_table([blocks[rid] for rid in sorted(blocks)], str(tmp_path / "t"), "csv")
     assert _read(path).decode().splitlines() == [
         "eta_mult,grad_norm,k,run_id,seed,x",
         "10.0,1.0,1,eta_mult=10.0,0,0.0",

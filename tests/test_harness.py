@@ -241,6 +241,40 @@ def test_lemma_suite_skips_momentum_dominated_combos():
         merge_config(cfg, {"options": {"beta1_grid": [0.9]}}).validate()
 
 
+SMALL_CONFIGS = {
+    "Fig3": {"T": 20, "seeds": [2, 1]},
+    "Thm2Divergence": {"options": {"eta_multipliers": [2, 10.0, 1.05]}},
+    "Thm2Slow": {"options": {"steps": 100}},
+    "AdamVsGd": {"options": {"gd_steps": 100, "adam": {"epochs": 20}}},
+    "LemmaSuite": {"T": 5},
+    "Custom": small_custom_config(algo="gd", gd={"eta1": 0.1}).to_dict() | {"seeds": [3, 1]},
+}
+
+
+def test_every_experiment_joins_each_run_to_its_row_trajectory_and_block():
+    assert set(SMALL_CONFIGS) == set(REGISTRY)
+    for name, overrides in SMALL_CONFIGS.items():
+        result = run_experiment(merge_config(default_config_for(name), overrides))
+        ids = [row["run_id"] for row in result.report["runs"]]
+        assert len(ids) > 1 and ids == sorted(ids) == list(result.trajectories), name
+        table = REGISTRY[name].table
+        assert list(result.plot_tables) == ([table] if table else []), name
+        if table:
+            assert [block["run_id"] for block in result.plot_tables[table]] == ids, name
+        for row in result.report["runs"]:
+            assert row["status"] == result.trajectories[row["run_id"]].status, name
+
+
+def test_two_runs_with_one_id_are_a_program_bug(monkeypatch):
+    def twice(config, opt):
+        runs, report = harness.run_custom(config, opt)
+        return runs + runs, report
+
+    monkeypatch.setitem(REGISTRY, "Custom", replace(REGISTRY["Custom"], run=twice))
+    with pytest.raises(AssertionError, match="share a run id"):
+        run_experiment(small_custom_config())
+
+
 # ----------------------------------------------------------------- emission
 
 
@@ -386,6 +420,33 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
         ("lemmas", {"options": {"x0": [1.0, 2.0]}}),
         ("lemmas", {"options": {"x0": [math.nan]}}),
         ("lemmas", {"options": {"x0": [10**400]}}),
+        # a repeated seed or axis value would run again, under one run id or
+        # two (2 and 2.0 are one value)
+        ("fig3", {"T": 50, "seeds": [1, 1]}),
+        ("fig3", {"T": 50, "seeds": [1], "options": {"beta2_grid": [0.9, 0.99, 0.99]}}),
+        ("thm2-diverge", {"options": {"eta_multipliers": [2.0, 2.0, 2.0, 2.0]}}),
+        ("thm2-diverge", {"options": {"eta_multipliers": [2, 2.0]}}),
+        ("thm2-slow", {"options": {"eta_multipliers": [0.1, 0.5, 0.5], "steps": 50}}),
+        ("compare", {"options": {"gd_eta_multipliers": [1, 1.0], "gd_steps": 50, "adam": {"epochs": 5}}}),
+        *(("lemmas", {"T": 5, "options": o}) for o in (
+            {"beta1_grid": [0.0, 0.0]}, {"beta2_grid": [0.99, 0.99]}, {"eta1_grid": [0.1, 0.1]},
+            {"schedules": ["Constant", "Constant"]},
+        )),
+        ("custom", {"objective": quad, "seeds": [1, 1], "T": 5}),
+        # experiments that run one seed, given more than one
+        ("lemmas", {"T": 5, "seeds": [3, 1]}),
+        ("compare", {"seeds": [7, 2], "options": {"gd_steps": 50, "adam": {"epochs": 5}}}),
+        ("thm2-diverge", {"seeds": [0, 1]}),
+        ("thm2-slow", {"seeds": [0, 1], "options": {"steps": 50}}),
+        # a mistyped schedule or init mode
+        *(("fig3", {"T": 5, "seeds": [1], "options": o}) for o in (
+            {"schedule": "constant"}, {"init_mode": "zero"},
+        )),
+        ("compare", {"options": {"gd_steps": 50, "adam": {"schedule": "constant"}}}),
+        ("lemmas", {"T": 5, "options": {"schedules": ["Diminishing", "constant"]}}),
+        ("lemmas", {"T": 5, "options": {"init_mode": "Paper"}}),
+        ("custom", {"objective": quad, "T": 5, "options": {"adam": {"init_mode": "zero"}}}),
+        ("custom", {"objective": quad, "T": 5, "options": {"algo": "gd", "gd": {"schedule": "diminishing"}}}),
     ):
         mistyped.write_text(json.dumps(overrides))
         rc = cli_main([command, "--config", str(mistyped), "--out", str(tmp_path / "o")])
@@ -393,6 +454,19 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
         assert rc == 2, (command, overrides)
         assert err.startswith("config error: ") and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
+
+
+def test_mistyped_schedule_or_init_mode_fails_at_load():
+    # refused when the config is loaded, before any run starts
+    for name, options in (
+        ("Fig3", {"schedule": "constant"}),
+        ("AdamVsGd", {"adam": {"schedule": "constant"}}),
+        ("LemmaSuite", {"schedules": ["constant"]}),
+        ("Custom", {"gd": {"schedule": "Constnat"}}),
+        ("Custom", {"adam": {"init_mode": "zero"}}),
+    ):
+        with pytest.raises(ValueError, match="expected one of"):
+            merge_config(default_config_for(name), {"options": options}).validate()
 
 
 def test_cli_bug_inside_a_run_keeps_its_traceback(monkeypatch, tmp_path):
@@ -432,11 +506,12 @@ def test_benchmark_subcommands_are_registered(tmp_path):
     for command, name in workloads.SUBCOMMAND_EXPERIMENT.items():
         assert REGISTRY[name].command == command
     for workload in workloads.WORKLOADS:
-        for command, overrides in workloads.configs(workload, 0):
-            config_path = tmp_path / "config.json"
-            config_path.write_text(json.dumps(overrides))
-            args = build_parser().parse_args([command, "--config", str(config_path)])
-            assert load_config(command, args).experiment == workloads.SUBCOMMAND_EXPERIMENT[command]
+        for seed in range(1, 33):
+            for command, overrides in workloads.configs(workload, seed):
+                config_path = tmp_path / "config.json"
+                config_path.write_text(json.dumps(overrides))
+                args = build_parser().parse_args([command, "--config", str(config_path)])
+                assert load_config(command, args).experiment == workloads.SUBCOMMAND_EXPERIMENT[command]
 
 
 def test_cli_overflowing_start_point_is_a_config_error(tmp_path, capsys):
