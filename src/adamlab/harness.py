@@ -48,13 +48,11 @@ from .landscapes import (
     zhang_counterexample,
 )
 from .optimizers import (
-    INIT_PAPER_THEORY,
-    INIT_ZERO_STATE,
-    SCHEDULE_CONSTANT,
-    SCHEDULE_DIMINISHING,
     AdamParams,
+    InitMode,
     STATUS_COMPLETED,
     STATUS_DIVERGED,
+    Schedule,
     Trajectory,
     adam_run,
     export_trajectory_csv,
@@ -65,21 +63,18 @@ from .optimizers import (
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
-from .schema import fields_of, parse
+from .schema import Beta1, Beta2, Count, NonNegative, Positive, check, parse
 from .theory import ProblemConstants, compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
-
-Schedule = Literal[SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT]
-InitMode = Literal[INIT_PAPER_THEORY, INIT_ZERO_STATE]
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str
     objective: Optional[dict] = None
-    seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
-    T: int = 10_000
+    seeds: list[Count] = field(default_factory=lambda: [1, 2, 3])
+    T: Count = 10_000
     format: Literal["csv", "json"] = "csv"
     out_dir: Optional[str] = None
     options: dict = field(default_factory=dict)
@@ -87,15 +82,10 @@ class ExperimentConfig:
     def validate(self):
         """Check every field, the objective and the options; return the
         experiment's typed options record. Every failure is a ValueError."""
-        for name, (hint, _) in fields_of(ExperimentConfig).items():
-            parse(hint, getattr(self, name), name)
+        check(ExperimentConfig, **vars(self))
         exp = _experiment(self.experiment)
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError("seeds must be >= 0")
         if len(self.seeds) > 1 and not exp.sweeps_seeds:
             raise ValueError(f"seeds: {exp.name} runs one seed, got {self.seeds}")
         _distinct(self.seeds, "seeds")
@@ -146,41 +136,41 @@ def _axes(opt, *names: str) -> None:
 
 @dataclass(frozen=True)
 class Construction:
-    L0: float = 1.0
-    L1: float = 1.0
-    M: float = 100.0
-    f_bar: float = 199.0
+    L0: Positive = 1.0
+    L1: Positive = 1.0
+    M: Positive = 100.0
+    f_bar: Positive = 199.0
 
 
 @dataclass(frozen=True)
 class AdamOptions:
-    beta1: float = AdamParams.beta1
-    beta2: float = AdamParams.beta2
-    eta1: float = AdamParams.eta1
-    xi: float = AdamParams.xi
+    beta1: Beta1 = AdamParams.beta1
+    beta2: Beta2 = AdamParams.beta2
+    eta1: Positive = AdamParams.eta1
+    xi: NonNegative = AdamParams.xi
     schedule: Schedule = AdamParams.schedule
     init_mode: InitMode = AdamParams.init_mode
 
 
 @dataclass(frozen=True)
 class ComparisonAdamOptions(AdamOptions):
-    eta1: float = 0.5
-    epochs: int = 4000
+    eta1: Positive = 0.5
+    epochs: Count = 4000
 
 
 @dataclass(frozen=True)
 class GdOptions:
-    eta1: float = 0.1
+    eta1: Positive = 0.1
     schedule: Schedule = "Diminishing"
-    clip_threshold: Optional[float] = None
+    clip_threshold: Optional[Positive] = None
 
 
 @dataclass(frozen=True)
 class Fig3Options:
-    beta1: float = 0.9
-    beta2_grid: list[float] = _list(0.9, 0.99, 0.999)
-    eta1: float = 0.1
-    xi: float = 1e-8
+    beta1: Beta1 = 0.9
+    beta2_grid: list[Beta2] = _list(0.9, 0.99, 0.999)
+    eta1: Positive = 0.1
+    xi: NonNegative = 1e-8
     schedule: Schedule = "Diminishing"
     init_mode: InitMode = "PaperTheory"
     x0: list[float] = _list(-2.0)
@@ -194,8 +184,8 @@ class Fig3Options:
 @dataclass(frozen=True)
 class Thm2DivergenceOptions:
     construction: Construction = Construction()
-    eta_multipliers: list[float] = _list(1.0, 1.05, 2.0)
-    steps: int = 50
+    eta_multipliers: list[Positive] = _list(1.0, 1.05, 2.0)
+    steps: Count = 50
     growth_tol: float = 1e-9
     min_checks_per_run: int = 3
     min_checks_total: int = 10
@@ -207,8 +197,8 @@ class Thm2DivergenceOptions:
 @dataclass(frozen=True)
 class Thm2SlowOptions:
     construction: Construction = Construction()
-    eta_multipliers: list[float] = _list(0.1, 0.5, 0.99)
-    steps: int = 10_000
+    eta_multipliers: list[Positive] = _list(0.1, 0.5, 0.99)
+    steps: Count = 10_000
     complete_multipliers: list[float] = _list(0.1, 0.5)
 
     def __post_init__(self):
@@ -221,8 +211,8 @@ class Thm2SlowOptions:
 @dataclass(frozen=True)
 class ComparisonOptions:
     construction: Construction = Construction()
-    gd_eta_multipliers: list[float] = _list(0.25, 0.5, 1.0, 2.0, 4.0)
-    gd_steps: int = 10_000
+    gd_eta_multipliers: list[Positive] = _list(0.25, 0.5, 1.0, 2.0, 4.0)
+    gd_steps: Count = 10_000
     adam: ComparisonAdamOptions = ComparisonAdamOptions()
 
     def __post_init__(self):
@@ -231,11 +221,11 @@ class ComparisonOptions:
 
 @dataclass(frozen=True)
 class LemmaSuiteOptions:
-    beta1_grid: list[float] = _list(0.0, 0.5, 0.9)
-    beta2_grid: list[float] = _list(0.99, 0.999)
-    eta1_grid: list[float] = _list(0.01, 0.1)
+    beta1_grid: list[Beta1] = _list(0.0, 0.5, 0.9)
+    beta2_grid: list[Beta2] = _list(0.99, 0.999)
+    eta1_grid: list[Positive] = _list(0.01, 0.1)
     schedules: list[Schedule] = _list("Diminishing", "Constant")
-    xi: float = 1e-8
+    xi: NonNegative = 1e-8
     init_mode: InitMode = "PaperTheory"
     x0: list[float] = _list(-2.0)
 

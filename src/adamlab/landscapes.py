@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .schema import parse
+from .schema import Positive, Size, check, parse
 
 Vector = list[float]
 
@@ -145,8 +145,8 @@ class FiniteSumObjective:
     def __init__(
         self,
         kind: str,
-        n: int,
-        d: int,
+        n: Size,
+        d: Size,
         parameters: dict,
         value_fn: Callable[[int, Sequence[float]], float],
         grad_fn: Callable[[int, Sequence[float]], Vector],
@@ -157,10 +157,7 @@ class FiniteSumObjective:
         known_D0_D1: Optional[tuple[float, float]] = None,
         known_L0_L1: Optional[tuple[float, float]] = None,
     ) -> None:
-        if n < 1:
-            raise ValueError("need at least one component")
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
+        check(FiniteSumObjective.__init__, n=n, d=d)
         self.kind = kind
         self.n = n
         self.d = d
@@ -299,7 +296,7 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
     )
 
 
-def lowerbound_objective(L0: float, L1: float, epsilon: float) -> FiniteSumObjective:
+def lowerbound_objective(L0: Positive, L1: Positive, epsilon: Positive) -> FiniteSumObjective:
     """Separable 2-d landscape expquad(x; L0, L1) + linquad(y; eps), n = 1.
 
     Minimum L0 / (2 L1^2) at the origin. As an n = 1 finite sum the noise
@@ -307,8 +304,7 @@ def lowerbound_objective(L0: float, L1: float, epsilon: float) -> FiniteSumObjec
     max(L0, epsilon) for the additive constant because the y-branch has
     curvature epsilon where the gradient vanishes.
     """
-    if not (L0 > 0 and L1 > 0 and epsilon > 0):
-        raise ValueError("L0, L1, epsilon must all be positive")
+    check(lowerbound_objective, L0=L0, L1=L1, epsilon=epsilon)
 
     def value_fn(j: int, w: Sequence[float]) -> float:
         return expquad_value(w[0], L0, L1) + linquad_value(w[1], epsilon)
@@ -455,7 +451,7 @@ _LOADABLE = {  # kind -> (constructor, its typed parameters)
     kind: (build, make_dataclass(kind, params))
     for kind, build, params in (
         (KIND_ZHANG, zhang_counterexample, [("scale", float, field(default=1.0))]),
-        (KIND_LOWERBOUND, lowerbound_objective, [("L0", float), ("L1", float), ("epsilon", float)]),
+        (KIND_LOWERBOUND, lowerbound_objective, [("L0", Positive), ("L1", Positive), ("epsilon", Positive)]),
         (KIND_QUADRATIC, quadratic_sum, [("curvatures", list[float]), ("centers", list[list[float]])]),
     )
 }

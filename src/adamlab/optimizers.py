@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 import orjson
 
 from .landscapes import FiniteSumObjective, check_point, to_spec
 from .rng import SplitMix64, stream_for_run
+from .schema import Beta1, Beta2, Count, NonNegative, Positive, check
 
 GUARD_SUP_NORM = 1e100
 
@@ -38,6 +39,8 @@ SCHEDULE_DIMINISHING = "Diminishing"
 SCHEDULE_CONSTANT = "Constant"
 INIT_PAPER_THEORY = "PaperTheory"
 INIT_ZERO_STATE = "ZeroState"
+Schedule = Literal[SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT]
+InitMode = Literal[INIT_PAPER_THEORY, INIT_ZERO_STATE]
 
 STATUS_COMPLETED = "Completed"
 STATUS_DIVERGED = "Diverged"
@@ -50,37 +53,23 @@ class AdamParams:
 
     xi is the denominator offset added to sqrt(nu); zero is allowed. seed and
     run_index determine the permutation stream; distinct run_index values
-    give independent streams under one seed.
+    give independent streams under one seed. Every field is checked against
+    its declared type when the record is built (ValueError otherwise).
     """
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eta1: float = 0.1
-    xi: float = 1e-8
-    schedule: str = SCHEDULE_DIMINISHING
-    epochs: int = 100
-    init_mode: str = INIT_PAPER_THEORY
-    seed: int = 0
-    run_index: int = 0
+    beta1: Beta1 = 0.9
+    beta2: Beta2 = 0.999
+    eta1: Positive = 0.1
+    xi: NonNegative = 1e-8
+    schedule: Schedule = SCHEDULE_DIMINISHING
+    epochs: Count = 100
+    init_mode: InitMode = INIT_PAPER_THEORY
+    seed: Count = 0
+    run_index: Count = 0
     record_steps: bool = True
 
-    def validate(self) -> None:
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError("beta1 must be in [0, 1)")
-        if not 0.0 < self.beta2 < 1.0:
-            raise ValueError("beta2 must be in (0, 1)")
-        if not (math.isfinite(self.eta1) and self.eta1 > 0.0):
-            raise ValueError("eta1 must be positive and finite")
-        if not (self.xi >= 0.0 and math.isfinite(self.xi)):
-            raise ValueError("xi must be finite and >= 0")
-        if self.schedule not in (SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.init_mode not in (INIT_PAPER_THEORY, INIT_ZERO_STATE):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if self.seed < 0 or self.run_index < 0:
-            raise ValueError("seed and run_index must be >= 0")
+    def __post_init__(self) -> None:
+        check(AdamParams, **vars(self))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -100,8 +89,7 @@ class AdamState:
 
 class _Table:
     """Equal-length NumPy columns, one row per record; len() is the row
-    count. Iterate columns hold the d coordinates of each row (shape rows x
-    d). A column is None when the optimizer has no such state."""
+    count. Iterate columns hold the d coordinates of each row (rows x d)."""
 
     def __len__(self) -> int:
         return len(self.k)
@@ -109,25 +97,20 @@ class _Table:
     def __getitem__(self, rows: slice):
         if not isinstance(rows, slice):
             raise TypeError("table rows are selected by slice; read a column for values")
-        return replace(self, **{
-            f.name: col[rows] for f in fields(self) if (col := getattr(self, f.name)) is not None
-        })
+        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 @dataclass(frozen=True, eq=False)
 class EpochTable(_Table):
     """One row per epoch-boundary snapshot k = 1, 2, ...: w0 = w_{k,0},
-    w_prev = the iterate one inner step earlier (equal to w0 at k = 1), the
-    carried moments (None for GD), and the full-gradient norm and objective
-    value at w0, the value evaluated after the run. Row k - 1 holds
-    snapshot k."""
+    w_prev = the iterate one inner step earlier (equal to w0 at k = 1), and
+    the full-gradient norm and objective value at w0, the value evaluated
+    after the run. Row k - 1 holds snapshot k."""
 
     k: np.ndarray
     eta: np.ndarray
     w0: np.ndarray
     w_prev: np.ndarray
-    m_prev: Optional[np.ndarray]
-    nu_prev: Optional[np.ndarray]
     grad_norm: np.ndarray
     f_value: np.ndarray
 
@@ -193,7 +176,6 @@ def adam_init(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) 
     w0, nu_l = max over components of the squared l-th partial at w0.
     ZeroState starts both at zero.
     """
-    params.validate()
     w = check_point(obj, w0)
     if params.init_mode == INIT_PAPER_THEORY:
         m = list(obj.component_grad(0, w))
@@ -271,12 +253,10 @@ def adam_epoch(
 
 
 def _snapshot(state: AdamState, obj: FiniteSumObjective, epochs: dict[str, list]) -> None:
-    """Append the boundary snapshot's w0, w_prev, moments and gradient norm
-    to the epoch column lists; _trajectory derives the rest of the row."""
+    """Append the boundary snapshot's w0, w_prev and gradient norm to the
+    epoch column lists; _trajectory derives the rest of the row."""
     epochs["w0"].extend(state.w)
     epochs["w_prev"].extend(state.w_prev)
-    epochs["m_prev"].extend(state.m)
-    epochs["nu_prev"].extend(state.nu)
     epochs["grad_norm"].append(math.hypot(*obj.full_grad(state.w)))
 
 
@@ -294,8 +274,8 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, s
     """The Trajectory of a finished run, built from the columns only its
     loop knows (plain numbers, iterate rows flat; Adam's are lists, GD's
     are float arrays whose buffers become the NumPy columns uncopied):
-    snapshot w0 and grad_norm and step ratio, and for Adam snapshot w_prev
-    and moments, step w_before and each epoch's order tau. Derived here:
+    snapshot w0 and grad_norm and step ratio, and for Adam snapshot w_prev,
+    step w_before and each epoch's order tau. Derived here:
 
     * epoch k = 1..rows, and eta from eta_schedule;
     * step (k - 1, i) = divmod(row, n), with one step per epoch for GD;
@@ -316,8 +296,6 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, s
         eta=np.array([eta_schedule(params["eta1"], params["schedule"], k) for k in range(1, rows + 1)]),
         w0=w0,
         w_prev=matrix(snaps["w_prev"]) if adam else np.concatenate([w0[:1], w0[:-1]]),
-        m_prev=matrix(snaps["m_prev"]) if adam else None,
-        nu_prev=matrix(snaps["nu_prev"]) if adam else None,
         grad_norm=np.asarray(snaps["grad_norm"], dtype=np.float64),
         f_value=obj.mean_values(w0),
     )
@@ -354,7 +332,7 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
     """Full reshuffled-Adam run with epoch-boundary snapshots for k = 1..K+1
     (the final boundary only when the run completes)."""
     state = adam_init(obj, w0, params)
-    snaps = {"w0": [], "w_prev": [], "m_prev": [], "nu_prev": [], "grad_norm": []}
+    snaps = {"w0": [], "w_prev": [], "grad_norm": []}
     steps = {"tau": [], "w_before": [], "ratio": []}
     record = steps if params.record_steps else None
     status = STATUS_COMPLETED
@@ -380,28 +358,21 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
 def gd_run(
     obj: FiniteSumObjective,
     w0: Sequence[float],
-    eta1: float,
-    steps: int,
-    schedule: str = SCHEDULE_CONSTANT,
-    clip_threshold: Optional[float] = None,
+    eta1: Positive,
+    steps: Count,
+    schedule: Schedule = SCHEDULE_CONSTANT,
+    clip_threshold: Optional[Positive] = None,
     record_steps: bool = True,
 ) -> Trajectory:
     """Full-gradient descent w <- w - eta_k grad f(w), one snapshot per step.
 
     With clip_threshold the gradient is rescaled to that Euclidean norm when
     it exceeds it. Snapshots reuse the epoch structure with one inner step
-    per epoch (i = 0, tau = -1); moment fields are None. The loop records
-    each snapshot's w0 and gradient norm and, with record_steps, each
-    step's ratio |step_l|; _trajectory derives the rest.
+    per epoch (i = 0, tau = -1). The loop records each snapshot's w0 and
+    gradient norm and, with record_steps, each step's ratio |step_l|;
+    _trajectory derives the rest.
     """
-    if not (math.isfinite(eta1) and eta1 > 0):
-        raise ValueError("eta1 must be positive and finite")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if clip_threshold is not None and not (clip_threshold > 0):
-        raise ValueError("clip_threshold must be positive")
-    if schedule not in (SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT):
-        raise ValueError(f"unknown schedule {schedule!r}")
+    check(gd_run, eta1=eta1, steps=steps, schedule=schedule, clip_threshold=clip_threshold)
     w = check_point(obj, w0)
     d = obj.d
     snaps = {"w0": array("d"), "grad_norm": array("d")}
@@ -448,11 +419,10 @@ def gd_run(
 # derived sequences and summaries
 
 
-def aux_sequence(traj: Trajectory, beta1: float) -> np.ndarray:
+def aux_sequence(traj: Trajectory, beta1: Beta1) -> np.ndarray:
     """Momentum-corrected epoch sequence u_k = (w_{k,0} - beta1 w_{k,-1}) /
     (1 - beta1), with w_{1,-1} taken as w_{1,0}. One row per snapshot."""
-    if not 0.0 <= beta1 < 1.0:
-        raise ValueError("beta1 must be in [0, 1)")
+    check(aux_sequence, beta1=beta1)
     e = traj.epochs
     return (e.w0 - beta1 * e.w_prev) * (1.0 / (1.0 - beta1))
 

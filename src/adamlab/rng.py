@@ -19,6 +19,8 @@ Algorithm identifier echoed into configs and reports: ``ALGORITHM_ID``.
 
 from __future__ import annotations
 
+from .schema import Count, check
+
 ALGORITHM_ID = "splitmix64/fisher-yates-v1"
 
 _MASK64 = (1 << 64) - 1
@@ -107,15 +109,14 @@ class SplitMix64:
         return out.tolist()
 
 
-def stream_for_run(seed: int, run_index: int = 0) -> SplitMix64:
+def stream_for_run(seed: Count, run_index: Count = 0) -> SplitMix64:
     """Derive an independent stream from a base seed and a run index.
 
     Both inputs are scrambled separately, then combined, so neighbouring
     seeds or run indices do not give correlated streams. Same (seed,
     run_index) always gives the same stream.
     """
-    if seed < 0 or run_index < 0:
-        raise ValueError("seed and run_index must be non-negative")
+    check(stream_for_run, seed=seed, run_index=run_index)
     root = _mix64(seed & _MASK64)
     sub = _mix64((run_index & _MASK64) ^ _GOLDEN)
     return SplitMix64(root ^ sub)

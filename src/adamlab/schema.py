@@ -2,15 +2,18 @@
 
 An unknown key, a missing field without a default and a mistyped value are
 errors. bool is neither an int nor a float; an int given for a float is kept
-as an int, so a multiplier given as ``2`` is echoed as ``2``. A nested record
+as an int, so a multiplier given as ``2`` is echoed as ``2``. A number is
+finite (``json.load`` accepts ``NaN`` and ``Infinity``). A nested record
 fills its missing fields from its defaults. Every error is a ValueError that
 names the key's path, such as ``options.adam.beta1``.
+Each parameter range is declared once, below, as an ``Annotated`` type.
 """
 
 import dataclasses
 import functools
+import sys
 import typing
-from typing import Literal, Union
+from typing import Annotated, Literal, Union
 
 _SCALARS = {  # hint -> (description, accepted types); only bool accepts a bool
     float: ("a number", (int, float)), int: ("an integer", int), bool: ("true or false", bool),
@@ -18,14 +21,51 @@ _SCALARS = {  # hint -> (description, accepted types); only bool accepts a bool
 }
 
 
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """Numbers from lo (excluded if lo_open) up to hi (excluded); not NaN."""
+
+    lo: float
+    hi: float = float("inf")
+    lo_open: bool = False
+
+    def __contains__(self, v) -> bool:
+        return (self.lo < v if self.lo_open else self.lo <= v) and v < self.hi
+
+    def __str__(self) -> str:
+        return f"{'(['[not self.lo_open]}{self.lo}, {self.hi})"
+
+
+Beta1 = Annotated[float, Range(0.0, 1.0)]
+Beta2 = Annotated[float, Range(0.0, 1.0, lo_open=True)]
+Positive = Annotated[float, Range(0.0, lo_open=True)]
+NonNegative = Annotated[float, Range(0.0)]
+Count = Annotated[int, Range(0)]
+Size = Annotated[int, Range(1)]
+
+
+@functools.cache
+def hints_of(owner) -> dict:
+    """The type hints of a dataclass or a function, ranges included."""
+    return typing.get_type_hints(owner, include_extras=True)
+
+
 @functools.cache
 def fields_of(cls: type) -> dict[str, tuple[object, bool]]:
     """name -> (type hint, required) for each field of a dataclass."""
-    hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
+    hints, missing = hints_of(cls), dataclasses.MISSING
     return {
         f.name: (hints[f.name], f.default is missing and f.default_factory is missing)
         for f in dataclasses.fields(cls)
     }
+
+
+def check(owner, **values) -> None:
+    """Check each value against ``owner``'s type hint of the same name: a
+    field of a dataclass or a parameter of a function."""
+    hints = hints_of(owner)
+    for name, value in values.items():
+        parse(hints[name], value, name)
 
 
 def parse(hint, value, path: str = ""):
@@ -44,7 +84,12 @@ def parse(hint, value, path: str = ""):
     if origin is Union:  # Optional[X]
         [inner] = [a for a in args if a is not type(None)]
         return None if value is None else parse(inner, value, path)
-    if origin is list:
+    if origin is Annotated:
+        base, allowed = args
+        if parse(base, value, path) in allowed:
+            return value
+        expected = f"{_SCALARS[base][0]} in {allowed}"
+    elif origin is list:
         if isinstance(value, list):
             return [parse(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
         expected = "a list"
@@ -55,5 +100,7 @@ def parse(hint, value, path: str = ""):
     elif not dataclasses.is_dataclass(hint):
         expected, types = _SCALARS[hint]
         if isinstance(value, types) and (hint is bool or not isinstance(value, bool)):
-            return value
+            if hint is not float or abs(value) <= sys.float_info.max:  # NaN fails too
+                return value
+            expected = "a finite number"
     raise ValueError(f"{path}: expected {expected}, got {value!r}")

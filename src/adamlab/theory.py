@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .schema import Beta1, Beta2, NonNegative, Positive, Size, check
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -57,13 +59,12 @@ class ProblemConstants:
     L1: float
     D0: float
     D1: float
-    n: int
-    d: int
+    n: Size
+    d: Size
     f_gap: float
 
     def validate(self) -> None:
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be >= 1")
+        check(ProblemConstants, n=self.n, d=self.d)
         for name in ("L0", "L1", "D0", "D1", "f_gap"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
@@ -74,17 +75,20 @@ class ProblemConstants:
 # the second-moment memory factor
 
 
-def g_of_beta2(beta2: float, n: int) -> float:
+def g_of_beta2(beta2: Beta2, n: Size) -> float:
     """Largest of four drift factors measuring how far one epoch's
     second-moment accumulator can move relative to itself.
 
     Returns +inf when (1 - beta2) * 2n / beta2^n >= 1 (memory too short for
     the epoch length); decreases to 0 as beta2 -> 1.
     """
-    if not 0.0 < beta2 < 1.0:
-        raise ValueError("beta2 must be in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check(g_of_beta2, beta2=beta2, n=n)
+    return _g(beta2, n)
+
+
+def _g(beta2: float, n: int) -> float:
+    """g_of_beta2 without its argument check: compute_constants has made
+    it, and gamma_threshold's scan and bisection stay inside (0, 1)."""
     bn = beta2 ** n
     bnm1 = beta2 ** (n - 1)
     t1 = 1.0 / math.sqrt(bnm1) - 1.0
@@ -128,11 +132,11 @@ class TheoryConstants:
 
 
 def compute_constants(
-    beta1: float,
-    beta2: float,
-    n: int,
-    d: int,
-    eta1: float,
+    beta1: Beta1,
+    beta2: Beta2,
+    n: Size,
+    d: Size,
+    eta1: Positive,
     pc: ProblemConstants,
 ) -> TheoryConstants:
     """Materialize the thirteen composite constants.
@@ -141,16 +145,9 @@ def compute_constants(
     g(beta2) is infinite (memory too short), C8..C13 come back +inf; the
     admissibility threshold beta2 > gamma excludes that region anyway.
     """
-    if not 0.0 <= beta1 < 1.0:
-        raise ValueError("beta1 must be in [0, 1)")
-    if not 0.0 < beta2 < 1.0:
-        raise ValueError("beta2 must be in (0, 1)")
+    check(compute_constants, beta1=beta1, beta2=beta2, n=n, d=d, eta1=eta1)
     if beta1 * beta1 >= beta2:
         raise ValueError("need beta1^2 < beta2")
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
-    if not (math.isfinite(eta1) and eta1 > 0.0):
-        raise ValueError("eta1 must be positive and finite")
     pc.validate()
     if pc.n != n:
         raise ValueError("component count mismatch between arguments and pc")
@@ -180,7 +177,7 @@ def compute_constants(
         + (d * C3 + C2 * C4 * n * sD1 / hull) * eta1 * eta1
     )
 
-    gval = g_of_beta2(beta2, n)
+    gval = _g(beta2, n)
     if math.isinf(gval):
         C8 = C9 = C10 = C11 = C12 = C13 = math.inf
     else:
@@ -231,10 +228,10 @@ GAMMA_MONO_TOL = 1e-12
 
 
 def _gamma_lhs(x: float, n: int, d: int) -> float:
-    return math.sqrt(d) * g_of_beta2(x, n) * n / (x ** (n / 2.0))
+    return math.sqrt(d) * _g(x, n) * n / (x ** (n / 2.0))
 
 
-def gamma_threshold(D1: float, n: int, d: int, beta1: float) -> float:
+def gamma_threshold(D1: Positive, n: Size, d: Size, beta1: Beta1) -> float:
     """Smallest admissible beta2: the root of
 
         sqrt(d) * g(x) * n / x^(n/2)  =  1 / (2 (4+sqrt2) sqrtD1 (n-1+(1+b1)/(1-b1)))
@@ -246,19 +243,14 @@ def gamma_threshold(D1: float, n: int, d: int, beta1: float) -> float:
     representable midpoint remains; the endpoint with the smaller residual
     is returned. NoRootError if the target is outside [LHS(hi), LHS(lo)].
     """
-    if D1 <= 0 or not math.isfinite(D1):
-        raise ValueError("D1 must be positive and finite")
-    if not 0.0 <= beta1 < 1.0:
-        raise ValueError("beta1 must be in [0, 1)")
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
+    check(gamma_threshold, D1=D1, n=n, d=d, beta1=beta1)
 
     rhs = 1.0 / (2.0 * (4.0 + SQRT2) * math.sqrt(D1) * (n - 1.0 + (1.0 + beta1) / (1.0 - beta1)))
 
     lo = None
     x = GAMMA_SCAN_STEP
     while x < 1.0:
-        if math.isfinite(g_of_beta2(min(x, 1.0 - 1e-12), n)):
+        if math.isfinite(_g(min(x, 1.0 - 1e-12), n)):
             lo = min(x, 1.0 - 1e-12)
             break
         x += GAMMA_SCAN_STEP
@@ -338,16 +330,13 @@ def eta1_feasible(tc: TheoryConstants, pc: ProblemConstants) -> FeasibilityRepor
 # the convergence bound
 
 
-def theorem1_rhs(T: int, tc: TheoryConstants, pc: ProblemConstants, xi: float) -> tuple[float, float]:
+def theorem1_rhs(T: Size, tc: TheoryConstants, pc: ProblemConstants, xi: NonNegative) -> tuple[float, float]:
     """(main_rhs, neighborhood_rhs) of the bound at horizon T epochs.
 
     main_rhs bounds min_k min{ |grad|/sqrt(D1), |grad|^2/(sqrt(D0)+xi) };
     neighborhood_rhs bounds min_k |grad| directly in the short-memory regime.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if xi < 0:
-        raise ValueError("xi must be >= 0")
+    check(theorem1_rhs, T=T, xi=xi)
     if pc.D1 <= 0.0:
         raise ValueError("main branch needs D1 > 0")
     lead = 4.0 * (2.0 * SQRT2 + 1.0)
@@ -450,11 +439,11 @@ class Thm2Construction:
 
 
 def theorem2_construction(
-    L0: float,
-    L1: float,
-    T: int,
-    M: float,
-    f_bar: float,
+    L0: Positive,
+    L1: Positive,
+    T: Size,
+    M: Positive,
+    f_bar: Positive,
 ) -> Thm2Construction:
     """Size the two-piece landscape for a horizon of T descent steps.
 
@@ -468,14 +457,7 @@ def theorem2_construction(
     every check): M above both the landscape floor and eps; f_bar > 6 eps;
     start y0 inside the linear branch.
     """
-    if not (L0 > 0 and L1 > 0 and math.isfinite(L0) and math.isfinite(L1)):
-        raise ValueError("L0 and L1 must be positive and finite")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if not (M > 0 and math.isfinite(M)):
-        raise ValueError("M must be positive and finite")
-    if not (f_bar > 0 and math.isfinite(f_bar)):
-        raise ValueError("f_bar must be positive and finite")
+    check(theorem2_construction, L0=L0, L1=L1, T=T, M=M, f_bar=f_bar)
 
     q = L1 * M / (2.0 * L0) + 0.25
     logq1 = math.log(q) + 1.0

@@ -208,7 +208,7 @@ STEP_COLUMNS = {
     "k": "k", "i": "i", "tau": "tau_j", "w_before": "w_before",
     "ratio": "ratio", "update_abs": "update_abs", "f_value": "f_value",
 }
-EPOCH_COLUMNS = ("k", "eta", "w0", "w_prev", "m_prev", "nu_prev", "grad_norm", "f_value")
+EPOCH_COLUMNS = ("k", "eta", "w0", "w_prev", "grad_norm", "f_value")
 
 
 def _plain(v):

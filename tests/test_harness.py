@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
 import os
+import re
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from adamlab.harness import (
 )
 from adamlab.landscapes import lowerbound_objective, quadratic_sum, to_spec, zhang_counterexample
 from adamlab.optimizers import AdamParams
+from adamlab.schema import fields_of
 
 
 def small_custom_config(**options):
@@ -360,7 +364,13 @@ def test_cli_failed_assertion_exit_one(tmp_path, capsys):
     assert "assertion failure" in captured.err
 
 
-def test_cli_config_error_exit_two(tmp_path, capsys):
+def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
+    # every case below is refused before any run starts
+    def no_run(*args, **kwargs):
+        pytest.fail("a run started")
+
+    monkeypatch.setattr(harness, "adam_run", no_run)
+    monkeypatch.setattr(harness, "gd_run", no_run)
     # custom without an objective cannot run
     rc = cli_main(["custom", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -453,7 +463,68 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, (command, overrides)
         assert err.startswith("config error: ") and "Traceback" not in err, err
+    # a value outside its range, NaN and infinity included (json.load takes
+    # them): refused at load, on a line that names the key
+    nan_centers = {**quad, "parameters": {**quad["parameters"], "centers": [[-1.0], [math.nan]]}}
+    for command, overrides, key in (
+        ("fig3", {"options": {"beta2_grid": [0.9, 0.99, 1.5]}}, "options.beta2_grid[2]"),
+        ("compare", {"options": {"adam": {"beta1": 1.0}}}, "options.adam.beta1"),
+        ("lemmas", {"options": {"beta2_grid": [0.99, 1.5]}}, "options.beta2_grid[1]"),
+        ("thm2-diverge", {"options": {"growth_tol": math.inf}}, "options.growth_tol"),
+        ("thm2-diverge", {"options": {"growth_tol": math.nan}}, "options.growth_tol"),
+        ("fig3", {"options": {"tail_frac": math.nan}}, "options.tail_frac"),
+        ("fig3", {"options": {"grad_floor": math.nan}}, "options.grad_floor"),
+        ("custom", {"objective": nan_centers}, "objective.parameters.centers[1][0]"),
+        ("thm2-diverge", {"options": {"steps": -1}}, "options.steps"),
+        ("thm2-diverge", {"options": {"construction": {"M": -1}}}, "options.construction.M"),
+        ("compare", {"options": {"adam": {"epochs": -1}}}, "options.adam.epochs"),
+        ("custom", {"objective": quad, "options": {"algo": "gd", "gd": {"eta1": 0}}}, "options.gd.eta1"),
+        ("custom", {"objective": quad, "options": {"algo": "clipped_gd", "gd": {"clip_threshold": -1}}},
+         "options.gd.clip_threshold"),
+    ):
+        mistyped.write_text(json.dumps(overrides))
+        rc = cli_main([command, "--config", str(mistyped), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2, (command, overrides)
+        assert err.startswith(f"config error: {key}: expected "), err
     assert not (tmp_path / "o").exists()
+
+
+def _range_cases(cls, path="options"):
+    """(overrides, path) for each value just outside the range of each
+    range-typed field of an options record, nested records and list
+    entries included."""
+    for name, (hint, _) in fields_of(cls).items():
+        if typing.get_origin(hint) is typing.Union:  # Optional[X]
+            [hint] = [a for a in typing.get_args(hint) if a is not type(None)]
+        if dataclasses.is_dataclass(hint):
+            for inner, where in _range_cases(hint, f"{path}.{name}"):
+                yield {name: inner}, where
+            continue
+        listed = typing.get_origin(hint) is list
+        if listed:
+            hint = typing.get_args(hint)[0]
+        if typing.get_origin(hint) is not typing.Annotated:
+            continue
+        base, allowed = typing.get_args(hint)
+        below = math.nextafter(allowed.lo, -math.inf) if base is float else allowed.lo - 1
+        outside = [allowed.lo if allowed.lo_open else below]
+        if math.isfinite(allowed.hi):
+            outside.append(allowed.hi)
+        for bad in outside:
+            yield {name: [bad] if listed else bad}, f"{path}.{name}" + ("[0]" if listed else "")
+
+
+def test_every_range_typed_option_is_refused_just_outside_its_range():
+    paths = set()
+    for name, exp in REGISTRY.items():
+        for options, path in _range_cases(exp.Options):
+            config = merge_config(default_config_for(name), {"options": options})
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}: expected "):
+                config.validate()
+            paths.add((name, path))
+    assert {("Fig3", "options.beta2_grid[0]"), ("AdamVsGd", "options.adam.epochs"),
+            ("Custom", "options.gd.clip_threshold"), ("Thm2Slow", "options.construction.M")} <= paths
 
 
 def test_mistyped_schedule_or_init_mode_fails_at_load():

@@ -15,6 +15,8 @@ from adamlab.optimizers import (
     STATUS_DIVERGED,
     STATUS_NONFINITE,
     AdamParams,
+    adam_epoch,
+    adam_init,
     adam_run,
     aux_sequence,
     eta_schedule,
@@ -50,19 +52,17 @@ def test_eta_schedule():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        params(beta1=1.0).validate()
-    with pytest.raises(ValueError):
-        params(beta2=0.0).validate()
-    with pytest.raises(ValueError):
-        params(eta1=0.0).validate()
-    with pytest.raises(ValueError):
-        params(xi=-1e-9).validate()
-    with pytest.raises(ValueError):
-        params(schedule="linear").validate()
-    with pytest.raises(ValueError):
-        params(epochs=-1).validate()
-    params(xi=0.0, beta1=0.0).validate()
+    # a value outside its declared range or type is refused when the record
+    # is built, with the field's name
+    for field, bad in (
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 0.0), ("beta2", 1.0), ("eta1", 0.0),
+        ("eta1", math.inf), ("xi", -1e-9), ("xi", math.nan), ("schedule", "linear"),
+        ("init_mode", "zero"), ("epochs", -1), ("epochs", 2.0), ("seed", -1), ("seed", True),
+        ("seed", np.int64(1)), ("run_index", -1),
+    ):
+        with pytest.raises(ValueError, match=f"^{field}: expected"):
+            params(**{field: bad})
+    params(xi=0.0, beta1=0.0)
 
 
 def test_single_step_matches_hand_simulation():
@@ -83,45 +83,43 @@ def test_single_step_matches_hand_simulation():
 
 def test_paper_theory_init_seeds_state_from_start_point():
     obj = zhang_counterexample(1.0)
-    p = params(init_mode=INIT_PAPER_THEORY, epochs=1)
     w0 = [2.0]
-    traj = adam_run(obj, w0, p)
-    snap = traj.epochs
+    state = adam_init(obj, w0, params(init_mode=INIT_PAPER_THEORY, epochs=1))
     # first moment starts at component-0 gradient, second at the largest
     # squared per-component partial
     g0 = obj.component_grad(0, w0)[0]
     worst = max(obj.component_grad(j, w0)[0] ** 2 for j in range(obj.n))
-    assert snap.m_prev[0, 0] == pytest.approx(g0, rel=1e-15)
-    assert snap.nu_prev[0, 0] == pytest.approx(worst, rel=1e-15)
+    assert state.m[0] == pytest.approx(g0, rel=1e-15)
+    assert state.nu[0] == pytest.approx(worst, rel=1e-15)
 
 
 def test_zero_state_init():
-    obj = zhang_counterexample(1.0)
-    traj = adam_run(obj, [2.0], params(epochs=1))
-    assert traj.epochs.m_prev[0, 0] == 0.0
-    assert traj.epochs.nu_prev[0, 0] == 0.0
+    state = adam_init(zhang_counterexample(1.0), [2.0], params(epochs=1))
+    assert state.m == [0.0] and state.nu == [0.0]
 
 
 def test_state_carries_over_between_epochs():
     # moments are not reset at epoch boundaries: folding epoch 2's recorded
-    # gradients into the epoch-2 carry state reproduces the epoch-3 state
+    # gradients into the state after epoch 1 reproduces the state after
+    # epoch 2
     obj = zhang_counterexample(1.0)
     p = params(epochs=2, beta1=0.3, beta2=0.99, eta1=0.05)
-    traj = adam_run(obj, [0.5], p)
-    e, s = traj.epochs, traj.steps
-    assert e.k[1] == 2 and e.k[2] == 3
-    assert abs(e.m_prev[1, 0]) > 0.0
-    assert e.nu_prev[1, 0] > 0.0
-    m, nu = e.m_prev[1, 0], e.nu_prev[1, 0]
-    epoch2 = np.flatnonzero(s.k == 2)
-    for row in epoch2:
+    state = adam_init(obj, [0.5], p)
+    adam_epoch(state, obj, p, state.stream.permutation(obj.n))
+    assert abs(state.m[0]) > 0.0
+    assert state.nu[0] > 0.0
+    m, nu, w_start = state.m[0], state.nu[0], state.w[0]
+    steps = {"tau": [], "w_before": [], "ratio": []}
+    adam_epoch(state, obj, p, state.stream.permutation(obj.n), steps)
+    for j, w in zip(steps["tau"], steps["w_before"]):
         # the component gradient each step used, at the iterate it started from
-        g = obj.component_grad(int(s.tau[row]), s.w_before[row].tolist())[0]
+        g = obj.component_grad(j, [w])[0]
         nu = 0.99 * nu + 0.01 * g * g
         m = 0.3 * m + 0.7 * g
-    assert e.m_prev[2, 0] == pytest.approx(m, rel=1e-12)
-    assert e.nu_prev[2, 0] == pytest.approx(nu, rel=1e-12)
-    assert s.w_before[epoch2[0], 0] == pytest.approx(e.w0[1, 0], rel=1e-15)
+    assert state.k == 3
+    assert state.m[0] == pytest.approx(m, rel=1e-12)
+    assert state.nu[0] == pytest.approx(nu, rel=1e-12)
+    assert steps["w_before"][0] == w_start
 
 
 def test_each_epoch_uses_a_fresh_permutation_of_all_components():

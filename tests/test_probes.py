@@ -386,8 +386,6 @@ def audited_trajectories(draw):
                                    min_size=T, max_size=T))),
         w0=matrix(T),
         w_prev=matrix(T),
-        m_prev=None,
-        nu_prev=None,
         grad_norm=np.ones(T),
         f_value=np.zeros(T),
     )
@@ -454,7 +452,7 @@ def test_progress_metric_conventions():
 def epochs(grad_norms):
     return EpochTable(
         k=np.arange(1, 4), eta=np.full(3, 0.1), w0=np.zeros((3, 1)), w_prev=np.zeros((3, 1)),
-        m_prev=None, nu_prev=None, grad_norm=np.array(grad_norms), f_value=np.zeros(3),
+        grad_norm=np.array(grad_norms), f_value=np.zeros(3),
     )
 
 

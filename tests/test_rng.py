@@ -1,8 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 
+import adamlab
 from adamlab.rng import ALGORITHM_ID, SplitMix64, _mix64, stream_for_run
+
+
+def test_importing_rng_loads_no_numpy():
+    # SplitMix64.permutations imports NumPy when first called, so a process
+    # that only draws scalar streams never loads it
+    src = os.path.dirname(os.path.dirname(adamlab.__file__))
+    code = "import sys, adamlab.rng; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_mix64_reference_vectors():

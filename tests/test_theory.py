@@ -282,7 +282,7 @@ def fake_traj(grad_norms, status="Completed"):
     T = len(grad_norms)
     epochs = EpochTable(
         k=np.arange(1, T + 1), eta=np.full(T, 0.1), w0=np.zeros((T, 1)), w_prev=np.zeros((T, 1)),
-        m_prev=None, nu_prev=None, grad_norm=np.array(grad_norms, dtype=float), f_value=np.zeros(T),
+        grad_norm=np.array(grad_norms, dtype=float), f_value=np.zeros(T),
     )
     empty = np.empty((0, 1))
     no_steps = StepTable(
