@@ -14,10 +14,12 @@ from the stored iterates, never inside their loops. Each row's mean is
 ``math.fsum`` of the n component values divided by n (their IEEE sum
 where ``fsum`` refuses mixed infinities or overflows), exactly as
 ``value`` computes it. The component values come from a row kernel where
-the builder supplies one (only ``ZhangCounterexample`` does, and its
-scalar squares are written as products so the kernel matches them bit for
-bit: libm ``pow`` is not correctly rounded, a product is one IEEE
-operation); every other kind evaluates row by row with the scalar code.
+the builder supplies one, equal to the scalar code bit for bit:
+``ZhangCounterexample``'s, whose scalar squares are written as products
+(libm ``pow`` is not correctly rounded, a product is one IEEE operation),
+and ``LowerBound``'s, which keeps ``math.exp`` on its exponential rows
+(``np.exp`` is not correctly rounded either). ``QuadraticSum`` and
+``Custom`` evaluate row by row with the scalar code.
 
 Built-in kinds:
 
@@ -46,10 +48,13 @@ from .schema import Positive, Size, check, parse
 
 Vector = list[float]
 
-# mean_values evaluates this many rows at a time. A block's n component
-# values per row are held as Python floats for math.fsum, so keep it small:
-# 256-row blocks raised Fig3's peak RSS by about 1 MB, 64-row ones do not.
-VALUE_BLOCK_ROWS = 64
+# mean_values evaluates about this many component values at a time, in
+# blocks of VALUE_BLOCK_VALUES // n rows (at least one). With n > 1 a block's
+# values are held as Python floats for math.fsum, so keep it small: blocks of
+# 2560 (256 rows of the counterexample's 10 components) raised Fig3's peak RSS
+# by about 1 MB, blocks of 640 do not. LowerBound (n = 1) gets 640-row blocks,
+# on which NumPy's per-call cost in its row kernel stays small.
+VALUE_BLOCK_VALUES = 640
 
 KIND_ZHANG = "ZhangCounterexample"
 KIND_LOWERBOUND = "LowerBound"
@@ -198,13 +203,16 @@ class FiniteSumObjective:
 
     def mean_values(self, W: np.ndarray) -> np.ndarray:
         """The mean objective of each row of W (rows x d), equal to ``value``
-        of the row; VALUE_BLOCK_ROWS rows at a time."""
+        of the row; a block of rows at a time (VALUE_BLOCK_VALUES)."""
         n, kernel = self.n, self._values_fn
+        rows = max(1, VALUE_BLOCK_VALUES // n)
         out = np.empty(len(W))
-        for start in range(0, len(W), VALUE_BLOCK_ROWS):
-            block = W[start:start + VALUE_BLOCK_ROWS]
+        for start in range(0, len(W), rows):
+            block = W[start:start + rows]
             if kernel is None:
                 vals = list(map(self.value, block.tolist()))
+            elif n == 1:  # math.fsum of one value is that value, -0.0 made 0.0
+                vals = kernel(block)[:, 0] + 0.0
             else:
                 vals = np.array(list(map(_sum, kernel(block).tolist()))) / n
             out[start:start + len(block)] = vals
@@ -315,6 +323,22 @@ def lowerbound_objective(L0: Positive, L1: Positive, epsilon: Positive) -> Finit
     def full_grad_fn(w: Sequence[float]) -> Vector:
         return grad_fn(0, w)
 
+    def values_fn(W: np.ndarray) -> np.ndarray:
+        # value_fn's expressions in its operation order, branch by mask; the
+        # exponential rows go through _exp one by one, since np.exp is not
+        # correctly rounded and differs from math.exp on some inputs
+        x, y = W[:, 0], W[:, 1]
+        b = 1.0 / L1
+        with np.errstate(over="ignore"):
+            fx = 0.5 * L0 * x * x + L0 / (2.0 * L1 * L1)
+            for ramp, arg in ((x >= b, L1 * x - 1.0), (x <= -b, -L1 * x - 1.0)):
+                fx[ramp] = L0 * np.array(list(map(_exp, arg[ramp].tolist()))) / (L1 * L1)
+            fy = np.where(
+                y >= 1.0, epsilon * (y - 1.0) + 0.5 * epsilon,
+                np.where(y <= -1.0, -epsilon * (y + 1.0) + 0.5 * epsilon, 0.5 * epsilon * y * y),
+            )
+            return (fx + fy)[:, None]
+
     def smooth_fn(w: Sequence[float]) -> float:
         x, y = w[0], w[1]
         b = 1.0 / L1
@@ -331,6 +355,7 @@ def lowerbound_objective(L0: Positive, L1: Positive, epsilon: Positive) -> Finit
         grad_fn=grad_fn,
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
+        values_fn=values_fn,
         known_min=L0 / (2.0 * L1 * L1),
         known_D0_D1=(0.0, 1.0),
         known_L0_L1=(max(L0, epsilon), L1),
@@ -338,11 +363,12 @@ def lowerbound_objective(L0: Positive, L1: Positive, epsilon: Positive) -> Finit
 
 
 def quadratic_sum(
-    curvatures: Sequence[float],
+    curvatures: list[Positive],
     centers: Sequence[Sequence[float]],
     known_D0_D1: Optional[tuple[float, float]] = None,
 ) -> FiniteSumObjective:
     """Components (a_j / 2) |w - c_j|^2 with a_j > 0."""
+    check(quadratic_sum, curvatures=curvatures)
     n = len(curvatures)
     if n == 0 or len(centers) != n:
         raise ValueError("need matching, nonempty curvature and center lists")
@@ -350,8 +376,6 @@ def quadratic_sum(
     if any(len(c) != d for c in centers):
         raise ValueError("centers must share one dimension")
     a = [float(v) for v in curvatures]
-    if any(not math.isfinite(v) or v <= 0 for v in a):
-        raise ValueError("curvatures must be positive and finite")
     cs = [[float(x) for x in c] for c in centers]
 
     abar = math.fsum(a) / n
@@ -452,7 +476,7 @@ _LOADABLE = {  # kind -> (constructor, its typed parameters)
     for kind, build, params in (
         (KIND_ZHANG, zhang_counterexample, [("scale", float, field(default=1.0))]),
         (KIND_LOWERBOUND, lowerbound_objective, [("L0", Positive), ("L1", Positive), ("epsilon", Positive)]),
-        (KIND_QUADRATIC, quadratic_sum, [("curvatures", list[float]), ("centers", list[list[float]])]),
+        (KIND_QUADRATIC, quadratic_sum, [("curvatures", list[Positive]), ("centers", list[list[float]])]),
     )
 }
 

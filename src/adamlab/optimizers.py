@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,9 @@ PERM_BLOCK_DRAWS = 8192
 # are held as Python strings; 1024 rows keeps that within a few MB on the
 # widest tables, where 4096 rows raised Fig3's peak RSS by about 9%.
 CSV_BLOCK_ROWS = 1024
+
+# gd_run takes its step sizes from eta_schedule's column this many at a time.
+ETA_BLOCK_STEPS = 1024
 
 SCHEDULE_DIMINISHING = "Diminishing"
 SCHEDULE_CONSTANT = "Constant"
@@ -151,11 +155,14 @@ class Trajectory:
         return self.epochs
 
 
-def eta_schedule(eta1: float, schedule: str, k: int) -> float:
-    """Step size of epoch (or GD step) k >= 1."""
+def eta_schedule(eta1: float, schedule: str, k):
+    """Step size of epoch (or GD step) k >= 1, or the column of them for an
+    int array of k. np.sqrt, like math.sqrt, is correctly rounded, so the
+    column holds the scalar's values bit for bit."""
+    column = isinstance(k, np.ndarray)
     if schedule == SCHEDULE_CONSTANT:
-        return eta1
-    return eta1 / math.sqrt(k)
+        return np.full(k.shape, eta1) if column else eta1
+    return eta1 / (np.sqrt(k) if column else math.sqrt(k))
 
 
 def _classify(w: Sequence[float]) -> Optional[str]:
@@ -290,10 +297,10 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, s
         return np.asarray(vals, dtype=np.float64).reshape(-1, d)
 
     w0 = matrix(snaps["w0"])
-    rows = len(w0)
+    k = np.arange(1, len(w0) + 1)
     epochs = EpochTable(
-        k=np.arange(1, rows + 1),
-        eta=np.array([eta_schedule(params["eta1"], params["schedule"], k) for k in range(1, rows + 1)]),
+        k=k,
+        eta=eta_schedule(params["eta1"], params["schedule"], k),
         w0=w0,
         w_prev=matrix(snaps["w_prev"]) if adam else np.concatenate([w0[:1], w0[:-1]]),
         grad_norm=np.asarray(snaps["grad_norm"], dtype=np.float64),
@@ -379,14 +386,22 @@ def gd_run(
     recs = {"ratio": array("d")}
     status = STATUS_COMPLETED
     fail = None
+    # Bound once per run, as in adam_epoch. full_grad stays the method, the
+    # one the benchmark's tracer counts; the step sizes come as plain Python
+    # numbers from eta_schedule's column, ETA_BLOCK_STEPS at a time.
+    full_grad, hypot, sup = obj.full_grad, math.hypot, GUARD_SUP_NORM
+    add_w0, add_norm, add_ratio = snaps["w0"].extend, snaps["grad_norm"].append, recs["ratio"].extend
+    coords = range(d)
+    etas = chain.from_iterable(
+        eta_schedule(eta1, schedule, np.arange(start, min(start + ETA_BLOCK_STEPS, steps + 1))).tolist()
+        for start in range(1, steps + 1, ETA_BLOCK_STEPS)
+    )
 
-    for k in range(1, steps + 2):
-        g = obj.full_grad(w)
-        gn = math.hypot(*g)
-        snaps["w0"].extend(w)
-        snaps["grad_norm"].append(gn)
-        if k > steps:
-            break  # closing boundary snapshot k = steps + 1
+    for k, eta in zip(range(1, steps + 1), etas):
+        g = full_grad(w)
+        gn = hypot(*g)
+        add_w0(w)
+        add_norm(gn)
         step_vec = g
         if clip_threshold is not None and gn > clip_threshold:
             if math.isfinite(gn):
@@ -400,15 +415,21 @@ def gd_run(
                     math.copysign(scale, g[l]) if l in infs else 0.0 for l in range(d)
                 ]
         if record_steps:
-            recs["ratio"].extend(map(abs, step_vec))
-        eta = eta_schedule(eta1, schedule, k)
-        for l in range(d):
-            w[l] = w[l] - eta * step_vec[l]
-        bad = _classify(w)
-        if bad is not None:
-            status = bad
+            add_ratio(map(abs, step_vec))
+        tripped = False
+        for l in coords:
+            v = w[l] = w[l] - eta * step_vec[l]
+            # true for NaN and for |v| above the bound, infinities included
+            if not abs(v) <= sup:
+                tripped = True
+        if tripped:
+            status = _classify(w)
             fail = (k, 0)
             break
+    else:
+        # closing boundary snapshot k = steps + 1
+        add_w0(w)
+        add_norm(hypot(*full_grad(w)))
 
     params = {"eta1": eta1, "steps": steps, "schedule": schedule, "clip_threshold": clip_threshold}
     algo = "gd" if clip_threshold is None else "clipped_gd"

@@ -18,6 +18,7 @@ import numpy as np
 
 from .landscapes import FiniteSumObjective, check_point
 from .optimizers import Trajectory, aux_sequence
+from .schema import Positive, Size, check
 from .theory import TheoryConstants
 
 DEGENERATE_SEGMENT = 1e-14
@@ -84,13 +85,12 @@ def smoothness_pairs(
     obj: FiniteSumObjective,
     traj: Trajectory,
     alpha: float = 0.1,
-    stride: int = 1,
+    stride: Size = 1,
 ) -> list[tuple[float, float]]:
     """(gradient norm at w_k, smoothness estimate on [w_k, w_{k+1}]) for
     consecutive epoch-boundary snapshots; degenerate or non-finite pairs are
     skipped."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    check(smoothness_pairs, stride=stride)
     out: list[tuple[float, float]] = []
     w0 = traj.epochs.w0
     finite = np.isfinite(w0).all(axis=1).tolist()
@@ -344,11 +344,10 @@ def check_u_gap(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
 # progress metric
 
 
-def progress_metric(grad_norm: float, D0: float, D1: float, xi: float) -> float:
+def progress_metric(grad_norm: float, D0: float, D1: Positive, xi: float) -> float:
     """min{ gn / sqrt(D1), gn^2 / (sqrt(D0) + xi) }. Zero denominators give
     +inf."""
-    if D1 <= 0.0:
-        raise ValueError("progress metric needs D1 > 0")
+    check(progress_metric, D1=D1)
     den = math.sqrt(D0) + xi
     quad = math.inf if den == 0.0 else grad_norm * grad_norm / den
     return min(grad_norm / math.sqrt(D1), quad)

@@ -55,20 +55,16 @@ class ProblemConstants:
     noise envelope (D0, D1), component count n, dimension d, and the value
     gap f(w0) - inf f."""
 
-    L0: float
-    L1: float
-    D0: float
-    D1: float
+    L0: NonNegative
+    L1: NonNegative
+    D0: NonNegative
+    D1: NonNegative
     n: Size
     d: Size
-    f_gap: float
+    f_gap: NonNegative
 
     def validate(self) -> None:
-        check(ProblemConstants, n=self.n, d=self.d)
-        for name in ("L0", "L1", "D0", "D1", "f_gap"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
+        check(ProblemConstants, **vars(self))
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,8 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
         ("fig3", {"options": {"tail_frac": math.nan}}, "options.tail_frac"),
         ("fig3", {"options": {"grad_floor": math.nan}}, "options.grad_floor"),
         ("custom", {"objective": nan_centers}, "objective.parameters.centers[1][0]"),
+        ("custom", {"objective": {**quad, "parameters": {**quad["parameters"], "curvatures": [2.0, -1.0]}}},
+         "objective.parameters.curvatures[1]"),
         ("thm2-diverge", {"options": {"steps": -1}}, "options.steps"),
         ("thm2-diverge", {"options": {"construction": {"M": -1}}}, "options.construction.M"),
         ("compare", {"options": {"adam": {"epochs": -1}}}, "options.adam.epochs"),
@@ -592,7 +594,7 @@ def test_cli_overflowing_start_point_is_a_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"objective": objective, "options": {"x0": [1e200]}}))
     rc = cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "f_gap must be finite and >= 0" in capsys.readouterr().err
+    assert "config error: f_gap: expected a finite number, got inf" in capsys.readouterr().err
 
 
 def test_cli_seed_replaces_seed_list(tmp_path):

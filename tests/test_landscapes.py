@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adamlab.landscapes import (
-    VALUE_BLOCK_ROWS,
+    VALUE_BLOCK_VALUES,
+    FiniteSumObjective,
     check_point,
     custom_objective,
     expquad_grad,
@@ -187,13 +188,12 @@ MEAN_VALUE_CASES = {
 
 
 @pytest.mark.parametrize("kind", sorted(MEAN_VALUE_CASES))
-@pytest.mark.parametrize(
-    "rows",
-    [0, 1, VALUE_BLOCK_ROWS - 1, VALUE_BLOCK_ROWS, VALUE_BLOCK_ROWS + 1, 2 * VALUE_BLOCK_ROWS + 1],
-)
-def test_mean_values_equal_value_of_each_row(kind, rows):
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_mean_values_equal_value_of_each_row(kind, blocks, extra):
     build, box = MEAN_VALUE_CASES[kind]
     obj = build()
+    # rows around the edges of mean_values' blocks
+    rows = blocks * max(1, VALUE_BLOCK_VALUES // obj.n) + extra
     rng = np.random.default_rng(rows)
     lo, hi = np.array(box).T
     W = rng.uniform(lo, hi, size=(rows, obj.d))
@@ -222,6 +222,17 @@ def test_mean_value_is_the_ieee_sum_where_fsum_refuses(build, w, want):
     # rows fsum accepts
     W = np.array([[0.5], w, [0.25]])
     assert _bits(obj.mean_values(W)) == _bits([obj.value(row) for row in W.tolist()])
+
+
+def test_mean_values_of_one_component_with_a_kernel_is_its_fsum():
+    # math.fsum([-0.0]) is 0.0, which the n = 1 path gets by adding 0.0
+    obj = FiniteSumObjective(
+        "Custom", 1, 1, {}, value_fn=lambda j, w: w[0], grad_fn=lambda j, w: [1.0],
+        values_fn=lambda W: W.copy(),
+    )
+    W = np.array([[-0.0], [0.0], [1.5], [-math.inf], [math.nan]])
+    assert repr(obj.mean_values(W).tolist()) == repr([obj.value(w) for w in W.tolist()])
+    assert repr(obj.mean_values(W).tolist()) == "[0.0, 0.0, 1.5, -inf, nan]"
 
 
 def test_quadratic_value_overflows_to_inf_not_error():
@@ -269,6 +280,43 @@ def test_lowerbound_single_component_equals_full():
     w = [1.7, -2.2]
     assert obj.component_value(0, w) == pytest.approx(obj.value(w), rel=1e-15)
     assert np.allclose(obj.component_grad(0, w), obj.full_grad(w))
+
+
+# positive parameters whose squares neither underflow to 0 nor overflow
+lowerbound_parameter = st.floats(min_value=1e-150, max_value=1e150)
+
+
+@st.composite
+def lowerbound_rows(draw):
+    """(L0, L1, epsilon) and points on which to compare LowerBound's row
+    kernel with its scalar value: a grid that reaches both exponential arms
+    of x and both linear ramps of y, the quadratic bands between them, the
+    edges +-1/L1 and +-1 and the last floats inside them, +-0.0 and points
+    far enough out for exp to overflow, followed by drawn rows."""
+    L0, L1, epsilon = draw(lowerbound_parameter), draw(lowerbound_parameter), draw(lowerbound_parameter)
+    b = 1.0 / L1
+    edges = [
+        b, -b, math.nextafter(b, 0.0), math.nextafter(-b, 0.0),
+        1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+        0.0, -0.0, 1e308, -1e308,
+    ]
+    coordinate = st.one_of(st.sampled_from(edges), st.floats(-4.0, 4.0).map(lambda t: t * b), st.floats())
+    drawn = draw(st.lists(st.tuples(coordinate, coordinate), max_size=64))
+    return (L0, L1, epsilon), [(x, y) for x in edges for y in edges] + drawn
+
+
+@given(lowerbound_rows())
+@example(((1.0, 1.0, 0.5), [(800.0, 2.0), (-800.0, -2.0), (math.nan, -0.0)]))
+@settings(max_examples=200, deadline=None)
+def test_lowerbound_kernel_mean_values_equal_value_by_repr(case):
+    (L0, L1, epsilon), rows = case
+    obj = lowerbound_objective(L0, L1, epsilon)
+    W = np.array(rows)
+    # the kernel silences its own overflow and inf * 0 = NaN
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = obj.mean_values(W)
+    # repr tells NaN and -0.0 apart
+    assert repr(got.tolist()) == repr([obj.value(w) for w in W.tolist()])
 
 
 def test_make_lowerbound_value_gap_identity():

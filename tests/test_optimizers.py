@@ -49,6 +49,13 @@ def test_eta_schedule():
     assert eta_schedule(0.1, SCHEDULE_DIMINISHING, 1) == pytest.approx(0.1)
     assert eta_schedule(0.1, SCHEDULE_DIMINISHING, 4) == pytest.approx(0.05)
     assert eta_schedule(0.1, SCHEDULE_CONSTANT, 9) == pytest.approx(0.1)
+    # the column form holds the scalar's values, by repr (an int eta1 stays
+    # an int under the constant schedule)
+    k = np.arange(1, 20_001)
+    for eta1 in (0.1, 3, 2.0 ** 0.5, 7e-300, 1.5e300):
+        for schedule in (SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT):
+            column = eta_schedule(eta1, schedule, k).tolist()
+            assert repr(column) == repr([eta_schedule(eta1, schedule, j) for j in k.tolist()])
 
 
 def test_param_validation():

@@ -87,6 +87,8 @@ def test_smoothness_pairs_from_trajectory():
         assert est == pytest.approx(2.0, rel=1e-12)
     # stride thins the sequence
     assert len(smoothness_pairs(obj, traj, alpha=0.25, stride=5)) == 4
+    with pytest.raises(ValueError, match=r"^stride: expected an integer in \[1, inf\)"):
+        smoothness_pairs(obj, traj, stride=0)
 
 
 # -------------------------------------------------------------- noise pairs
@@ -445,7 +447,7 @@ def test_progress_metric_conventions():
     assert progress_metric(2.0, 4.0, 4.0, 0.5) == pytest.approx(min(1.0, 4.0 / 2.5))
     # zero denominator in the quadratic branch falls back to the linear one
     assert progress_metric(2.0, 0.0, 1.0, 0.0) == 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^D1: expected a number in \(0.0, inf\)"):
         progress_metric(1.0, 0.0, 0.0, 0.0)
 
 

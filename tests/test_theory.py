@@ -398,6 +398,8 @@ def test_construction_argument_validation():
 def test_problem_constants_validation():
     with pytest.raises(ValueError):
         ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=0, d=1, f_gap=1.0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^D0: expected a number in \[0.0, inf\), got -1.0"):
         ProblemConstants(L0=1.0, L1=0.0, D0=-1.0, D1=1.0, n=1, d=1, f_gap=1.0).validate()
+    with pytest.raises(ValueError, match=r"^f_gap: expected a finite number, got inf"):
+        ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=1, d=1, f_gap=math.inf).validate()
     ProblemConstants(L0=0.0, L1=0.0, D0=0.0, D1=0.0, n=1, d=1, f_gap=0.0).validate()
