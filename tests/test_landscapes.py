@@ -187,13 +187,9 @@ MEAN_VALUE_CASES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(MEAN_VALUE_CASES))
-@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
-def test_mean_values_equal_value_of_each_row(kind, blocks, extra):
+def _check_mean_values(kind, rows):
     build, box = MEAN_VALUE_CASES[kind]
     obj = build()
-    # rows around the edges of mean_values' blocks
-    rows = blocks * max(1, VALUE_BLOCK_VALUES // obj.n) + extra
     rng = np.random.default_rng(rows)
     lo, hi = np.array(box).T
     W = rng.uniform(lo, hi, size=(rows, obj.d))
@@ -202,6 +198,21 @@ def test_mean_values_equal_value_of_each_row(kind, blocks, extra):
     got = obj.mean_values(W)
     assert got.shape == (rows,) and got.dtype == np.float64
     assert _bits(got) == _bits([obj.value(w) for w in W.tolist()])
+
+
+# row counts around the counterexample's block of 64 rows (640 values / n = 10)
+@pytest.mark.parametrize("kind", sorted(MEAN_VALUE_CASES))
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 129])
+def test_mean_values_equal_value_of_each_row(kind, rows):
+    _check_mean_values(kind, rows)
+
+
+@pytest.mark.parametrize("kind", sorted(MEAN_VALUE_CASES))
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_mean_values_equal_value_around_each_block_edge(kind, blocks, extra):
+    # rows around the edges of this objective's own blocks
+    n = MEAN_VALUE_CASES[kind][0]().n
+    _check_mean_values(kind, blocks * max(1, VALUE_BLOCK_VALUES // n) + extra)
 
 
 @pytest.mark.parametrize(
