@@ -63,7 +63,7 @@ from .optimizers import (
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
-from .schema import Beta1, Beta2, Count, NonNegative, Positive, check, parse
+from .schema import Beta1, Beta2, Count, NonNegative, Positive, SquarePositive, check, parse
 from .theory import ProblemConstants, compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
@@ -89,21 +89,19 @@ class ExperimentConfig:
         if len(self.seeds) > 1 and not exp.sweeps_seeds:
             raise ValueError(f"seeds: {exp.name} runs one seed, got {self.seeds}")
         _distinct(self.seeds, "seeds")
+        options = parse(exp.Options, self.options, "options")
+        if (self.objective is not None) != exp.takes_objective:
+            raise ValueError(f"objective: {exp.name} {'needs an' if exp.takes_objective else 'takes no'} objective")
         if self.objective is not None:
-            if not exp.takes_objective:
-                raise ValueError(f"{exp.name} takes no objective")
             from_spec(self.objective)
-        return parse(exp.Options, self.options, "options")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return options
 
 
 def merge_config(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     """Shallow-merge a config dict onto a default: top-level fields replace,
     ``options`` merges key by key. An unknown or mistyped top-level key
     raises ValueError; ``validate`` checks the rest."""
-    merged = {**base.to_dict(), **overrides}
+    merged = {**asdict(base), **overrides}
     if isinstance(merged["options"], dict):
         merged["options"] = {**base.options, **merged["options"]}
     return parse(ExperimentConfig, merged)
@@ -137,7 +135,7 @@ def _axes(opt, *names: str) -> None:
 @dataclass(frozen=True)
 class Construction:
     L0: Positive = 1.0
-    L1: Positive = 1.0
+    L1: SquarePositive = 1.0
     M: Positive = 100.0
     f_bar: Positive = 199.0
 
@@ -514,7 +512,7 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[l
             init_mode=opt.init_mode, seed=config.seeds[0], record_steps=True,
         )
         traj = adam_run(obj, w0, params)
-        tc = compute_constants(beta1, beta2, obj.n, obj.d, eta1, pc)
+        tc = compute_constants(beta1, beta2, eta1, pc)
         rep_b = check_bounded_update(traj, tc)
         rep_u = check_u_gap(traj, tc)
         total_violations += rep_b.violation_count + rep_u.violation_count
@@ -555,8 +553,6 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[l
 
 
 def run_custom(config: ExperimentConfig, opt: CustomOptions) -> tuple[list[Run], dict]:
-    if config.objective is None:
-        raise ValueError("custom experiment needs an objective spec")
     obj = from_spec(config.objective)
     w0 = [0.0] * obj.d if opt.x0 is None else opt.x0
     runs: list[Run] = []
@@ -664,7 +660,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise AssertionError(f"{exp.name}: two runs share a run id")
     report = {
         "experiment": exp.name,
-        "config": {**config.to_dict(), "out_dir": None},  # reports are location-independent
+        "config": {**asdict(config), "out_dir": None},  # reports are location-independent
         "environment": {
             "package": "adamlab",
             "version": __version__,

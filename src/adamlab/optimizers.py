@@ -75,9 +75,6 @@ class AdamParams:
     def __post_init__(self) -> None:
         check(AdamParams, **vars(self))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class AdamState:
@@ -213,10 +210,10 @@ def adam_epoch(
     _trajectory derives the rest of each row. Returns the (epoch, inner
     index) of the step whose result tripped the guard, or None."""
     # Each step's iterate is the start point adam_init checked or one the
-    # guard passed. The builder's callable is bound once per epoch: the
-    # component_grad method only forwards to it, and calling that per inner
-    # step made Fig3's run 7-10% slower in CPU time.
-    grad_fn = obj._grad_fn
+    # guard passed. The builder's callable is bound once per epoch: calling
+    # the component_grad method per inner step made Fig3's run 7-10% slower
+    # in CPU time.
+    grad_fn = obj.grad_fn
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
@@ -349,13 +346,13 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
         _snapshot(state, obj, snaps)
         fail = adam_epoch(state, obj, params, tau, record)
         if fail is not None:
-            status = _classify(state.w) or STATUS_DIVERGED
+            status = _classify(state.w)
             break
     else:
         # closing boundary snapshot k = K+1
         _snapshot(state, obj, snaps)
 
-    return _trajectory(obj, "adam", params.to_dict(), snaps, steps, status, fail, state.w)
+    return _trajectory(obj, "adam", asdict(params), snaps, steps, status, fail, state.w)
 
 
 # ---------------------------------------------------------------------------

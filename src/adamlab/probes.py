@@ -168,11 +168,7 @@ def affine_envelope(pairs: Sequence[tuple[float, float]]) -> AffineNoiseFit:
     max_v = max(v for _, v in pts)
 
     candidates: list[tuple[float, float]] = [(max(0.0, max_v), 0.0)]  # horizontal
-    if all(u > 0.0 for u, _ in pts):
-        slope = max(v / u for u, v in pts)
-        if slope >= 0.0:
-            candidates.append((0.0, slope))
-    elif all(v <= 0.0 for u, v in pts if u == 0.0):
+    if all(v <= 0.0 for u, v in pts if u == 0.0):
         pos = [(u, v) for u, v in pts if u > 0.0]
         if pos:
             slope = max(v / u for u, v in pos)

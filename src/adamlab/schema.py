@@ -11,6 +11,7 @@ Each parameter range is declared once, below, as an ``Annotated`` type.
 
 import dataclasses
 import functools
+import math
 import sys
 import typing
 from typing import Annotated, Literal, Union
@@ -42,6 +43,8 @@ Positive = Annotated[float, Range(0.0, lo_open=True)]
 NonNegative = Annotated[float, Range(0.0)]
 Count = Annotated[int, Range(0)]
 Size = Annotated[int, Range(1)]
+# a number whose square is a positive normal float: LowerBound divides by L1 * L1
+SquarePositive = Annotated[float, Range(math.sqrt(sys.float_info.min))]
 
 
 @functools.cache

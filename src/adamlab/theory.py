@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .schema import Beta1, Beta2, NonNegative, Positive, Size, check
+from .schema import Beta1, Beta2, NonNegative, Positive, Size, SquarePositive, check
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,7 +63,7 @@ class ProblemConstants:
     d: Size
     f_gap: NonNegative
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check(ProblemConstants, **vars(self))
 
 
@@ -127,28 +127,19 @@ class TheoryConstants:
     eta1: float
 
 
-def compute_constants(
-    beta1: Beta1,
-    beta2: Beta2,
-    n: Size,
-    d: Size,
-    eta1: Positive,
-    pc: ProblemConstants,
-) -> TheoryConstants:
-    """Materialize the thirteen composite constants.
+def compute_constants(beta1: Beta1, beta2: Beta2, eta1: Positive, pc: ProblemConstants) -> TheoryConstants:
+    """Materialize the thirteen composite constants, for the component
+    count n and dimension d of pc.
 
     Domain: 0 <= beta1 < 1, 0 < beta2 < 1, beta1^2 < beta2, eta1 > 0. When
     g(beta2) is infinite (memory too short), C8..C13 come back +inf; the
     admissibility threshold beta2 > gamma excludes that region anyway.
     """
-    check(compute_constants, beta1=beta1, beta2=beta2, n=n, d=d, eta1=eta1)
+    check(compute_constants, beta1=beta1, beta2=beta2, eta1=eta1)
     if beta1 * beta1 >= beta2:
         raise ValueError("need beta1^2 < beta2")
-    pc.validate()
-    if pc.n != n:
-        raise ValueError("component count mismatch between arguments and pc")
 
-    L0, L1, D0, D1 = pc.L0, pc.L1, pc.D0, pc.D1
+    L0, L1, D0, D1, n, d = pc.L0, pc.L1, pc.D0, pc.D1, pc.n, pc.d
     sD0, sD1 = math.sqrt(D0), math.sqrt(D1)
     sqn = math.sqrt(n)
     sqd = math.sqrt(d)
@@ -420,7 +411,7 @@ def check_theorem1(traj, pc: ProblemConstants, tc: TheoryConstants, xi: float) -
 
 @dataclass(frozen=True)
 class Thm2Construction:
-    epsilon: float
+    epsilon: Positive
     x0: float
     y0: float
     M: float
@@ -434,9 +425,16 @@ class Thm2Construction:
     axis_gap: float  # f1(x0) - min f1 = f2(y0) - min f2
 
 
+def _require(detail: dict, *names: str) -> None:
+    """ConstraintViolation naming each check of ``names`` that fails."""
+    failed = [k for k in names if not detail[k]]
+    if failed:
+        raise ConstraintViolation(f"construction constraints failed: {failed}", detail)
+
+
 def theorem2_construction(
     L0: Positive,
-    L1: Positive,
+    L1: SquarePositive,
     T: Size,
     M: Positive,
     f_bar: Positive,
@@ -451,38 +449,43 @@ def theorem2_construction(
 
     Hard admissibility (ConstraintViolation otherwise, its detail naming
     every check): M above both the landscape floor and eps; f_bar > 6 eps;
-    start y0 inside the linear branch.
+    start y0 inside the linear branch. M above the floor comes first, as
+    eps is defined only above it; the others are made once it holds.
     """
     check(theorem2_construction, L0=L0, L1=L1, T=T, M=M, f_bar=f_bar)
 
+    m_floor = 2.0 * (math.exp(math.log(2.0) / (SQRT2 - 1.0) - 1.0) - 0.25) * L0 / L1
+    detail = {"m_floor": m_floor, "m_above_floor": M > m_floor}
+    _require(detail, "m_above_floor")
+
+    # above the floor q > 1.9, so log(q) + 1 > 0
     q = L1 * M / (2.0 * L0) + 0.25
     logq1 = math.log(q) + 1.0
     ratio = (L1 * M / 2.0 + L0 / 4.0) / (2.0 * (1.0 + SQRT2) * logq1)
     epsilon = math.sqrt(ratio * f_bar / (4.0 * math.sqrt(T)))
+    check(Thm2Construction, epsilon=epsilon)  # 0.0 where the product underflows
 
-    m_floor = 2.0 * (math.exp(math.log(2.0) / (SQRT2 - 1.0) - 1.0) - 0.25) * L0 / L1
     x0 = logq1 / L1
     axis_gap = M / (2.0 * L1) - L0 / (4.0 * L1 * L1)  # equals f1(x0) - min f1
     y0 = axis_gap / epsilon + 0.5
-    # closed form of (1+sqrt2) L1 x0 / (L0 e^{L1 x0 - 1}); no overflow risk
-    eta_star = (1.0 + SQRT2) * logq1 / (L1 * M / 2.0 + L0 / 4.0)
-    horizon_f = ratio * ratio * (axis_gap / epsilon - 1.5) ** 2 / (epsilon * epsilon)
-    slow_horizon = int(horizon_f) if math.isfinite(horizon_f) else 0
-
-    detail = {
-        "m_floor": m_floor,
-        "m_above_floor": M > m_floor,
+    detail.update({
         "m_above_epsilon": M > epsilon,
         "fbar_over_epsilon": f_bar / epsilon,
         "fbar_condition": f_bar / epsilon > 6.0,
         "y0_in_linear_branch": y0 >= 1.0,
         "x0_in_exp_branch": x0 >= 1.0 / L1,
-        "slow_horizon_lt_T": slow_horizon < T,
         "value_gap": 2.0 * axis_gap,
-    }
-    failed = [k for k in ("m_above_floor", "m_above_epsilon", "fbar_condition", "y0_in_linear_branch") if not detail[k]]
-    if failed:
-        raise ConstraintViolation(f"construction constraints failed: {failed}", detail)
+    })
+    _require(detail, "m_above_epsilon", "fbar_condition", "y0_in_linear_branch")
+
+    # closed form of (1+sqrt2) L1 x0 / (L0 e^{L1 x0 - 1}); no overflow risk
+    eta_star = (1.0 + SQRT2) * logq1 / (L1 * M / 2.0 + L0 / 4.0)
+    try:
+        horizon_f = ratio * ratio * (axis_gap / epsilon - 1.5) ** 2 / (epsilon * epsilon)
+    except OverflowError:  # float ** raises where * gives inf
+        horizon_f = math.inf
+    slow_horizon = int(horizon_f) if math.isfinite(horizon_f) else 0
+    detail["slow_horizon_lt_T"] = slow_horizon < T
 
     return Thm2Construction(
         epsilon=epsilon,

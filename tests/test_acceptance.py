@@ -135,7 +135,7 @@ def test_update_and_virtual_iterate_bounds_hold_on_grid():
         for beta2 in (0.99, 0.999):
             if beta1 * beta1 >= beta2:
                 continue
-            tc = compute_constants(beta1, beta2, obj.n, obj.d, 0.1, pc)
+            tc = compute_constants(beta1, beta2, 0.1, pc)
             for seed in (1, 2, 3, 4, 5):
                 params = AdamParams(
                     beta1=beta1,
@@ -178,7 +178,7 @@ def test_gradient_bound_verdict_on_feasible_quadratics():
         pc = ProblemConstants(
             L0=L0, L1=L1, D0=D0, D1=D1, n=2, d=1, f_gap=obj.value(x0) - obj.known_min
         )
-        tc = compute_constants(beta1, beta2, 2, 1, eta1, pc)
+        tc = compute_constants(beta1, beta2, eta1, pc)
         assert beta2 > gamma_threshold(D1, 2, 1, beta1)
         feas = eta1_feasible(tc, pc)
         assert feas.ok, (feas.max_eta_smooth, feas.max_eta_second)
@@ -396,7 +396,7 @@ def test_constant_chain_double_entry_on_random_grid():
     for row in rows:
         b1, b2, n, d, eta, L0, L1, D0, D1 = row
         pc = ProblemConstants(L0=L0, L1=L1, D0=D0, D1=D1, n=n, d=d, f_gap=1.0)
-        tc = compute_constants(b1, b2, n, d, eta, pc)
+        tc = compute_constants(b1, b2, eta, pc)
         alt, gv = _constants_alt(b1, b2, n, d, eta, L0, L1, D0, D1)
         assert tc.g_value == pytest.approx(gv, rel=1e-12)
         for i in range(1, 14):

@@ -17,15 +17,15 @@ recomputed from the columns and compared too.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from hypothesis import event, given, settings, strategies as st
 
 from adamlab import optimizers
 from adamlab.landscapes import (
+    KIND_CUSTOM,
     FiniteSumObjective,
-    custom_objective,
     lowerbound_objective,
     quadratic_sum,
     to_spec,
@@ -194,7 +194,7 @@ def reference_adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: Ada
         spec = None
     return ReferenceTrajectory(
         algo="adam",
-        params=params.to_dict(),
+        params=asdict(params),
         objective_spec=spec,
         steps=steps,
         epochs=snaps,
@@ -228,7 +228,7 @@ def assert_same_run(got: Trajectory, expected: ReferenceTrajectory, obj: FiniteS
     s = got.steps
     start_norms = got.epochs.grad_norm[s.k - 1].tolist()
     assert repr(start_norms) == repr([r.grad_norm_epoch_start for r in expected.steps])
-    comp_grads = [tuple(obj._grad_fn(j, w)) for j, w in zip(s.tau.tolist(), s.w_before.tolist())]
+    comp_grads = [tuple(obj.grad_fn(j, w)) for j, w in zip(s.tau.tolist(), s.w_before.tolist())]
     assert repr(comp_grads) == repr([r.comp_grad for r in expected.steps])
     assert (got.status, got.fail_step) == (expected.status, expected.fail_step)
     assert repr(got.final_w) == repr(expected.final_w)
@@ -274,8 +274,9 @@ def problems(draw):
     def grad_fn(j, w):
         return [-1.0 - 0.5 * j] if w[0] <= bound else [past]
 
-    obj = custom_objective(
-        n=3, d=1, value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0], grad_fn=grad_fn
+    obj = FiniteSumObjective(
+        KIND_CUSTOM, 3, 1, {},
+        value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0], grad_fn=grad_fn,
     )
     return obj, [draw(st.floats(-1.0, 0.5, **finite))]
 

@@ -18,8 +18,8 @@ import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
 from adamlab.landscapes import (
+    KIND_CUSTOM,
     FiniteSumObjective,
-    custom_objective,
     lowerbound_objective,
     quadratic_sum,
     to_spec,
@@ -187,8 +187,9 @@ def boundary_drift(bound: float, past: float) -> FiniteSumObjective:
     def grad_fn(j, w):
         return [-1.0 - 0.5 * j if w[0] <= bound else past, 0.25 * (j + 1)]
 
-    return custom_objective(
-        n=2, d=2, value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0] + 0.25 * (j + 1) * w[1], grad_fn=grad_fn
+    return FiniteSumObjective(
+        KIND_CUSTOM, 2, 2, {},
+        value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0] + 0.25 * (j + 1) * w[1], grad_fn=grad_fn,
     )
 
 

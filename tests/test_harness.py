@@ -6,7 +6,7 @@ import math
 import os
 import re
 import typing
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,13 +82,17 @@ def test_config_validation_errors():
 
 def test_config_round_trip():
     cfg = default_config_for("Thm2Slow")
-    back = merge_config(ExperimentConfig(experiment=cfg.experiment), cfg.to_dict())
-    assert back.to_dict() == cfg.to_dict()
+    back = merge_config(ExperimentConfig(experiment=cfg.experiment), asdict(cfg))
+    assert asdict(back) == asdict(cfg)
 
 
 def test_all_default_configs_validate():
     for name in REGISTRY:
-        default_config_for(name).validate()
+        if name == "Custom":  # its default config has no objective, which it needs
+            with pytest.raises(ValueError, match="^objective: "):
+                default_config_for(name).validate()
+        else:
+            default_config_for(name).validate()
     with pytest.raises(ValueError):
         default_config_for("Mystery")
 
@@ -251,7 +255,7 @@ SMALL_CONFIGS = {
     "Thm2Slow": {"options": {"steps": 100}},
     "AdamVsGd": {"options": {"gd_steps": 100, "adam": {"epochs": 20}}},
     "LemmaSuite": {"T": 5},
-    "Custom": small_custom_config(algo="gd", gd={"eta1": 0.1}).to_dict() | {"seeds": [3, 1]},
+    "Custom": asdict(small_custom_config(algo="gd", gd={"eta1": 0.1})) | {"seeds": [3, 1]},
 }
 
 
@@ -492,6 +496,35 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+_TINY_L1 = {"kind": "LowerBound", "parameters": {"L0": 1.0, "L1": 1e-170, "epsilon": 1.0}}
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    # 1e-170 squared underflows to 0.0, and LowerBound divides by L1 * L1
+    ("custom", {"objective": _TINY_L1},
+     "objective.parameters.L1: expected a number in [1.4916681462400413e-154, inf), got 1e-170"),
+    # log(q) + 1 < 0 below the floor, where epsilon would be sqrt of a negative
+    ("thm2-slow", {"options": {"construction": {"L1": 0.002}}}, "construction constraints failed: ['m_above_floor']"),
+    # epsilon underflows to 0.0, and y0 divides by it
+    ("thm2-slow", {"options": {"construction": {"f_bar": 5e-324}}}, "epsilon: expected a number in (0.0, inf), got 0.0"),
+])
+def test_cli_degenerate_landscape_is_a_named_config_error(command, overrides, message, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(overrides))
+    assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["fig3", "lemmas", "custom"])
+def test_missing_objective_is_refused_at_load(command, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"objective": None}))
+    args = build_parser().parse_args([command, "--config", str(cfg)])
+    with pytest.raises(ValueError, match="^objective: .* needs an objective$"):
+        load_config(command, args)
+
+
 def _range_cases(cls, path="options"):
     """(overrides, path) for each value just outside the range of each
     range-typed field of an options record, nested records and list
@@ -561,7 +594,7 @@ def test_nested_options_fill_from_defaults_and_keep_ints():
     assert opt.adam.epochs == 40 and opt.adam.eta1 == 0.5 and opt.adam.beta2 == 0.999
     assert opt.gd_eta_multipliers == [2] and type(opt.gd_eta_multipliers[0]) is int
     # the echo is the merged input, not the filled record
-    assert cfg.to_dict()["options"]["adam"] == {"epochs": 40}
+    assert asdict(cfg)["options"]["adam"] == {"epochs": 40}
     # Custom's Adam defaults are AdamParams'
     custom = small_custom_config().validate()
     assert vars(custom.adam) == {

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adamlab.landscapes import (
+    KIND_CUSTOM,
     VALUE_BLOCK_VALUES,
     FiniteSumObjective,
     check_point,
-    custom_objective,
     expquad_grad,
     expquad_value,
     from_spec,
@@ -101,7 +101,7 @@ def test_linquad_gradient_is_derivative_of_value():
 def test_counterexample_component_anchors():
     obj = zhang_counterexample(1.0)
     assert obj.n == 10 and obj.d == 1
-    assert obj.component_value(0, [-2.0]) == pytest.approx(9.0, rel=1e-15)
+    assert obj.value_fn(0, [-2.0]) == pytest.approx(9.0, rel=1e-15)
     assert obj.component_grad(0, [-2.0])[0] == pytest.approx(-6.0, rel=1e-15)
     for j in range(1, 10):
         assert obj.component_grad(j, [0.0])[0] == pytest.approx(2.0 / 9.0, rel=1e-12)
@@ -114,7 +114,7 @@ def test_counterexample_mean_is_rescaled_quadratic():
     obj = zhang_counterexample(s)
     for x in (-2.0, -0.5, 0.0, 1.0, 4.0):
         w = [x]
-        mean = math.fsum(obj.component_value(j, w) for j in range(10)) / 10.0
+        mean = math.fsum(obj.value_fn(j, w) for j in range(10)) / 10.0
         assert obj.value(w) == pytest.approx(mean, rel=1e-12, abs=1e-15)
         assert obj.value(w) == pytest.approx(s * (0.01 * x * x - 1.0 / 90.0), rel=1e-10, abs=1e-12)
         assert obj.full_grad(w)[0] == pytest.approx(0.02 * s * x, rel=1e-12, abs=1e-15)
@@ -149,9 +149,9 @@ def test_counterexample_kernel_matches_value_fn_bit_for_bit(x, scale):
     obj = zhang_counterexample(scale)
     # the kernel silences its own overflow to inf and inf * 0 = NaN
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        row = obj._values_fn(np.array([[x]]))
+        row = obj.values_fn(np.array([[x]]))
     assert row.shape == (1, obj.n)
-    assert _bits(row[0]) == _bits([obj._value_fn(j, [x]) for j in range(obj.n)])
+    assert _bits(row[0]) == _bits([obj.value_fn(j, [x]) for j in range(obj.n)])
 
 
 def test_counterexample_squares_by_multiplying():
@@ -159,13 +159,12 @@ def test_counterexample_squares_by_multiplying():
     x = -0.8704829527801667
     t = x - 1.0
     assert t ** 2 != t * t
-    assert _bits([zhang_counterexample(1.0).component_value(0, [x])]) == _bits([t * t])
+    assert _bits([zhang_counterexample(1.0).value_fn(0, [x])]) == _bits([t * t])
 
 
 def _custom():
-    return custom_objective(
-        n=3,
-        d=2,
+    return FiniteSumObjective(
+        KIND_CUSTOM, 3, 2, {},
         value_fn=lambda j, w: (j + 1) * w[0] * w[1] - math.sin(w[1]) / (j + 2),
         grad_fn=lambda j, w: [(j + 1) * w[1], (j + 1) * w[0] - math.cos(w[1]) / (j + 2)],
     )
@@ -227,7 +226,7 @@ def test_mean_values_equal_value_around_each_block_edge(kind, blocks, extra):
 def test_mean_value_is_the_ieee_sum_where_fsum_refuses(build, w, want):
     obj = build()
     with pytest.raises((ValueError, OverflowError)):
-        math.fsum(obj.component_value(j, w) for j in range(obj.n))
+        math.fsum(obj.value_fn(j, w) for j in range(obj.n))
     assert repr(obj.value(w)) == repr(want)
     # Zhang's row kernel and the per-row fallback agree with value, between
     # rows fsum accepts
@@ -249,7 +248,7 @@ def test_mean_values_of_one_component_with_a_kernel_is_its_fsum():
 def test_quadratic_value_overflows_to_inf_not_error():
     # each square is about 1e400: inf as a product, OverflowError as `** 2`
     obj = quadratic_sum([2.0, 2.0], [[-1.0], [3.0]])
-    assert obj.component_value(0, [1e200]) == math.inf
+    assert obj.value_fn(0, [1e200]) == math.inf
     assert obj.value([1e200]) == math.inf
     assert obj.mean_values(np.array([[1e200]])).tolist() == [math.inf]
 
@@ -289,7 +288,7 @@ def test_lowerbound_gradient_by_finite_differences():
 def test_lowerbound_single_component_equals_full():
     obj = lowerbound_objective(1.0, 1.0, 0.25)
     w = [1.7, -2.2]
-    assert obj.component_value(0, w) == pytest.approx(obj.value(w), rel=1e-15)
+    assert obj.value_fn(0, w) == pytest.approx(obj.value(w), rel=1e-15)
     assert np.allclose(obj.component_grad(0, w), obj.full_grad(w))
 
 
@@ -398,13 +397,13 @@ def test_lowerbound_pairwise_smoothness_bound(x, y):
 
 def test_analytic_smoothness_local_bound():
     obj = zhang_counterexample(1.0)
-    assert obj.analytic_smoothness([0.0]) == pytest.approx(0.02)
+    assert obj.smooth_fn([0.0]) == pytest.approx(0.02)
     lb = lowerbound_objective(1.0, 1.0, 0.5)
     # inside both cores the bound is max(L0, eps)
-    assert lb.analytic_smoothness([0.0, 0.0]) == pytest.approx(1.0)
+    assert lb.smooth_fn([0.0, 0.0]) == pytest.approx(1.0)
     # on the exponential branch it tracks the gradient magnitude
     g = expquad_grad(3.0, 1.0, 1.0)
-    assert lb.analytic_smoothness([3.0, 0.0]) == pytest.approx(1.0 * abs(g), rel=1e-12)
+    assert lb.smooth_fn([3.0, 0.0]) == pytest.approx(1.0 * abs(g), rel=1e-12)
 
 
 # ------------------------------------------------------------- validation
@@ -454,9 +453,8 @@ def test_from_spec_rejects_unknown_kind_and_bad_dims():
 
 
 def test_custom_objective_not_serializable():
-    obj = custom_objective(
-        n=1,
-        d=1,
+    obj = FiniteSumObjective(
+        KIND_CUSTOM, 1, 1, {},
         value_fn=lambda j, w: float(w[0] ** 2),
         grad_fn=lambda j, w: [2.0 * w[0]],
     )

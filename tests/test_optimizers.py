@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adamlab.landscapes import custom_objective, lowerbound_objective, quadratic_sum, zhang_counterexample
+from adamlab.landscapes import (
+    KIND_CUSTOM,
+    FiniteSumObjective,
+    lowerbound_objective,
+    quadratic_sum,
+    zhang_counterexample,
+)
 from adamlab.optimizers import (
     INIT_PAPER_THEORY,
     INIT_ZERO_STATE,
@@ -183,7 +189,7 @@ def test_completed_run_has_closing_snapshot():
     empty = adam_run(obj, [1.5], params(epochs=0))
     assert empty.epoch_starts().k.tolist() == [1]
     # a failed run has no closing snapshot to drop
-    obj = custom_objective(n=1, d=1, value_fn=lambda j, w: -float(w[0]), grad_fn=lambda j, w: [-1.0])
+    obj = FiniteSumObjective(KIND_CUSTOM, 1, 1, {}, lambda j, w: -float(w[0]), lambda j, w: [-1.0])
     failed = adam_run(obj, [0.0], params(beta1=0.0, eta1=1e100, xi=0.0, schedule=SCHEDULE_CONSTANT))
     assert failed.status == STATUS_DIVERGED
     assert failed.epoch_starts().k.tolist() == [1]
@@ -192,9 +198,8 @@ def test_completed_run_has_closing_snapshot():
 def test_divergence_guard_trips_on_runaway_iterate():
     # constant unit gradient pointing downhill forever: with a colossal step
     # size the very first update pushes |w| past the guard
-    obj = custom_objective(
-        n=1,
-        d=1,
+    obj = FiniteSumObjective(
+        KIND_CUSTOM, 1, 1, {},
         value_fn=lambda j, w: -float(w[0]),
         grad_fn=lambda j, w: [-1.0],
     )
@@ -211,9 +216,8 @@ def test_divergence_guard_trips_on_runaway_iterate():
 
 def test_nonfinite_guard_wins_over_divergence():
     # an infinite gradient makes the update inf/inf = nan on the first step
-    obj = custom_objective(
-        n=1,
-        d=1,
+    obj = FiniteSumObjective(
+        KIND_CUSTOM, 1, 1, {},
         value_fn=lambda j, w: 0.0,
         grad_fn=lambda j, w: [math.inf],
     )
@@ -227,9 +231,8 @@ def test_nonfinite_guard_wins_over_divergence():
 def test_nan_gradient_ends_run_nonfinite():
     # the first step moves w to <= 0, where the gradient is NaN: the NaN
     # moments must end the run, not zero the update and freeze the iterate
-    obj = custom_objective(
-        n=2,
-        d=1,
+    obj = FiniteSumObjective(
+        KIND_CUSTOM, 2, 1, {},
         value_fn=lambda j, w: float(w[0]),
         grad_fn=lambda j, w: [1.0] if w[0] > 0.0 else [math.nan],
     )
@@ -360,8 +363,9 @@ def test_gd_step_values_are_the_epoch_values_of_their_start(w0, eta1, status, st
 
 def test_adam_step_positions_are_divmod_of_the_row():
     # x's partial turns -inf past x = 1: the run ends inside epoch 6
-    obj = custom_objective(
-        n=3, d=1, value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0],
+    obj = FiniteSumObjective(
+        KIND_CUSTOM, 3, 1, {},
+        value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0],
         grad_fn=lambda j, w: [-1.0 - 0.5 * j] if w[0] <= 1.0 else [-math.inf],
     )
     traj = adam_run(obj, [0.0], AdamParams(eta1=0.1, epochs=10, schedule=SCHEDULE_CONSTANT, seed=2))

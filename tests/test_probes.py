@@ -249,7 +249,7 @@ def test_l0l1_fit_input_validation():
 
 def zhang_tc(beta1=0.9, beta2=0.999, eta1=0.01):
     pc = ProblemConstants(L0=2.0, L1=0.0, D0=1.2, D1=1823.0, n=10, d=1, f_gap=1.0)
-    return compute_constants(beta1, beta2, 10, 1, eta1, pc)
+    return compute_constants(beta1, beta2, eta1, pc)
 
 
 def test_bounded_update_clean_on_counterexample():

@@ -112,7 +112,7 @@ GRID = [
 def test_constant_chain_agrees_with_independent_transcription():
     for b1, b2, n, d, eta, L0, L1, D0, D1 in GRID:
         pc = ProblemConstants(L0=L0, L1=L1, D0=D0, D1=D1, n=n, d=d, f_gap=1.0)
-        tc = compute_constants(b1, b2, n, d, eta, pc)
+        tc = compute_constants(b1, b2, eta, pc)
         alt, gv = constants_alt(b1, b2, n, d, eta, L0, L1, D0, D1)
         assert tc.g_value == pytest.approx(gv, rel=1e-12)
         for i in range(1, 14):
@@ -126,7 +126,7 @@ def test_constant_chain_agrees_with_independent_transcription():
 def test_bound_rhs_agrees_with_independent_transcription():
     for b1, b2, n, d, eta, L0, L1, D0, D1 in GRID:
         pc = ProblemConstants(L0=L0, L1=L1, D0=D0, D1=D1, n=n, d=d, f_gap=2.5)
-        tc = compute_constants(b1, b2, n, d, eta, pc)
+        tc = compute_constants(b1, b2, eta, pc)
         if math.isinf(tc.C13):
             continue
         for T in (10, 1000):
@@ -172,8 +172,8 @@ def test_g_rejects_bad_arguments():
 
 def test_c1_anchor_values():
     pc = ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=10, d=1, f_gap=1.0)
-    tc99 = compute_constants(0.0, 0.99, 10, 1, 0.1, pc)
-    tc999 = compute_constants(0.0, 0.999, 10, 1, 0.1, pc)
+    tc99 = compute_constants(0.0, 0.99, 0.1, pc)
+    tc999 = compute_constants(0.0, 0.999, 0.1, pc)
     assert tc99.C1 == pytest.approx(101.0, rel=1e-12)
     assert tc999.C1 == pytest.approx(1001.0, rel=1e-12)
     # at zero momentum the hop constant collapses to n C1
@@ -183,19 +183,16 @@ def test_c1_anchor_values():
 def test_compute_constants_domain_errors():
     pc = ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=4, d=1, f_gap=1.0)
     with pytest.raises(ValueError):
-        compute_constants(0.8, 0.5, 4, 1, 0.1, pc)  # beta1^2 >= beta2
+        compute_constants(0.8, 0.5, 0.1, pc)  # beta1^2 >= beta2
     with pytest.raises(ValueError):
-        compute_constants(0.0, 0.99, 5, 1, 0.1, pc)  # n mismatch with pc
+        compute_constants(0.0, 0.99, 0.0, pc)
     with pytest.raises(ValueError):
-        compute_constants(0.0, 0.99, 4, 1, 0.0, pc)
-    bad = ProblemConstants(L0=-1.0, L1=0.0, D0=0.0, D1=1.0, n=4, d=1, f_gap=1.0)
-    with pytest.raises(ValueError):
-        compute_constants(0.0, 0.99, 4, 1, 0.1, bad)
+        compute_constants(0.0, 0.99, 0.1, ProblemConstants(L0=-1.0, L1=0.0, D0=0.0, D1=1.0, n=4, d=1, f_gap=1.0))
 
 
 def test_short_memory_region_yields_infinite_tail_constants():
     pc = ProblemConstants(L0=1.0, L1=1.0, D0=1.0, D1=1.0, n=10, d=1, f_gap=1.0)
-    tc = compute_constants(0.0, 0.9, 10, 1, 0.1, pc)
+    tc = compute_constants(0.0, 0.9, 0.1, pc)
     assert math.isinf(tc.g_value)
     for i in range(8, 14):
         assert math.isinf(getattr(tc, f"C{i}"))
@@ -246,7 +243,7 @@ def quad_pc(D0, D1, n=2, d=1):
 
 def test_eta1_feasible_zero_momentum_quadratic_is_unconstrained():
     pc = quad_pc(16.0, 1.0)
-    tc = compute_constants(0.0, 0.999, 2, 1, 0.05, pc)
+    tc = compute_constants(0.0, 0.999, 0.05, pc)
     rep = eta1_feasible(tc, pc)
     assert rep.ok
     assert math.isinf(rep.max_eta_smooth)
@@ -255,7 +252,7 @@ def test_eta1_feasible_zero_momentum_quadratic_is_unconstrained():
 
 def test_eta1_feasible_tiny_momentum_quadratic_has_finite_margin():
     pc = quad_pc(0.0, 1.25)
-    tc = compute_constants(1e-5, 0.999, 2, 1, 0.01, pc)
+    tc = compute_constants(1e-5, 0.999, 0.01, pc)
     rep = eta1_feasible(tc, pc)
     assert rep.ok
     assert math.isinf(rep.max_eta_smooth)  # L1 = 0 leaves the smooth cap open
@@ -268,7 +265,7 @@ def test_eta1_feasible_large_momentum_quadratic_is_impossible():
     # cannot satisfy it once beta1 C1 is large
     pc = quad_pc(0.0, 1.0)
     for eta in (0.1, 1e-3, 1e-6):
-        tc = compute_constants(0.5, 0.999, 2, 1, eta, pc)
+        tc = compute_constants(0.5, 0.999, eta, pc)
         rep = eta1_feasible(tc, pc)
         assert not rep.ok
         assert rep.margin_second < 0.0
@@ -386,6 +383,28 @@ def test_construction_rejects_small_gradient_budget():
     assert not exc.value.detail["m_above_floor"]
 
 
+def test_construction_checks_the_floor_before_epsilon_needs_it():
+    # below the floor log(q) + 1 can be negative (L1 = 0.002: q = 0.35), so
+    # epsilon, x0 and y0 are undefined; the floor check alone is made
+    for L1 in (0.002, 0.01):
+        with pytest.raises(ConstraintViolation, match=r"\['m_above_floor'\]") as exc:
+            theorem2_construction(1.0, L1, 10_000, 100.0, 199.0)
+        assert sorted(exc.value.detail) == ["m_above_floor", "m_floor"]
+
+
+def test_construction_refuses_an_epsilon_that_underflows():
+    # ratio * f_bar / (4 sqrt(T)) rounds to 0.0: y0 = axis_gap / 0
+    with pytest.raises(ValueError, match=r"^epsilon: expected a number in \(0.0, inf\), got 0.0"):
+        theorem2_construction(1.0, 1.0, 10_000, 100.0, 5e-324)
+
+
+def test_construction_horizon_past_the_float_range_is_zero():
+    # (axis_gap / epsilon - 1.5) ** 2 overflows; the horizon is then 0, as
+    # for any non-finite one
+    con = theorem2_construction(1.59237422833649e-191, 4.364249625892567e-123, 10**6, 2.3430097648760365e36, 8456651.47359645)
+    assert con.slow_horizon == 0 and con.detail["slow_horizon_lt_T"]
+
+
 def test_construction_argument_validation():
     with pytest.raises(ValueError):
         theorem2_construction(0.0, 1.0, 100, 10.0, 5.0)
@@ -397,9 +416,9 @@ def test_construction_argument_validation():
 
 def test_problem_constants_validation():
     with pytest.raises(ValueError):
-        ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=0, d=1, f_gap=1.0).validate()
+        ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=0, d=1, f_gap=1.0)
     with pytest.raises(ValueError, match=r"^D0: expected a number in \[0.0, inf\), got -1.0"):
-        ProblemConstants(L0=1.0, L1=0.0, D0=-1.0, D1=1.0, n=1, d=1, f_gap=1.0).validate()
+        ProblemConstants(L0=1.0, L1=0.0, D0=-1.0, D1=1.0, n=1, d=1, f_gap=1.0)
     with pytest.raises(ValueError, match=r"^f_gap: expected a finite number, got inf"):
-        ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=1, d=1, f_gap=math.inf).validate()
-    ProblemConstants(L0=0.0, L1=0.0, D0=0.0, D1=0.0, n=1, d=1, f_gap=0.0).validate()
+        ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=1, d=1, f_gap=math.inf)
+    ProblemConstants(L0=0.0, L1=0.0, D0=0.0, D1=0.0, n=1, d=1, f_gap=0.0)
