@@ -14,12 +14,15 @@ Five canned experiments plus a pass-through custom mode:
 * ``LemmaSuite`` -- per-step audits of the update-magnitude and momentum-gap
   bounds across a hyperparameter grid.
 
-Each experiment is one ``REGISTRY`` record. Its runner returns its runs,
-each a ``Run`` (id, trajectory, report row, plot values), and a dict of the
-experiment's own report keys (``conclusions``, and ``construction`` or
-``problem_constants``). ``run_experiment`` alone joins them: it sorts the
-runs by id and builds the report's rows, the trajectories and the plot table
-the record names, so a run's row, trajectory and block share one id.
+Each experiment is one ``REGISTRY`` record with a runner of its own. A
+runner first builds its runs, each a ``Run`` (id, trajectory, report row,
+plot values), then derives its conclusions from those rows; it returns the
+runs and a dict of the experiment's own report keys (``conclusions``, and
+``construction`` or ``problem_constants``). The three GD arms on the
+Theorem 2 construction run through ``_gd_sweep``. ``run_experiment`` alone
+joins runs and keys: it sorts the runs by id and builds the report's rows,
+the trajectories and the plot table the record names, so a run's row,
+trajectory and block share one id.
 
 Emission is byte-deterministic: runs are sorted by run id, JSON is written
 with sorted keys, and no timestamps appear anywhere.
@@ -63,17 +66,18 @@ from .optimizers import (
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
-from .schema import Beta1, Beta2, Count, NonNegative, Positive, SquarePositive, check, parse
-from .theory import ProblemConstants, compute_constants, gamma_threshold
+from .schema import Beta1, Beta2, Count, NonNegative, Positive, Seed, SquarePositive, check, parse
+from .theory import ProblemConstants, Thm2Construction, compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
+THM2_CONSTRUCTION = ("epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_gap", "detail")  # echoed fields
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str
     objective: Optional[dict] = None
-    seeds: list[Count] = field(default_factory=lambda: [1, 2, 3])
+    seeds: list[Seed] = field(default_factory=lambda: [1, 2, 3])
     T: Count = 10_000
     format: Literal["csv", "json"] = "csv"
     out_dir: Optional[str] = None
@@ -93,7 +97,9 @@ class ExperimentConfig:
         if (self.objective is not None) != exp.takes_objective:
             raise ValueError(f"objective: {exp.name} {'needs an' if exp.takes_objective else 'takes no'} objective")
         if self.objective is not None:
-            from_spec(self.objective)
+            d, x0 = from_spec(self.objective).d, getattr(options, "x0", None)
+            if x0 is not None and len(x0) != d:
+                raise ValueError(f"options.x0: expected {d} coordinates (the objective's d), got {len(x0)}")
         return options
 
 
@@ -257,6 +263,7 @@ PlotBlock = dict[str, Any]
 PlotTable = list[PlotBlock]
 
 
+@dataclass
 class Run:
     """One run as a runner hands it over: its id, its trajectory, its report
     row without ``run_id`` and ``status``, and its plot block's values beside
@@ -264,8 +271,10 @@ class Run:
     A per-run constant is given once, as the Python value the config gave
     (a multiplier given as 2 stays 2)."""
 
-    def __init__(self, rid: str, traj: Trajectory, row: dict, plot: Optional[PlotBlock] = None):
-        self.rid, self.traj, self.row, self.plot = rid, traj, row, plot
+    rid: str
+    traj: Trajectory
+    row: dict
+    plot: Optional[PlotBlock] = None
 
 
 @dataclass
@@ -290,7 +299,6 @@ def _pick(record, *names: str) -> dict:
 def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> tuple[list[Run], dict]:
     obj = from_spec(config.objective)
     runs: list[Run] = []
-    tails: dict[tuple[float, int], float] = {}
 
     grid = sorted(opt.beta2_grid)
     seeds = sorted(config.seeds)
@@ -302,27 +310,24 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> tuple[list[Run], dic
         for seed in seeds:
             params = replace(base, beta2=b2, seed=seed)
             traj = adam_run(obj, opt.x0, params)
-            tail = tail_mean_grad_norm(traj, opt.tail_frac)
-            tails[(b2, seed)] = tail
             row = {
                 "beta2": b2,
                 "seed": seed,
-                "tail_mean_grad_norm": tail,
+                "tail_mean_grad_norm": tail_mean_grad_norm(traj, opt.tail_frac),
                 "summary": trajectory_summary(traj),
             }
             runs.append(Run(f"b2={b2!r}-seed={seed}", traj, row, {"beta2": b2, "seed": seed}))
 
-    floor = opt.grad_floor
-    b2_low = grid[0]
-    floor_ok = {s: tails[(b2_low, s)] > floor for s in seeds}
+    tails = {(run.row["beta2"], run.row["seed"]): run.row["tail_mean_grad_norm"] for run in runs}
+    floor_ok = {s: tails[(grid[0], s)] > opt.grad_floor for s in seeds}
     order_ok = {
         s: all(tails[(a, s)] > tails[(b, s)] for a, b in zip(grid, grid[1:]))
         for s in seeds
     }
     completed = all(run.traj.status == STATUS_COMPLETED for run in runs)
     conclusions = {
-        "floor_value": floor,
-        "lowest_beta2": b2_low,
+        "floor_value": opt.grad_floor,
+        "lowest_beta2": grid[0],
         "floor_ok_per_seed": {str(s): floor_ok[s] for s in seeds},
         "ordering_ok_per_seed": {str(s): order_ok[s] for s in seeds},
         "all_completed": completed,
@@ -332,7 +337,33 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> tuple[list[Run], dic
 
 
 # ---------------------------------------------------------------------------
-# Thm2 (both modes share the setup)
+# GD on the Theorem 2 construction: Thm2Divergence, Thm2Slow and AdamVsGd
+
+
+def _gd_sweep(
+    config: ExperimentConfig, construction: Construction, multipliers: list, steps: int, record_steps: bool
+) -> tuple[FiniteSumObjective, list[float], Thm2Construction, list[tuple[Any, Trajectory, dict]]]:
+    """Build the construction for ``config.T`` and run Diminishing GD from its
+    start point once per multiplier of ``eta_star``, in sorted order. Returns
+    ``(obj, w0, con, [(mult, traj, base_row)])``; a base row holds
+    ``eta_mult``, ``eta1`` and ``summary``."""
+    c = construction
+    obj, w0, con = make_lowerbound(c.L0, c.L1, config.T, c.M, c.f_bar)
+    sweep = []
+    for mult in sorted(multipliers):
+        eta1 = mult * con.eta_star
+        traj = gd_run(obj, w0, eta1, steps=steps, schedule="Diminishing", record_steps=record_steps)
+        sweep.append((mult, traj, {"eta_mult": mult, "eta1": eta1, "summary": trajectory_summary(traj)}))
+    return obj, w0, con, sweep
+
+
+def _min_before_horizon(traj: Trajectory, con: Thm2Construction) -> tuple[int, Optional[float]]:
+    """How many epoch-boundary gradient norms precede the slow horizon, and
+    the least of them (None if none). Python's ``min`` over the floats skips
+    a NaN after the first norm, as a NaN never wins a comparison."""
+    e = traj.epochs
+    before = e.grad_norm[e.k < con.slow_horizon].tolist()
+    return len(before), min(before) if before else None
 
 
 def _growth_ratios(traj: Trajectory) -> list[float]:
@@ -342,115 +373,71 @@ def _growth_ratios(traj: Trajectory) -> list[float]:
     if traj.status != STATUS_COMPLETED:
         # completed runs already end with the closing boundary snapshot
         xs.append(traj.final_w[0])
-    out = []
-    for a, b in zip(xs, xs[1:]):
-        la = math.log(abs(a)) if a != 0.0 else -math.inf
-        lb = math.log(abs(b)) if b != 0.0 else -math.inf
-        out.append(lb - la)
-    return out
+    logs = [math.log(abs(x)) if x != 0.0 else -math.inf for x in xs]
+    return [b - a for a, b in zip(logs, logs[1:])]
 
 
-def run_thm2(
-    config: ExperimentConfig, opt: Thm2DivergenceOptions | Thm2SlowOptions
-) -> tuple[list[Run], dict]:
-    c = opt.construction
-    obj, w0, con = make_lowerbound(c.L0, c.L1, config.T, c.M, c.f_bar)
-    diverge_mode = config.experiment == "Thm2Divergence"
+def _iterates_run(mult, traj: Trajectory, row: dict) -> Run:
+    """A Thm2 run, plotted as its epoch-boundary iterates (x, y)."""
+    w = traj.epochs.w0
+    return Run(f"eta_mult={mult!r}", traj, row, {"eta_mult": mult, "x": w[:, 0], "y": w[:, 1]})
 
-    construction = _pick(
-        con, "epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_gap", "detail"
-    )
+
+def run_thm2_divergence(config: ExperimentConfig, opt: Thm2DivergenceOptions) -> tuple[list[Run], dict]:
+    _, _, con, sweep = _gd_sweep(config, opt.construction, opt.eta_multipliers, opt.steps, True)
     runs: list[Run] = []
+    for mult, traj, row in sweep:
+        ratios = _growth_ratios(traj)
+        row["growth_ratios"] = ratios
+        row["growth_ok"] = all(r >= HALF_LOG2 - opt.growth_tol for r in ratios)
+        row["growth_checks"] = len(ratios)
+        row["diverged"] = traj.status == STATUS_DIVERGED
+        runs.append(_iterates_run(mult, traj, row))
 
-    total_checks = 0
-    all_growth_ok = True
-    per_run_counts: dict[str, int] = {}
-    floor_ok_all = True
-    complete_ok = True
-
-    for mult in sorted(opt.eta_multipliers):
-        eta1 = mult * con.eta_star
-        traj = gd_run(obj, w0, eta1, steps=opt.steps, schedule="Diminishing", record_steps=True)
-        rid = f"eta_mult={mult!r}"
-        entry = {
-            "eta_mult": mult,
-            "eta1": eta1,
-            "summary": trajectory_summary(traj),
-        }
-        e = traj.epochs
-        if diverge_mode:
-            ratios = _growth_ratios(traj)
-            ok = all(r >= HALF_LOG2 - opt.growth_tol for r in ratios)
-            entry["growth_ratios"] = ratios
-            entry["growth_ok"] = ok
-            entry["growth_checks"] = len(ratios)
-            entry["diverged"] = traj.status == STATUS_DIVERGED
-            total_checks += len(ratios)
-            per_run_counts[rid] = len(ratios)
-            all_growth_ok = all_growth_ok and ok and traj.status == STATUS_DIVERGED
-        else:
-            checked = e.grad_norm[e.k < con.slow_horizon].tolist()
-            fl = bool(checked) and min(checked) >= con.epsilon
-            entry["floor_ok"] = fl
-            entry["checked_before_horizon"] = len(checked)
-            entry["min_grad_before_horizon"] = min(checked) if checked else None
-            floor_ok_all = floor_ok_all and fl
-            if mult in opt.complete_multipliers:
-                done = traj.status == STATUS_COMPLETED
-                entry["completed_as_expected"] = done
-                complete_ok = complete_ok and done
-        runs.append(Run(rid, traj, entry, {"eta_mult": mult, "x": e.w0[:, 0], "y": e.w0[:, 1]}))
-
-    if diverge_mode:
-        per_run_ok = all(v >= opt.min_checks_per_run for v in per_run_counts.values())
-        conclusions = {
-            "total_growth_checks": total_checks,
-            "min_checks_total": opt.min_checks_total,
-            "per_run_counts": per_run_counts,
-            "all_growth_ok": all_growth_ok,
-            "all_ok": all_growth_ok and per_run_ok and total_checks >= opt.min_checks_total,
-        }
-    else:
-        horizon_in_window = 100 <= con.slow_horizon < config.T
-        conclusions = {
-            "slow_horizon": con.slow_horizon,
-            "horizon_in_window": horizon_in_window,
-            "floor_ok_all": floor_ok_all,
-            "completions_ok": complete_ok,
-            "all_ok": floor_ok_all and complete_ok and horizon_in_window,
-        }
-    return runs, {"construction": construction, "conclusions": conclusions}
+    per_run_counts = {run.rid: run.row["growth_checks"] for run in runs}
+    total_checks = sum(per_run_counts.values())
+    all_growth_ok = all(run.row["growth_ok"] and run.row["diverged"] for run in runs)
+    per_run_ok = all(v >= opt.min_checks_per_run for v in per_run_counts.values())
+    conclusions = {
+        "total_growth_checks": total_checks,
+        "min_checks_total": opt.min_checks_total,
+        "per_run_counts": per_run_counts,
+        "all_growth_ok": all_growth_ok,
+        "all_ok": all_growth_ok and per_run_ok and total_checks >= opt.min_checks_total,
+    }
+    return runs, {"construction": _pick(con, *THM2_CONSTRUCTION), "conclusions": conclusions}
 
 
-# ---------------------------------------------------------------------------
-# Adam vs GD
+def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions) -> tuple[list[Run], dict]:
+    _, _, con, sweep = _gd_sweep(config, opt.construction, opt.eta_multipliers, opt.steps, True)
+    runs: list[Run] = []
+    for mult, traj, row in sweep:
+        checked, least = _min_before_horizon(traj, con)
+        row["floor_ok"] = least is not None and least >= con.epsilon
+        row["checked_before_horizon"] = checked
+        row["min_grad_before_horizon"] = least
+        if mult in opt.complete_multipliers:
+            row["completed_as_expected"] = traj.status == STATUS_COMPLETED
+        runs.append(_iterates_run(mult, traj, row))
+
+    checks = {
+        "horizon_in_window": 100 <= con.slow_horizon < config.T,
+        "floor_ok_all": all(run.row["floor_ok"] for run in runs),
+        "completions_ok": all(run.row.get("completed_as_expected", True) for run in runs),
+    }
+    conclusions = {"slow_horizon": con.slow_horizon, **checks, "all_ok": all(checks.values())}
+    return runs, {"construction": _pick(con, *THM2_CONSTRUCTION), "conclusions": conclusions}
 
 
 def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[list[Run], dict]:
-    c = opt.construction
-    obj, w0, con = make_lowerbound(c.L0, c.L1, config.T, c.M, c.f_bar)
-
-    construction = _pick(con, "epsilon", "eta_star", "slow_horizon", "x0", "y0")
+    obj, w0, con, sweep = _gd_sweep(config, opt.construction, opt.gd_eta_multipliers, opt.gd_steps, False)
     runs: list[Run] = []
-
-    gd_all_stuck = True
-    for mult in sorted(opt.gd_eta_multipliers):
-        eta1 = mult * con.eta_star
-        traj = gd_run(obj, w0, eta1, steps=opt.gd_steps, schedule="Diminishing", record_steps=False)
-        diverged = traj.status == STATUS_DIVERGED
-        e = traj.epochs
-        before = e.grad_norm[e.k < con.slow_horizon].tolist()
-        stuck = bool(before) and min(before) >= con.epsilon
-        verdict = "diverged" if diverged else ("stuck" if stuck else "progressed")
-        gd_all_stuck = gd_all_stuck and verdict in ("diverged", "stuck")
-        row = {
-            "algo": "gd",
-            "eta_mult": mult,
-            "eta1": eta1,
-            "verdict": verdict,
-            "min_grad_before_horizon": min(before) if before else None,
-            "summary": trajectory_summary(traj),
-        }
+    for mult, traj, row in sweep:
+        _, least = _min_before_horizon(traj, con)
+        stuck = least is not None and least >= con.epsilon
+        row["algo"] = "gd"
+        row["verdict"] = "diverged" if traj.status == STATUS_DIVERGED else ("stuck" if stuck else "progressed")
+        row["min_grad_before_horizon"] = least
         runs.append(Run(f"gd-eta_mult={mult!r}", traj, row, {}))
 
     a = opt.adam
@@ -461,7 +448,6 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[li
     crossing = next(
         (k for k, gn in zip(e.k.tolist(), e.grad_norm.tolist()) if gn < con.epsilon), None
     )
-    adam_ok = traj.status == STATUS_COMPLETED and crossing is not None
     row = {
         "algo": "adam",
         "beta2_admissible": a.beta2 > gamma,
@@ -472,14 +458,14 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[li
     }
     runs.append(Run("adam", traj, row, {}))
 
-    conclusions = {
-        "epsilon": con.epsilon,
-        "gd_all_stuck_or_diverged": gd_all_stuck,
-        "adam_reached_epsilon": adam_ok,
-        "adam_crossing_epoch": crossing,
-        "beta2_admissible": a.beta2 > gamma,
-        "all_ok": gd_all_stuck and adam_ok and a.beta2 > gamma,
+    checks = {
+        "gd_all_stuck_or_diverged": all(r.row["verdict"] != "progressed" for r in runs if r.row["algo"] == "gd"),
+        "adam_reached_epsilon": traj.status == STATUS_COMPLETED and crossing is not None,
+        "beta2_admissible": row["beta2_admissible"],
     }
+    conclusions = {"epsilon": con.epsilon, "adam_crossing_epoch": crossing, **checks}
+    conclusions["all_ok"] = all(checks.values())
+    construction = _pick(con, "epsilon", "eta_star", "slow_horizon", "x0", "y0")
     return runs, {"construction": construction, "conclusions": conclusions}
 
 
@@ -502,8 +488,6 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[l
     problem_constants = _pick(pc, "L0", "L1", "D0", "D1", "f_gap")
 
     combos = sorted(itertools.product(opt.beta1_grid, opt.beta2_grid, opt.eta1_grid, opt.schedules))
-    total_violations = 0
-    max_ratio = 0.0
     for beta1, beta2, eta1, schedule in combos:
         if beta1 * beta1 >= beta2:
             continue
@@ -513,34 +497,17 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[l
         )
         traj = adam_run(obj, w0, params)
         tc = compute_constants(beta1, beta2, eta1, pc)
-        rep_b = check_bounded_update(traj, tc)
-        rep_u = check_u_gap(traj, tc)
-        total_violations += rep_b.violation_count + rep_u.violation_count
-        max_ratio = max(max_ratio, rep_b.max_ratio, rep_u.max_ratio)
-        row = {
-            "beta1": beta1,
-            "beta2": beta2,
-            "eta1": eta1,
-            "schedule": schedule,
-            "C1": tc.C1,
-            "C2": tc.C2,
-            "bounded_update": {
-                "checked": rep_b.checked,
-                "violations": rep_b.violation_count,
-                "max_ratio": rep_b.max_ratio,
-            },
-            "u_gap": {
-                "checked": rep_u.checked,
-                "violations": rep_u.violation_count,
-                "max_ratio": rep_u.max_ratio,
-            },
-        }
+        row = {"beta1": beta1, "beta2": beta2, "eta1": eta1, "schedule": schedule, "C1": tc.C1, "C2": tc.C2}
+        for rep in (check_bounded_update(traj, tc), check_u_gap(traj, tc)):
+            row[rep.name] = {"checked": rep.checked, "violations": rep.violation_count, "max_ratio": rep.max_ratio}
         runs.append(Run(f"b1={beta1!r}-b2={beta2!r}-eta={eta1!r}-{schedule}", traj, row))
 
+    audits = [run.row[name] for run in runs for name in ("bounded_update", "u_gap")]
+    total_violations = sum(audit["violations"] for audit in audits)
     completed = all(run.traj.status == STATUS_COMPLETED for run in runs)
     conclusions = {
         "total_violations": total_violations,
-        "max_ratio": max_ratio,
+        "max_ratio": max([0.0] + [audit["max_ratio"] for audit in audits]),
         "runs": len(runs),
         "all_completed": completed,
         "all_ok": completed and total_violations == 0,
@@ -612,9 +579,10 @@ REGISTRY = {
             objective=zhang_counterexample, takes_objective=True, table="grad_norms", sweeps_seeds=True,
         ),
         Experiment(
-            "Thm2Divergence", "thm2-diverge", Thm2DivergenceOptions, run_thm2, (0,), 10_000, table="iterates"
+            "Thm2Divergence", "thm2-diverge", Thm2DivergenceOptions, run_thm2_divergence, (0,), 10_000,
+            table="iterates",
         ),
-        Experiment("Thm2Slow", "thm2-slow", Thm2SlowOptions, run_thm2, (0,), 10_000, table="iterates"),
+        Experiment("Thm2Slow", "thm2-slow", Thm2SlowOptions, run_thm2_slow, (0,), 10_000, table="iterates"),
         Experiment(
             "AdamVsGd", "compare", ComparisonOptions, run_comparison, (1,), 10_000, table="grad_norms"
         ),

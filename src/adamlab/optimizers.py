@@ -24,7 +24,7 @@ import orjson
 
 from .landscapes import FiniteSumObjective, check_point, to_spec
 from .rng import SplitMix64, stream_for_run
-from .schema import Beta1, Beta2, Count, NonNegative, Positive, check
+from .schema import Beta1, Beta2, Count, NonNegative, Positive, Seed, check
 
 GUARD_SUP_NORM = 1e100
 
@@ -68,7 +68,7 @@ class AdamParams:
     schedule: Schedule = SCHEDULE_DIMINISHING
     epochs: Count = 100
     init_mode: InitMode = INIT_PAPER_THEORY
-    seed: Count = 0
+    seed: Seed = 0
     run_index: Count = 0
     record_steps: bool = True
 

@@ -19,7 +19,7 @@ Algorithm identifier echoed into configs and reports: ``ALGORITHM_ID``.
 
 from __future__ import annotations
 
-from .schema import Count, check
+from .schema import Count, Seed, check
 
 ALGORITHM_ID = "splitmix64/fisher-yates-v1"
 
@@ -109,7 +109,7 @@ class SplitMix64:
         return out.tolist()
 
 
-def stream_for_run(seed: Count, run_index: Count = 0) -> SplitMix64:
+def stream_for_run(seed: Seed, run_index: Count = 0) -> SplitMix64:
     """Derive an independent stream from a base seed and a run index.
 
     Both inputs are scrambled separately, then combined, so neighbouring

@@ -41,8 +41,9 @@ Beta1 = Annotated[float, Range(0.0, 1.0)]
 Beta2 = Annotated[float, Range(0.0, 1.0, lo_open=True)]
 Positive = Annotated[float, Range(0.0, lo_open=True)]
 NonNegative = Annotated[float, Range(0.0)]
-Count = Annotated[int, Range(0)]
+Count = Annotated[int, Range(0, 2**63)]  # fits an int64 column, converts to a float
 Size = Annotated[int, Range(1)]
+Seed = Annotated[int, Range(0, 2**64)]  # a uint64 stream key
 # a number whose square is a positive normal float: LowerBound divides by L1 * L1
 SquarePositive = Annotated[float, Range(math.sqrt(sys.float_info.min))]
 

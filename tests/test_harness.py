@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -168,7 +169,11 @@ def test_run_thm2_slow_shortened_floor_holds():
     assert result.report["construction"]["slow_horizon"] == 9390
 
 
-def test_horizon_scan_skips_a_later_nan_as_python_min_does(monkeypatch):
+@pytest.mark.parametrize("command, options", [
+    ("thm2-slow", {"steps": 400}),
+    ("compare", {"gd_steps": 400, "adam": {"epochs": 40}}),
+], ids=["thm2-slow", "compare"])
+def test_horizon_scan_skips_a_later_nan_as_python_min_does(command, options, monkeypatch):
     # the floor scan reads the grad_norm column as Python floats: a NaN
     # after the first norm never wins a comparison, so min() skips it
     real_gd_run = harness.gd_run
@@ -181,13 +186,23 @@ def test_horizon_scan_skips_a_later_nan_as_python_min_does(monkeypatch):
         return traj
 
     monkeypatch.setattr(harness, "gd_run", gd_run_with_nan)
-    cfg = merge_config(default_config_for("Thm2Slow"), {"options": {"steps": 400}})
-    result = run_experiment(cfg)
-    for run in result.report["runs"]:
+    [name] = [exp.name for exp in REGISTRY.values() if exp.command == command]
+    result = run_experiment(merge_config(default_config_for(name), {"options": options}))
+    epsilon = result.report["construction"]["epsilon"]
+    gd_runs = [run for run in result.report["runs"] if run.get("algo") != "adam"]
+    assert len(gd_runs) >= 3
+    for run in gd_runs:
         norms = result.trajectories[run["run_id"]].epochs.grad_norm.tolist()
-        assert run["checked_before_horizon"] == len(norms) >= 3
-        assert run["min_grad_before_horizon"] == min(norms[:1] + norms[2:])
-        assert run["floor_ok"] is True
+        least = min(norms[:1] + norms[2:])
+        assert run["min_grad_before_horizon"] == least
+        if command == "thm2-slow":
+            assert run["checked_before_horizon"] == len(norms) >= 3
+            assert run["floor_ok"] is True
+        else:
+            verdict = "diverged" if run["status"] == "Diverged" else ("stuck" if least >= epsilon else "progressed")
+            assert run["verdict"] == verdict
+    if command == "compare":
+        assert {run["verdict"] for run in gd_runs} == {"stuck", "diverged"}
 
 
 def test_run_comparison_structure():
@@ -525,6 +540,31 @@ def test_missing_objective_is_refused_at_load(command, tmp_path):
         load_config(command, args)
 
 
+@pytest.mark.parametrize("command", ["fig3", "lemmas", "custom"])
+def test_start_point_of_the_wrong_dimension_is_refused_at_load(command, tmp_path, capsys):
+    overrides = {"options": {"x0": [1.0, 2.0]}}  # every objective below has d = 1
+    if command == "custom":
+        overrides["objective"] = to_spec(quadratic_sum([2.0, 2.0], [[-1.0], [3.0]]))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(overrides))
+    args = build_parser().parse_args([command, "--config", str(cfg)])
+    with pytest.raises(ValueError, match=r"^options\.x0: "):
+        load_config(command, args)
+    assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: options.x0: expected 1 coordinates (the objective's d), got 2\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_count_beyond_int64_is_a_config_error(tmp_path, capsys):
+    # the construction's math.sqrt(T) cannot convert such a T to a float
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"T": 10**400}))
+    assert cli_main(["thm2-diverge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: T: expected an integer in [0, 9223372036854775808), got 1000"), err
+    assert not (tmp_path / "o").exists()
+
+
 def _range_cases(cls, path="options"):
     """(overrides, path) for each value just outside the range of each
     range-typed field of an options record, nested records and list
@@ -560,6 +600,13 @@ def test_every_range_typed_option_is_refused_just_outside_its_range():
             paths.add((name, path))
     assert {("Fig3", "options.beta2_grid[0]"), ("AdamVsGd", "options.adam.epochs"),
             ("Custom", "options.gd.clip_threshold"), ("Thm2Slow", "options.construction.M")} <= paths
+
+
+def test_each_experiment_has_its_own_runner():
+    # a runner shared by two records would have to branch on the experiment
+    assert len({exp.run for exp in REGISTRY.values()}) == len(REGISTRY)
+    for exp in REGISTRY.values():
+        assert "config.experiment" not in inspect.getsource(exp.run), exp.name
 
 
 def test_mistyped_schedule_or_init_mode_fails_at_load():
