@@ -66,7 +66,7 @@ from .optimizers import (
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
-from .schema import Beta1, Beta2, Count, NonNegative, Positive, Seed, SquarePositive, check, parse
+from .schema import Beta1, Beta2, Count, CubeFinite, NonNegative, Positive, Seed, SquarePositive, check, parse
 from .theory import ProblemConstants, Thm2Construction, compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
@@ -227,7 +227,7 @@ class ComparisonOptions:
 class LemmaSuiteOptions:
     beta1_grid: list[Beta1] = _list(0.0, 0.5, 0.9)
     beta2_grid: list[Beta2] = _list(0.99, 0.999)
-    eta1_grid: list[Positive] = _list(0.01, 0.1)
+    eta1_grid: list[CubeFinite] = _list(0.01, 0.1)  # compute_constants' range
     schedules: list[Schedule] = _list("Diminishing", "Constant")
     xi: NonNegative = 1e-8
     init_mode: InitMode = "PaperTheory"

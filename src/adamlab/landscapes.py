@@ -4,7 +4,11 @@ Each objective is f(w) = (1/n) * sum_j f_j(w), one frozen
 ``FiniteSumObjective`` record. Component values and gradients are exposed raw
 (unaveraged), as the builder's ``value_fn(j, w)`` and ``grad_fn(j, w)``,
 because reshuffled optimizers consume them one at a time; ``value`` and
-``full_grad`` average.
+``full_grad`` average. A one-dimensional objective may also carry
+``grad1_fn(j, x)``, the component gradient as a float of a float, equal to
+``grad_fn(j, [x])[0]`` bit for bit: Adam's inner step runs a scalar body on
+it (``optimizers.adam_epoch``). ``ZhangCounterexample`` and a d = 1
+``QuadraticSum`` supply one.
 
 No method checks its point or index: ``check_point`` refuses a wrong
 dimension or a non-finite coordinate once, where a point enters a run or a
@@ -136,9 +140,10 @@ class FiniteSumObjective:
     constants when the construction provides them (None otherwise). The
     callables are the builder's: ``value_fn(j, w)`` and ``grad_fn(j, w)``
     for component j, the optional ``full_grad_fn(w)``, ``smooth_fn(w)`` (a
-    local Lipschitz bound for the full gradient at w) and ``values_fn(W)``
+    local Lipschitz bound for the full gradient at w), ``values_fn(W)``
     (row kernel: rows x d points -> rows x n component values, each equal
-    to value_fn's bit for bit).
+    to value_fn's bit for bit) and, keyword only and for d = 1 only,
+    ``grad1_fn(j, x)`` (the float ``grad_fn(j, [x])[0]``, bit for bit).
     """
 
     kind: str
@@ -153,9 +158,12 @@ class FiniteSumObjective:
     known_min: Optional[float] = None
     known_D0_D1: Optional[tuple[float, float]] = None
     known_L0_L1: Optional[tuple[float, float]] = None
+    grad1_fn: Optional[Callable[[int, float], float]] = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         check(FiniteSumObjective, n=self.n, d=self.d)
+        if self.grad1_fn is not None and self.d != 1:
+            raise ValueError(f"grad1_fn needs d=1, objective has d={self.d}")
 
     # -- evaluation, unchecked (see check_point) -----------------------------
 
@@ -236,11 +244,15 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
         t = x - c
         return -0.1 * s * (t * t)
 
+    # gradient of component j: coef_j * (x - center_j), so 2 s (x - 1) is
+    # (2.0 * s) * (x - 1.0)
+    coefs, centers = (2.0 * s,) + (-0.2 * s,) * 9, (1.0,) + (c,) * 9
+
     def grad_fn(j: int, w: Sequence[float]) -> Vector:
-        x = w[0]
-        if j == 0:
-            return [2.0 * s * (x - 1.0)]
-        return [-0.2 * s * (x - c)]
+        return [coefs[j] * (w[0] - centers[j])]
+
+    def grad1_fn(j: int, x: float) -> float:
+        return coefs[j] * (x - centers[j])
 
     def values_fn(W: np.ndarray) -> np.ndarray:
         # value_fn's expressions, one column per component
@@ -269,6 +281,7 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
         values_fn=values_fn,
+        grad1_fn=grad1_fn,
         known_min=-s / 90.0 if s > 0 else None,
         known_D0_D1=None,
         known_L0_L1=(2.0 * abs(s), 0.0),
@@ -365,6 +378,13 @@ def quadratic_sum(
     def grad_fn(j: int, w: Sequence[float]) -> Vector:
         return [a[j] * (w[l] - cs[j][l]) for l in range(d)]
 
+    grad1_fn = None
+    if d == 1:  # grad_fn's one coordinate
+        coefs, centers = tuple(a), tuple(c[0] for c in cs)
+
+        def grad1_fn(j: int, x: float) -> float:
+            return coefs[j] * (x - centers[j])
+
     def full_grad_fn(w: Sequence[float]) -> Vector:
         return [abar * (w[l] - wstar[l]) for l in range(d)]
 
@@ -380,6 +400,7 @@ def quadratic_sum(
         grad_fn=grad_fn,
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
+        grad1_fn=grad1_fn,
         known_min=fmin,
         known_D0_D1=known_D0_D1,
         known_L0_L1=(max(a), 0.0),

@@ -212,8 +212,12 @@ def adam_epoch(
     # Each step's iterate is the start point adam_init checked or one the
     # guard passed. The builder's callable is bound once per epoch: calling
     # the component_grad method per inner step made Fig3's run 7-10% slower
-    # in CPU time.
-    grad_fn = obj.grad_fn
+    # in CPU time. An objective with a grad1_fn (d = 1) takes the scalar
+    # body below instead: the same update, rule, guard and records, on the
+    # moments and iterate held in locals, with no one-element gradient list
+    # and no coordinate loop. That cut Fig3's run_s by about a quarter
+    # (BENCH_18_parent.json -> BENCH_18.json).
+    grad1 = obj.grad1_fn
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
@@ -222,8 +226,33 @@ def adam_epoch(
     record = steps is not None
     if record:
         steps["tau"].extend(tau)
-        add_w, add_ratio = steps["w_before"].extend, steps["ratio"].append
+        add_w = steps["w_before"].extend if grad1 is None else steps["w_before"].append
+        add_ratio = steps["ratio"].append
     sqrt, sup = math.sqrt, GUARD_SUP_NORM
+
+    if grad1 is not None:
+        x, m, nu, x_prev = state.w[0], state.m[0], state.nu[0], state.w_prev[0]
+        fail = None
+        for i, j in enumerate(tau):
+            g = grad1(j, x)
+            if record:
+                add_w(x)
+            nu = beta2 * nu + one_m_b2 * g * g
+            m = beta1 * m + one_m_b1 * g
+            den = sqrt(nu) + xi
+            r = m / den if den != 0.0 else 0.0  # as in the loop below
+            x_prev = x
+            x = x - eta * r
+            if record:
+                add_ratio(abs(r))
+            if not abs(x) <= sup:
+                fail = (k, i)
+                break
+        state.w[0], state.m[0], state.nu[0], state.w_prev[0] = x, m, nu, x_prev
+        state.k = k + 1
+        return fail
+
+    grad_fn = obj.grad_fn
     coords = range(obj.d)
     w, m, nu, w_prev = state.w, state.m, state.nu, state.w_prev
 

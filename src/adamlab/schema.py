@@ -46,6 +46,10 @@ Size = Annotated[int, Range(1)]
 Seed = Annotated[int, Range(0, 2**64)]  # a uint64 stream key
 # a number whose square is a positive normal float: LowerBound divides by L1 * L1
 SquarePositive = Annotated[float, Range(math.sqrt(sys.float_info.min))]
+# a positive number whose cube is finite: theory.compute_constants takes
+# eta1 ** 3, and a float ** raises OverflowError where a product rounds to
+# inf. The bound lies a little below the cube root of the largest float.
+CubeFinite = Annotated[float, Range(0.0, sys.float_info.max ** (1 / 3), lo_open=True)]
 
 
 @functools.cache

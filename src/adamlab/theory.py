@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .schema import Beta1, Beta2, NonNegative, Positive, Size, SquarePositive, check
+from .schema import Beta1, Beta2, CubeFinite, NonNegative, Positive, Size, SquarePositive, check
 
 SQRT2 = math.sqrt(2.0)
 
@@ -127,13 +127,14 @@ class TheoryConstants:
     eta1: float
 
 
-def compute_constants(beta1: Beta1, beta2: Beta2, eta1: Positive, pc: ProblemConstants) -> TheoryConstants:
+def compute_constants(beta1: Beta1, beta2: Beta2, eta1: CubeFinite, pc: ProblemConstants) -> TheoryConstants:
     """Materialize the thirteen composite constants, for the component
     count n and dimension d of pc.
 
-    Domain: 0 <= beta1 < 1, 0 < beta2 < 1, beta1^2 < beta2, eta1 > 0. When
-    g(beta2) is infinite (memory too short), C8..C13 come back +inf; the
-    admissibility threshold beta2 > gamma excludes that region anyway.
+    Domain: 0 <= beta1 < 1, 0 < beta2 < 1, beta1^2 < beta2, eta1 > 0 with a
+    finite cube (CubeFinite). When g(beta2) is infinite (memory too short),
+    C8..C13 come back +inf; the admissibility threshold beta2 > gamma
+    excludes that region anyway.
     """
     check(compute_constants, beta1=beta1, beta2=beta2, eta1=eta1)
     if beta1 * beta1 >= beta2:

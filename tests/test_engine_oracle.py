@@ -8,6 +8,10 @@ it takes the no-signal branch only when the denominator is exactly zero, so
 a NaN gradient ends the run NonFinite, and it keeps the epoch's permutation
 and inner index in locals; do not optimize it.
 
+The engine's d = 1 body, taken by objectives that carry a ``grad1_fn``,
+is checked against the same reference, including the generic loop's
+no-signal branch and its ends on NaN and infinite gradients.
+
 The engine stores its trajectory as NumPy columns; every stored column is
 compared with the reference's records by repr. Two record fields are not
 stored, because they are functions of stored columns: the component
@@ -20,6 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from adamlab import optimizers
@@ -242,19 +247,39 @@ def assert_same_run(got: Trajectory, expected: ReferenceTrajectory, obj: FiniteS
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
+def drift_objective(bound: float, past: float, scalar: bool) -> FiniteSumObjective:
+    """Three 1-d components whose gradients -1 - j/2 drift the iterate
+    upward, and turn to ``past`` once it exceeds ``bound``. With ``scalar``
+    the objective carries the same gradient as a grad1_fn, so Adam runs its
+    d = 1 body on it; without, its generic loop."""
+
+    def grad_fn(j, w):
+        return [-1.0 - 0.5 * j] if w[0] <= bound else [past]
+
+    def grad1_fn(j, x):
+        return -1.0 - 0.5 * j if x <= bound else past
+
+    return FiniteSumObjective(
+        KIND_CUSTOM, 3, 1, {},
+        value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0], grad_fn=grad_fn,
+        grad1_fn=grad1_fn if scalar else None,
+    )
+
+
 @st.composite
 def problems(draw):
     """(objective, start point) across the serializable kinds plus a custom
     objective that drifts the iterate upward at a constant gradient and
     turns its gradient non-finite past a bound, so runs fail at varied
-    steps."""
+    steps. The counterexample, the d = 1 QuadraticSum and half the drift
+    objectives carry a grad1_fn."""
     kind = draw(st.sampled_from(["zhang", "quadratic", "lowerbound", "drift", "drift"]))
     if kind == "zhang":
         scale = draw(st.floats(0.1, 20.0, **finite)) * draw(st.sampled_from([1.0, -1.0]))
         return zhang_counterexample(scale), [draw(st.floats(-5.0, 5.0, **finite))]
     if kind == "quadratic":
         n = draw(st.integers(1, 5))
-        d = draw(st.integers(2, 3))
+        d = draw(st.integers(1, 3))
         coords = st.floats(-5.0, 5.0, **finite)
         curv = draw(st.lists(st.floats(0.1, 10.0, **finite), min_size=n, max_size=n))
         centers = [draw(st.lists(coords, min_size=d, max_size=d)) for _ in range(n)]
@@ -270,14 +295,7 @@ def problems(draw):
     # -inf makes the update inf/inf, a NaN iterate; a NaN gradient makes
     # the moments, the update and the iterate NaN, so the run ends NonFinite
     past = draw(st.sampled_from([-math.inf, math.nan]))
-
-    def grad_fn(j, w):
-        return [-1.0 - 0.5 * j] if w[0] <= bound else [past]
-
-    obj = FiniteSumObjective(
-        KIND_CUSTOM, 3, 1, {},
-        value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0], grad_fn=grad_fn,
-    )
+    obj = drift_objective(bound, past, draw(st.booleans()))
     return obj, [draw(st.floats(-1.0, 0.5, **finite))]
 
 
@@ -304,6 +322,7 @@ def test_adam_run_matches_scalar_reference_bit_for_bit(problem, params, block_dr
     obj, w0 = problem
     expected = reference_adam_run(obj, w0, params)
     event(f"status {expected.status}")
+    event(f"d = 1 body {obj.grad1_fn is not None}")
     saved = optimizers.PERM_BLOCK_DRAWS
     optimizers.PERM_BLOCK_DRAWS = block_draws
     try:
@@ -336,3 +355,39 @@ def test_oracle_covers_every_status():
         got, expected = adam_run(obj, w0, params), reference_adam_run(obj, w0, params)
         assert got.status == status
         assert_same_run(got, expected, obj)
+
+
+@pytest.mark.parametrize("record_steps", [False, True])
+@pytest.mark.parametrize("init_mode", ["PaperTheory", "ZeroState"])
+@pytest.mark.parametrize("schedule", ["Diminishing", "Constant"])
+def test_d1_body_takes_the_no_signal_branch_on_an_all_zero_gradient(schedule, init_mode, record_steps):
+    # both centers at the start point: every gradient is 0.0, so with xi = 0
+    # every denominator is exactly zero and the iterate never moves
+    obj = quadratic_sum([2.0, 3.0], [[0.5], [0.5]])
+    assert obj.grad1_fn is not None
+    params = AdamParams(xi=0.0, schedule=schedule, init_mode=init_mode, epochs=4, record_steps=record_steps)
+    got = adam_run(obj, [0.5], params)
+    assert_same_run(got, reference_adam_run(obj, [0.5], params), obj)
+    assert got.status == STATUS_COMPLETED and got.final_w == (0.5,)
+    assert len(got.steps) == (8 if record_steps else 0)
+    assert not got.steps.ratio.any()
+
+
+@pytest.mark.parametrize("past, eta1, status", [
+    (-math.inf, 0.1, STATUS_NONFINITE),
+    (math.nan, 0.1, STATUS_NONFINITE),
+    (-1.0, 1e99, STATUS_DIVERGED),
+])
+def test_d1_body_ends_a_failing_run_where_the_reference_does(past, eta1, status):
+    # the failure falls partway through an epoch, on the same step with and
+    # without the grad1_fn
+    params = AdamParams(eta1=eta1, schedule="Constant", epochs=20, seed=5)
+    fails = set()
+    for scalar in (True, False):
+        obj = drift_objective(3.0, past, scalar)
+        got, expected = adam_run(obj, [0.0], params), reference_adam_run(obj, [0.0], params)
+        assert_same_run(got, expected, obj)
+        assert got.status == status
+        fails.add(got.fail_step)
+    [(_, i)] = fails
+    assert i > 0

@@ -565,6 +565,18 @@ def test_cli_count_beyond_int64_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_eta1_with_an_overflowing_cube_is_a_config_error(tmp_path, capsys):
+    # compute_constants takes eta1 ** 3, which raises OverflowError past
+    # about 5.6e102; refused at load, before any run
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"T": 30, "options": {"eta1_grid": [0.1, 1e120]}}))
+    assert cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: options.eta1_grid[1]: expected a number in (0.0, 5.6438"), err
+    assert err.rstrip().endswith("got 1e+120"), err
+    assert not (tmp_path / "o").exists()
+
+
 def _range_cases(cls, path="options"):
     """(overrides, path) for each value just outside the range of each
     range-typed field of an options record, nested records and list

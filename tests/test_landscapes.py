@@ -154,6 +154,43 @@ def test_counterexample_kernel_matches_value_fn_bit_for_bit(x, scale):
     assert _bits(row[0]) == _bits([obj.value_fn(j, [x]) for j in range(obj.n)])
 
 
+@st.composite
+def one_dimensional_objectives(draw):
+    """The counterexample at either sign of its scale, or a d = 1
+    QuadraticSum; coefficients large enough that a gradient at |x| up to
+    1e200 overflows. The QuadraticSum's curvature-center products stay
+    finite, which its builder's weighted center needs."""
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return zhang_counterexample(sign * draw(st.floats(1e-300, 1e300)))
+    n = draw(st.integers(1, 5))
+    curvatures = draw(st.lists(st.floats(1e-300, 1e150), min_size=n, max_size=n))
+    center = st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=1)
+    return quadratic_sum(curvatures, draw(st.lists(center, min_size=n, max_size=n)))
+
+
+@given(one_dimensional_objectives(), st.floats(-1e200, 1e200))
+@example(zhang_counterexample(1e200), 1e200)  # 2e200 * (x - 1.0) is inf
+@example(zhang_counterexample(-1e200), -1e200)
+@example(quadratic_sum([1e300], [[-1e200]]), 1e200)
+@example(zhang_counterexample(5e-324), -0.0)
+@settings(max_examples=300, deadline=None)
+def test_grad1_fn_is_grad_fn_bit_for_bit(obj, x):
+    for j in range(obj.n):
+        assert repr(obj.grad1_fn(j, x)) == repr(obj.grad_fn(j, [x])[0])
+
+
+def test_grad1_fn_only_on_one_dimension():
+    assert zhang_counterexample(1e200).grad1_fn(0, 1e200) == math.inf
+    assert quadratic_sum([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]]).grad1_fn is None
+    assert lowerbound_objective(1.0, 1.0, 0.5).grad1_fn is None
+    with pytest.raises(ValueError, match="grad1_fn needs d=1"):
+        FiniteSumObjective(
+            KIND_CUSTOM, 1, 2, {},
+            value_fn=lambda j, w: 0.0, grad_fn=lambda j, w: [0.0, 0.0], grad1_fn=lambda j, x: 0.0,
+        )
+
+
 def test_counterexample_squares_by_multiplying():
     # libm pow rounds this square differently from the one IEEE product
     x = -0.8704829527801667

@@ -1,10 +1,12 @@
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from adamlab.landscapes import expquad_grad
 from adamlab.optimizers import EpochTable, StepTable, Trajectory
+from adamlab.schema import CubeFinite
 from adamlab.theory import (
     VERDICT_MAIN,
     VERDICT_NEIGHBORHOOD,
@@ -186,6 +188,12 @@ def test_compute_constants_domain_errors():
         compute_constants(0.8, 0.5, 0.1, pc)  # beta1^2 >= beta2
     with pytest.raises(ValueError):
         compute_constants(0.0, 0.99, 0.0, pc)
+    # the largest eta1 with a finite cube is accepted; the next is refused,
+    # not raised as OverflowError at eta1 ** 3
+    top = math.nextafter(typing.get_args(CubeFinite)[1].hi, 0.0)
+    assert compute_constants(0.0, 0.99, top, pc).eta1 == top
+    with pytest.raises(ValueError, match="^eta1: expected a number in"):
+        compute_constants(0.0, 0.99, 1e120, pc)
     with pytest.raises(ValueError):
         compute_constants(0.0, 0.99, 0.1, ProblemConstants(L0=-1.0, L1=0.0, D0=0.0, D1=1.0, n=4, d=1, f_gap=1.0))
 
