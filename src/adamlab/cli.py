@@ -65,12 +65,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = load_config(args.command, args)
         result = run_experiment(config)
+        out_root = config.out_dir or "out"
+        paths = emit(result, out_root, config.format)  # an unusable --out raises OSError
     except (ValueError, OSError) as exc:  # theory.ConstraintViolation included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_root = config.out_dir or "out"
-    paths = emit(result, out_root, config.format)
     conclusions = result.report["conclusions"]
     print(f"experiment: {config.experiment}")
     for key in sorted(conclusions):

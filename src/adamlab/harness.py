@@ -267,14 +267,14 @@ PlotTable = list[PlotBlock]
 class Run:
     """One run as a runner hands it over: its id, its trajectory, its report
     row without ``run_id`` and ``status``, and its plot block's values beside
-    ``k``, ``grad_norm`` and ``run_id`` (``None``: the run is not plotted).
+    ``k``, ``grad_norm`` and ``run_id`` (unread without a plot table).
     A per-run constant is given once, as the Python value the config gave
     (a multiplier given as 2 stays 2)."""
 
     rid: str
     traj: Trajectory
     row: dict
-    plot: Optional[PlotBlock] = None
+    plot: PlotBlock = field(default_factory=dict)
 
 
 @dataclass
@@ -438,7 +438,7 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[li
         row["algo"] = "gd"
         row["verdict"] = "diverged" if traj.status == STATUS_DIVERGED else ("stuck" if stuck else "progressed")
         row["min_grad_before_horizon"] = least
-        runs.append(Run(f"gd-eta_mult={mult!r}", traj, row, {}))
+        runs.append(Run(f"gd-eta_mult={mult!r}", traj, row))
 
     a = opt.adam
     gamma = gamma_threshold(D1=obj.known_D0_D1[1], n=obj.n, d=obj.d, beta1=a.beta1)
@@ -456,7 +456,7 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[li
         "budget_epochs": a.epochs,
         "summary": trajectory_summary(traj),
     }
-    runs.append(Run("adam", traj, row, {}))
+    runs.append(Run("adam", traj, row))
 
     checks = {
         "gd_all_stuck_or_diverged": all(r.row["verdict"] != "progressed" for r in runs if r.row["algo"] == "gd"),
@@ -638,12 +638,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "runs": [{"run_id": run.rid, "status": run.traj.status, **run.row} for run in runs],
         **own,
     }
-    blocks = [
+    tables = {exp.table: [
         {"k": run.traj.epochs.k, "grad_norm": run.traj.epochs.grad_norm, "run_id": run.rid, **run.plot}
         for run in runs
-        if run.plot is not None
-    ]
-    return ExperimentResult(report, trajectories, {exp.table: blocks} if exp.table else {})
+    ]} if exp.table else {}
+    return ExperimentResult(report, trajectories, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, make_dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -346,6 +346,15 @@ def lowerbound_objective(L0: Positive, L1: SquarePositive, epsilon: Positive) ->
     )
 
 
+def _fsum(key: str, terms: Iterable[float]) -> float:
+    """math.fsum of terms built from the parameter ``key``; its OverflowError
+    (a sum past the float range) or ValueError (inf + -inf) names the key."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"{key}: a sum built from these values leaves the float range ({exc})") from None
+
+
 def quadratic_sum(
     curvatures: list[Positive],
     centers: Sequence[Sequence[float]],
@@ -362,15 +371,15 @@ def quadratic_sum(
     a = [float(v) for v in curvatures]
     cs = [[float(x) for x in c] for c in centers]
 
-    abar = math.fsum(a) / n
+    abar = _fsum("curvatures", a) / n
     # stationary point of the mean: weighted center
-    wstar = [math.fsum(a[j] * cs[j][l] for j in range(n)) / (n * abar) for l in range(d)]
+    wstar = [_fsum("centers", (a[j] * cs[j][l] for j in range(n))) / (n * abar) for l in range(d)]
     # squares as products: `t ** 2` raises OverflowError past about 1.3e154,
     # `t * t` rounds to inf
-    fmin = math.fsum(
+    fmin = _fsum("centers", (
         0.5 * a[j] * math.fsum(t * t for t in (wstar[l] - cs[j][l] for l in range(d)))
         for j in range(n)
-    ) / n
+    )) / n
 
     def value_fn(j: int, w: Sequence[float]) -> float:
         return 0.5 * a[j] * math.fsum(t * t for t in (w[l] - cs[j][l] for l in range(d)))

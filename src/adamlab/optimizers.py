@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Literal, Optional, Sequence
 
@@ -95,11 +95,6 @@ class _Table:
     def __len__(self) -> int:
         return len(self.k)
 
-    def __getitem__(self, rows: slice):
-        if not isinstance(rows, slice):
-            raise TypeError("table rows are selected by slice; read a column for values")
-        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)})
-
 
 @dataclass(frozen=True, eq=False)
 class EpochTable(_Table):
@@ -144,12 +139,13 @@ class Trajectory:
     fail_step: Optional[tuple[int, int]]
     final_w: tuple
 
-    def epoch_starts(self) -> EpochTable:
-        """Snapshot rows at epoch starts k = 1..T: a completed run's closing
+    def epoch_start_norms(self) -> np.ndarray:
+        """Gradient norms at epoch starts k = 1..T: a completed run's closing
         boundary snapshot is dropped, unless it is the only one (0 epochs)."""
-        if self.status == STATUS_COMPLETED and len(self.epochs) >= 2:
-            return self.epochs[:-1]
-        return self.epochs
+        norms = self.epochs.grad_norm
+        if self.status == STATUS_COMPLETED and len(norms) >= 2:
+            return norms[:-1]
+        return norms
 
 
 def eta_schedule(eta1: float, schedule: str, k):
@@ -477,7 +473,7 @@ def aux_sequence(traj: Trajectory, beta1: Beta1) -> np.ndarray:
 def tail_mean_grad_norm(traj: Trajectory, frac: float = 0.1) -> float:
     """Mean epoch-start gradient norm over the last ceil-free max(1,
     floor(K * frac)) epochs k <= K (closing boundary snapshot excluded)."""
-    norms = traj.epoch_starts().grad_norm.tolist()
+    norms = traj.epoch_start_norms().tolist()
     if not norms:
         return math.nan
     count = max(1, int(len(norms) * frac))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,8 +35,6 @@ FLAT_REL_TOL = 1e-6
 @dataclass(frozen=True)
 class SmoothnessEstimate:
     estimate: float
-    alpha: float
-    segment_norm: float
     grid_points: int
     degenerate: bool
 
@@ -67,7 +65,7 @@ def local_smoothness(
     seg = [w_b[l] - w_a[l] for l in range(obj.d)]
     seg_norm = math.hypot(*seg)
     if seg_norm < DEGENERATE_SEGMENT:
-        return SmoothnessEstimate(math.nan, alpha, seg_norm, m, True)
+        return SmoothnessEstimate(math.nan, m, True)
     g0 = obj.full_grad(w_a)
     best = 0.0
     for step in range(1, m + 1):
@@ -78,7 +76,7 @@ def local_smoothness(
         val = diff / (gamma * seg_norm)
         if val > best:
             best = val
-    return SmoothnessEstimate(best, alpha, seg_norm, m, False)
+    return SmoothnessEstimate(best, m, False)
 
 
 def smoothness_pairs(
@@ -276,64 +274,40 @@ class LemmaReport:
     checked: int
     violation_count: int
     max_ratio: float  # max over checks of value / bound (0.0 when nothing checked)
-    examples: list = field(default_factory=list)  # first few (k, i, coord, value, bound)
 
 
-def _lemma_report(name: str, value: np.ndarray, bound: np.ndarray, where) -> LemmaReport:
-    """Report over flat check arrays in audit order: check c fails when
-    value[c] > bound[c] and feeds value[c] / bound[c] (0.0 for a zero bound)
-    to max_ratio, which starts at 0.0. A NaN never wins a comparison. where(c)
-    gives the (k, i, coord) of check c for the examples."""
+def _lemma_report(name: str, *checks: tuple[np.ndarray, np.ndarray | float]) -> LemmaReport:
+    """Report over (value, bound) pairs, each bound broadcasting to its
+    value: a check fails when value > bound and feeds value / bound (0.0 for
+    a zero bound) to max_ratio, which starts at 0.0. A NaN never wins a
+    comparison."""
+    checked, violations, peak = 0, 0, 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bound == 0.0, 0.0, value / bound)
-    bad = np.flatnonzero(value > bound)
-    peak = float(np.fmax.reduce(ratio, initial=0.0))
-    return LemmaReport(
-        name=name,
-        checked=len(value),
-        violation_count=len(bad),
-        max_ratio=peak if peak > 0.0 else 0.0,
-        examples=[(*where(c), float(value[c]), float(bound[c])) for c in bad[:10].tolist()],
-    )
+        for value, bound in checks:
+            checked += value.size
+            violations += int(np.count_nonzero(value > bound))
+            ratio = np.where(bound == 0.0, 0.0, value / bound)
+            peak = float(np.fmax.reduce(ratio, axis=None, initial=peak))
+    return LemmaReport(name, checked, violations, peak if peak > 0.0 else 0.0)
 
 
 def check_bounded_update(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
     """Audit |m_l| / (sqrt(nu_l) + xi) <= C1 and |delta w_l| <= C1 eta_k on
     every recorded inner step (needs record_steps=True); eta_k is the step
     size stored in epoch k's snapshot. C1 >= 1 by its formula."""
-    c1 = tc.C1
     s = traj.steps
-    d = s.ratio.shape[1]
-    cap = np.broadcast_to((c1 * traj.epochs.eta[s.k - 1])[:, None], s.ratio.shape)
-    # axis 2 holds the two checks of one (step, coordinate), ratio first
-    value = np.stack([s.ratio, s.update_abs], axis=2).ravel()
-    bound = np.stack([np.full_like(s.ratio, c1), cap], axis=2).ravel()
-    k, i = s.k.tolist(), s.i.tolist()
-    return _lemma_report(
-        "bounded_update", value, bound, lambda c: (k[c // (2 * d)], i[c // (2 * d)], c // 2 % d)
-    )
+    cap = (tc.C1 * traj.epochs.eta[s.k - 1])[:, None]
+    return _lemma_report("bounded_update", (s.ratio, tc.C1), (s.update_abs, cap))
 
 
 def check_u_gap(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
     """Audit the momentum-corrected sequence u_k = (w_{k,0} - beta1
     w_{k,-1}) / (1 - beta1): per-coordinate |u_k - w_{k,0}| <= C2 eta_k and
-    |u_{k+1} - u_k| <= C2 eta_k on epoch-boundary snapshots; all gap checks
-    (i = -1) come before the move checks (i = -2)."""
+    |u_{k+1} - u_k| <= C2 eta_k on epoch-boundary snapshots."""
     e = traj.epochs
     u = aux_sequence(traj, tc.beta1)
-    T, d = u.shape
-    cap = np.broadcast_to((tc.C2 * e.eta)[:, None], u.shape)
-    value = np.concatenate([np.abs(u - e.w0).ravel(), np.abs(u[1:] - u[:-1]).ravel()])
-    bound = np.concatenate([cap.ravel(), cap[:-1].ravel()])
-    k = e.k.tolist()
-
-    def where(c: int) -> tuple:
-        if c < T * d:
-            return k[c // d], -1, c % d
-        c -= T * d
-        return k[c // d], -2, c % d
-
-    return _lemma_report("u_gap", value, bound, where)
+    cap = (tc.C2 * e.eta)[:, None]
+    return _lemma_report("u_gap", (np.abs(u - e.w0), cap), (np.abs(u[1:] - u[:-1]), cap[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +326,7 @@ def progress_metric(grad_norm: float, D0: float, D1: Positive, xi: float) -> flo
 def progress_metric_min(traj: Trajectory, D0: float, D1: float, xi: float) -> float:
     """Min of the progress metric over epoch-start snapshots k = 1..T (the
     closing boundary of a completed run is excluded)."""
-    norms = traj.epoch_starts().grad_norm.tolist()
+    norms = traj.epoch_start_norms().tolist()
     if not norms:
         raise ValueError("trajectory has no epoch snapshots")
     return min(progress_metric(gn, D0, D1, xi) for gn in norms)

@@ -291,9 +291,6 @@ class FeasibilityReport:
     margin_smooth: float
     margin_second: float
 
-    def __bool__(self) -> bool:  # pragma: no cover
-        return self.ok
-
 
 def eta1_feasible(tc: TheoryConstants, pc: ProblemConstants) -> FeasibilityReport:
     """Check the two start-step-size conditions the bound needs."""
@@ -371,7 +368,7 @@ def check_theorem1(traj, pc: ProblemConstants, tc: TheoryConstants, xi: float) -
     is excluded to match the bound's stated range). Verdict favors the main
     branch; Violated only when both sides fail with relative slack 1e-9.
     """
-    norms = traj.epoch_starts().grad_norm.tolist()
+    norms = traj.epoch_start_norms().tolist()
     if not norms:
         raise ValueError("trajectory has no epoch snapshots")
     T = len(norms)

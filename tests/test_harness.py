@@ -689,6 +689,33 @@ def test_cli_overflowing_start_point_is_a_config_error(tmp_path, capsys):
     assert "config error: f_gap: expected a finite number, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curvatures, centers, key, cause", [
+    # each sum of two finite terms passes the largest float
+    ([1.0, 1.0], [[1.7e308], [1.7e308]], "centers", "intermediate overflow in fsum"),
+    ([1.7e308, 1.7e308], [[-1.0], [3.0]], "curvatures", "intermediate overflow in fsum"),
+    # the curvature-center products round to inf and -inf
+    ([1e300, 1e300], [[1e200], [-1e200]], "centers", "-inf + inf in fsum"),
+])
+def test_cli_quadratic_sum_out_of_float_range_is_a_config_error(curvatures, centers, key, cause, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    objective = {"kind": "QuadraticSum", "parameters": {"curvatures": curvatures, "centers": centers}}
+    cfg.write_text(json.dumps({"objective": objective, "options": {"algo": "adam", "x0": [0.0]}}))
+    assert cli_main(["custom", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key}: a sum built from these values leaves the float range ({cause})\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_unusable_out_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o"
+    assert cli_main(["thm2-diverge", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # one line, naming the path, and no traceback
+    assert err.startswith("config error: ") and err.count("\n") == 1 and str(out) in err, err
+
+
 def test_cli_seed_replaces_seed_list(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T": 10, "seeds": [5, 6, 7]}))

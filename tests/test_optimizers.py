@@ -184,15 +184,17 @@ def test_completed_run_has_closing_snapshot():
     obj = zhang_counterexample(1.0)
     traj = adam_run(obj, [1.5], params(epochs=3))
     assert traj.epochs.k.tolist() == [1, 2, 3, 4]
-    assert traj.epoch_starts().k.tolist() == [1, 2, 3]
+    assert traj.epoch_start_norms().tolist() == traj.epochs.grad_norm[:3].tolist()
     # a completed 0-epoch run keeps its only snapshot
     empty = adam_run(obj, [1.5], params(epochs=0))
-    assert empty.epoch_starts().k.tolist() == [1]
+    assert empty.epoch_start_norms().tolist() == empty.epochs.grad_norm.tolist()
+    assert len(empty.epochs) == 1
     # a failed run has no closing snapshot to drop
     obj = FiniteSumObjective(KIND_CUSTOM, 1, 1, {}, lambda j, w: -float(w[0]), lambda j, w: [-1.0])
     failed = adam_run(obj, [0.0], params(beta1=0.0, eta1=1e100, xi=0.0, schedule=SCHEDULE_CONSTANT))
     assert failed.status == STATUS_DIVERGED
-    assert failed.epoch_starts().k.tolist() == [1]
+    assert len(failed.epochs) == 1
+    assert failed.epoch_start_norms().tolist() == failed.epochs.grad_norm.tolist()
 
 
 def test_divergence_guard_trips_on_runaway_iterate():

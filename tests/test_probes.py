@@ -4,7 +4,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adamlab.landscapes import (
     expquad_grad,
@@ -316,7 +316,6 @@ def reference_bounded_update(traj, tc):
         checked=count,
         violation_count=len(violations),
         max_ratio=max_ratio,
-        examples=violations[:10],
     )
 
 
@@ -357,7 +356,6 @@ def reference_u_gap(traj, tc):
         checked=count,
         violation_count=len(violations),
         max_ratio=max_ratio,
-        examples=violations[:10],
     )
 
 
@@ -421,14 +419,13 @@ def test_vectorized_audits_equal_scalar_reference(case):
     with np.errstate(all="ignore"):
         got_b, got_u = check_bounded_update(traj, tc), check_u_gap(traj, tc)
     want_b, want_u = reference_bounded_update(traj, tc), reference_u_gap(traj, tc)
-    event(f"more than 10 violations: {got_b.violation_count > 10 or got_u.violation_count > 10}")
     # repr tells NaN, -0.0 and NumPy scalars apart from Python floats
     assert repr(got_b) == repr(want_b)
     assert repr(got_u) == repr(want_u)
 
 
-def test_vectorized_audits_keep_violation_order():
-    # many violations: the examples are the first ten in audit order
+def test_vectorized_audits_count_many_violations_as_the_reference():
+    # a real run under tiny constants: many checks fail
     obj = zhang_counterexample(1.0)
     traj = adam_run(obj, [1.0], AdamParams(epochs=10, seed=3))
     tc = dataclasses.replace(zhang_tc(), C1=1e-9, C2=1e-9)
