@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -59,14 +60,24 @@ def load_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def check_out_root(path: str) -> None:
+    """Refuse an output root that emit cannot create; creates nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise OSError(f"{path}: unusable output directory ({probe} is not a writable directory)")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = load_config(args.command, args)
-        result = run_experiment(config)
         out_root = config.out_dir or "out"
-        paths = emit(result, out_root, config.format)  # an unusable --out raises OSError
+        check_out_root(out_root)
+        result = run_experiment(config)
+        paths = emit(result, out_root, config.format)
     except (ValueError, OSError) as exc:  # theory.ConstraintViolation included
         print(f"config error: {exc}", file=sys.stderr)
         return 2

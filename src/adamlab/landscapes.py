@@ -382,7 +382,7 @@ def quadratic_sum(
     )) / n
 
     def value_fn(j: int, w: Sequence[float]) -> float:
-        return 0.5 * a[j] * math.fsum(t * t for t in (w[l] - cs[j][l] for l in range(d)))
+        return 0.5 * a[j] * _sum([t * t for t in (w[l] - cs[j][l] for l in range(d))])
 
     def grad_fn(j: int, w: Sequence[float]) -> Vector:
         return [a[j] * (w[l] - cs[j][l]) for l in range(d)]

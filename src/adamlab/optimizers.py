@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from typing import Literal, Optional, Sequence
 
 import numpy as np
 import orjson
 
-from .landscapes import FiniteSumObjective, check_point, to_spec
+from .landscapes import FiniteSumObjective, _sum, check_point, to_spec
 from .rng import SplitMix64, stream_for_run
 from .schema import Beta1, Beta2, Count, NonNegative, Positive, Seed, check
 
@@ -35,9 +34,6 @@ PERM_BLOCK_DRAWS = 8192
 # are held as Python strings; 1024 rows keeps that within a few MB on the
 # widest tables, where 4096 rows raised Fig3's peak RSS by about 9%.
 CSV_BLOCK_ROWS = 1024
-
-# gd_run takes its step sizes from eta_schedule's column this many at a time.
-ETA_BLOCK_STEPS = 1024
 
 SCHEDULE_DIMINISHING = "Diminishing"
 SCHEDULE_CONSTANT = "Constant"
@@ -148,14 +144,13 @@ class Trajectory:
         return norms
 
 
-def eta_schedule(eta1: float, schedule: str, k):
-    """Step size of epoch (or GD step) k >= 1, or the column of them for an
-    int array of k. np.sqrt, like math.sqrt, is correctly rounded, so the
-    column holds the scalar's values bit for bit."""
-    column = isinstance(k, np.ndarray)
+def eta_schedule(eta1: float, schedule: str, count: int) -> np.ndarray:
+    """The float64 column of step sizes of epochs (or GD steps) k = 1..count:
+    eta1, or eta1 / sqrt(k). A run computes it once; its loop reads it as
+    Python floats and its epoch table keeps it."""
     if schedule == SCHEDULE_CONSTANT:
-        return np.full(k.shape, eta1) if column else eta1
-    return eta1 / (np.sqrt(k) if column else math.sqrt(k))
+        return np.full(count, eta1, dtype=np.float64)
+    return eta1 / np.sqrt(np.arange(1, count + 1))
 
 
 def _classify(w: Sequence[float]) -> Optional[str]:
@@ -198,13 +193,14 @@ def adam_epoch(
     obj: FiniteSumObjective,
     params: AdamParams,
     tau: list[int],
+    eta: float,
     steps: Optional[dict[str, list]] = None,
 ) -> Optional[tuple[int, int]]:
-    """Advance one epoch in place, visiting the components in the order tau
-    (a permutation of range(n)). When the step column lists ``steps`` are
-    given, append tau to them once and each step's w_before and ratio;
-    _trajectory derives the rest of each row. Returns the (epoch, inner
-    index) of the step whose result tripped the guard, or None."""
+    """Advance one epoch in place with step size eta, visiting the components
+    in the order tau (a permutation of range(n)). When the step column lists
+    ``steps`` are given, append tau to them once and each step's w_before and
+    ratio; _trajectory derives the rest of each row. Returns the (epoch,
+    inner index) of the step whose result tripped the guard, or None."""
     # Each step's iterate is the start point adam_init checked or one the
     # guard passed. The builder's callable is bound once per epoch: calling
     # the component_grad method per inner step made Fig3's run 7-10% slower
@@ -218,7 +214,6 @@ def adam_epoch(
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
     k = state.k
-    eta = eta_schedule(params.eta1, params.schedule, k)
     record = steps is not None
     if record:
         steps["tau"].extend(tau)
@@ -298,15 +293,15 @@ def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
         yield from stream.permutations(n, min(block, epochs - start))
 
 
-def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, steps: dict,
-                status: str, fail: Optional[tuple[int, int]], final_w: list[float]) -> Trajectory:
+def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, etas: np.ndarray, snaps: dict,
+                steps: dict, status: str, fail: Optional[tuple[int, int]], final_w: list[float]) -> Trajectory:
     """The Trajectory of a finished run, built from the columns only its
     loop knows (plain numbers, iterate rows flat; Adam's are lists, GD's
     are float arrays whose buffers become the NumPy columns uncopied):
     snapshot w0 and grad_norm and step ratio, and for Adam snapshot w_prev,
     step w_before and each epoch's order tau. Derived here:
 
-    * epoch k = 1..rows, and eta from eta_schedule;
+    * epoch k = 1..rows, and eta: the run's eta_schedule column cut to them;
     * step (k - 1, i) = divmod(row, n), with one step per epoch for GD;
     * step update_abs = eta_k * ratio, bit for bit |eta_k * r| as eta_k >= 0;
     * for GD: tau = -1; step k starts from snapshot k, so w_before and
@@ -322,7 +317,7 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, snaps: dict, s
     k = np.arange(1, len(w0) + 1)
     epochs = EpochTable(
         k=k,
-        eta=eta_schedule(params["eta1"], params["schedule"], k),
+        eta=etas[:len(k)],
         w0=w0,
         w_prev=matrix(snaps["w_prev"]) if adam else np.concatenate([w0[:1], w0[:-1]]),
         grad_norm=np.asarray(snaps["grad_norm"], dtype=np.float64),
@@ -361,15 +356,16 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
     """Full reshuffled-Adam run with epoch-boundary snapshots for k = 1..K+1
     (the final boundary only when the run completes)."""
     state = adam_init(obj, w0, params)
+    etas = eta_schedule(params.eta1, params.schedule, params.epochs + 1)
     snaps = {"w0": [], "w_prev": [], "grad_norm": []}
     steps = {"tau": [], "w_before": [], "ratio": []}
     record = steps if params.record_steps else None
     status = STATUS_COMPLETED
     fail: Optional[tuple[int, int]] = None
 
-    for tau in _epoch_orders(state.stream, obj.n, params.epochs):
+    for tau, eta in zip(_epoch_orders(state.stream, obj.n, params.epochs), memoryview(etas)):
         _snapshot(state, obj, snaps)
-        fail = adam_epoch(state, obj, params, tau, record)
+        fail = adam_epoch(state, obj, params, tau, eta, record)
         if fail is not None:
             status = _classify(state.w)
             break
@@ -377,7 +373,7 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
         # closing boundary snapshot k = K+1
         _snapshot(state, obj, snaps)
 
-    return _trajectory(obj, "adam", asdict(params), snaps, steps, status, fail, state.w)
+    return _trajectory(obj, "adam", asdict(params), etas, snaps, steps, status, fail, state.w)
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +405,13 @@ def gd_run(
     status = STATUS_COMPLETED
     fail = None
     # Bound once per run, as in adam_epoch. full_grad stays the method, the
-    # one the benchmark's tracer counts; the step sizes come as plain Python
-    # numbers from eta_schedule's column, ETA_BLOCK_STEPS at a time.
+    # one the benchmark's tracer counts.
     full_grad, hypot, sup = obj.full_grad, math.hypot, GUARD_SUP_NORM
     add_w0, add_norm, add_ratio = snaps["w0"].extend, snaps["grad_norm"].append, recs["ratio"].extend
     coords = range(d)
-    etas = chain.from_iterable(
-        eta_schedule(eta1, schedule, np.arange(start, min(start + ETA_BLOCK_STEPS, steps + 1))).tolist()
-        for start in range(1, steps + 1, ETA_BLOCK_STEPS)
-    )
+    etas = eta_schedule(eta1, schedule, steps + 1)
 
-    for k, eta in zip(range(1, steps + 1), etas):
+    for k, eta in zip(range(1, steps + 1), memoryview(etas)):
         g = full_grad(w)
         gn = hypot(*g)
         add_w0(w)
@@ -455,7 +447,7 @@ def gd_run(
 
     params = {"eta1": eta1, "steps": steps, "schedule": schedule, "clip_threshold": clip_threshold}
     algo = "gd" if clip_threshold is None else "clipped_gd"
-    return _trajectory(obj, algo, params, snaps, recs, status, fail, w)
+    return _trajectory(obj, algo, params, etas, snaps, recs, status, fail, w)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +470,7 @@ def tail_mean_grad_norm(traj: Trajectory, frac: float = 0.1) -> float:
         return math.nan
     count = max(1, int(len(norms) * frac))
     tail = norms[-count:]
-    return math.fsum(tail) / len(tail)
+    return _sum(tail) / len(tail)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:

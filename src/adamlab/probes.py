@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .landscapes import FiniteSumObjective, check_point
+from .landscapes import FiniteSumObjective, _sum, check_point
 from .optimizers import Trajectory, aux_sequence
 from .schema import Positive, Size, check
 from .theory import TheoryConstants
@@ -122,11 +122,11 @@ def noise_pairs(obj: FiniteSumObjective, points: Sequence[Sequence[float]]) -> l
     for p in points:
         p = check_point(obj, p)
         g = obj.full_grad(p)
-        u = math.fsum(v * v for v in g)
+        u = _sum([v * v for v in g])
         acc = 0.0
         for j in range(obj.n):
             gj = obj.component_grad(j, p)
-            acc += math.fsum(v * v for v in gj)
+            acc += _sum([v * v for v in gj])
         pairs.append((u, acc / obj.n))
     return pairs
 

@@ -64,10 +64,6 @@ class SplitMix64:
             if r < limit:
                 return r % n
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(seq) - 1, 0, -1):

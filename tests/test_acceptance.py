@@ -371,21 +371,26 @@ def _constants_alt(b1, b2, n, d, eta, L0, L1, D0, D1):
     return c, gv
 
 
+def _unit(rng: SplitMix64) -> float:
+    """Uniform float in [0, 1) with 53 random bits from the stream."""
+    return (rng.next_u64() >> 11) * (2.0 ** -53)
+
+
 def _random_constant_rows():
     rng = SplitMix64(123)
     rows = []
     while len(rows) < 20:
         b1 = (0.0, 0.5, 0.9)[rng.randbelow(3)]
-        b2 = 1.0 - 10.0 ** -(1.5 + 2.0 * rng.random())
+        b2 = 1.0 - 10.0 ** -(1.5 + 2.0 * _unit(rng))
         if b1 * b1 >= b2:
             continue
         n = (2, 5, 10)[rng.randbelow(3)]
         d = (1, 2)[rng.randbelow(2)]
-        eta = 10.0 ** -(1.0 + 2.0 * rng.random())
-        L0 = 0.5 + 3.5 * rng.random()
-        L1 = 0.0 if rng.randbelow(4) == 0 else 2.0 * rng.random()
-        D0 = 10.0 * rng.random()
-        D1 = 0.5 + 3.5 * rng.random()
+        eta = 10.0 ** -(1.0 + 2.0 * _unit(rng))
+        L0 = 0.5 + 3.5 * _unit(rng)
+        L1 = 0.0 if rng.randbelow(4) == 0 else 2.0 * _unit(rng)
+        D0 = 10.0 * _unit(rng)
+        D1 = 0.5 + 3.5 * _unit(rng)
         rows.append((b1, b2, n, d, eta, L0, L1, D0, D1))
     return rows
 
@@ -415,7 +420,7 @@ def test_beta2_threshold_solves_its_equation_on_random_grid():
         b1 = (0.0, 0.5, 0.9)[rng.randbelow(3)]
         n = (2, 5)[rng.randbelow(2)]
         d = (1, 2)[rng.randbelow(2)]
-        D1 = 0.5 + 3.5 * rng.random()
+        D1 = 0.5 + 3.5 * _unit(rng)
         gamma = gamma_threshold(D1, n, d, b1)
         rhs = 1.0 / (
             2.0 * (4.0 + SQRT2) * math.sqrt(D1) * (n - 1.0 + (1.0 + b1) / (1.0 - b1))

@@ -38,6 +38,7 @@ from adamlab.landscapes import (
 )
 from adamlab.optimizers import (
     GUARD_SUP_NORM,
+    SCHEDULE_CONSTANT,
     STATUS_COMPLETED,
     STATUS_DIVERGED,
     STATUS_NONFINITE,
@@ -46,7 +47,6 @@ from adamlab.optimizers import (
     Trajectory,
     adam_init,
     adam_run,
-    eta_schedule,
 )
 
 # ---------------------------------------------------------------- reference
@@ -100,6 +100,10 @@ def _classify(w: Sequence[float]) -> Optional[str]:
     return None
 
 
+def reference_eta(params: AdamParams, k: int) -> float:
+    return params.eta1 if params.schedule == SCHEDULE_CONSTANT else params.eta1 / math.sqrt(k)
+
+
 def reference_adam_epoch(
     state: AdamState,
     obj: FiniteSumObjective,
@@ -110,7 +114,7 @@ def reference_adam_epoch(
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
-    eta = eta_schedule(params.eta1, params.schedule, state.k)
+    eta = reference_eta(params, state.k)
     record = params.record_steps
 
     tau = state.stream.permutation(n)
@@ -164,7 +168,7 @@ def _reference_snapshot(state: AdamState, obj: FiniteSumObjective, params: AdamP
     gn = math.hypot(*obj.full_grad(state.w))
     return EpochSnapshot(
         k=state.k,
-        eta=eta_schedule(params.eta1, params.schedule, state.k),
+        eta=reference_eta(params, state.k),
         w0=tuple(state.w),
         w_prev=tuple(state.w_prev),
         m_prev=tuple(state.m),

@@ -35,7 +35,6 @@ from adamlab.optimizers import (
     EpochTable,
     StepTable,
     Trajectory,
-    eta_schedule,
     gd_run,
 )
 
@@ -89,7 +88,7 @@ def reference_gd_run(
     w_prev = list(w)
 
     for k in range(1, steps + 2):
-        eta = eta_schedule(eta1, schedule, k)
+        eta = eta1 if schedule == SCHEDULE_CONSTANT else eta1 / math.sqrt(k)
         g = obj.full_grad(w)
         gn = math.hypot(*g)
         snaps["k"].append(k)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import adamlab
-from adamlab import harness
+from adamlab import cli, harness
 from adamlab.cli import build_parser, load_config
 from adamlab.cli import main as cli_main
 from adamlab.harness import (
@@ -707,13 +707,62 @@ def test_cli_quadratic_sum_out_of_float_range_is_a_config_error(curvatures, cent
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_unusable_out_is_a_config_error(tmp_path, capsys):
+def test_cli_unusable_out_is_a_config_error(monkeypatch, tmp_path, capsys):
+    # the output root is checked before any run, and nothing is created
+    def never(config):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
     (tmp_path / "file").write_text("")
-    out = tmp_path / "file" / "o"
-    assert cli_main(["thm2-diverge", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    # one line, naming the path, and no traceback
-    assert err.startswith("config error: ") and err.count("\n") == 1 and str(out) in err, err
+    for under in ((), ("o",), ("o", "p")):
+        out = tmp_path.joinpath("file", *under)
+        assert cli_main(["thm2-diverge", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # one line, naming the path, and no traceback
+        assert err.startswith("config error: ") and err.count("\n") == 1 and str(out) in err, err
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def _cli_custom(tmp_path, objective, **options):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"objective": {"kind": "QuadraticSum", "parameters": objective},
+                               "T": options.pop("T"), "options": options}))
+    return cli_main(["custom", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def test_cli_tail_mean_past_the_float_range_completes(tmp_path, capsys):
+    # each epoch-start norm is 1.7e308, so their sum passes the largest float:
+    # the tail mean is the IEEE sum's inf / count
+    objective = {"curvatures": [1.7e308], "centers": [[0.0]]}
+    assert _cli_custom(tmp_path, objective, T=100, algo="gd", x0=[1.0],
+                       gd={"eta1": 1e-320, "schedule": "Constant"}) == 0
+    summary = json.loads((tmp_path / "o" / "Custom" / "gd-seed=1" / "summary.json").read_text())
+    assert summary["status"] == "Completed" and summary["tail_mean_grad_norm"] == math.inf
+
+
+def test_cli_value_past_the_float_range_is_an_assertion_failure(tmp_path, capsys):
+    # each squared coordinate is finite and their sum is not: the value is inf
+    # and the run diverges, which fails require_completed
+    objective = {"curvatures": [1.0, 1.0], "centers": [[0.0, 0.0], [0.0, 0.0]]}
+    assert _cli_custom(tmp_path, objective, T=3, algo="adam", x0=[1.3e154, 1.3e154]) == 1
+    assert capsys.readouterr().err == "assertion failure: see report.json conclusions\n"
+
+
+def test_cli_integer_eta1_past_int64_runs(tmp_path):
+    # the step-size column is float64 whatever the type of eta1
+    objective = {"curvatures": [1.0], "centers": [[0.0]]}
+    assert _cli_custom(tmp_path, objective, T=3, algo="adam", x0=[1.0], record_steps=True,
+                       adam={"schedule": "Constant", "eta1": 10 ** 29}) == 0
+
+
+def test_cli_noise_pair_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # |grad f|^2 at the start points overflows to inf, which the envelope's
+    # constants refuse
+    cfg = tmp_path / "cfg.json"
+    objective = {"kind": "QuadraticSum", "parameters": {"curvatures": [1e154], "centers": [[0.0, 0.0]]}}
+    cfg.write_text(json.dumps({"objective": objective, "T": 3, "options": {"x0": [0, 0]}}))
+    assert cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: D0: expected a finite number, got inf\n"
 
 
 def test_cli_seed_replaces_seed_list(tmp_path):

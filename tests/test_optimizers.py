@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from adamlab import optimizers
 from adamlab.landscapes import (
     KIND_CUSTOM,
     FiniteSumObjective,
@@ -52,16 +53,38 @@ def params(**kw):
 
 
 def test_eta_schedule():
-    assert eta_schedule(0.1, SCHEDULE_DIMINISHING, 1) == pytest.approx(0.1)
-    assert eta_schedule(0.1, SCHEDULE_DIMINISHING, 4) == pytest.approx(0.05)
-    assert eta_schedule(0.1, SCHEDULE_CONSTANT, 9) == pytest.approx(0.1)
-    # the column form holds the scalar's values, by repr (an int eta1 stays
-    # an int under the constant schedule)
-    k = np.arange(1, 20_001)
-    for eta1 in (0.1, 3, 2.0 ** 0.5, 7e-300, 1.5e300):
-        for schedule in (SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT):
-            column = eta_schedule(eta1, schedule, k).tolist()
-            assert repr(column) == repr([eta_schedule(eta1, schedule, j) for j in k.tolist()])
+    # the float64 column for k = 1..count equals eta1 and eta1 / sqrt(k) on
+    # Python numbers by repr, an int eta1 (past int64 too) included
+    count = 20_000
+    for eta1 in (0.1, 3, 2.0 ** 0.5, 7e-300, 1.5e300, 10 ** 29):
+        constant = eta_schedule(eta1, SCHEDULE_CONSTANT, count)
+        diminishing = eta_schedule(eta1, SCHEDULE_DIMINISHING, count)
+        assert constant.dtype == diminishing.dtype == np.float64
+        assert repr(constant.tolist()) == repr([float(eta1)] * count)
+        assert repr(diminishing.tolist()) == repr([eta1 / math.sqrt(k) for k in range(1, count + 1)])
+    assert eta_schedule(0.1, SCHEDULE_DIMINISHING, 4)[-1] == 0.05
+    for schedule in (SCHEDULE_DIMINISHING, SCHEDULE_CONSTANT):
+        assert eta_schedule(0.1, schedule, 0).shape == (0,)
+
+
+def test_each_run_computes_its_step_sizes_once(monkeypatch):
+    # one column of k = 1..K+1 per run, read by the loop and kept by the
+    # epoch table
+    calls = []
+    real = optimizers.eta_schedule
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimizers, "eta_schedule", counted)
+    traj = adam_run(zhang_counterexample(), [-2.0], params(epochs=7))
+    assert calls == [(0.01, SCHEDULE_DIMINISHING, 8)]
+    assert repr(traj.epochs.eta.tolist()) == repr([0.01 / math.sqrt(k) for k in range(1, 9)])
+    calls.clear()
+    traj = gd_run(zhang_counterexample(), [-2.0], 0.1, 7)
+    assert calls == [(0.1, SCHEDULE_CONSTANT, 8)]
+    assert traj.epochs.eta.tolist() == [0.1] * 8
 
 
 def test_param_validation():
@@ -118,12 +141,12 @@ def test_state_carries_over_between_epochs():
     obj = zhang_counterexample(1.0)
     p = params(epochs=2, beta1=0.3, beta2=0.99, eta1=0.05)
     state = adam_init(obj, [0.5], p)
-    adam_epoch(state, obj, p, state.stream.permutation(obj.n))
+    adam_epoch(state, obj, p, state.stream.permutation(obj.n), 0.05)
     assert abs(state.m[0]) > 0.0
     assert state.nu[0] > 0.0
     m, nu, w_start = state.m[0], state.nu[0], state.w[0]
     steps = {"tau": [], "w_before": [], "ratio": []}
-    adam_epoch(state, obj, p, state.stream.permutation(obj.n), steps)
+    adam_epoch(state, obj, p, state.stream.permutation(obj.n), 0.05 / math.sqrt(2), steps)
     for j, w in zip(steps["tau"], steps["w_before"]):
         # the component gradient each step used, at the iterate it started from
         g = obj.component_grad(j, [w])[0]

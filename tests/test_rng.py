@@ -97,13 +97,6 @@ def test_randbelow_distribution_roughly_uniform():
         assert abs(c - expected) < 5 * math.sqrt(expected)
 
 
-def test_random_unit_interval():
-    r = SplitMix64(5)
-    for _ in range(1000):
-        u = r.random()
-        assert 0.0 <= u < 1.0
-
-
 def test_algorithm_id_frozen():
     assert ALGORITHM_ID == "splitmix64/fisher-yates-v1"
 
