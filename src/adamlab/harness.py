@@ -66,8 +66,8 @@ from .optimizers import (
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
-from .schema import Beta1, Beta2, Count, CubeFinite, NonNegative, Positive, Seed, SquarePositive, check, parse
-from .theory import ProblemConstants, Thm2Construction, compute_constants, gamma_threshold
+from .schema import Axis, Beta1, Beta2, Count, CubeFinite, NonNegative, Positive, Seed, SquarePositive, check, parse
+from .theory import NonMonotoneError, NoRootError, ProblemConstants, Thm2Construction, compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 THM2_CONSTRUCTION = ("epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_gap", "detail")  # echoed fields
@@ -77,7 +77,7 @@ THM2_CONSTRUCTION = ("epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_ga
 class ExperimentConfig:
     experiment: str
     objective: Optional[dict] = None
-    seeds: list[Seed] = field(default_factory=lambda: [1, 2, 3])
+    seeds: Axis(Seed) = field(default_factory=lambda: [1, 2, 3])
     T: Count = 10_000
     format: Literal["csv", "json"] = "csv"
     out_dir: Optional[str] = None
@@ -88,11 +88,8 @@ class ExperimentConfig:
         experiment's typed options record. Every failure is a ValueError."""
         check(ExperimentConfig, **vars(self))
         exp = _experiment(self.experiment)
-        if not self.seeds:
-            raise ValueError("need at least one seed")
         if len(self.seeds) > 1 and not exp.sweeps_seeds:
             raise ValueError(f"seeds: {exp.name} runs one seed, got {self.seeds}")
-        _distinct(self.seeds, "seeds")
         options = parse(exp.Options, self.options, "options")
         if (self.objective is not None) != exp.takes_objective:
             raise ValueError(f"objective: {exp.name} {'needs an' if exp.takes_objective else 'takes no'} objective")
@@ -119,23 +116,6 @@ def merge_config(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
 
 def _list(*values):
     return field(default_factory=lambda: list(values))
-
-
-def _distinct(values: list, path: str) -> None:
-    """Refuse a value equal to an earlier one (2 and 2.0 are one value): a run
-    axis would run it again, under one run id or two."""
-    repeats = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeats:
-        raise ValueError(f"{path}: {repeats[0]!r} repeated")
-
-
-def _axes(opt, *names: str) -> None:
-    """Refuse run axes that are empty, on which an experiment would run
-    nothing and pass, or that repeat a value."""
-    for name in names:
-        if not getattr(opt, name):
-            raise ValueError(f"options.{name}: must not be empty")
-        _distinct(getattr(opt, name), f"options.{name}")
 
 
 @dataclass(frozen=True)
@@ -171,42 +151,35 @@ class GdOptions:
 
 @dataclass(frozen=True)
 class Fig3Options:
-    beta1: Beta1 = 0.9
-    beta2_grid: list[Beta2] = _list(0.9, 0.99, 0.999)
-    eta1: Positive = 0.1
-    xi: NonNegative = 1e-8
-    schedule: Schedule = "Diminishing"
-    init_mode: InitMode = "PaperTheory"
+    beta1: Beta1 = AdamParams.beta1
+    beta2_grid: Axis(Beta2) = _list(0.9, 0.99, 0.999)
+    eta1: Positive = AdamParams.eta1
+    xi: NonNegative = AdamParams.xi
+    schedule: Schedule = AdamParams.schedule
+    init_mode: InitMode = AdamParams.init_mode
     x0: list[float] = _list(-2.0)
     tail_frac: float = 0.1
     grad_floor: float = 1e-4
-
-    def __post_init__(self):
-        _axes(self, "beta2_grid")
 
 
 @dataclass(frozen=True)
 class Thm2DivergenceOptions:
     construction: Construction = Construction()
-    eta_multipliers: list[Positive] = _list(1.0, 1.05, 2.0)
+    eta_multipliers: Axis(Positive) = _list(1.0, 1.05, 2.0)
     steps: Count = 50
     growth_tol: float = 1e-9
     min_checks_per_run: int = 3
     min_checks_total: int = 10
 
-    def __post_init__(self):
-        _axes(self, "eta_multipliers")
-
 
 @dataclass(frozen=True)
 class Thm2SlowOptions:
     construction: Construction = Construction()
-    eta_multipliers: list[Positive] = _list(0.1, 0.5, 0.99)
+    eta_multipliers: Axis(Positive) = _list(0.1, 0.5, 0.99)
     steps: Count = 10_000
     complete_multipliers: list[float] = _list(0.1, 0.5)
 
     def __post_init__(self):
-        _axes(self, "eta_multipliers")
         stray = [m for m in self.complete_multipliers if m not in self.eta_multipliers]
         if stray:
             raise ValueError(f"options.complete_multipliers: {stray} not in eta_multipliers")
@@ -215,26 +188,22 @@ class Thm2SlowOptions:
 @dataclass(frozen=True)
 class ComparisonOptions:
     construction: Construction = Construction()
-    gd_eta_multipliers: list[Positive] = _list(0.25, 0.5, 1.0, 2.0, 4.0)
+    gd_eta_multipliers: Axis(Positive) = _list(0.25, 0.5, 1.0, 2.0, 4.0)
     gd_steps: Count = 10_000
     adam: ComparisonAdamOptions = ComparisonAdamOptions()
-
-    def __post_init__(self):
-        _axes(self, "gd_eta_multipliers")
 
 
 @dataclass(frozen=True)
 class LemmaSuiteOptions:
-    beta1_grid: list[Beta1] = _list(0.0, 0.5, 0.9)
-    beta2_grid: list[Beta2] = _list(0.99, 0.999)
-    eta1_grid: list[CubeFinite] = _list(0.01, 0.1)  # compute_constants' range
-    schedules: list[Schedule] = _list("Diminishing", "Constant")
-    xi: NonNegative = 1e-8
-    init_mode: InitMode = "PaperTheory"
+    beta1_grid: Axis(Beta1) = _list(0.0, 0.5, 0.9)
+    beta2_grid: Axis(Beta2) = _list(0.99, 0.999)
+    eta1_grid: Axis(CubeFinite) = _list(0.01, 0.1)  # compute_constants' range
+    schedules: Axis(Schedule) = _list("Diminishing", "Constant")
+    xi: NonNegative = AdamParams.xi
+    init_mode: InitMode = AdamParams.init_mode
     x0: list[float] = _list(-2.0)
 
     def __post_init__(self):
-        _axes(self, "beta1_grid", "beta2_grid", "eta1_grid", "schedules")
         if all(b1 * b1 >= b2 for b1 in self.beta1_grid for b2 in self.beta2_grid):
             raise ValueError("options.beta1_grid: beta1**2 >= beta2 on every pair, so no run is audited")
 
@@ -341,20 +310,17 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> tuple[list[Run], dic
 
 
 def _gd_sweep(
-    config: ExperimentConfig, construction: Construction, multipliers: list, steps: int, record_steps: bool
-) -> tuple[FiniteSumObjective, list[float], Thm2Construction, list[tuple[Any, Trajectory, dict]]]:
-    """Build the construction for ``config.T`` and run Diminishing GD from its
-    start point once per multiplier of ``eta_star``, in sorted order. Returns
-    ``(obj, w0, con, [(mult, traj, base_row)])``; a base row holds
+    obj: FiniteSumObjective, w0: list[float], eta_star: float, multipliers: list, steps: int, record_steps: bool
+) -> list[tuple[Any, Trajectory, dict]]:
+    """Run Diminishing GD from ``w0`` once per multiplier of ``eta_star``, in
+    sorted order. Returns ``[(mult, traj, base_row)]``; a base row holds
     ``eta_mult``, ``eta1`` and ``summary``."""
-    c = construction
-    obj, w0, con = make_lowerbound(c.L0, c.L1, config.T, c.M, c.f_bar)
     sweep = []
     for mult in sorted(multipliers):
-        eta1 = mult * con.eta_star
+        eta1 = mult * eta_star
         traj = gd_run(obj, w0, eta1, steps=steps, schedule="Diminishing", record_steps=record_steps)
         sweep.append((mult, traj, {"eta_mult": mult, "eta1": eta1, "summary": trajectory_summary(traj)}))
-    return obj, w0, con, sweep
+    return sweep
 
 
 def _min_before_horizon(traj: Trajectory, con: Thm2Construction) -> tuple[int, Optional[float]]:
@@ -384,9 +350,9 @@ def _iterates_run(mult, traj: Trajectory, row: dict) -> Run:
 
 
 def run_thm2_divergence(config: ExperimentConfig, opt: Thm2DivergenceOptions) -> tuple[list[Run], dict]:
-    _, _, con, sweep = _gd_sweep(config, opt.construction, opt.eta_multipliers, opt.steps, True)
+    obj, w0, con = make_lowerbound(T=config.T, **vars(opt.construction))
     runs: list[Run] = []
-    for mult, traj, row in sweep:
+    for mult, traj, row in _gd_sweep(obj, w0, con.eta_star, opt.eta_multipliers, opt.steps, True):
         ratios = _growth_ratios(traj)
         row["growth_ratios"] = ratios
         row["growth_ok"] = all(r >= HALF_LOG2 - opt.growth_tol for r in ratios)
@@ -409,9 +375,9 @@ def run_thm2_divergence(config: ExperimentConfig, opt: Thm2DivergenceOptions) ->
 
 
 def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions) -> tuple[list[Run], dict]:
-    _, _, con, sweep = _gd_sweep(config, opt.construction, opt.eta_multipliers, opt.steps, True)
+    obj, w0, con = make_lowerbound(T=config.T, **vars(opt.construction))
     runs: list[Run] = []
-    for mult, traj, row in sweep:
+    for mult, traj, row in _gd_sweep(obj, w0, con.eta_star, opt.eta_multipliers, opt.steps, True):
         checked, least = _min_before_horizon(traj, con)
         row["floor_ok"] = least is not None and least >= con.epsilon
         row["checked_before_horizon"] = checked
@@ -430,9 +396,14 @@ def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions) -> tuple[list[
 
 
 def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[list[Run], dict]:
-    obj, w0, con, sweep = _gd_sweep(config, opt.construction, opt.gd_eta_multipliers, opt.gd_steps, False)
+    obj, w0, con = make_lowerbound(T=config.T, **vars(opt.construction))
+    a = opt.adam
+    try:  # before any run: a beta1 that leaves no threshold is a config error
+        gamma = gamma_threshold(D1=obj.known_D0_D1[1], n=obj.n, d=obj.d, beta1=a.beta1)
+    except (NoRootError, NonMonotoneError) as exc:
+        raise ValueError(f"options.adam.beta1: no beta2 threshold for beta1 {a.beta1!r} ({exc})") from exc
     runs: list[Run] = []
-    for mult, traj, row in sweep:
+    for mult, traj, row in _gd_sweep(obj, w0, con.eta_star, opt.gd_eta_multipliers, opt.gd_steps, False):
         _, least = _min_before_horizon(traj, con)
         stuck = least is not None and least >= con.epsilon
         row["algo"] = "gd"
@@ -440,8 +411,6 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[li
         row["min_grad_before_horizon"] = least
         runs.append(Run(f"gd-eta_mult={mult!r}", traj, row))
 
-    a = opt.adam
-    gamma = gamma_threshold(D1=obj.known_D0_D1[1], n=obj.n, d=obj.d, beta1=a.beta1)
     params = AdamParams(**vars(a), seed=config.seeds[0], record_steps=False)
     traj = adam_run(obj, w0, params)
     e = traj.epochs
@@ -482,6 +451,9 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[l
     # over 101 evenly spaced points of the diagonal from -3 to 3
     pts = [[-3.0 + 6.0 * i / 100.0] * obj.d for i in range(101)]
     fit = affine_noise_fit(obj, pts)
+    if not (math.isfinite(fit.D0_hat) and math.isfinite(fit.D1_hat)):
+        bounds = f"D0 {fit.D0_hat!r}, D1 {fit.D1_hat!r}"
+        raise ValueError(f"objective: its noise envelope (affine_noise_fit) leaves the float range: {bounds}")
     L0c, L1c = obj.known_L0_L1 if obj.known_L0_L1 else (0.0, 0.0)
     f_gap = obj.value(w0) - (obj.known_min if obj.known_min is not None else 0.0)
     pc = ProblemConstants(L0=L0c, L1=L1c, D0=fit.D0_hat, D1=fit.D1_hat, n=obj.n, d=obj.d, f_gap=f_gap)

@@ -6,7 +6,9 @@ as an int, so a multiplier given as ``2`` is echoed as ``2``. A number is
 finite (``json.load`` accepts ``NaN`` and ``Infinity``). A nested record
 fills its missing fields from its defaults. Every error is a ValueError that
 names the key's path, such as ``options.adam.beta1``.
-Each parameter range is declared once, below, as an ``Annotated`` type.
+Each parameter range is declared once, below, as an ``Annotated`` type, and
+so is the rule every run axis shares: ``Axis(item)``, a non-empty list of
+``item`` values with none repeated.
 """
 
 import dataclasses
@@ -50,6 +52,24 @@ SquarePositive = Annotated[float, Range(math.sqrt(sys.float_info.min))]
 # eta1 ** 3, and a float ** raises OverflowError where a product rounds to
 # inf. The bound lies a little below the cube root of the largest float.
 CubeFinite = Annotated[float, Range(0.0, sys.float_info.max ** (1 / 3), lo_open=True)]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Distinct:
+    """Non-empty lists in which no value equals an earlier one (by ``==``)."""
+
+    def __contains__(self, values: list) -> bool:
+        return bool(values) and not any(v in values[:i] for i, v in enumerate(values))
+
+    def __str__(self) -> str:
+        return "a non-empty list with no repeated value"
+
+
+def Axis(item):
+    """A run axis: a list of ``item`` values, none equal to an earlier one (2
+    and 2.0 are one value), which would run again, and not empty, on which an
+    experiment would run nothing and pass. ``Axis(X) == Axis(X)``."""
+    return Annotated[list[item], _Distinct()]
 
 
 @functools.cache
@@ -96,7 +116,7 @@ def parse(hint, value, path: str = ""):
         base, allowed = args
         if parse(base, value, path) in allowed:
             return value
-        expected = f"{_SCALARS[base][0]} in {allowed}"
+        expected = f"{_SCALARS[base][0]} in {allowed}" if isinstance(allowed, Range) else str(allowed)
     elif origin is list:
         if isinstance(value, list):
             return [parse(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]

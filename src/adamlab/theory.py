@@ -86,6 +86,8 @@ def _g(beta2: float, n: int) -> float:
     """g_of_beta2 without its argument check: compute_constants has made
     it, and gamma_threshold's scan and bisection stay inside (0, 1)."""
     bn = beta2 ** n
+    if bn == 0.0:  # beta2^n underflows: memory too short, and t2 and t4 divide by it
+        return math.inf
     bnm1 = beta2 ** (n - 1)
     t1 = 1.0 / math.sqrt(bnm1) - 1.0
     t2 = 1.0 - 1.0 / math.sqrt(bnm1 + 8.0 * n * (1.0 - bnm1) / bn)

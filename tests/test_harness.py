@@ -27,7 +27,7 @@ from adamlab.harness import (
 )
 from adamlab.landscapes import lowerbound_objective, quadratic_sum, to_spec, zhang_counterexample
 from adamlab.optimizers import AdamParams
-from adamlab.schema import fields_of
+from adamlab.schema import Axis, fields_of
 
 
 def small_custom_config(**options):
@@ -577,6 +577,14 @@ def test_cli_eta1_with_an_overflowing_cube_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _axis_item(hint):
+    """X if ``hint`` is ``Axis(X)``, else None."""
+    if typing.get_origin(hint) is typing.Annotated and typing.get_origin(typing.get_args(hint)[0]) is list:
+        [item] = typing.get_args(typing.get_args(hint)[0])
+        return item if hint == Axis(item) else None
+    return None
+
+
 def _range_cases(cls, path="options"):
     """(overrides, path) for each value just outside the range of each
     range-typed field of an options record, nested records and list
@@ -588,6 +596,8 @@ def _range_cases(cls, path="options"):
             for inner, where in _range_cases(hint, f"{path}.{name}"):
                 yield {name: inner}, where
             continue
+        if _axis_item(hint) is not None:
+            hint = list[_axis_item(hint)]
         listed = typing.get_origin(hint) is list
         if listed:
             hint = typing.get_args(hint)[0]
@@ -612,6 +622,40 @@ def test_every_range_typed_option_is_refused_just_outside_its_range():
             paths.add((name, path))
     assert {("Fig3", "options.beta2_grid[0]"), ("AdamVsGd", "options.adam.epochs"),
             ("Custom", "options.gd.clip_threshold"), ("Thm2Slow", "options.construction.M")} <= paths
+
+
+def _axis_cases(cls, path="options"):
+    """(overrides, path) for two refused values of each ``Axis`` field of an
+    options record, nested records included: the empty list, and the default
+    list's first value given twice (an integral float first as an int)."""
+    defaults = cls()
+    for name, (hint, _) in fields_of(cls).items():
+        if typing.get_origin(hint) is typing.Union:  # Optional[X]
+            [hint] = [a for a in typing.get_args(hint) if a is not type(None)]
+        if dataclasses.is_dataclass(hint):
+            for inner, where in _axis_cases(hint, f"{path}.{name}"):
+                yield {name: inner}, where
+        elif _axis_item(hint) is not None:
+            first = getattr(defaults, name)[0]
+            again = int(first) if isinstance(first, float) and first.is_integer() else first
+            for bad in ([], [again, first]):
+                yield {name: bad}, f"{path}.{name}"
+
+
+def test_every_axis_option_is_refused_empty_or_repeated():
+    paths = set()
+    for name, exp in REGISTRY.items():
+        default = default_config_for(name)
+        cases = [(replace(default, seeds=seeds), "seeds") for seeds in ([], [default.seeds[0]] * 2)]
+        cases += [(merge_config(default, {"options": o}), path) for o, path in _axis_cases(exp.Options)]
+        for config, path in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}: expected a non-empty list with no repeated"):
+                config.validate()
+            paths.add((name, path))
+    assert {("Fig3", "options.beta2_grid"), ("Thm2Divergence", "options.eta_multipliers"),
+            ("Thm2Slow", "options.eta_multipliers"), ("AdamVsGd", "options.gd_eta_multipliers"),
+            *(("LemmaSuite", f"options.{g}") for g in ("beta1_grid", "beta2_grid", "eta1_grid", "schedules")),
+            *((name, "seeds") for name in REGISTRY)} <= paths
 
 
 def test_each_experiment_has_its_own_runner():
@@ -756,13 +800,48 @@ def test_cli_integer_eta1_past_int64_runs(tmp_path):
 
 
 def test_cli_noise_pair_past_the_float_range_is_a_config_error(tmp_path, capsys):
-    # |grad f|^2 at the start points overflows to inf, which the envelope's
-    # constants refuse
+    # |grad f|^2 at the envelope's sample points overflows to inf: the fit's
+    # D0 is inf, refused on a line that names the objective, not a parameter
     cfg = tmp_path / "cfg.json"
-    objective = {"kind": "QuadraticSum", "parameters": {"curvatures": [1e154], "centers": [[0.0, 0.0]]}}
-    cfg.write_text(json.dumps({"objective": objective, "T": 3, "options": {"x0": [0, 0]}}))
-    assert cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "config error: D0: expected a finite number, got inf\n"
+    for overrides in (
+        {"objective": {"kind": "QuadraticSum", "parameters": {"curvatures": [1e154], "centers": [[0.0, 0.0]]}},
+         "options": {"x0": [0, 0]}},
+        {"objective": {"kind": "ZhangCounterexample", "parameters": {"scale": 1e200}}},
+    ):
+        cfg.write_text(json.dumps({**overrides, "T": 3}))
+        assert cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: objective: its noise envelope (affine_noise_fit) leaves the float range: D0 inf, D1 0.0\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_beta2_whose_power_underflows_runs(tmp_path, capsys):
+    # beta2 ** n is 0.0 for beta2 = 1e-40 and n = 10: g is infinite (memory
+    # too short), not a ZeroDivisionError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": 3, "options": {
+        "beta1_grid": [0.0], "beta2_grid": [1e-40], "eta1_grid": [0.1], "schedules": ["Constant"],
+    }}))
+    assert cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "LemmaSuite" / "report.json").read_text())
+    assert report["runs"][0]["beta2"] == 1e-40 and report["conclusions"]["all_ok"]
+
+
+def test_cli_beta1_without_a_beta2_threshold_is_refused_before_gd(monkeypatch, tmp_path, capsys):
+    # gamma_threshold finds no root for this beta1; the comparison refuses it
+    # before its GD runs, naming the key
+    def never(*args, **kwargs):
+        raise AssertionError("gd_run called")
+
+    monkeypatch.setattr(harness, "gd_run", never)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"options": {"adam": {"beta1": 0.9999999999999999, "epochs": 5}, "gd_steps": 50}}))
+    assert cli_main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: options.adam.beta1: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_seed_replaces_seed_list(tmp_path):

@@ -148,6 +148,13 @@ def test_g_infinite_when_memory_too_short():
     assert math.isfinite(g_of_beta2(0.99, 10))
 
 
+def test_g_infinite_when_beta2_power_underflows():
+    # beta2 ** n is 0.0, and g's terms divide by it: memory too short
+    assert 1e-40 ** 10 == 0.0 and math.isinf(g_of_beta2(1e-40, 10))
+    # beta2 ** (n - 1) is still positive
+    assert 1e-300 ** 2 == 0.0 and math.isinf(g_of_beta2(1e-300, 2))
+
+
 def test_g_decreases_toward_one():
     vals = [g_of_beta2(b, 10) for b in (0.99, 0.999, 0.9999, 0.99999)]
     assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
