@@ -66,7 +66,9 @@ from .optimizers import (
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
-from .schema import Axis, Beta1, Beta2, Count, CubeFinite, NonNegative, Positive, Seed, SquarePositive, check, parse
+from .schema import (
+    Axis, Beta1, Beta2, Count, CubeFinite, Fraction, NonNegative, Positive, Seed, SquarePositive, check, parse,
+)
 from .theory import NonMonotoneError, NoRootError, ProblemConstants, Thm2Construction, compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
@@ -158,7 +160,7 @@ class Fig3Options:
     schedule: Schedule = AdamParams.schedule
     init_mode: InitMode = AdamParams.init_mode
     x0: list[float] = _list(-2.0)
-    tail_frac: float = 0.1
+    tail_frac: Fraction = 0.1
     grad_floor: float = 1e-4
 
 
@@ -310,14 +312,21 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> tuple[list[Run], dic
 
 
 def _gd_sweep(
-    obj: FiniteSumObjective, w0: list[float], eta_star: float, multipliers: list, steps: int, record_steps: bool
+    obj: FiniteSumObjective, w0: list[float], eta_star: float, multipliers: list, key: str, steps: int,
+    record_steps: bool,
 ) -> list[tuple[Any, Trajectory, dict]]:
     """Run Diminishing GD from ``w0`` once per multiplier of ``eta_star``, in
     sorted order. Returns ``[(mult, traj, base_row)]``; a base row holds
-    ``eta_mult``, ``eta1`` and ``summary``."""
+    ``eta_mult``, ``eta1`` and ``summary``. Before the first run, a step size
+    that is not positive and finite is a ValueError naming ``options.<key>``,
+    the option the multipliers came from."""
+    etas = [mult * eta_star for mult in multipliers]
+    for i, (mult, eta1) in enumerate(zip(multipliers, etas)):
+        if not 0.0 < eta1 < math.inf:
+            step = f"{mult!r} * eta_star {eta_star!r} is {eta1!r}"
+            raise ValueError(f"options.{key}[{i}]: {step}, not a positive finite step size")
     sweep = []
-    for mult in sorted(multipliers):
-        eta1 = mult * eta_star
+    for mult, eta1 in sorted(zip(multipliers, etas)):
         traj = gd_run(obj, w0, eta1, steps=steps, schedule="Diminishing", record_steps=record_steps)
         sweep.append((mult, traj, {"eta_mult": mult, "eta1": eta1, "summary": trajectory_summary(traj)}))
     return sweep
@@ -352,7 +361,8 @@ def _iterates_run(mult, traj: Trajectory, row: dict) -> Run:
 def run_thm2_divergence(config: ExperimentConfig, opt: Thm2DivergenceOptions) -> tuple[list[Run], dict]:
     obj, w0, con = make_lowerbound(T=config.T, **vars(opt.construction))
     runs: list[Run] = []
-    for mult, traj, row in _gd_sweep(obj, w0, con.eta_star, opt.eta_multipliers, opt.steps, True):
+    sweep = _gd_sweep(obj, w0, con.eta_star, opt.eta_multipliers, "eta_multipliers", opt.steps, True)
+    for mult, traj, row in sweep:
         ratios = _growth_ratios(traj)
         row["growth_ratios"] = ratios
         row["growth_ok"] = all(r >= HALF_LOG2 - opt.growth_tol for r in ratios)
@@ -377,7 +387,8 @@ def run_thm2_divergence(config: ExperimentConfig, opt: Thm2DivergenceOptions) ->
 def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions) -> tuple[list[Run], dict]:
     obj, w0, con = make_lowerbound(T=config.T, **vars(opt.construction))
     runs: list[Run] = []
-    for mult, traj, row in _gd_sweep(obj, w0, con.eta_star, opt.eta_multipliers, opt.steps, True):
+    sweep = _gd_sweep(obj, w0, con.eta_star, opt.eta_multipliers, "eta_multipliers", opt.steps, True)
+    for mult, traj, row in sweep:
         checked, least = _min_before_horizon(traj, con)
         row["floor_ok"] = least is not None and least >= con.epsilon
         row["checked_before_horizon"] = checked
@@ -403,7 +414,8 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[li
     except (NoRootError, NonMonotoneError) as exc:
         raise ValueError(f"options.adam.beta1: no beta2 threshold for beta1 {a.beta1!r} ({exc})") from exc
     runs: list[Run] = []
-    for mult, traj, row in _gd_sweep(obj, w0, con.eta_star, opt.gd_eta_multipliers, opt.gd_steps, False):
+    sweep = _gd_sweep(obj, w0, con.eta_star, opt.gd_eta_multipliers, "gd_eta_multipliers", opt.gd_steps, False)
+    for mult, traj, row in sweep:
         _, least = _min_before_horizon(traj, con)
         stuck = least is not None and least >= con.epsilon
         row["algo"] = "gd"
@@ -445,6 +457,9 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[li
 def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[list[Run], dict]:
     obj = from_spec(config.objective)
     w0 = check_point(obj, opt.x0)
+    f0 = obj.value(w0)
+    if not math.isfinite(f0):  # f_gap, and with it the bound, needs a finite start value
+        raise ValueError(f"options.x0: the objective's value there is {f0!r}, not a finite number")
     runs: list[Run] = []
 
     # envelope fit once: problem-level constants for the constant pipeline,
@@ -455,7 +470,7 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[l
         bounds = f"D0 {fit.D0_hat!r}, D1 {fit.D1_hat!r}"
         raise ValueError(f"objective: its noise envelope (affine_noise_fit) leaves the float range: {bounds}")
     L0c, L1c = obj.known_L0_L1 if obj.known_L0_L1 else (0.0, 0.0)
-    f_gap = obj.value(w0) - (obj.known_min if obj.known_min is not None else 0.0)
+    f_gap = f0 - (obj.known_min if obj.known_min is not None else 0.0)
     pc = ProblemConstants(L0=L0c, L1=L1c, D0=fit.D0_hat, D1=fit.D1_hat, n=obj.n, d=obj.d, f_gap=f_gap)
     problem_constants = _pick(pc, "L0", "L1", "D0", "D1", "f_gap")
 

@@ -23,7 +23,7 @@ import orjson
 
 from .landscapes import FiniteSumObjective, _sum, check_point, to_spec
 from .rng import SplitMix64, stream_for_run
-from .schema import Beta1, Beta2, Count, NonNegative, Positive, Seed, check
+from .schema import Beta1, Beta2, Count, Fraction, NonNegative, Positive, Seed, check
 
 GUARD_SUP_NORM = 1e100
 
@@ -462,9 +462,10 @@ def aux_sequence(traj: Trajectory, beta1: Beta1) -> np.ndarray:
     return (e.w0 - beta1 * e.w_prev) * (1.0 / (1.0 - beta1))
 
 
-def tail_mean_grad_norm(traj: Trajectory, frac: float = 0.1) -> float:
+def tail_mean_grad_norm(traj: Trajectory, frac: Fraction = 0.1) -> float:
     """Mean epoch-start gradient norm over the last ceil-free max(1,
     floor(K * frac)) epochs k <= K (closing boundary snapshot excluded)."""
+    check(tail_mean_grad_norm, frac=frac)
     norms = traj.epoch_start_norms().tolist()
     if not norms:
         return math.nan

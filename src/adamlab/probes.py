@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .landscapes import FiniteSumObjective, _sum, check_point
 from .optimizers import Trajectory, aux_sequence
-from .schema import Positive, Size, check
+from .schema import Size, check
 from .theory import TheoryConstants
 
 DEGENERATE_SEGMENT = 1e-14
@@ -35,7 +35,6 @@ FLAT_REL_TOL = 1e-6
 @dataclass(frozen=True)
 class SmoothnessEstimate:
     estimate: float
-    grid_points: int
     degenerate: bool
 
 
@@ -43,7 +42,7 @@ def _check_alpha(alpha: float) -> int:
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must be in (0, 1]")
     m = round(1.0 / alpha)
-    if m < 1 or abs(alpha * m - 1.0) > 1e-12:
+    if abs(alpha * m - 1.0) > 1e-12:  # alpha <= 1, so m >= 1
         raise ValueError("alpha must be 1/m for an integer m >= 1")
     return m
 
@@ -65,7 +64,7 @@ def local_smoothness(
     seg = [w_b[l] - w_a[l] for l in range(obj.d)]
     seg_norm = math.hypot(*seg)
     if seg_norm < DEGENERATE_SEGMENT:
-        return SmoothnessEstimate(math.nan, m, True)
+        return SmoothnessEstimate(math.nan, True)
     g0 = obj.full_grad(w_a)
     best = 0.0
     for step in range(1, m + 1):
@@ -76,7 +75,7 @@ def local_smoothness(
         val = diff / (gamma * seg_norm)
         if val > best:
             best = val
-    return SmoothnessEstimate(best, m, False)
+    return SmoothnessEstimate(best, False)
 
 
 def smoothness_pairs(
@@ -113,7 +112,6 @@ class AffineNoiseFit:
     D1_hat: float
     max_violation: float
     n_points: int
-    objective_value: float  # D0_hat + D1_hat * median(u)
 
 
 def noise_pairs(obj: FiniteSumObjective, points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
@@ -188,24 +186,17 @@ def affine_envelope(pairs: Sequence[tuple[float, float]]) -> AffineNoiseFit:
 
     scale = max(1.0, max(abs(v) for _, v in pts), max(abs(u) for u, _ in pts))
     feas_tol = 1e-9 * scale
-    best: Optional[tuple[float, float, float]] = None
-    for d0, d1 in candidates:
-        if violation(d0, d1) > feas_tol:
-            continue
-        objv = d0 + d1 * med_u
-        if best is None or objv < best[0]:
-            best = (objv, d0, d1)
-    if best is None:
-        # fall back to the always-feasible horizontal line
-        d0, d1 = max(0.0, max_v), 0.0
-        best = (d0 + d1 * med_u, d0, d1)
-    objv, d0, d1 = best
+    # the horizontal line always stays: its violation is <= 0, or NaN for a
+    # non-finite v. The first candidate of least objective wins.
+    d0, d1 = min(
+        (c for c in candidates if not violation(*c) > feas_tol),
+        key=lambda c: c[0] + c[1] * med_u,
+    )
     return AffineNoiseFit(
         D0_hat=d0,
         D1_hat=d1,
         max_violation=max(0.0, violation(d0, d1)),
         n_points=len(pts),
-        objective_value=objv,
     )
 
 
@@ -308,25 +299,3 @@ def check_u_gap(traj: Trajectory, tc: TheoryConstants) -> LemmaReport:
     u = aux_sequence(traj, tc.beta1)
     cap = (tc.C2 * e.eta)[:, None]
     return _lemma_report("u_gap", (np.abs(u - e.w0), cap), (np.abs(u[1:] - u[:-1]), cap[:-1]))
-
-
-# ---------------------------------------------------------------------------
-# progress metric
-
-
-def progress_metric(grad_norm: float, D0: float, D1: Positive, xi: float) -> float:
-    """min{ gn / sqrt(D1), gn^2 / (sqrt(D0) + xi) }. Zero denominators give
-    +inf."""
-    check(progress_metric, D1=D1)
-    den = math.sqrt(D0) + xi
-    quad = math.inf if den == 0.0 else grad_norm * grad_norm / den
-    return min(grad_norm / math.sqrt(D1), quad)
-
-
-def progress_metric_min(traj: Trajectory, D0: float, D1: float, xi: float) -> float:
-    """Min of the progress metric over epoch-start snapshots k = 1..T (the
-    closing boundary of a completed run is excluded)."""
-    norms = traj.epoch_start_norms().tolist()
-    if not norms:
-        raise ValueError("trajectory has no epoch snapshots")
-    return min(progress_metric(gn, D0, D1, xi) for gn in norms)

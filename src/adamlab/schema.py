@@ -45,6 +45,8 @@ Positive = Annotated[float, Range(0.0, lo_open=True)]
 NonNegative = Annotated[float, Range(0.0)]
 Count = Annotated[int, Range(0, 2**63)]  # fits an int64 column, converts to a float
 Size = Annotated[int, Range(1)]
+# (0, 1]: a Range excludes its upper end, so it ends at the float after 1.0
+Fraction = Annotated[float, Range(0.0, math.nextafter(1.0, math.inf), lo_open=True)]
 Seed = Annotated[int, Range(0, 2**64)]  # a uint64 stream key
 # a number whose square is a positive normal float: LowerBound divides by L1 * L1
 SquarePositive = Annotated[float, Range(math.sqrt(sys.float_info.min))]

@@ -6,8 +6,9 @@ Two analytic artifacts are implemented:
   obey a gradient-proportional smoothness condition and an affine
   second-moment (noise) bound. ``compute_constants`` materializes the
   thirteen composite constants appearing in the bound's right-hand side;
-  ``theorem1_rhs``/``check_theorem1`` evaluate the bound against a recorded
-  trajectory.
+  ``progress_metric`` is the quantity whose min over epoch starts is its
+  left-hand side; ``theorem1_rhs``/``check_theorem1`` evaluate the bound
+  against a recorded trajectory.
 
 * a two-dimensional divergence/slow-progress construction for plain
   gradient descent, sized by ``theorem2_construction``: at or above a start
@@ -27,6 +28,7 @@ from typing import Optional
 from .schema import Beta1, Beta2, CubeFinite, NonNegative, Positive, Size, SquarePositive, check
 
 SQRT2 = math.sqrt(2.0)
+LEAD = 4.0 * (2.0 * SQRT2 + 1.0)  # leading factor of the bound and of its second step-size cap
 
 
 class ConstraintViolation(ValueError):
@@ -100,6 +102,12 @@ def _g(beta2: float, n: int) -> float:
     return max(t1, t2, t3, t4)
 
 
+def _momentum_factor(n: int, beta1: float) -> float:
+    """n - 1 + (1 + beta1) / (1 - beta1), shared by the bound's constants,
+    its neighborhood branch and the beta2 threshold."""
+    return n - 1.0 + (1.0 + beta1) / (1.0 - beta1)
+
+
 # ---------------------------------------------------------------------------
 # composite constants of the convergence bound
 
@@ -149,7 +157,7 @@ def compute_constants(beta1: Beta1, beta2: Beta2, eta1: CubeFinite, pc: ProblemC
     bn = beta2 ** n
     sb2 = math.sqrt(beta2)
     s_bn = beta2 ** (n / 2.0)
-    mom = (1.0 + beta1) / (1.0 - beta1)
+    mom = _momentum_factor(n, beta1)
 
     C1 = (1.0 - beta1) ** 2 / (1.0 - beta2) / (1.0 - beta1 * beta1 / beta2) + 1.0
     C2 = n * C1 + beta1 / (1.0 - beta1) * C1 * (1.0 + SQRT2)
@@ -174,17 +182,17 @@ def compute_constants(beta1: Beta1, beta2: Beta2, eta1: CubeFinite, pc: ProblemC
         root2n = SQRT2 * n / s_bn  # sqrt(2 n^2 / beta2^n)
         C8 = (
             math.sqrt(2.0 * n * n / bn) * L1 * sD1 * n * sqn
-            + d * gval * (n - 1.0 + mom) * root2n * L1 * C1 * sD1 * (1.0 + 1.0 / (1.0 - bn))
+            + d * gval * mom * root2n * L1 * C1 * sD1 * (1.0 + 1.0 / (1.0 - bn))
             * (n + n ** 2.5 * sqd * C1 * eta1 * L1 * sD1)
             + 2.0 * beta1 / ((1.0 - beta1) * eta1) * sqd * C1
         )
         C9 = (
             math.sqrt(2.0 * n * n / bn) * d * (n * n * L0 + n * sqn * L1 * sD0) * C1 * eta1 * eta1
-            + gval * (n - 1.0 + mom) * root2n * (n + 2.0 * SQRT2 * beta1 / (1.0 - beta1))
+            + gval * mom * root2n * (n + 2.0 * SQRT2 * beta1 / (1.0 - beta1))
             * C1 * (L0 + L1 * sD0) * d * sqd * eta1 * eta1
         )
         C10 = (
-            3.0 * d * gval * (n - 1.0 + mom) * root2n * L1 * C1 * sD1 * (1.0 + 1.0 / (1.0 - bn))
+            3.0 * d * gval * mom * root2n * L1 * C1 * sD1 * (1.0 + 1.0 / (1.0 - bn))
             * n * (n * L0 + L1 * sqn * sD0) * n * sqd * C1 * eta1 ** 3
             + C9
         )
@@ -235,7 +243,7 @@ def gamma_threshold(D1: Positive, n: Size, d: Size, beta1: Beta1) -> float:
     """
     check(gamma_threshold, D1=D1, n=n, d=d, beta1=beta1)
 
-    rhs = 1.0 / (2.0 * (4.0 + SQRT2) * math.sqrt(D1) * (n - 1.0 + (1.0 + beta1) / (1.0 - beta1)))
+    rhs = 1.0 / (2.0 * (4.0 + SQRT2) * math.sqrt(D1) * _momentum_factor(n, beta1))
 
     lo = None
     x = GAMMA_SCAN_STEP
@@ -287,7 +295,6 @@ def gamma_threshold(D1: Positive, n: Size, d: Size, beta1: Beta1) -> float:
 @dataclass(frozen=True)
 class FeasibilityReport:
     ok: bool
-    eta1: float
     max_eta_smooth: float  # cap from 2 C2 sqrt(d) eta1 <= 1 / L1
     max_eta_second: float  # cap from sqrt(D1) C11 eta1 <= 1 / (4 (2 sqrt2 + 1))
     margin_smooth: float
@@ -299,13 +306,12 @@ def eta1_feasible(tc: TheoryConstants, pc: ProblemConstants) -> FeasibilityRepor
     eta1 = tc.eta1
     denom1 = 2.0 * tc.C2 * math.sqrt(tc.d) * pc.L1
     cap1 = math.inf if denom1 == 0.0 else 1.0 / denom1
-    denom2 = 4.0 * (2.0 * SQRT2 + 1.0) * math.sqrt(pc.D1) * tc.C11
+    denom2 = LEAD * math.sqrt(pc.D1) * tc.C11
     cap2 = math.inf if denom2 == 0.0 else 1.0 / denom2
     m1 = cap1 - eta1
     m2 = cap2 - eta1
     return FeasibilityReport(
         ok=(m1 >= 0.0) and (m2 >= 0.0),
-        eta1=eta1,
         max_eta_smooth=cap1,
         max_eta_second=cap2,
         margin_smooth=m1,
@@ -326,14 +332,13 @@ def theorem1_rhs(T: Size, tc: TheoryConstants, pc: ProblemConstants, xi: NonNega
     check(theorem1_rhs, T=T, xi=xi)
     if pc.D1 <= 0.0:
         raise ValueError("main branch needs D1 > 0")
-    lead = 4.0 * (2.0 * SQRT2 + 1.0)
     eta1 = tc.eta1
     rt = math.sqrt(T)
     mix = (math.sqrt(pc.D0) + xi) / (4.0 * math.sqrt(pc.D1))
     main = (
-        lead * pc.f_gap / (eta1 * rt)
-        + lead * (tc.C12 + mix * tc.C11 * eta1 * eta1) * math.log(T) / (eta1 * rt)
-        + lead * (tc.C13 + mix * tc.C11) / (eta1 * rt)
+        LEAD * pc.f_gap / (eta1 * rt)
+        + LEAD * (tc.C12 + mix * tc.C11 * eta1 * eta1) * math.log(T) / (eta1 * rt)
+        + LEAD * (tc.C13 + mix * tc.C11) / (eta1 * rt)
     )
     neigh = (
         2.0
@@ -341,10 +346,20 @@ def theorem1_rhs(T: Size, tc: TheoryConstants, pc: ProblemConstants, xi: NonNega
         * (2.0 * SQRT2 + 1.0)
         * math.sqrt(pc.D0)
         * tc.g_value
-        * (tc.n - 1.0 + (1.0 + tc.beta1) / (1.0 - tc.beta1))
+        * _momentum_factor(tc.n, tc.beta1)
         * math.sqrt(2.0 * tc.n / (tc.beta2 ** tc.n))
     )
     return main, neigh
+
+
+def progress_metric(grad_norm: float, D0: NonNegative, D1: Positive, xi: NonNegative) -> float:
+    """min{ gn / sqrt(D1), gn^2 / (sqrt(D0) + xi) } at one snapshot; the
+    bound's left-hand side is its min over epoch starts. A zero denominator
+    gives +inf."""
+    check(progress_metric, D0=D0, D1=D1, xi=xi)
+    den = math.sqrt(D0) + xi
+    quad = math.inf if den == 0.0 else grad_norm * grad_norm / den
+    return min(grad_norm / math.sqrt(D1), quad)
 
 
 VERDICT_MAIN = "MainBranchHolds"
@@ -375,15 +390,9 @@ def check_theorem1(traj, pc: ProblemConstants, tc: TheoryConstants, xi: float) -
         raise ValueError("trajectory has no epoch snapshots")
     T = len(norms)
     main_rhs, neigh_rhs = theorem1_rhs(T, tc, pc, xi)
-
-    sD1 = math.sqrt(pc.D1)
-    floor = math.sqrt(pc.D0) + xi
-    lhs = math.inf
-    min_gn = math.inf
-    for gn in norms:
-        min_gn = min(min_gn, gn)
-        quad = math.inf if floor == 0.0 else gn * gn / floor
-        lhs = min(lhs, min(gn / sD1, quad))
+    # both mins start from +inf, so a NaN norm never wins
+    lhs = min(math.inf, *(progress_metric(gn, pc.D0, pc.D1, xi) for gn in norms))
+    min_gn = min(math.inf, *norms)
 
     slack = 1.0 + 1e-9
     main_ok = lhs <= main_rhs * slack
@@ -414,14 +423,9 @@ class Thm2Construction:
     epsilon: Positive
     x0: float
     y0: float
-    M: float
-    f_bar: float
     eta_star: float
     slow_horizon: int
     detail: dict
-    T: int
-    L0: float
-    L1: float
     axis_gap: float  # f1(x0) - min f1 = f2(y0) - min f2
 
 
@@ -491,13 +495,8 @@ def theorem2_construction(
         epsilon=epsilon,
         x0=x0,
         y0=y0,
-        M=M,
-        f_bar=f_bar,
         eta_star=eta_star,
         slow_horizon=slow_horizon,
         detail=detail,
-        T=T,
-        L0=L0,
-        L1=L1,
         axis_gap=axis_gap,
     )

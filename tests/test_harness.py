@@ -492,6 +492,8 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
         ("thm2-diverge", {"options": {"growth_tol": math.inf}}, "options.growth_tol"),
         ("thm2-diverge", {"options": {"growth_tol": math.nan}}, "options.growth_tol"),
         ("fig3", {"options": {"tail_frac": math.nan}}, "options.tail_frac"),
+        # int(len(norms) * 1e308) used to end the run in an OverflowError
+        ("fig3", {"T": 20, "seeds": [1], "options": {"beta2_grid": [0.9], "tail_frac": 1e308}}, "options.tail_frac"),
         ("fig3", {"options": {"grad_floor": math.nan}}, "options.grad_floor"),
         ("custom", {"objective": nan_centers}, "objective.parameters.centers[1][0]"),
         ("custom", {"objective": {**quad, "parameters": {**quad["parameters"], "curvatures": [2.0, -1.0]}}},
@@ -507,7 +509,7 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
         rc = cli_main([command, "--config", str(mistyped), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 2, (command, overrides)
-        assert err.startswith(f"config error: {key}: expected "), err
+        assert err.startswith(f"config error: {key}: expected ") and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
 
 
@@ -723,14 +725,52 @@ def test_benchmark_subcommands_are_registered(tmp_path):
                 assert load_config(command, args).experiment == workloads.SUBCOMMAND_EXPERIMENT[command]
 
 
-def test_cli_overflowing_start_point_is_a_config_error(tmp_path, capsys):
-    # f(x0) overflows to inf, which the problem constants reject
+def test_cli_overflowing_start_point_is_a_config_error(monkeypatch, tmp_path, capsys):
+    # f(x0) overflows to inf on the quadratic, and sums +inf and -inf
+    # components (nan) on the default landscape; the bound's value gap needs
+    # it finite. Both used to be refused after the envelope fit, naming f_gap.
+    def no_run(*args, **kwargs):
+        raise AssertionError("adam_run called")
+
+    monkeypatch.setattr(harness, "adam_run", no_run)
     cfg = tmp_path / "cfg.json"
     objective = to_spec(quadratic_sum([2.0, 2.0], [[-1.0], [3.0]]))
-    cfg.write_text(json.dumps({"objective": objective, "options": {"x0": [1e200]}}))
-    rc = cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "config error: f_gap: expected a finite number, got inf" in capsys.readouterr().err
+    grid = {"beta1_grid": [0.0], "beta2_grid": [0.99], "eta1_grid": [0.1], "schedules": ["Constant"]}
+    for overrides, value in (
+        ({"objective": objective, "options": {"x0": [1e200]}}, "inf"),
+        ({"T": 3, "options": {"x0": [1e200], **grid}}, "nan"),
+    ):
+        cfg.write_text(json.dumps(overrides))
+        rc = cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: options.x0: the objective's value there is {value}, not a finite number\n"
+
+
+_FAST_THRESHOLD = {"L0": 1e-10, "L1": 1.0, "M": 1.0, "f_bar": 199.0}  # eta_star is about 112.7
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    # the second multiplier's step size overflows to inf; it used to be
+    # refused by gd_run, after the first run, on a line naming eta1
+    ("thm2-diverge", {"options": {"construction": _FAST_THRESHOLD, "eta_multipliers": [1.0, 1e307], "steps": 5}},
+     "options.eta_multipliers[1]: 1e+307 * eta_star 112.66025967178439 is inf, not a positive finite step size"),
+    ("compare", {"options": {"construction": _FAST_THRESHOLD, "gd_eta_multipliers": [1.0, 1e307], "gd_steps": 5,
+                             "adam": {"epochs": 5}}},
+     "options.gd_eta_multipliers[1]: 1e+307 * eta_star 112.66025967178439 is inf, not a positive finite step size"),
+], ids=["thm2-diverge", "compare"])
+def test_cli_gd_step_size_past_the_float_range_is_refused_before_any_run(
+    command, overrides, message, monkeypatch, tmp_path, capsys
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "gd_run", no_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("curvatures, centers, key, cause", [

@@ -372,9 +372,10 @@ def test_make_lowerbound_value_gap_identity():
     L0 = L1 = 1.0
     M = 100.0
     axis_gap = M / (2.0 * L1) - L0 / (4.0 * L1 * L1)
-    obj, w0, con = make_lowerbound(L0, L1, T=10_000, M=M, f_bar=2.0 * axis_gap)
+    f_bar = 2.0 * axis_gap
+    obj, w0, con = make_lowerbound(L0, L1, T=10_000, M=M, f_bar=f_bar)
     gap = obj.value(w0) - obj.known_min
-    assert gap == pytest.approx(con.f_bar, rel=1e-9)
+    assert gap == pytest.approx(f_bar, rel=1e-9)
     assert con.axis_gap == pytest.approx(axis_gap, rel=1e-12)
 
 

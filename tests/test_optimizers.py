@@ -287,6 +287,11 @@ def test_epoch_grad_norms_and_tail_mean():
     # closing snapshot dropped: mean over the last 2 of 20 epoch-start norms
     expected = np.mean(norms[:-1][-2:])
     assert tail == pytest.approx(float(expected), rel=1e-12)
+    # frac is a share in (0, 1]: 1.0 takes every epoch start
+    assert tail_mean_grad_norm(traj, frac=1.0) == pytest.approx(float(np.mean(norms[:-1])), rel=1e-12)
+    for frac in (0.0, -0.5, math.nextafter(1.0, 2.0), 1e308):
+        with pytest.raises(ValueError, match=r"^frac: expected a number in \(0.0, 1.0000000000000002\)"):
+            tail_mean_grad_norm(traj, frac=frac)
 
 
 def test_aux_sequence_identity_at_zero_beta1():

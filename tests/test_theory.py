@@ -323,6 +323,19 @@ def test_check_theorem1_excludes_closing_snapshot():
     rep = check_theorem1(fake_traj([1.0, 1.0, 123.0]), pc, hand_tc(), xi=0.0)
     assert rep.T == 2
     assert rep.min_grad_norm == 1.0
+    # with D0 = xi = 0 and D1 = 1 the progress metric is the norm itself; a
+    # failed run keeps its last snapshot, which is then the least
+    for status, T, least in (("Completed", 2, 3.0), ("Diverged", 3, 0.001)):
+        rep = check_theorem1(fake_traj([4.0, 3.0, 0.001], status), pc, hand_tc(), xi=0.0)
+        assert (rep.T, rep.trajectory_lhs, rep.min_grad_norm) == (T, least, least)
+
+
+def test_check_theorem1_nan_norm_never_wins():
+    # both mins start from +inf, so a NaN norm, first or later, is skipped
+    pc = ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=2, d=1, f_gap=1.0)
+    for norms in ([math.nan, 2.0, 3.0, 7.0], [3.0, math.nan, 2.0, 7.0]):
+        rep = check_theorem1(fake_traj(norms), pc, hand_tc(), xi=0.0)
+        assert (rep.trajectory_lhs, rep.min_grad_norm) == (2.0, 2.0)
 
 
 def test_check_theorem1_main_branch_verdict():
