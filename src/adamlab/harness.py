@@ -184,7 +184,7 @@ class Thm2SlowOptions:
     def __post_init__(self):
         stray = [m for m in self.complete_multipliers if m not in self.eta_multipliers]
         if stray:
-            raise ValueError(f"options.complete_multipliers: {stray} not in eta_multipliers")
+            raise ValueError(f"complete_multipliers: {stray} not in eta_multipliers")
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ class LemmaSuiteOptions:
 
     def __post_init__(self):
         if all(b1 * b1 >= b2 for b1 in self.beta1_grid for b2 in self.beta2_grid):
-            raise ValueError("options.beta1_grid: beta1**2 >= beta2 on every pair, so no run is audited")
+            raise ValueError("beta1_grid: beta1**2 >= beta2 on every pair, so no run is audited")
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ class CustomOptions:
 
     def __post_init__(self):
         if self.algo == "clipped_gd" and self.gd.clip_threshold is None:
-            raise ValueError("options.gd.clip_threshold: clipped_gd needs one")
+            raise ValueError("gd.clip_threshold: clipped_gd needs one")
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,17 @@ Built-in kinds:
 * ``QuadraticSum`` -- components (a_j / 2) * |w - c_j|^2.
 * ``Custom`` -- caller-supplied callbacks, not serializable:
   ``FiniteSumObjective(KIND_CUSTOM, n, d, {}, value_fn, grad_fn, ...)``.
+
+A spec ``{kind, n, d, parameters}`` names a key of ``_LOADABLE``, whose
+builder's signature declares the parameters: ``from_spec`` checks them
+against it and calls it (``schema.parse``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, make_dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -232,7 +236,7 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
     sum convention).
     """
     if not math.isfinite(scale) or scale == 0.0:
-        raise ValueError("scale must be finite and nonzero")
+        raise ValueError(f"scale: expected a finite nonzero number, got {scale!r}")
     s = float(scale)
     c = 10.0 / 9.0
 
@@ -283,7 +287,6 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
         values_fn=values_fn,
         grad1_fn=grad1_fn,
         known_min=-s / 90.0 if s > 0 else None,
-        known_D0_D1=None,
         known_L0_L1=(2.0 * abs(s), 0.0),
     )
 
@@ -355,19 +358,17 @@ def _fsum(key: str, terms: Iterable[float]) -> float:
         raise ValueError(f"{key}: a sum built from these values leaves the float range ({exc})") from None
 
 
-def quadratic_sum(
-    curvatures: list[Positive],
-    centers: Sequence[Sequence[float]],
-    known_D0_D1: Optional[tuple[float, float]] = None,
-) -> FiniteSumObjective:
+def quadratic_sum(curvatures: list[Positive], centers: list[list[float]]) -> FiniteSumObjective:
     """Components (a_j / 2) |w - c_j|^2 with a_j > 0."""
     check(quadratic_sum, curvatures=curvatures)
     n = len(curvatures)
-    if n == 0 or len(centers) != n:
-        raise ValueError("need matching, nonempty curvature and center lists")
+    if n == 0:
+        raise ValueError("curvatures: expected a nonempty list, got []")
+    if len(centers) != n:
+        raise ValueError(f"centers: expected one per curvature ({n}), got {len(centers)}")
     d = len(centers[0])
-    if any(len(c) != d for c in centers):
-        raise ValueError("centers must share one dimension")
+    if d == 0 or any(len(c) != d for c in centers):
+        raise ValueError(f"centers: expected points of one dimension d >= 1, got dimensions {[len(c) for c in centers]}")
     a = [float(v) for v in curvatures]
     cs = [[float(x) for x in c] for c in centers]
 
@@ -411,7 +412,6 @@ def quadratic_sum(
         smooth_fn=smooth_fn,
         grad1_fn=grad1_fn,
         known_min=fmin,
-        known_D0_D1=known_D0_D1,
         known_L0_L1=(max(a), 0.0),
     )
 
@@ -443,31 +443,26 @@ def to_spec(obj: FiniteSumObjective) -> dict:
     return {"kind": obj.kind, "n": obj.n, "d": obj.d, "parameters": obj.parameters}
 
 
-_SPEC = make_dataclass("Spec", [
-    ("kind", str), ("n", Optional[int], field(default=None)),
-    ("d", Optional[int], field(default=None)), ("parameters", dict, field(default_factory=dict)),
-])
-_LOADABLE = {  # kind -> (constructor, its typed parameters)
-    kind: (build, make_dataclass(kind, params))
-    for kind, build, params in (
-        (KIND_ZHANG, zhang_counterexample, [("scale", float, field(default=1.0))]),
-        (KIND_LOWERBOUND, lowerbound_objective, [("L0", Positive), ("L1", SquarePositive), ("epsilon", Positive)]),
-        (KIND_QUADRATIC, quadratic_sum, [("curvatures", list[Positive]), ("centers", list[list[float]])]),
-    )
-}
+_LOADABLE = {KIND_ZHANG: zhang_counterexample, KIND_LOWERBOUND: lowerbound_objective, KIND_QUADRATIC: quadratic_sum}
+
+
+@dataclass(frozen=True)
+class _Spec:
+    kind: Literal[tuple(_LOADABLE)]
+    n: Optional[int] = None
+    d: Optional[int] = None
+    parameters: dict = field(default_factory=dict)
 
 
 def from_spec(spec: dict) -> FiniteSumObjective:
-    """The objective a spec describes. An unknown key or kind, a missing or
-    mistyped parameter, and an ``n`` or ``d`` that the kind contradicts
-    raise ValueError."""
-    s = parse(_SPEC, spec, "objective")
-    if s.kind not in _LOADABLE:
-        raise ValueError(f"unknown or non-loadable objective kind: {s.kind!r}")
-    build, params = _LOADABLE[s.kind]
-    obj = build(**vars(parse(params, s.parameters, "objective.parameters")))
+    """The objective a spec describes: its kind's builder called with its
+    parameters. An unknown key or kind, a missing or mistyped parameter, a
+    value the builder refuses and an ``n`` or ``d`` that the kind
+    contradicts raise ValueError naming the key."""
+    s = parse(_Spec, spec, "objective")
+    obj = parse(_LOADABLE[s.kind], s.parameters, "objective.parameters")
     for name in ("n", "d"):
-        given = getattr(s, name)
-        if given is not None and given != getattr(obj, name):
-            raise ValueError(f"spec {name}={given} inconsistent with kind")
+        given, built = getattr(s, name), getattr(obj, name)
+        if given is not None and given != built:
+            raise ValueError(f"objective.{name}: expected {built} (this {s.kind}'s {name}), got {given}")
     return obj

@@ -1,11 +1,14 @@
-"""One type checker for config records, driven by dataclass fields.
+"""One type checker for config records: dataclasses and functions.
 
-An unknown key, a missing field without a default and a mistyped value are
-errors. bool is neither an int nor a float; an int given for a float is kept
-as an int, so a multiplier given as ``2`` is echoed as ``2``. A number is
-finite (``json.load`` accepts ``NaN`` and ``Infinity``). A nested record
-fills its missing fields from its defaults. Every error is a ValueError that
-names the key's path, such as ``options.adam.beta1``.
+``parse`` builds a dataclass, or calls a function, from a dict checked
+against its fields or parameters (type hints; required without a default).
+An unknown key, a missing field and a mistyped value are errors. bool is
+neither an int nor a float; an int given for a float is kept as an int, so
+a multiplier given as ``2`` is echoed as ``2``. A number is finite
+(``json.load`` accepts ``NaN`` and ``Infinity``). A nested record fills its
+missing fields from its defaults. Every error is a ValueError that names
+the key's path, such as ``options.adam.beta1``; a record's own ValueError
+begins with the field it refuses and is given the record's path.
 Each parameter range is declared once, below, as an ``Annotated`` type, and
 so is the rule every run axis shares: ``Axis(item)``, a non-empty list of
 ``item`` values with none repeated.
@@ -13,6 +16,7 @@ so is the rule every run axis shares: ``Axis(item)``, a non-empty list of
 
 import dataclasses
 import functools
+import inspect
 import math
 import sys
 import typing
@@ -26,17 +30,18 @@ _SCALARS = {  # hint -> (description, accepted types); only bool accepts a bool
 
 @dataclasses.dataclass(frozen=True)
 class Range:
-    """Numbers from lo (excluded if lo_open) up to hi (excluded); not NaN."""
+    """Numbers from lo to hi, each end excluded if it is open; not NaN."""
 
     lo: float
     hi: float = float("inf")
     lo_open: bool = False
+    hi_open: bool = True
 
     def __contains__(self, v) -> bool:
-        return (self.lo < v if self.lo_open else self.lo <= v) and v < self.hi
+        return (self.lo < v if self.lo_open else self.lo <= v) and (v < self.hi if self.hi_open else v <= self.hi)
 
     def __str__(self) -> str:
-        return f"{'(['[not self.lo_open]}{self.lo}, {self.hi})"
+        return f"{'(['[not self.lo_open]}{self.lo}, {self.hi}{')]'[not self.hi_open]}"
 
 
 Beta1 = Annotated[float, Range(0.0, 1.0)]
@@ -45,8 +50,7 @@ Positive = Annotated[float, Range(0.0, lo_open=True)]
 NonNegative = Annotated[float, Range(0.0)]
 Count = Annotated[int, Range(0, 2**63)]  # fits an int64 column, converts to a float
 Size = Annotated[int, Range(1)]
-# (0, 1]: a Range excludes its upper end, so it ends at the float after 1.0
-Fraction = Annotated[float, Range(0.0, math.nextafter(1.0, math.inf), lo_open=True)]
+Fraction = Annotated[float, Range(0.0, 1.0, lo_open=True, hi_open=False)]
 Seed = Annotated[int, Range(0, 2**64)]  # a uint64 stream key
 # a number whose square is a positive normal float: LowerBound divides by L1 * L1
 SquarePositive = Annotated[float, Range(math.sqrt(sys.float_info.min))]
@@ -75,33 +79,26 @@ def Axis(item):
 
 
 @functools.cache
-def hints_of(owner) -> dict:
-    """The type hints of a dataclass or a function, ranges included."""
-    return typing.get_type_hints(owner, include_extras=True)
-
-
-@functools.cache
-def fields_of(cls: type) -> dict[str, tuple[object, bool]]:
-    """name -> (type hint, required) for each field of a dataclass."""
-    hints, missing = hints_of(cls), dataclasses.MISSING
-    return {
-        f.name: (hints[f.name], f.default is missing and f.default_factory is missing)
-        for f in dataclasses.fields(cls)
-    }
+def fields_of(owner) -> dict[str, tuple[object, bool]]:
+    """name -> (type hint, required) for each parameter of a function or field
+    of a dataclass, ranges included."""
+    hints = typing.get_type_hints(owner, include_extras=True)
+    return {name: (hints[name], p.default is p.empty) for name, p in inspect.signature(owner).parameters.items()}
 
 
 def check(owner, **values) -> None:
     """Check each value against ``owner``'s type hint of the same name: a
     field of a dataclass or a parameter of a function."""
-    hints = hints_of(owner)
+    spec = fields_of(owner)
     for name, value in values.items():
-        parse(hints[name], value, name)
+        parse(spec[name][0], value, name)
 
 
 def parse(hint, value, path: str = ""):
-    """``value`` checked against ``hint``; a dataclass hint is built from a dict."""
+    """``value`` checked against ``hint``; a dataclass or function hint is
+    built or called from a dict, and a ValueError it raises gets its path."""
     expected = "an object"
-    if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+    if (dataclasses.is_dataclass(hint) or inspect.isfunction(hint)) and isinstance(value, dict):
         spec, prefix = fields_of(hint), f"{path}." if path else ""
         for key in value:
             if key not in spec:
@@ -109,7 +106,11 @@ def parse(hint, value, path: str = ""):
         for key, (_, required) in spec.items():
             if required and key not in value:
                 raise ValueError(f"{prefix}{key}: missing")
-        return hint(**{k: parse(spec[k][0], v, prefix + k) for k, v in value.items()})
+        kwargs = {k: parse(spec[k][0], v, prefix + k) for k, v in value.items()}
+        try:
+            return hint(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{prefix}{exc}") from exc
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Union:  # Optional[X]
         [inner] = [a for a in args if a is not type(None)]
@@ -127,7 +128,7 @@ def parse(hint, value, path: str = ""):
         if any(type(value) is type(a) and value == a for a in args):
             return value
         expected = "one of " + ", ".join(map(repr, args))
-    elif not dataclasses.is_dataclass(hint):
+    elif hint in _SCALARS:
         expected, types = _SCALARS[hint]
         if isinstance(value, types) and (hint is bool or not isinstance(value, bool)):
             if hint is not float or abs(value) <= sys.float_info.max:  # NaN fails too

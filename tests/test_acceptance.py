@@ -8,6 +8,7 @@ invariance, envelope soundness, bit-level determinism, and a double-entry
 transcription of the theory-constant chain.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -164,8 +165,8 @@ def test_update_and_virtual_iterate_bounds_hold_on_grid():
 def test_gradient_bound_verdict_on_feasible_quadratics():
     # two-component quadratics: one with an offset noise envelope, one with a
     # purely multiplicative envelope (D0 = 0, which zeroes the fallback branch)
-    obj_a = quadratic_sum([2.0, 2.0], [[-1.0], [3.0]], known_D0_D1=(16.0, 1.0))
-    obj_b = quadratic_sum([1.0, 3.0], [[0.0], [0.0]], known_D0_D1=(0.0, 1.25))
+    obj_a = dataclasses.replace(quadratic_sum([2.0, 2.0], [[-1.0], [3.0]]), known_D0_D1=(16.0, 1.0))
+    obj_b = dataclasses.replace(quadratic_sum([1.0, 3.0], [[0.0], [0.0]]), known_D0_D1=(0.0, 1.25))
     beta2 = 0.999
     xi = 1e-8
     cases = [

@@ -25,7 +25,7 @@ from adamlab.harness import (
     merge_config,
     run_experiment,
 )
-from adamlab.landscapes import lowerbound_objective, quadratic_sum, to_spec, zhang_counterexample
+from adamlab.landscapes import _LOADABLE, from_spec, lowerbound_objective, quadratic_sum, to_spec, zhang_counterexample
 from adamlab.optimizers import AdamParams
 from adamlab.schema import Axis, fields_of
 
@@ -35,7 +35,7 @@ def small_custom_config(**options):
     opts.update(options)
     return ExperimentConfig(
         experiment="Custom",
-        objective=to_spec(quadratic_sum([2.0, 2.0], [[-1.0], [3.0]], known_D0_D1=(16.0, 1.0))),
+        objective=to_spec(quadratic_sum([2.0, 2.0], [[-1.0], [3.0]])),
         seeds=[1],
         T=5,
         options=opts,
@@ -516,6 +516,10 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
 _TINY_L1 = {"kind": "LowerBound", "parameters": {"L0": 1.0, "L1": 1e-170, "epsilon": 1.0}}
 
 
+def _quad(curvatures, centers, **spec):
+    return {"objective": {"kind": "QuadraticSum", "parameters": {"curvatures": curvatures, "centers": centers}, **spec}}
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     # 1e-170 squared underflows to 0.0, and LowerBound divides by L1 * L1
     ("custom", {"objective": _TINY_L1},
@@ -524,6 +528,21 @@ _TINY_L1 = {"kind": "LowerBound", "parameters": {"L0": 1.0, "L1": 1e-170, "epsil
     ("thm2-slow", {"options": {"construction": {"L1": 0.002}}}, "construction constraints failed: ['m_above_floor']"),
     # epsilon underflows to 0.0, and y0 divides by it
     ("thm2-slow", {"options": {"construction": {"f_bar": 5e-324}}}, "epsilon: expected a number in (0.0, inf), got 0.0"),
+    # a spec the builder or loader refuses names its key
+    ("custom", _quad([1.0, 2.0], [[0.0], [1.0, 2.0]]),
+     "objective.parameters.centers: expected points of one dimension d >= 1, got dimensions [1, 2]"),
+    ("custom", _quad([], []), "objective.parameters.curvatures: expected a nonempty list, got []"),
+    ("custom", _quad([1.0], [[]]),
+     "objective.parameters.centers: expected points of one dimension d >= 1, got dimensions [0]"),
+    ("custom", {"objective": {"kind": "ZhangCounterexample", "parameters": {"scale": 0}}},
+     "objective.parameters.scale: expected a finite nonzero number, got 0"),
+    ("custom", {"objective": {"kind": "nope", "parameters": {}}},
+     "objective.kind: expected one of 'ZhangCounterexample', 'LowerBound', 'QuadraticSum', got 'nope'"),
+    ("custom", _quad([2.0], [[0.0]], n=2), "objective.n: expected 1 (this QuadraticSum's n), got 2"),
+    ("custom", {"objective": {"kind": "ZhangCounterexample", "d": 2, "parameters": {}}},
+     "objective.d: expected 1 (this ZhangCounterexample's d), got 2"),
+    # a closed end is printed closed
+    ("fig3", {"options": {"tail_frac": 1e308}}, "options.tail_frac: expected a number in (0.0, 1.0], got 1e+308"),
 ])
 def test_cli_degenerate_landscape_is_a_named_config_error(command, overrides, message, tmp_path, capsys):
     cfg = tmp_path / "c.json"
@@ -589,8 +608,8 @@ def _axis_item(hint):
 
 def _range_cases(cls, path="options"):
     """(overrides, path) for each value just outside the range of each
-    range-typed field of an options record, nested records and list
-    entries included."""
+    range-typed field of an options record or parameter of a landscape
+    builder, nested records and list entries included."""
     for name, (hint, _) in fields_of(cls).items():
         if typing.get_origin(hint) is typing.Union:  # Optional[X]
             [hint] = [a for a in typing.get_args(hint) if a is not type(None)]
@@ -607,9 +626,10 @@ def _range_cases(cls, path="options"):
             continue
         base, allowed = typing.get_args(hint)
         below = math.nextafter(allowed.lo, -math.inf) if base is float else allowed.lo - 1
+        above = math.nextafter(allowed.hi, math.inf) if base is float else allowed.hi + 1
         outside = [allowed.lo if allowed.lo_open else below]
         if math.isfinite(allowed.hi):
-            outside.append(allowed.hi)
+            outside.append(allowed.hi if allowed.hi_open else above)
         for bad in outside:
             yield {name: [bad] if listed else bad}, f"{path}.{name}" + ("[0]" if listed else "")
 
@@ -623,7 +643,18 @@ def test_every_range_typed_option_is_refused_just_outside_its_range():
                 config.validate()
             paths.add((name, path))
     assert {("Fig3", "options.beta2_grid[0]"), ("AdamVsGd", "options.adam.epochs"),
-            ("Custom", "options.gd.clip_threshold"), ("Thm2Slow", "options.construction.M")} <= paths
+            ("Custom", "options.gd.clip_threshold"), ("Thm2Slow", "options.construction.M"),
+            ("Fig3", "options.tail_frac")} <= paths
+    # each loadable objective kind's parameters, from a valid spec of the kind
+    for spec in (
+        to_spec(zhang_counterexample()), to_spec(lowerbound_objective(1.0, 1.0, 0.5)), to_spec(quadratic_sum([2.0], [[0.0]])),
+    ):
+        for parameters, path in _range_cases(_LOADABLE[spec["kind"]], "objective.parameters"):
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}: expected "):
+                from_spec({**spec, "parameters": {**spec["parameters"], **parameters}})
+            paths.add((spec["kind"], path))
+    assert {("LowerBound", f"objective.parameters.{name}") for name in ("L0", "L1", "epsilon")} <= paths
+    assert ("QuadraticSum", "objective.parameters.curvatures[0]") in paths
 
 
 def _axis_cases(cls, path="options"):
@@ -786,7 +817,7 @@ def test_cli_quadratic_sum_out_of_float_range_is_a_config_error(curvatures, cent
     cfg.write_text(json.dumps({"objective": objective, "options": {"algo": "adam", "x0": [0.0]}}))
     assert cli_main(["custom", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        f"config error: {key}: a sum built from these values leaves the float range ({cause})\n"
+        f"config error: objective.parameters.{key}: a sum built from these values leaves the float range ({cause})\n"
     )
     assert not (tmp_path / "o").exists()
 

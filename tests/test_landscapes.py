@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -383,7 +384,7 @@ def test_make_lowerbound_value_gap_identity():
 
 
 def test_quadratic_sum_two_centers():
-    obj = quadratic_sum([2.0, 2.0], [[-1.0], [3.0]], known_D0_D1=(16.0, 1.0))
+    obj = quadratic_sum([2.0, 2.0], [[-1.0], [3.0]])
     assert obj.n == 2 and obj.d == 1
     # the mean of the two parabolas bottoms out at the weighted center
     assert obj.known_min == pytest.approx(obj.value([1.0]), rel=1e-12)
@@ -394,7 +395,7 @@ def test_quadratic_sum_two_centers():
 
 
 def test_quadratic_sum_noise_envelope_holds():
-    obj = quadratic_sum([2.0, 2.0], [[-1.0], [3.0]], known_D0_D1=(16.0, 1.0))
+    obj = dataclasses.replace(quadratic_sum([2.0, 2.0], [[-1.0], [3.0]]), known_D0_D1=(16.0, 1.0))
     d0, d1 = obj.known_D0_D1
     for x in np.linspace(-10.0, 10.0, 101):
         w = [float(x)]
@@ -405,12 +406,16 @@ def test_quadratic_sum_noise_envelope_holds():
 
 
 def test_quadratic_sum_rejects_bad_input():
-    with pytest.raises(ValueError):
-        quadratic_sum([1.0, 2.0], [[0.0]], known_D0_D1=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        quadratic_sum([1.0, 2.0], [[0.0], [0.0, 1.0]], known_D0_D1=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        quadratic_sum([-1.0], [[0.0]], known_D0_D1=(0.0, 1.0))
+    # each refusal begins with the parameter it refuses
+    for curvatures, centers, key in (
+        ([1.0, 2.0], [[0.0]], "centers"),
+        ([1.0, 2.0], [[0.0], [0.0, 1.0]], "centers"),
+        ([1.0], [[]], "centers"),
+        ([], [], "curvatures"),
+        ([-1.0], [[0.0]], r"curvatures\[0\]"),
+    ):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            quadratic_sum(curvatures, centers)
 
 
 # -------------------------------------------------------------- smoothness
@@ -470,7 +475,7 @@ def test_spec_round_trip():
     for obj in (
         zhang_counterexample(2.5),
         lowerbound_objective(1.0, 0.5, 0.25),
-        quadratic_sum([1.0, 3.0], [[0.5], [0.5]], known_D0_D1=(0.0, 1.25)),
+        quadratic_sum([1.0, 3.0], [[0.5], [0.5]]),
     ):
         spec = to_spec(obj)
         back = from_spec(spec)
@@ -479,15 +484,33 @@ def test_spec_round_trip():
         w = [0.37] * obj.d
         assert back.value(w) == pytest.approx(obj.value(w), rel=1e-15)
         assert np.allclose(back.full_grad(w), obj.full_grad(w))
+    # a parameter left out takes its default from the builder's signature
+    assert from_spec({"kind": "ZhangCounterexample", "parameters": {}}).parameters == {"scale": 1.0}
+    assert from_spec({"kind": "ZhangCounterexample"}).parameters == {"scale": 1.0}
 
 
 def test_from_spec_rejects_unknown_kind_and_bad_dims():
-    with pytest.raises(ValueError):
-        from_spec({"kind": "nope", "parameters": {}})
+    for kind in ("nope", KIND_CUSTOM):
+        with pytest.raises(ValueError, match="^objective.kind: expected one of "):
+            from_spec({"kind": kind, "parameters": {}})
     good = to_spec(zhang_counterexample(1.0))
     good["d"] = 7
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^objective\.d: expected 1 \(this ZhangCounterexample's d\), got 7$"):
         from_spec(good)
+    # each kind's parameters are its builder's keyword arguments: an unknown
+    # one and a missing required one are refused by name
+    for obj, missing in (
+        (zhang_counterexample(1.0), None),
+        (lowerbound_objective(1.0, 0.5, 0.25), "L1"),
+        (quadratic_sum([1.0, 3.0], [[0.5], [0.5]]), "centers"),
+    ):
+        spec = to_spec(obj)
+        with pytest.raises(ValueError, match=r"^objective\.parameters\.known_D0_D1: unknown key$"):
+            from_spec({**spec, "parameters": {**spec["parameters"], "known_D0_D1": [0.0, 1.0]}})
+        if missing is not None:
+            kept = {k: v for k, v in spec["parameters"].items() if k != missing}
+            with pytest.raises(ValueError, match=rf"^objective\.parameters\.{missing}: missing$"):
+                from_spec({**spec, "parameters": kept})
 
 
 def test_custom_objective_not_serializable():

@@ -1,6 +1,8 @@
-"""Every number in an options record has a range or is named here.
+"""Every number in an options record or an objective spec has a range or is
+named here.
 
-An options field typed with one of the ranges declared in ``schema.py``
+An options field or a landscape builder's parameter (the spec's
+``parameters``) typed with one of the ranges declared in ``schema.py``
 (``Positive``, ``Count``, ``Fraction``, ...) is refused at load outside
 that range. A field typed as a plain ``int`` or ``float`` is checked for
 finiteness only, so a value the program cannot use reaches a run: Fig3's
@@ -12,6 +14,7 @@ import dataclasses
 import typing
 
 from adamlab.harness import REGISTRY
+from adamlab.landscapes import _LOADABLE
 from adamlab.schema import Positive, Range, fields_of
 
 ALLOWED = {
@@ -19,12 +22,14 @@ ALLOWED = {
     "Thm2DivergenceOptions.growth_tol": "a slack on the log sqrt(2) growth test; a negative one makes it stricter",
     "Thm2DivergenceOptions.min_checks_per_run": "a threshold a check count is compared with; every integer is a test",
     "Thm2DivergenceOptions.min_checks_total": "a threshold a check count is compared with; every integer is a test",
+    "zhang_counterexample.scale": "any finite nonzero number; the builder refuses 0",
 }
 
 
 def number_fields(cls) -> dict[str, bool]:
     """``Record.field`` -> whether it is range-typed, for each int- or
-    float-typed field of ``cls`` and of the records nested in it."""
+    float-typed field of ``cls`` (a dataclass, or a function's parameters)
+    and of the records nested in it."""
     found = {}
     for name, (hint, _) in fields_of(cls).items():
         if typing.get_origin(hint) is typing.Union:  # Optional[X]
@@ -41,8 +46,8 @@ def number_fields(cls) -> dict[str, bool]:
 
 def test_every_number_option_is_ranged_or_allowlisted():
     found = {}
-    for exp in REGISTRY.values():
-        found.update(number_fields(exp.Options))
+    for record in [exp.Options for exp in REGISTRY.values()] + list(_LOADABLE.values()):
+        found.update(number_fields(record))
     assert sorted(name for name, ranged in found.items() if not ranged and name not in ALLOWED) == []
     # an allowlist entry that is gone or has become range-typed is stale
     assert sorted(name for name in ALLOWED if found.get(name) is not False) == []
@@ -67,3 +72,8 @@ def test_number_field_detection():
     assert number_fields(Outer) == {
         "Outer.rate": True, "Outer.tol": False, "Outer.other": False, "Inner.cap": True, "Inner.loose": False,
     }
+
+    def build(rate: Positive, inner: Inner, tol: float = 0.0, grid: list[float] = ()):
+        pass
+
+    assert number_fields(build) == {"build.rate": True, "Inner.cap": True, "Inner.loose": False, "build.tol": False}

@@ -103,7 +103,7 @@ def test_param_validation():
 
 def test_single_step_matches_hand_simulation():
     # one component, one epoch: the whole update is computable by hand
-    obj = quadratic_sum([2.0], [[3.0]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0], [[3.0]])
     p = params(beta1=0.5, beta2=0.9, eta1=0.1, xi=0.0, epochs=1)
     traj = adam_run(obj, [1.0], p)
     g = 2.0 * (1.0 - 3.0)  # -4
@@ -271,7 +271,7 @@ def test_nan_gradient_ends_run_nonfinite():
 
 def test_zero_gradient_and_zero_xi_defines_zero_update():
     # all-zero state with a zero gradient leaves the iterate unchanged
-    obj = quadratic_sum([2.0], [[0.0]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0], [[0.0]])
     p = params(beta1=0.0, beta2=0.9, xi=0.0, epochs=1)
     traj = adam_run(obj, [0.0], p)
     assert traj.status == STATUS_COMPLETED
@@ -290,7 +290,7 @@ def test_epoch_grad_norms_and_tail_mean():
     # frac is a share in (0, 1]: 1.0 takes every epoch start
     assert tail_mean_grad_norm(traj, frac=1.0) == pytest.approx(float(np.mean(norms[:-1])), rel=1e-12)
     for frac in (0.0, -0.5, math.nextafter(1.0, 2.0), 1e308):
-        with pytest.raises(ValueError, match=r"^frac: expected a number in \(0.0, 1.0000000000000002\)"):
+        with pytest.raises(ValueError, match=r"^frac: expected a number in \(0.0, 1.0\], got "):
             tail_mean_grad_norm(traj, frac=frac)
 
 
@@ -353,14 +353,14 @@ def test_summary_contents():
 
 
 def test_gd_contracts_on_quadratic():
-    obj = quadratic_sum([2.0], [[1.0]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0], [[1.0]])
     traj = gd_run(obj, [5.0], eta1=0.1, steps=200, schedule=SCHEDULE_CONSTANT)
     assert traj.status == STATUS_COMPLETED
     assert abs(traj.final_w[0] - 1.0) < 1e-6
 
 
 def test_clipped_gd_caps_step_length():
-    obj = quadratic_sum([2.0], [[0.0]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0], [[0.0]])
     thresh = 0.5
     traj = gd_run(obj, [100.0], eta1=1.0, steps=3, clip_threshold=thresh)
     moves = np.abs(np.diff(traj.epochs.w0[:, 0]))
@@ -436,7 +436,7 @@ def test_eta_times_abs_ratio_is_abs_of_the_update(eta, r):
 def test_runs_validate_start_point_at_entry(w0):
     # the hot paths evaluate the objective unchecked, so a bad start point
     # must be refused before the first step, even for an empty run
-    obj = quadratic_sum([2.0], [[1.0]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0], [[1.0]])
     with pytest.raises(ValueError):
         gd_run(obj, w0, eta1=0.1, steps=0)
     with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ from adamlab.theory import ProblemConstants, TheoryConstants, compute_constants,
 
 
 def test_alpha_must_be_reciprocal_of_integer():
-    obj = quadratic_sum([2.0], [[0.0]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0], [[0.0]])
     with pytest.raises(ValueError):
         local_smoothness(obj, [0.0], [1.0], alpha=0.3)
     with pytest.raises(ValueError):
@@ -53,14 +53,14 @@ def test_alpha_must_be_reciprocal_of_integer():
 
 
 def test_degenerate_segment_flagged():
-    obj = quadratic_sum([2.0], [[0.0]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0], [[0.0]])
     est = local_smoothness(obj, [0.7], [0.7], alpha=0.5)
     assert est.degenerate
     assert math.isnan(est.estimate)
 
 
 def test_constant_curvature_estimated_exactly():
-    obj = quadratic_sum([2.0, 2.0], [[-1.0], [3.0]], known_D0_D1=(16.0, 1.0))
+    obj = quadratic_sum([2.0, 2.0], [[-1.0], [3.0]])
     for a, b in (([0.0], [1.0]), ([-5.0], [2.5]), ([10.0], [10.1])):
         est = local_smoothness(obj, a, b, alpha=0.1)
         assert est.estimate == pytest.approx(2.0, rel=1e-12)
@@ -75,7 +75,7 @@ def test_exponential_branch_estimate_within_five_percent():
 
 
 def test_smoothness_pairs_from_trajectory():
-    obj = quadratic_sum([2.0], [[1.0]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0], [[1.0]])
     traj = gd_run(obj, [5.0], eta1=0.1, steps=20, schedule=SCHEDULE_CONSTANT)
     pairs = smoothness_pairs(obj, traj, alpha=0.25)
     assert len(pairs) == len(traj.epochs) - 1
@@ -173,7 +173,7 @@ def test_envelope_on_counterexample_grid():
 
 
 def test_envelope_identical_components_is_identity():
-    obj = quadratic_sum([2.0, 2.0], [[0.5], [0.5]], known_D0_D1=(0.0, 1.0))
+    obj = quadratic_sum([2.0, 2.0], [[0.5], [0.5]])
     points = [[float(x)] for x in np.linspace(-2.0, 2.0, 41)]
     fit = affine_noise_fit(obj, points)
     assert fit.D0_hat <= 1e-12
