@@ -14,8 +14,9 @@ Five canned experiments plus a pass-through custom mode:
 * ``LemmaSuite`` -- per-step audits of the update-magnitude and momentum-gap
   bounds across a hyperparameter grid.
 
-Each experiment is one ``REGISTRY`` record with a runner of its own. A
-runner first builds its runs, each a ``Run`` (id, trajectory, report row,
+Each experiment is one ``REGISTRY`` record with a runner of its own, called
+as ``run(config, options, (obj, w0, con))`` on the landscape that
+``ExperimentConfig.validate`` built. A runner first builds its runs, each a ``Run`` (id, trajectory, report row,
 plot values), then derives its conclusions from those rows; it returns the
 runs and a dict of the experiment's own report keys (``conclusions``, and
 ``construction`` or ``problem_constants``). The three GD arms on the
@@ -44,7 +45,6 @@ import numpy as np
 from . import __version__
 from .landscapes import (
     FiniteSumObjective,
-    check_point,
     from_spec,
     make_lowerbound,
     to_spec,
@@ -69,10 +69,13 @@ from .rng import ALGORITHM_ID
 from .schema import (
     Axis, Beta1, Beta2, Count, CubeFinite, Fraction, NonNegative, Positive, Seed, SquarePositive, check, parse,
 )
-from .theory import NonMonotoneError, NoRootError, ProblemConstants, Thm2Construction, compute_constants, gamma_threshold
+from .theory import ConstraintViolation, NonMonotoneError, NoRootError, ProblemConstants, Thm2Construction
+from .theory import compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 THM2_CONSTRUCTION = ("epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_gap", "detail")  # echoed fields
+# what a config's runs start from: objective, start point, Theorem 2 construction (None off it)
+Landscape = tuple[FiniteSumObjective, list[float], Optional[Thm2Construction]]
 
 
 @dataclass
@@ -85,21 +88,30 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     options: dict = field(default_factory=dict)
 
-    def validate(self):
-        """Check every field, the objective and the options; return the
-        experiment's typed options record. Every failure is a ValueError."""
+    def validate(self) -> tuple[Any, Landscape]:
+        """Check every field, the objective and the options; return the typed
+        options and the landscape ``(obj, w0, con)`` the runs start from:
+        ``make_lowerbound``'s for ``T`` when the options have a
+        ``construction``, else the objective, ``options.x0`` (None: the
+        origin) and None. Every failure is a ValueError."""
         check(ExperimentConfig, **vars(self))
         exp = _experiment(self.experiment)
         if len(self.seeds) > 1 and not exp.sweeps_seeds:
             raise ValueError(f"seeds: {exp.name} runs one seed, got {self.seeds}")
         options = parse(exp.Options, self.options, "options")
-        if (self.objective is not None) != exp.takes_objective:
-            raise ValueError(f"objective: {exp.name} {'needs an' if exp.takes_objective else 'takes no'} objective")
-        if self.objective is not None:
-            d, x0 = from_spec(self.objective).d, getattr(options, "x0", None)
-            if x0 is not None and len(x0) != d:
-                raise ValueError(f"options.x0: expected {d} coordinates (the objective's d), got {len(x0)}")
-        return options
+        takes_objective = not hasattr(options, "construction")
+        if (self.objective is not None) != takes_objective:
+            raise ValueError(f"objective: {exp.name} {'needs an' if takes_objective else 'takes no'} objective")
+        if not takes_objective:
+            try:
+                return options, make_lowerbound(T=self.T, **vars(options.construction))
+            except ConstraintViolation as exc:
+                raise ConstraintViolation(f"options.construction: {exc}", exc.detail) from exc
+        obj = from_spec(self.objective)
+        w0 = [0.0] * obj.d if options.x0 is None else [float(v) for v in options.x0]
+        if len(w0) != obj.d:
+            raise ValueError(f"options.x0: expected {obj.d} coordinates (the objective's d), got {len(w0)}")
+        return options, (obj, w0, None)
 
 
 def merge_config(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
@@ -267,8 +279,8 @@ def _pick(record, *names: str) -> dict:
 # Fig3
 
 
-def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> tuple[list[Run], dict]:
-    obj = from_spec(config.objective)
+def run_fig3(config: ExperimentConfig, opt: Fig3Options, landscape: Landscape) -> tuple[list[Run], dict]:
+    obj, w0, _ = landscape
     runs: list[Run] = []
 
     grid = sorted(opt.beta2_grid)
@@ -280,7 +292,7 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options) -> tuple[list[Run], dic
     for b2 in grid:
         for seed in seeds:
             params = replace(base, beta2=b2, seed=seed)
-            traj = adam_run(obj, opt.x0, params)
+            traj = adam_run(obj, w0, params)
             row = {
                 "beta2": b2,
                 "seed": seed,
@@ -358,8 +370,10 @@ def _iterates_run(mult, traj: Trajectory, row: dict) -> Run:
     return Run(f"eta_mult={mult!r}", traj, row, {"eta_mult": mult, "x": w[:, 0], "y": w[:, 1]})
 
 
-def run_thm2_divergence(config: ExperimentConfig, opt: Thm2DivergenceOptions) -> tuple[list[Run], dict]:
-    obj, w0, con = make_lowerbound(T=config.T, **vars(opt.construction))
+def run_thm2_divergence(
+    config: ExperimentConfig, opt: Thm2DivergenceOptions, landscape: Landscape
+) -> tuple[list[Run], dict]:
+    obj, w0, con = landscape
     runs: list[Run] = []
     sweep = _gd_sweep(obj, w0, con.eta_star, opt.eta_multipliers, "eta_multipliers", opt.steps, True)
     for mult, traj, row in sweep:
@@ -384,8 +398,8 @@ def run_thm2_divergence(config: ExperimentConfig, opt: Thm2DivergenceOptions) ->
     return runs, {"construction": _pick(con, *THM2_CONSTRUCTION), "conclusions": conclusions}
 
 
-def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions) -> tuple[list[Run], dict]:
-    obj, w0, con = make_lowerbound(T=config.T, **vars(opt.construction))
+def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions, landscape: Landscape) -> tuple[list[Run], dict]:
+    obj, w0, con = landscape
     runs: list[Run] = []
     sweep = _gd_sweep(obj, w0, con.eta_star, opt.eta_multipliers, "eta_multipliers", opt.steps, True)
     for mult, traj, row in sweep:
@@ -406,8 +420,8 @@ def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions) -> tuple[list[
     return runs, {"construction": _pick(con, *THM2_CONSTRUCTION), "conclusions": conclusions}
 
 
-def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[list[Run], dict]:
-    obj, w0, con = make_lowerbound(T=config.T, **vars(opt.construction))
+def run_comparison(config: ExperimentConfig, opt: ComparisonOptions, landscape: Landscape) -> tuple[list[Run], dict]:
+    obj, w0, con = landscape
     a = opt.adam
     try:  # before any run: a beta1 that leaves no threshold is a config error
         gamma = gamma_threshold(D1=obj.known_D0_D1[1], n=obj.n, d=obj.d, beta1=a.beta1)
@@ -454,9 +468,10 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions) -> tuple[li
 # lemma suite
 
 
-def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[list[Run], dict]:
-    obj = from_spec(config.objective)
-    w0 = check_point(obj, opt.x0)
+def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions, landscape: Landscape) -> tuple[list[Run], dict]:
+    obj, w0, _ = landscape
+    if obj.known_min is None:  # f_gap, and with it the bound, needs inf f
+        raise ValueError(f"objective: this {obj.kind} has no known minimum, which the value gap f_gap needs")
     f0 = obj.value(w0)
     if not math.isfinite(f0):  # f_gap, and with it the bound, needs a finite start value
         raise ValueError(f"options.x0: the objective's value there is {f0!r}, not a finite number")
@@ -469,8 +484,8 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[l
     if not (math.isfinite(fit.D0_hat) and math.isfinite(fit.D1_hat)):
         bounds = f"D0 {fit.D0_hat!r}, D1 {fit.D1_hat!r}"
         raise ValueError(f"objective: its noise envelope (affine_noise_fit) leaves the float range: {bounds}")
-    L0c, L1c = obj.known_L0_L1 if obj.known_L0_L1 else (0.0, 0.0)
-    f_gap = f0 - (obj.known_min if obj.known_min is not None else 0.0)
+    L0c, L1c = obj.known_L0_L1
+    f_gap = max(0.0, f0 - obj.known_min)  # f0 may round below the closed-form minimum
     pc = ProblemConstants(L0=L0c, L1=L1c, D0=fit.D0_hat, D1=fit.D1_hat, n=obj.n, d=obj.d, f_gap=f_gap)
     problem_constants = _pick(pc, "L0", "L1", "D0", "D1", "f_gap")
 
@@ -506,9 +521,8 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions) -> tuple[l
 # custom
 
 
-def run_custom(config: ExperimentConfig, opt: CustomOptions) -> tuple[list[Run], dict]:
-    obj = from_spec(config.objective)
-    w0 = [0.0] * obj.d if opt.x0 is None else opt.x0
+def run_custom(config: ExperimentConfig, opt: CustomOptions, landscape: Landscape) -> tuple[list[Run], dict]:
+    obj, w0, _ = landscape
     runs: list[Run] = []
 
     for seed in sorted(config.seeds):
@@ -539,20 +553,21 @@ def run_custom(config: ExperimentConfig, opt: CustomOptions) -> tuple[list[Run],
 @dataclass(frozen=True)
 class Experiment:
     """An experiment's name, CLI subcommand, typed options (whose defaults are
-    its default options), runner and top-level defaults. ``objective`` builds
-    the default objective. ``table`` names the plot table of the runs the
-    runner plots; ``sweeps_seeds`` is whether it runs each seed of the list,
-    where the others take exactly one. Custom's default config leaves its
-    options empty."""
+    its default options), runner and top-level defaults. The runner is
+    called as ``run(config, options, (obj, w0, con))`` with what
+    ``ExperimentConfig.validate`` returned. ``objective`` builds the default
+    objective. ``table`` names the plot table of the runs the runner plots;
+    ``sweeps_seeds`` is whether it runs each seed of the list, where the
+    others take exactly one. Custom's default config leaves its options
+    empty."""
 
     name: str
     command: str
     Options: type
-    run: Callable[[ExperimentConfig, Any], tuple[list[Run], dict]]
+    run: Callable[[ExperimentConfig, Any, Landscape], tuple[list[Run], dict]]
     seeds: tuple[int, ...]
     T: int
     objective: Optional[Callable[[], FiniteSumObjective]] = None
-    takes_objective: bool = False
     echo_defaults: bool = True
     table: Optional[str] = None
     sweeps_seeds: bool = False
@@ -563,7 +578,7 @@ REGISTRY = {
     for e in (
         Experiment(
             "Fig3", "fig3", Fig3Options, run_fig3, (1, 2, 3), 10_000,
-            objective=zhang_counterexample, takes_objective=True, table="grad_norms", sweeps_seeds=True,
+            objective=zhang_counterexample, table="grad_norms", sweeps_seeds=True,
         ),
         Experiment(
             "Thm2Divergence", "thm2-diverge", Thm2DivergenceOptions, run_thm2_divergence, (0,), 10_000,
@@ -575,11 +590,11 @@ REGISTRY = {
         ),
         Experiment(
             "LemmaSuite", "lemmas", LemmaSuiteOptions, run_lemma_suite, (1,), 1000,
-            objective=zhang_counterexample, takes_objective=True,
+            objective=zhang_counterexample,
         ),
         Experiment(
             "Custom", "custom", CustomOptions, run_custom, (1,), 100,
-            takes_objective=True, echo_defaults=False, sweeps_seeds=True,
+            echo_defaults=False, sweeps_seeds=True,
         ),
     )
 }
@@ -603,12 +618,12 @@ def default_config_for(experiment: str) -> ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Validate the config, run the experiment and build its result from the
-    runs, in sorted run id order: the report's rows, the trajectories and the
-    plot table of the plotted runs."""
-    options = config.validate()
+    """Validate the config, building its landscape, run the experiment on it
+    and build its result from the runs, in sorted run id order: the report's
+    rows, the trajectories and the plot table of the plotted runs."""
+    options, landscape = config.validate()
     exp = REGISTRY[config.experiment]
-    runs, own = exp.run(config, options)
+    runs, own = exp.run(config, options, landscape)
     runs.sort(key=lambda run: run.rid)
     trajectories = {run.rid: run.traj for run in runs}
     if len(trajectories) != len(runs):

@@ -423,7 +423,7 @@ class Thm2Construction:
     epsilon: Positive
     x0: float
     y0: float
-    eta_star: float
+    eta_star: Positive
     slow_horizon: int
     detail: dict
     axis_gap: float  # f1(x0) - min f1 = f2(y0) - min f2
@@ -434,6 +434,16 @@ def _require(detail: dict, *names: str) -> None:
     failed = [k for k in names if not detail[k]]
     if failed:
         raise ConstraintViolation(f"construction constraints failed: {failed}", detail)
+
+
+def _admit(detail: dict, **values: float) -> None:
+    """ConstraintViolation, with schema.check's message, for a value outside
+    the range of its Thm2Construction field: an epsilon that underflows to
+    0.0, a start point or step-size threshold past the float range."""
+    try:
+        check(Thm2Construction, **values)
+    except ValueError as exc:
+        raise ConstraintViolation(str(exc), detail) from None
 
 
 def theorem2_construction(
@@ -454,7 +464,9 @@ def theorem2_construction(
     Hard admissibility (ConstraintViolation otherwise, its detail naming
     every check): M above both the landscape floor and eps; f_bar > 6 eps;
     start y0 inside the linear branch. M above the floor comes first, as
-    eps is defined only above it; the others are made once it holds.
+    eps is defined only above it; the others are made once it holds. eps,
+    the start point (x0, y0) and eta_star must also lie in their fields'
+    ranges (ConstraintViolation with the schema's message otherwise).
     """
     check(theorem2_construction, L0=L0, L1=L1, T=T, M=M, f_bar=f_bar)
 
@@ -467,7 +479,7 @@ def theorem2_construction(
     logq1 = math.log(q) + 1.0
     ratio = (L1 * M / 2.0 + L0 / 4.0) / (2.0 * (1.0 + SQRT2) * logq1)
     epsilon = math.sqrt(ratio * f_bar / (4.0 * math.sqrt(T)))
-    check(Thm2Construction, epsilon=epsilon)  # 0.0 where the product underflows
+    _admit(detail, epsilon=epsilon)  # 0.0 where the product underflows
 
     x0 = logq1 / L1
     axis_gap = M / (2.0 * L1) - L0 / (4.0 * L1 * L1)  # equals f1(x0) - min f1
@@ -482,8 +494,9 @@ def theorem2_construction(
     })
     _require(detail, "m_above_epsilon", "fbar_condition", "y0_in_linear_branch")
 
-    # closed form of (1+sqrt2) L1 x0 / (L0 e^{L1 x0 - 1}); no overflow risk
+    # closed form of (1+sqrt2) L1 x0 / (L0 e^{L1 x0 - 1}); inf where the denominator is tiny
     eta_star = (1.0 + SQRT2) * logq1 / (L1 * M / 2.0 + L0 / 4.0)
+    _admit(detail, x0=x0, y0=y0, eta_star=eta_star)
     try:
         horizon_f = ratio * ratio * (axis_gap / epsilon - 1.5) ** 2 / (epsilon * epsilon)
     except OverflowError:  # float ** raises where * gives inf

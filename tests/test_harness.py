@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import inspect
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adamlab
 from adamlab import cli, harness
@@ -289,8 +291,8 @@ def test_every_experiment_joins_each_run_to_its_row_trajectory_and_block():
 
 
 def test_two_runs_with_one_id_are_a_program_bug(monkeypatch):
-    def twice(config, opt):
-        runs, report = harness.run_custom(config, opt)
+    def twice(config, opt, landscape):
+        runs, report = harness.run_custom(config, opt, landscape)
         return runs + runs, report
 
     monkeypatch.setitem(REGISTRY, "Custom", replace(REGISTRY["Custom"], run=twice))
@@ -525,9 +527,11 @@ def _quad(curvatures, centers, **spec):
     ("custom", {"objective": _TINY_L1},
      "objective.parameters.L1: expected a number in [1.4916681462400413e-154, inf), got 1e-170"),
     # log(q) + 1 < 0 below the floor, where epsilon would be sqrt of a negative
-    ("thm2-slow", {"options": {"construction": {"L1": 0.002}}}, "construction constraints failed: ['m_above_floor']"),
+    ("thm2-slow", {"options": {"construction": {"L1": 0.002}}},
+     "options.construction: construction constraints failed: ['m_above_floor']"),
     # epsilon underflows to 0.0, and y0 divides by it
-    ("thm2-slow", {"options": {"construction": {"f_bar": 5e-324}}}, "epsilon: expected a number in (0.0, inf), got 0.0"),
+    ("thm2-slow", {"options": {"construction": {"f_bar": 5e-324}}},
+     "options.construction: epsilon: expected a number in (0.0, inf), got 0.0"),
     # a spec the builder or loader refuses names its key
     ("custom", _quad([1.0, 2.0], [[0.0], [1.0, 2.0]]),
      "objective.parameters.centers: expected points of one dimension d >= 1, got dimensions [1, 2]"),
@@ -543,6 +547,17 @@ def _quad(curvatures, centers, **spec):
      "objective.d: expected 1 (this ZhangCounterexample's d), got 2"),
     # a closed end is printed closed
     ("fig3", {"options": {"tail_frac": 1e308}}, "options.tail_frac: expected a number in (0.0, 1.0], got 1e+308"),
+    # y0 overflows; it used to be refused by gd_run as a "non-finite point"
+    ("thm2-slow", {"options": {"construction": {"L0": 5e-324, "L1": 1.5e-154, "M": 0.5, "f_bar": 1.5e-154}}},
+     "options.construction: y0: expected a finite number, got inf"),
+    # eta_star overflows; it used to be blamed on options.eta_multipliers[0]
+    ("thm2-slow", {"options": {"construction": {"L0": 5e-324, "L1": 1.5e-154, "M": 1.5e-154, "f_bar": 1e-10}}},
+     "options.construction: eta_star: expected a finite number, got inf"),
+    # the construction's own horizon must be at least one step
+    ("thm2-diverge", {"T": 0}, "T: expected an integer in [1, inf), got 0"),
+    # inf f is -inf for a negative scale, and f_gap needs a finite one
+    ("lemmas", {"objective": {"kind": "ZhangCounterexample", "parameters": {"scale": -1}}},
+     "objective: this ZhangCounterexample has no known minimum, which the value gap f_gap needs"),
 ])
 def test_cli_degenerate_landscape_is_a_named_config_error(command, overrides, message, tmp_path, capsys):
     cfg = tmp_path / "c.json"
@@ -574,6 +589,75 @@ def test_start_point_of_the_wrong_dimension_is_refused_at_load(command, tmp_path
     assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: options.x0: expected 1 coordinates (the objective's d), got 2\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_lemma_suite_starting_at_the_minimizer_runs(tmp_path, capsys):
+    # f(0) rounds below the closed-form minimum -1/90; the value gap is 0.0,
+    # where it used to be refused as a negative f_gap
+    assert zhang_counterexample().value([0.0]) < zhang_counterexample().known_min
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"x0": [0.0]}, "T": 3}))
+    assert cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "LemmaSuite" / "report.json").read_text())
+    assert report["problem_constants"]["f_gap"] == 0.0
+
+
+def test_each_run_builds_its_landscape_once(monkeypatch, tmp_path):
+    # validate is the one build site: load_config builds the landscape once,
+    # and run_experiment once more, with no build inside a runner
+    builds = []
+
+    def counted(builder):
+        @functools.wraps(builder)
+        def wrapper(*args, **kwargs):
+            builds.append(builder.__name__)
+            return builder(*args, **kwargs)
+        return wrapper
+
+    for kind, builder in list(_LOADABLE.items()):
+        monkeypatch.setitem(_LOADABLE, kind, counted(builder))
+    monkeypatch.setattr(harness, "make_lowerbound", counted(harness.make_lowerbound))
+    for name, overrides in SMALL_CONFIGS.items():
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(overrides))
+        command = REGISTRY[name].command
+        builds.clear()
+        config = load_config(command, build_parser().parse_args([command, "--config", str(cfg)]))
+        assert len(builds) == 1, (name, builds)
+        builds.clear()
+        run_experiment(config)
+        assert len(builds) == 1, (name, builds)
+
+
+def _floats_in(hint):
+    """Every float a range-typed field accepts."""
+    _, r = typing.get_args(hint)
+    return st.floats(
+        min_value=r.lo, max_value=None if r.hi == math.inf else r.hi, exclude_min=r.lo_open,
+        exclude_max=r.hi_open and r.hi < math.inf, allow_nan=False, allow_infinity=False,
+    )
+
+
+@given(
+    st.sampled_from(["Thm2Divergence", "Thm2Slow", "AdamVsGd"]),
+    st.fixed_dictionaries({name: _floats_in(hint) for name, (hint, _) in fields_of(harness.Construction).items()}),
+    st.integers(1, 2**63 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_construction_loads_as_a_usable_landscape_or_is_refused_naming_its_key(name, construction, T):
+    def no_run(*args, **kwargs):
+        pytest.fail("a run started")
+
+    config = merge_config(default_config_for(name), {"T": T, "options": {"construction": construction}})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "adam_run", no_run)
+        mp.setattr(harness, "gd_run", no_run)
+        try:
+            _, (_, w0, con) = config.validate()
+        except ValueError as exc:
+            assert str(exc).startswith(("options.construction: ", "T: ")), exc
+            return
+    assert all(map(math.isfinite, w0)) and 0.0 < con.eta_star < math.inf
 
 
 def test_cli_count_beyond_int64_is_a_config_error(tmp_path, capsys):
@@ -696,6 +780,7 @@ def test_each_experiment_has_its_own_runner():
     assert len({exp.run for exp in REGISTRY.values()}) == len(REGISTRY)
     for exp in REGISTRY.values():
         assert "config.experiment" not in inspect.getsource(exp.run), exp.name
+        assert "config.objective" not in inspect.getsource(exp.run), exp.name
 
 
 def test_mistyped_schedule_or_init_mode_fails_at_load():
@@ -726,13 +811,13 @@ def test_nested_options_fill_from_defaults_and_keep_ints():
         default_config_for("AdamVsGd"),
         {"options": {"gd_eta_multipliers": [2], "adam": {"epochs": 40}}},
     )
-    opt = cfg.validate()
+    opt, _ = cfg.validate()
     assert opt.adam.epochs == 40 and opt.adam.eta1 == 0.5 and opt.adam.beta2 == 0.999
     assert opt.gd_eta_multipliers == [2] and type(opt.gd_eta_multipliers[0]) is int
     # the echo is the merged input, not the filled record
     assert asdict(cfg)["options"]["adam"] == {"epochs": 40}
     # Custom's Adam defaults are AdamParams'
-    custom = small_custom_config().validate()
+    custom, _ = small_custom_config().validate()
     assert vars(custom.adam) == {
         k: getattr(AdamParams(), k) for k in ("beta1", "beta2", "eta1", "xi", "schedule", "init_mode")
     }

@@ -422,7 +422,7 @@ def test_construction_checks_the_floor_before_epsilon_needs_it():
 
 def test_construction_refuses_an_epsilon_that_underflows():
     # ratio * f_bar / (4 sqrt(T)) rounds to 0.0: y0 = axis_gap / 0
-    with pytest.raises(ValueError, match=r"^epsilon: expected a number in \(0.0, inf\), got 0.0"):
+    with pytest.raises(ConstraintViolation, match=r"^epsilon: expected a number in \(0.0, inf\), got 0.0"):
         theorem2_construction(1.0, 1.0, 10_000, 100.0, 5e-324)
 
 
