@@ -25,14 +25,15 @@ joins runs and keys: it sorts the runs by id and builds the report's rows,
 the trajectories and the plot table the record names, so a run's row,
 trajectory and block share one id.
 
-Emission is byte-deterministic: runs are sorted by run id, JSON is written
-with sorted keys, and no timestamps appear anywhere.
+``emit`` lays out the artifact tree, and ``artifacts`` writes each file's
+text. Emission is byte-deterministic: runs are sorted by run id, JSON is
+written with sorted keys, and no timestamps appear anywhere.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
-import json
 import math
 import os
 import shutil
@@ -40,16 +41,9 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Literal, Optional
 
-import numpy as np
-
 from . import __version__
-from .landscapes import (
-    FiniteSumObjective,
-    from_spec,
-    make_lowerbound,
-    to_spec,
-    zhang_counterexample,
-)
+from .artifacts import write_json, write_table
+from .landscapes import FiniteSumObjective, from_spec, make_lowerbound
 from .optimizers import (
     AdamParams,
     InitMode,
@@ -62,18 +56,16 @@ from .optimizers import (
     gd_run,
     tail_mean_grad_norm,
     trajectory_summary,
-    write_csv,
 )
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
 from .schema import (
-    Axis, Beta1, Beta2, Count, CubeFinite, Fraction, NonNegative, Positive, Seed, SquarePositive, check, parse,
+    Axis, Beta1, Beta2, Count, CubeFinite, Fraction, NonNegative, Positive, Seed, Size, SquarePositive, check, parse,
 )
 from .theory import ConstraintViolation, NonMonotoneError, NoRootError, ProblemConstants, Thm2Construction
 from .theory import compute_constants, gamma_threshold
 
 HALF_LOG2 = 0.5 * math.log(2.0)
-THM2_CONSTRUCTION = ("epsilon", "x0", "y0", "eta_star", "slow_horizon", "axis_gap", "detail")  # echoed fields
 # what a config's runs start from: objective, start point, Theorem 2 construction (None off it)
 Landscape = tuple[FiniteSumObjective, list[float], Optional[Thm2Construction]]
 
@@ -190,7 +182,7 @@ class Thm2DivergenceOptions:
 class Thm2SlowOptions:
     construction: Construction = Construction()
     eta_multipliers: Axis(Positive) = _list(0.1, 0.5, 0.99)
-    steps: Count = 10_000
+    steps: Size = 10_000
     complete_multipliers: list[float] = _list(0.1, 0.5)
 
     def __post_init__(self):
@@ -203,7 +195,7 @@ class Thm2SlowOptions:
 class ComparisonOptions:
     construction: Construction = Construction()
     gd_eta_multipliers: Axis(Positive) = _list(0.25, 0.5, 1.0, 2.0, 4.0)
-    gd_steps: Count = 10_000
+    gd_steps: Size = 10_000
     adam: ComparisonAdamOptions = ComparisonAdamOptions()
 
 
@@ -395,7 +387,7 @@ def run_thm2_divergence(
         "all_growth_ok": all_growth_ok,
         "all_ok": all_growth_ok and per_run_ok and total_checks >= opt.min_checks_total,
     }
-    return runs, {"construction": _pick(con, *THM2_CONSTRUCTION), "conclusions": conclusions}
+    return runs, {"construction": asdict(con), "conclusions": conclusions}
 
 
 def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions, landscape: Landscape) -> tuple[list[Run], dict]:
@@ -417,7 +409,7 @@ def run_thm2_slow(config: ExperimentConfig, opt: Thm2SlowOptions, landscape: Lan
         "completions_ok": all(run.row.get("completed_as_expected", True) for run in runs),
     }
     conclusions = {"slow_horizon": con.slow_horizon, **checks, "all_ok": all(checks.values())}
-    return runs, {"construction": _pick(con, *THM2_CONSTRUCTION), "conclusions": conclusions}
+    return runs, {"construction": asdict(con), "conclusions": conclusions}
 
 
 def run_comparison(config: ExperimentConfig, opt: ComparisonOptions, landscape: Landscape) -> tuple[list[Run], dict]:
@@ -470,6 +462,7 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions, landscape: 
 
 def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions, landscape: Landscape) -> tuple[list[Run], dict]:
     obj, w0, _ = landscape
+    parse(Size, config.T, "T")  # T = 0 takes no step: no update to audit, and u_1 = w_{1,0}
     if obj.known_min is None:  # f_gap, and with it the bound, needs inf f
         raise ValueError(f"objective: this {obj.kind} has no known minimum, which the value gap f_gap needs")
     f0 = obj.value(w0)
@@ -555,10 +548,10 @@ class Experiment:
     """An experiment's name, CLI subcommand, typed options (whose defaults are
     its default options), runner and top-level defaults. The runner is
     called as ``run(config, options, (obj, w0, con))`` with what
-    ``ExperimentConfig.validate`` returned. ``objective`` builds the default
-    objective. ``table`` names the plot table of the runs the runner plots;
-    ``sweeps_seeds`` is whether it runs each seed of the list, where the
-    others take exactly one. Custom's default config leaves its options
+    ``ExperimentConfig.validate`` returned. ``objective`` is the default
+    objective's spec. ``table`` names the plot table of the runs the runner
+    plots; ``sweeps_seeds`` is whether it runs each seed of the list, where
+    the others take exactly one. Custom's default config leaves its options
     empty."""
 
     name: str
@@ -567,18 +560,21 @@ class Experiment:
     run: Callable[[ExperimentConfig, Any, Landscape], tuple[list[Run], dict]]
     seeds: tuple[int, ...]
     T: int
-    objective: Optional[Callable[[], FiniteSumObjective]] = None
+    objective: Optional[dict] = None
     echo_defaults: bool = True
     table: Optional[str] = None
     sweeps_seeds: bool = False
 
+
+# the default objective of Fig3 and LemmaSuite: to_spec(zhang_counterexample())
+ZHANG_SPEC = {"kind": "ZhangCounterexample", "n": 10, "d": 1, "parameters": {"scale": 1.0}}
 
 REGISTRY = {
     e.name: e
     for e in (
         Experiment(
             "Fig3", "fig3", Fig3Options, run_fig3, (1, 2, 3), 10_000,
-            objective=zhang_counterexample, table="grad_norms", sweeps_seeds=True,
+            objective=ZHANG_SPEC, table="grad_norms", sweeps_seeds=True,
         ),
         Experiment(
             "Thm2Divergence", "thm2-diverge", Thm2DivergenceOptions, run_thm2_divergence, (0,), 10_000,
@@ -590,7 +586,7 @@ REGISTRY = {
         ),
         Experiment(
             "LemmaSuite", "lemmas", LemmaSuiteOptions, run_lemma_suite, (1,), 1000,
-            objective=zhang_counterexample,
+            objective=ZHANG_SPEC,
         ),
         Experiment(
             "Custom", "custom", CustomOptions, run_custom, (1,), 100,
@@ -610,7 +606,7 @@ def default_config_for(experiment: str) -> ExperimentConfig:
     exp = _experiment(experiment)
     return ExperimentConfig(
         experiment=exp.name,
-        objective=to_spec(exp.objective()) if exp.objective else None,
+        objective=copy.deepcopy(exp.objective),
         seeds=list(exp.seeds),
         T=exp.T,
         options=asdict(exp.Options()) if exp.echo_defaults else {},
@@ -651,33 +647,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # emission
 
 
-def _dump_json(payload: dict | list, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _dump_table(table: PlotTable, path_base: str, fmt: str) -> str:
-    """Write a plot table with its columns in name order, each run's shared
-    values repeated down its rows: as JSON, a list of one object per row; as
-    CSV, a header line and the rows, or one empty line when the table has no
-    rows."""
-    names = sorted(table[0]) if table else []
-    runs = [[block[name] for name in names] for block in table]
-    rows = [len(block["k"]) for block in table]
-    if fmt == "json":
-        path = path_base + ".json"
-        _dump_json([
-            dict(zip(names, vals))
-            for cols, n in zip(runs, rows)
-            for vals in zip(*(c.tolist() if isinstance(c, np.ndarray) else [c] * n for c in cols))
-        ], path)
-        return path
-    path = path_base + ".csv"
-    write_csv(path, names if any(rows) else [], runs)
-    return path
-
-
 def emit(result: ExperimentResult, out_root: str, fmt: Optional[str] = None) -> list[str]:
     """Write report.json, per-run trajectory.csv + summary.json, and plot
     tables under <out_root>/<experiment>/. Returns the written paths.
@@ -694,7 +663,7 @@ def emit(result: ExperimentResult, out_root: str, fmt: Optional[str] = None) -> 
     written: list[str] = []
     try:
         report_path = os.path.join(work, "report.json")
-        _dump_json(result.report, report_path)
+        write_json(result.report, report_path)
         written.append(report_path)
 
         for rid in sorted(result.trajectories):
@@ -705,12 +674,12 @@ def emit(result: ExperimentResult, out_root: str, fmt: Optional[str] = None) -> 
             export_trajectory_csv(traj, tpath)
             written.append(tpath)
             spath = os.path.join(run_dir, "summary.json")
-            _dump_json(trajectory_summary(traj), spath)
+            write_json(trajectory_summary(traj), spath)
             written.append(spath)
 
         for name in sorted(result.plot_tables):
             table = result.plot_tables[name]
-            written.append(_dump_table(table, os.path.join(work, name), fmt))
+            written.append(write_table(table, os.path.join(work, name), fmt))
 
         if os.path.isdir(exp_dir):
             os.rename(exp_dir, old)

@@ -9,6 +9,9 @@ sqrt(k) ("Diminishing", k = epoch index from 1) or constant eta1.
 Runs never raise on numerical blow-up: iterates are monitored and the
 trajectory ends with status "Diverged" (sup-norm above 1e100, infinities
 included) or "NonFinite" (NaN in the iterate), recording the failing step.
+
+export_trajectory_csv and trajectory_summary decide which columns and keys
+a run's artifacts hold; ``artifacts`` spells their numbers.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-import orjson
 
+from .artifacts import write_csv
 from .landscapes import FiniteSumObjective, _sum, check_point, to_spec
 from .rng import SplitMix64, stream_for_run
 from .schema import Beta1, Beta2, Count, Fraction, NonNegative, Positive, Seed, check
@@ -29,11 +32,6 @@ GUARD_SUP_NORM = 1e100
 
 # Epoch permutations are drawn in blocks of at most this many stream draws.
 PERM_BLOCK_DRAWS = 8192
-
-# write_csv formats and writes this many rows at a time. Each block's cells
-# are held as Python strings; 1024 rows keeps that within a few MB on the
-# widest tables, where 4096 rows raised Fig3's peak RSS by about 9%.
-CSV_BLOCK_ROWS = 1024
 
 SCHEDULE_DIMINISHING = "Diminishing"
 SCHEDULE_CONSTANT = "Constant"
@@ -478,81 +476,6 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     """Python's max() of each row of a (rows x d, d >= 1): a NaN wins only
     in the first column, later ones are skipped."""
     return np.where(np.isnan(a[:, 0]), a[:, 0], np.fmax.reduce(a, axis=1))
-
-
-# orjson writes a float64 with repr's shortest round-trip digits, and spells
-# it as repr does for 1e-4 <= |x| < 1e16 and +-0.0. Outside that window
-# _cells rewrites its text, with "," after every cell, to repr's spelling.
-# Exponents (0 < |x| < 1e-5 and finite |x| >= 1e16) gain repr's "+" and the
-# leading zero of a one-digit negative exponent: "1e16" -> "1e+16",
-# "1e-7" -> "1e-07".
-_EXPONENT_SPELLING = [(b"e", b"e+"), (b"e+-", b"e-")] + [(b"e-%d," % d, b"e-0%d," % d) for d in range(6, 10)]
-# 1e-5 <= |x| < 1e-4, which orjson writes positionally and repr with exponent
-# -5: "0.0000123" -> "1.23e-05", "0.00001" -> "1e-05".
-_BAND_SPELLING = [(b"0.0000%d" % d, b"%d." % d) for d in range(1, 10)] + [(b",", b"e-05,"), (b".e", b"e")]
-
-
-def _orjson_cells(vals: np.ndarray, rewrites: Sequence[tuple[bytes, bytes]] = ()) -> list[str]:
-    """The cells of one orjson call on a contiguous numeric array, its text
-    rewritten first."""
-    if not len(vals):
-        return []
-    text = orjson.dumps(vals, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
-    for old, new in rewrites:
-        text = text.replace(old, new)
-    cells = text.decode().split(",")
-    cells.pop()
-    return cells
-
-
-def _cells(vals: np.ndarray) -> list[str]:
-    """The CSV cells of one int or float64 column block: the repr of each
-    Python int or float it holds, formatted by one orjson call and never by
-    a per-cell repr. A float64 block with cells outside repr's window gets
-    them re-spelled by mask: the exponent cells and the 1e-5 <= |x| < 1e-4
-    cells each from one more orjson call whose text is rewritten in bulk
-    (_EXPONENT_SPELLING, _BAND_SPELLING), and NaN and +-inf, which orjson
-    writes as null, as "nan", "inf" and "-inf"."""
-    vals = np.ascontiguousarray(vals)
-    cells = _orjson_cells(vals)
-    if vals.dtype.kind != "f":
-        return cells
-    a = np.abs(vals)
-    # most blocks lie inside repr's window (a NaN fails the max test)
-    if a.min(where=a > 0, initial=math.inf) >= 1e-4 and a.max() < 1e16:
-        return cells
-    exponent = ((a > 0) & (a < 1e-5)) | ((a >= 1e16) & (a < math.inf))
-    band = (a >= 1e-5) & (a < 1e-4)
-    nonfinite = ~np.isfinite(vals)
-    infs_nans = vals[nonfinite]
-    respelled = (
-        _orjson_cells(vals[exponent], _EXPONENT_SPELLING)
-        + _orjson_cells(vals[band], _BAND_SPELLING)
-        + np.where(np.isnan(infs_nans), "nan", np.where(infs_nans > 0, "inf", "-inf")).tolist()
-    )
-    for j, cell in zip(np.concatenate([np.flatnonzero(m) for m in (exponent, band, nonfinite)]).tolist(), respelled):
-        cells[j] = cell
-    return cells
-
-
-def write_csv(path: str, header: Sequence[str], runs: Sequence[Sequence]) -> None:
-    """Write a header line, then each run's rows, CSV_BLOCK_ROWS at a time so
-    that at most one block of cells is held. A run lists its columns in
-    header order: a NumPy column (int or float64, formatted by _cells) or one
-    value all its rows share, formatted once; its row count is its NumPy
-    columns' length. A cell is the repr of a Python int or float, or the
-    string itself."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for cols in runs:
-            rows = next((len(c) for c in cols if isinstance(c, np.ndarray)), 0)
-            shared = [None if isinstance(c, np.ndarray) else c if isinstance(c, str) else repr(c)
-                      for c in cols]
-            for start in range(0, rows, CSV_BLOCK_ROWS):
-                stop = min(start + CSV_BLOCK_ROWS, rows)
-                cells = [_cells(col[start:stop]) if cell is None else [cell] * (stop - start)
-                         for col, cell in zip(cols, shared)]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def export_trajectory_csv(traj: Trajectory, path: str) -> None:

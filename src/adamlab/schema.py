@@ -49,7 +49,7 @@ Beta2 = Annotated[float, Range(0.0, 1.0, lo_open=True)]
 Positive = Annotated[float, Range(0.0, lo_open=True)]
 NonNegative = Annotated[float, Range(0.0)]
 Count = Annotated[int, Range(0, 2**63)]  # fits an int64 column, converts to a float
-Size = Annotated[int, Range(1)]
+Size = Annotated[int, Range(1, 2**63)]  # a Count of at least one
 Fraction = Annotated[float, Range(0.0, 1.0, lo_open=True, hi_open=False)]
 Seed = Annotated[int, Range(0, 2**64)]  # a uint64 stream key
 # a number whose square is a positive normal float: LowerBound divides by L1 * L1

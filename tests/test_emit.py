@@ -13,15 +13,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.harness import _dump_table, default_config_for, merge_config, run_experiment
-from adamlab.optimizers import CSV_BLOCK_ROWS
+from adamlab.artifacts import CSV_BLOCK_ROWS, write_table
+from adamlab.harness import default_config_for, merge_config, run_experiment
 
 
 def _fmt(x):
     return repr(float(x))
 
 
-def reference_dump_table(rows, path_base, fmt):
+def reference_write_table(rows, path_base, fmt):
     if fmt == "json":
         path = path_base + ".json"
         with open(path, "w") as fh:
@@ -102,8 +102,8 @@ def test_column_tables_write_the_bytes_of_row_dicts(tmp_path_factory, built, fmt
         rows.extend({**constants, **dict(zip(values, cells))} for cells in zip(*values.values()))
         blocks[rid] = _block(constants, values)
     rows.sort(key=lambda r: (r["run_id"], r["k"]))
-    old = reference_dump_table(rows, str(out / "old"), fmt)
-    new = _dump_table([blocks[rid] for rid in sorted(blocks)], str(out / "new"), fmt)
+    old = reference_write_table(rows, str(out / "old"), fmt)
+    new = write_table([blocks[rid] for rid in sorted(blocks)], str(out / "new"), fmt)
     assert _read(new) == _read(old)
 
 
@@ -123,7 +123,7 @@ def test_run_ids_sort_as_strings_not_as_numbers(tmp_path):
                     {"k": [1, 2], "grad_norm": [1.0, 0.5], "x": [0.0, 0.0]})
         for rid, mult in (("eta_mult=2", 2), ("eta_mult=10.0", 10.0))
     }
-    path = _dump_table([blocks[rid] for rid in sorted(blocks)], str(tmp_path / "t"), "csv")
+    path = write_table([blocks[rid] for rid in sorted(blocks)], str(tmp_path / "t"), "csv")
     assert _read(path).decode().splitlines() == [
         "eta_mult,grad_norm,k,run_id,seed,x",
         "10.0,1.0,1,eta_mult=10.0,0,0.0",

@@ -27,7 +27,9 @@ from adamlab.harness import (
     merge_config,
     run_experiment,
 )
-from adamlab.landscapes import _LOADABLE, from_spec, lowerbound_objective, quadratic_sum, to_spec, zhang_counterexample
+from adamlab.landscapes import (
+    _LOADABLE, FiniteSumObjective, from_spec, lowerbound_objective, quadratic_sum, to_spec, zhang_counterexample,
+)
 from adamlab.optimizers import AdamParams
 from adamlab.schema import Axis, fields_of
 
@@ -68,6 +70,20 @@ def test_merge_config_replaces_top_level_and_merges_options():
     assert out.experiment == "Fig3"
     # base is not mutated
     assert base.T == 10_000 and base.options["eta1"] == 0.1
+
+
+def test_default_objective_spec_is_the_counterexample():
+    assert harness.ZHANG_SPEC == to_spec(zhang_counterexample())
+    for name in ("Fig3", "LemmaSuite"):
+        assert default_config_for(name).objective == harness.ZHANG_SPEC
+
+
+def test_changing_a_default_config_leaves_the_next_unchanged():
+    for name in ("Fig3", "LemmaSuite"):
+        config = default_config_for(name)
+        config.objective["parameters"]["scale"] = 2.0
+        config.objective["n"] = 3
+        assert default_config_for(name).objective == to_spec(zhang_counterexample())
 
 
 def test_config_validation_errors():
@@ -501,6 +517,10 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
         ("custom", {"objective": {**quad, "parameters": {**quad["parameters"], "curvatures": [2.0, -1.0]}}},
          "objective.parameters.curvatures[1]"),
         ("thm2-diverge", {"options": {"steps": -1}}, "options.steps"),
+        # experiments that would take no step and pass
+        ("compare", {"options": {"gd_steps": 0}}, "options.gd_steps"),
+        ("thm2-slow", {"options": {"steps": 0}}, "options.steps"),
+        ("lemmas", {"T": 0}, "T"),
         ("thm2-diverge", {"options": {"construction": {"M": -1}}}, "options.construction.M"),
         ("compare", {"options": {"adam": {"epochs": -1}}}, "options.adam.epochs"),
         ("custom", {"objective": quad, "options": {"algo": "gd", "gd": {"eta1": 0}}}, "options.gd.eta1"),
@@ -554,7 +574,7 @@ def _quad(curvatures, centers, **spec):
     ("thm2-slow", {"options": {"construction": {"L0": 5e-324, "L1": 1.5e-154, "M": 1.5e-154, "f_bar": 1e-10}}},
      "options.construction: eta_star: expected a finite number, got inf"),
     # the construction's own horizon must be at least one step
-    ("thm2-diverge", {"T": 0}, "T: expected an integer in [1, inf), got 0"),
+    ("thm2-diverge", {"T": 0}, "T: expected an integer in [1, 9223372036854775808), got 0"),
     # inf f is -inf for a negative scale, and f_gap needs a finite one
     ("lemmas", {"objective": {"kind": "ZhangCounterexample", "parameters": {"scale": -1}}},
      "objective: this ZhangCounterexample has no known minimum, which the value gap f_gap needs"),
@@ -604,8 +624,9 @@ def test_cli_lemma_suite_starting_at_the_minimizer_runs(tmp_path, capsys):
 
 def test_each_run_builds_its_landscape_once(monkeypatch, tmp_path):
     # validate is the one build site: load_config builds the landscape once,
-    # and run_experiment once more, with no build inside a runner
-    builds = []
+    # and run_experiment once more, with no build inside a runner; the
+    # registry's default objective is a spec, which builds nothing
+    builds, objects = [], []
 
     def counted(builder):
         @functools.wraps(builder)
@@ -617,16 +638,25 @@ def test_each_run_builds_its_landscape_once(monkeypatch, tmp_path):
     for kind, builder in list(_LOADABLE.items()):
         monkeypatch.setitem(_LOADABLE, kind, counted(builder))
     monkeypatch.setattr(harness, "make_lowerbound", counted(harness.make_lowerbound))
+    post_init = FiniteSumObjective.__post_init__
+
+    def counted_post_init(self):
+        objects.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(FiniteSumObjective, "__post_init__", counted_post_init)
     for name, overrides in SMALL_CONFIGS.items():
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(overrides))
         command = REGISTRY[name].command
         builds.clear()
+        objects.clear()
         config = load_config(command, build_parser().parse_args([command, "--config", str(cfg)]))
-        assert len(builds) == 1, (name, builds)
+        assert len(builds) == 1 and len(objects) == 1, (name, builds, objects)
         builds.clear()
+        objects.clear()
         run_experiment(config)
-        assert len(builds) == 1, (name, builds)
+        assert len(builds) == 1 and len(objects) == 1, (name, builds, objects)
 
 
 def _floats_in(hint):

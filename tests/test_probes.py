@@ -83,7 +83,7 @@ def test_smoothness_pairs_from_trajectory():
         assert est == pytest.approx(2.0, rel=1e-12)
     # stride thins the sequence
     assert len(smoothness_pairs(obj, traj, alpha=0.25, stride=5)) == 4
-    with pytest.raises(ValueError, match=r"^stride: expected an integer in \[1, inf\)"):
+    with pytest.raises(ValueError, match=r"^stride: expected an integer in \[1, 9223372036854775808\), got 0$"):
         smoothness_pairs(obj, traj, stride=0)
 
 

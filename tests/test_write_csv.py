@@ -15,7 +15,7 @@ import orjson
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.optimizers import CSV_BLOCK_ROWS, write_csv
+from adamlab.artifacts import CSV_BLOCK_ROWS, write_csv
 
 B = CSV_BLOCK_ROWS
 
