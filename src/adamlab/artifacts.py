@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 import orjson
 
-# write_csv formats and writes this many rows at a time. Each block's cells
+# write_rows formats and writes this many rows at a time. Each block's cells
 # are held as Python strings; 1024 rows keeps that within a few MB on the
 # widest tables, where 4096 rows raised Fig3's peak RSS by about 9%.
 CSV_BLOCK_ROWS = 1024
@@ -76,24 +77,55 @@ def _cells(vals: np.ndarray) -> list[str]:
     return cells
 
 
-def write_csv(path: str, header: Sequence[str], runs: Sequence[Sequence]) -> None:
-    """Write a header line, then each run's rows, CSV_BLOCK_ROWS at a time so
-    that at most one block of cells is held. A run lists its columns in
-    header order: a NumPy column (int or float64, formatted by _cells) or one
-    value all its rows share, formatted once; its row count is its NumPy
-    columns' length. A cell is the repr of a Python int or float, or the
-    string itself."""
+def write_rows(parts: Sequence[tuple[TextIO, Sequence]]) -> None:
+    """Write each part's rows to its open file, CSV_BLOCK_ROWS rows at a time
+    and in lockstep: block j of every part is written before block j + 1 of
+    any, so at most one block of cells per file is held. A part is a file and
+    one run's columns in its header order: a NumPy column (int or float64,
+    formatted by _cells) or one value all its rows share, formatted once; its
+    row count is its NumPy columns' length. A cell is the repr of a Python
+    int or float, or the string itself. Within a block, a column slice of the
+    same dtype and bytes as one already formatted takes that one's cells,
+    which _cells, reading nothing else, would give again: a column that two
+    files share is formatted once per block."""
+    runs = [
+        (fh, cols, next((len(c) for c in cols if isinstance(c, np.ndarray)), 0),
+         [None if isinstance(c, np.ndarray) else c if isinstance(c, str) else repr(c) for c in cols])
+        for fh, cols in parts
+    ]
+    for start in range(0, max((rows for _, _, rows, _ in runs), default=0), CSV_BLOCK_ROWS):
+        formatted: dict[tuple[str, bytes], list[str]] = {}
+        for fh, cols, rows, shared in runs:
+            stop = min(start + CSV_BLOCK_ROWS, rows)
+            if stop <= start:
+                continue
+            cells = []
+            for col, cell in zip(cols, shared):
+                if cell is None:
+                    vals = col[start:stop]
+                    key = (vals.dtype.str, vals.tobytes())
+                    if key not in formatted:
+                        formatted[key] = _cells(vals)
+                    cells.append(formatted[key])
+                else:
+                    cells.append([cell] * (stop - start))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+@contextmanager
+def open_csv(path: str, header: Sequence[str]) -> Iterator[TextIO]:
+    """path open for writing, its header line written."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        yield fh
+
+
+def write_csv(path: str, header: Sequence[str], runs: Sequence[Sequence]) -> None:
+    """Write a header line, then each run's rows (write_rows), a run listing
+    its columns in header order."""
+    with open_csv(path, header) as fh:
         for cols in runs:
-            rows = next((len(c) for c in cols if isinstance(c, np.ndarray)), 0)
-            shared = [None if isinstance(c, np.ndarray) else c if isinstance(c, str) else repr(c)
-                      for c in cols]
-            for start in range(0, rows, CSV_BLOCK_ROWS):
-                stop = min(start + CSV_BLOCK_ROWS, rows)
-                cells = [_cells(col[start:stop]) if cell is None else [cell] * (stop - start)
-                         for col, cell in zip(cols, shared)]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            write_rows([(fh, cols)])
 
 
 def write_json(payload: dict | list, path: str) -> None:
@@ -102,22 +134,27 @@ def write_json(payload: dict | list, path: str) -> None:
         fh.write("\n")
 
 
+def table_columns(table: list[dict[str, Any]]) -> tuple[list[str], list[list]]:
+    """A plot table's column names in name order, none when it has no rows,
+    and each block's columns in that order."""
+    names = sorted(table[0]) if any(len(block["k"]) for block in table) else []
+    return names, [[block[name] for name in names] for block in table]
+
+
 def write_table(table: list[dict[str, Any]], path_base: str, fmt: str) -> str:
     """Write a plot table with its columns in name order, each run's shared
     values repeated down its rows: as JSON, a list of one object per row; as
     CSV, a header line and the rows, or one empty line when the table has no
     rows."""
-    names = sorted(table[0]) if table else []
-    runs = [[block[name] for name in names] for block in table]
-    rows = [len(block["k"]) for block in table]
+    names, runs = table_columns(table)
     if fmt == "json":
         path = path_base + ".json"
         write_json([
             dict(zip(names, vals))
-            for cols, n in zip(runs, rows)
-            for vals in zip(*(c.tolist() if isinstance(c, np.ndarray) else [c] * n for c in cols))
+            for block, cols in zip(table, runs)
+            for vals in zip(*(c.tolist() if isinstance(c, np.ndarray) else [c] * len(block["k"]) for c in cols))
         ], path)
         return path
     path = path_base + ".csv"
-    write_csv(path, names if any(rows) else [], runs)
+    write_csv(path, names, runs)
     return path

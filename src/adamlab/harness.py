@@ -38,11 +38,12 @@ import math
 import os
 import shutil
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Literal, Optional
 
 from . import __version__
-from .artifacts import write_json, write_table
+from .artifacts import open_csv, table_columns, write_json, write_table
 from .landscapes import FiniteSumObjective, from_spec, make_lowerbound
 from .optimizers import (
     AdamParams,
@@ -60,7 +61,7 @@ from .optimizers import (
 from .probes import affine_noise_fit, check_bounded_update, check_u_gap
 from .rng import ALGORITHM_ID
 from .schema import (
-    Axis, Beta1, Beta2, Count, CubeFinite, Fraction, NonNegative, Positive, Seed, Size, SquarePositive, check, parse,
+    Axis, Beta1, Beta2, CubeFinite, Fraction, NonNegative, Positive, Seed, Size, SquarePositive, check, parse,
 )
 from .theory import ConstraintViolation, NonMonotoneError, NoRootError, ProblemConstants, Thm2Construction
 from .theory import compute_constants, gamma_threshold
@@ -75,7 +76,7 @@ class ExperimentConfig:
     experiment: str
     objective: Optional[dict] = None
     seeds: Axis(Seed) = field(default_factory=lambda: [1, 2, 3])
-    T: Count = 10_000
+    T: Size = 10_000
     format: Literal["csv", "json"] = "csv"
     out_dir: Optional[str] = None
     options: dict = field(default_factory=dict)
@@ -145,7 +146,7 @@ class AdamOptions:
 @dataclass(frozen=True)
 class ComparisonAdamOptions(AdamOptions):
     eta1: Positive = 0.5
-    epochs: Count = 4000
+    epochs: Size = 4000
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class Fig3Options:
 class Thm2DivergenceOptions:
     construction: Construction = Construction()
     eta_multipliers: Axis(Positive) = _list(1.0, 1.05, 2.0)
-    steps: Count = 50
+    steps: Size = 50
     growth_tol: float = 1e-9
     min_checks_per_run: int = 3
     min_checks_total: int = 10
@@ -231,9 +232,10 @@ class CustomOptions:
 # ---------------------------------------------------------------------------
 # result container
 
-# A plot table: the runs' blocks in sorted run id order, one row per
-# epoch-boundary snapshot of each run. A block maps each column name to the
-# run's NumPy column or to the one value all the run's rows share.
+# A plot table: one block per run, in sorted run id order (the order emit
+# writes the trajectories in), one row per epoch-boundary snapshot of each
+# run. A block maps each column name to the run's NumPy column or to the one
+# value all the run's rows share.
 PlotBlock = dict[str, Any]
 PlotTable = list[PlotBlock]
 
@@ -462,7 +464,6 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions, landscape: 
 
 def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions, landscape: Landscape) -> tuple[list[Run], dict]:
     obj, w0, _ = landscape
-    parse(Size, config.T, "T")  # T = 0 takes no step: no update to audit, and u_1 = w_{1,0}
     if obj.known_min is None:  # f_gap, and with it the bound, needs inf f
         raise ValueError(f"objective: this {obj.kind} has no known minimum, which the value gap f_gap needs")
     f0 = obj.value(w0)
@@ -649,7 +650,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def emit(result: ExperimentResult, out_root: str, fmt: Optional[str] = None) -> list[str]:
     """Write report.json, per-run trajectory.csv + summary.json, and plot
-    tables under <out_root>/<experiment>/. Returns the written paths.
+    tables under <out_root>/<experiment>/. Returns the written paths. A CSV
+    plot table is written run by run, each block with its run's
+    trajectory.csv; a JSON one after the runs.
     Bytes depend only on the result (no clocks, no environment noise beyond
     the version echo). The tree is built in a hidden sibling directory and
     renamed into place, so it replaces an earlier <experiment>/ whole."""
@@ -666,20 +669,36 @@ def emit(result: ExperimentResult, out_root: str, fmt: Optional[str] = None) -> 
         write_json(result.report, report_path)
         written.append(report_path)
 
-        for rid in sorted(result.trajectories):
-            traj = result.trajectories[rid]
-            run_dir = os.path.join(work, rid)
-            os.makedirs(run_dir, exist_ok=True)
-            tpath = os.path.join(run_dir, "trajectory.csv")
-            export_trajectory_csv(traj, tpath)
-            written.append(tpath)
-            spath = os.path.join(run_dir, "summary.json")
-            write_json(trajectory_summary(traj), spath)
-            written.append(spath)
+        rids = sorted(result.trajectories)
+        with ExitStack() as stack:
+            # each run's plot-table blocks are written in lockstep with its
+            # trajectory.csv, so that a column both hold is formatted once
+            # per block (artifacts.write_rows)
+            beside: list[list] = [[] for _ in rids]
+            for name in sorted(result.plot_tables) if fmt == "csv" else ():
+                table = result.plot_tables[name]
+                if [block["run_id"] for block in table] != rids:
+                    raise AssertionError(f"{name}: its blocks are not the runs in run id order")
+                header, runs = table_columns(table)
+                fh = stack.enter_context(open_csv(os.path.join(work, name + ".csv"), header))
+                for parts, cols in zip(beside, runs):
+                    parts.append((fh, cols))
+            for rid, parts in zip(rids, beside):
+                traj = result.trajectories[rid]
+                run_dir = os.path.join(work, rid)
+                os.makedirs(run_dir, exist_ok=True)
+                tpath = os.path.join(run_dir, "trajectory.csv")
+                export_trajectory_csv(traj, tpath, parts)
+                written.append(tpath)
+                spath = os.path.join(run_dir, "summary.json")
+                write_json(trajectory_summary(traj), spath)
+                written.append(spath)
 
         for name in sorted(result.plot_tables):
-            table = result.plot_tables[name]
-            written.append(write_table(table, os.path.join(work, name), fmt))
+            if fmt == "csv":
+                written.append(os.path.join(work, name + ".csv"))
+            else:
+                written.append(write_table(result.plot_tables[name], os.path.join(work, name), fmt))
 
         if os.path.isdir(exp_dir):
             os.rename(exp_dir, old)

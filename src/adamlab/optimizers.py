@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import open_csv, write_rows
 from .landscapes import FiniteSumObjective, _sum, check_point, to_spec
 from .rng import SplitMix64, stream_for_run
 from .schema import Beta1, Beta2, Count, Fraction, NonNegative, Positive, Seed, check
@@ -464,11 +464,10 @@ def tail_mean_grad_norm(traj: Trajectory, frac: Fraction = 0.1) -> float:
     """Mean epoch-start gradient norm over the last ceil-free max(1,
     floor(K * frac)) epochs k <= K (closing boundary snapshot excluded)."""
     check(tail_mean_grad_norm, frac=frac)
-    norms = traj.epoch_start_norms().tolist()
-    if not norms:
+    norms = traj.epoch_start_norms()
+    if not len(norms):
         return math.nan
-    count = max(1, int(len(norms) * frac))
-    tail = norms[-count:]
+    tail = norms[-max(1, int(len(norms) * frac)):].tolist()
     return _sum(tail) / len(tail)
 
 
@@ -478,11 +477,15 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(a[:, 0]), a[:, 0], np.fmax.reduce(a, axis=1))
 
 
-def export_trajectory_csv(traj: Trajectory, path: str) -> None:
+def export_trajectory_csv(traj: Trajectory, path: str, beside: Sequence[tuple[TextIO, Sequence]] = ()) -> None:
     """Write trajectory.csv. With step records: one row per inner step. When
     records were disabled: one row per epoch boundary, marked i = -1 and
     tau = -1, with update_inf_norm = |w0 - w_prev|_inf (0.0 at k = 1).
-    Every number is written as repr of a Python int or float (write_csv)."""
+    Every number is written as repr of a Python int or float (write_rows).
+    ``beside`` holds (open file, columns) parts of other files, this run's
+    plot-table blocks, written in lockstep with it, so that a column they
+    share is formatted once per block. The columns built here, a copy and a
+    row max as long as the table, are freed when it returns."""
     d = len(traj.final_w)
     header = (
         ["k", "i", "tau"]
@@ -495,12 +498,19 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     else:
         sentinel = np.full(len(e), -1)
         cols = [e.k, sentinel, sentinel, *e.w0.T, e.grad_norm, e.f_value, _row_max(np.abs(e.w0 - e.w_prev))]
-    write_csv(path, header, [cols])
+    with open_csv(path, header) as fh:
+        write_rows([(fh, cols), *beside])
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
-    """JSON-ready run summary (no timestamps)."""
-    norms = traj.epochs.grad_norm.tolist()
+    """JSON-ready run summary (no timestamps). Only the norms it reports are
+    boxed as Python floats: the least by Python's min, whose first value wins
+    if it is NaN and which skips a later NaN."""
+    norms = traj.epochs.grad_norm
+    first = last = least = None
+    if len(norms):
+        first, last = norms[[0, -1]].tolist()
+        least = first if math.isnan(first) else norms[np.nanargmin(norms)].item()
     return {
         "algo": traj.algo,
         "status": traj.status,
@@ -508,9 +518,9 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "final_w": [repr(v) for v in traj.final_w],
         "epoch_snapshots": len(traj.epochs),
         "recorded_steps": len(traj.steps),
-        "first_grad_norm": norms[0] if norms else None,
-        "last_grad_norm": norms[-1] if norms else None,
-        "min_grad_norm": min(norms) if norms else None,
+        "first_grad_norm": first,
+        "last_grad_norm": last,
+        "min_grad_norm": least,
         "tail_mean_grad_norm": tail_mean_grad_norm(traj),
         "params": traj.params,
         "objective": traj.objective_spec,

@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from adamlab import cli, optimizers
+from adamlab import cli, harness, optimizers
 from adamlab.harness import run_experiment
 from adamlab.landscapes import FiniteSumObjective, lowerbound_objective, zhang_counterexample
 
@@ -92,6 +92,27 @@ def _result(command, overrides, tmp_path):
     path.write_text(json.dumps(overrides))
     args = cli.build_parser().parse_args([command, "--config", str(path), "--out", str(tmp_path)])
     return run_experiment(cli.load_config(command, args))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_calls_export_trajectory_csv_as_module_global_once_per_trajectory(monkeypatch, tmp_path, fmt):
+    # in run id order; the traced optimizers.export_trajectory_csv span
+    # covers each run's trajectory.csv and, in CSV, its plot-table block
+    # written beside it
+    calls = []
+    real = harness.export_trajectory_csv
+
+    def counted(traj, *args, **kwargs):
+        calls.append(traj)
+        return real(traj, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "export_trajectory_csv", counted)
+    for command, overrides in (("thm2-slow", {"options": {"steps": 200}}), ("lemmas", {"T": 3})):
+        result = _result(command, overrides, tmp_path)
+        calls.clear()
+        harness.emit(result, str(tmp_path / "out"), fmt)
+        trajs = result.trajectories
+        assert list(map(id, calls)) == [id(trajs[rid]) for rid in sorted(trajs)], command
 
 
 def test_count_work_counts_table_rows(op, tmp_path):

@@ -8,13 +8,16 @@ ways and compares the written bytes, CSV and JSON.
 
 import json
 import math
+import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.artifacts import CSV_BLOCK_ROWS, write_table
-from adamlab.harness import default_config_for, merge_config, run_experiment
+from adamlab.artifacts import CSV_BLOCK_ROWS, write_json, write_table
+from adamlab.harness import default_config_for, emit, merge_config, run_experiment
+from adamlab.optimizers import export_trajectory_csv, trajectory_summary
 
 
 def _fmt(x):
@@ -131,3 +134,32 @@ def test_run_ids_sort_as_strings_not_as_numbers(tmp_path):
         "2,1.0,1,eta_mult=2,0,0.0",
         "2,0.5,2,eta_mult=2,0,0.0",
     ]
+
+
+def _tree(root):
+    return {
+        os.path.relpath(os.path.join(dirpath, name), root): _read(os.path.join(dirpath, name))
+        for dirpath, _, files in os.walk(root) for name in files
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_writes_the_tree_of_one_writer_call_per_file(tmp_path, fmt):
+    # emit writes a CSV plot table in lockstep with the trajectories; the
+    # reference writes each trajectory.csv alone, then the table. At 2500
+    # steps the completed runs' step rows (2500) and table rows (2501) cross
+    # block edges, and the last block of each differs in length.
+    config = merge_config(default_config_for("Thm2Slow"), {"T": 2500, "options": {"steps": 2500}})
+    result = run_experiment(config)
+    assert 2500 in {len(traj.steps) for traj in result.trajectories.values()}
+    emit(result, str(tmp_path / "new"), fmt)
+    old = tmp_path / "old" / "Thm2Slow"
+    old.mkdir(parents=True)
+    write_json(result.report, str(old / "report.json"))
+    for rid, traj in result.trajectories.items():
+        (old / rid).mkdir()
+        export_trajectory_csv(traj, str(old / rid / "trajectory.csv"))
+        write_json(trajectory_summary(traj), str(old / rid / "summary.json"))
+    for name, table in result.plot_tables.items():
+        write_table(table, str(old / name), fmt)
+    assert _tree(tmp_path / "new") == _tree(tmp_path / "old")

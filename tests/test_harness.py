@@ -521,6 +521,11 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
         ("compare", {"options": {"gd_steps": 0}}, "options.gd_steps"),
         ("thm2-slow", {"options": {"steps": 0}}, "options.steps"),
         ("lemmas", {"T": 0}, "T"),
+        # a run of no step used to complete and pass (custom) or fail a claim (the rest)
+        ("custom", {"objective": quad, "T": 0}, "T"),
+        ("fig3", {"T": 0}, "T"),
+        ("thm2-diverge", {"options": {"steps": 0}}, "options.steps"),
+        ("compare", {"options": {"adam": {"epochs": 0}}}, "options.adam.epochs"),
         ("thm2-diverge", {"options": {"construction": {"M": -1}}}, "options.construction.M"),
         ("compare", {"options": {"adam": {"epochs": -1}}}, "options.adam.epochs"),
         ("custom", {"objective": quad, "options": {"algo": "gd", "gd": {"eta1": 0}}}, "options.gd.eta1"),
@@ -696,7 +701,7 @@ def test_cli_count_beyond_int64_is_a_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"T": 10**400}))
     assert cli_main(["thm2-diverge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: T: expected an integer in [0, 9223372036854775808), got 1000"), err
+    assert err.startswith("config error: T: expected an integer in [1, 9223372036854775808), got 1000"), err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from adamlab.landscapes import (
     FiniteSumObjective,
     lowerbound_objective,
     quadratic_sum,
+    _sum,
     zhang_counterexample,
 )
 from adamlab.optimizers import (
@@ -347,6 +349,47 @@ def test_summary_contents():
     assert s["recorded_steps"] == 20
     assert s["last_grad_norm"] == pytest.approx(traj.epochs.grad_norm[-1], rel=1e-15)
     assert s["fail_step"] is None
+
+
+def reference_norm_keys(traj):
+    """The summary's gradient-norm keys as they were computed, from the
+    whole column and the epoch starts boxed as Python floats."""
+    norms = traj.epochs.grad_norm.tolist()
+    starts = traj.epoch_start_norms().tolist()
+    tail = starts[-max(1, int(len(starts) * 0.1)):]
+    return {
+        "first_grad_norm": norms[0] if norms else None,
+        "last_grad_norm": norms[-1] if norms else None,
+        "min_grad_norm": min(norms) if norms else None,
+        "tail_mean_grad_norm": _sum(tail) / len(tail) if starts else math.nan,
+    }
+
+
+NORMS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NORMS, max_size=40), st.sampled_from([STATUS_COMPLETED, STATUS_DIVERGED, STATUS_NONFINITE]))
+@example([math.nan, 1.0, 0.5], STATUS_COMPLETED)  # a leading NaN wins the min
+@example([2.0, math.nan, 0.5, math.nan], STATUS_COMPLETED)  # a later NaN is skipped
+@example([math.inf, math.nan, -math.inf], STATUS_DIVERGED)
+@example([math.inf, math.nan, math.inf], STATUS_COMPLETED)  # a NaN between equal infinities
+@example([0.0, -0.0, 1.0], STATUS_COMPLETED)  # the first of two equal zeros
+@example([3.0], STATUS_COMPLETED)  # one row: the only snapshot is kept
+@example([3.0], STATUS_DIVERGED)
+@example([], STATUS_DIVERGED)
+def test_summary_boxes_only_the_norms_it_reports(norms, status):
+    base = gd_run(quadratic_sum([2.0], [[1.0]]), [5.0], eta1=0.1, steps=3)
+    column = np.array(norms, dtype=np.float64)
+    epochs = replace(base.epochs, k=np.arange(1, len(norms) + 1), grad_norm=column)
+    traj = replace(base, epochs=epochs, status=status)
+    summary = trajectory_summary(traj)
+    got = {key: summary[key] for key in reference_norm_keys(traj)}
+    assert repr(got) == repr(reference_norm_keys(traj))
+    assert repr(tail_mean_grad_norm(traj)) == repr(got["tail_mean_grad_norm"])
 
 
 # ------------------------------------------------------------- plain descent

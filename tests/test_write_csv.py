@@ -15,7 +15,7 @@ import orjson
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.artifacts import CSV_BLOCK_ROWS, write_csv
+from adamlab.artifacts import CSV_BLOCK_ROWS, open_csv, write_csv, write_rows
 
 B = CSV_BLOCK_ROWS
 
@@ -195,3 +195,73 @@ def test_orjson_notation_outside_the_window_is_the_one_write_csv_rewrites():
         f"orjson {orjson.__version__} no longer writes floats outside 1e-4 <= |x| < 1e16 "
         f"as write_csv expects ({got} != {want}); its rewrites to repr's spelling rely on it"
     )
+
+
+# A pair of files written in lockstep, as emit writes each run's
+# trajectory.csv beside its plot-table block: b's column at each place is a's
+# column (shared), a's cut one row shorter or longer (a Thm2 run's step rows
+# against its epoch table's), a's with the cells of some blocks changed
+# (shared in the other blocks), a's zeros given the other sign or its bytes
+# read as the other dtype (equal bytes or equal values, but other cells), or
+# a column of its own.
+B_KINDS = ["shared", "changed", "signed_zero", "other_dtype", "own"]
+
+
+def _bulk(kind, rng, rows):
+    return _float_bulk(rng, rows) if kind == "float" else _int_bulk(rng, rows)
+
+
+@st.composite
+def lockstep_runs(draw):
+    """(a's header, b's header, [(a's columns, b's columns)] one pair per
+    run): each run has a file a of its own, and every run writes to one file
+    b, as each run has its trajectory.csv and one plot table holds them all."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "strided"]), min_size=1, max_size=4))
+    b_kinds = [draw(st.sampled_from(B_KINDS)) for _ in kinds]
+    b_order = draw(st.permutations(range(len(kinds))))
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.sampled_from(ROW_COUNTS))
+        b_rows = max(0, rows + draw(st.sampled_from([-1, 0, 1])))
+        a_cols, b_cols = [], []
+        for kind, b_kind in zip(kinds, b_kinds):
+            n = max(rows, b_rows)
+            if kind == "strided":
+                col = _float_bulk(rng, 2 * n).reshape(n, 2)[:, 1]
+            else:
+                col = _fill(draw, rng, n, draw(st.lists(FLOATS if kind == "float" else INTS, max_size=4)),
+                            lambda rng, n: _bulk(kind, rng, n))
+            b_col = col[:b_rows]
+            if b_kind == "changed":
+                b_col = b_col.copy()
+                for block in draw(st.lists(st.integers(0, b_rows // B), max_size=3)):
+                    b_col[block * B:(block + 1) * B][:1] = rng.integers(-5, 5)
+            elif b_kind == "signed_zero" and b_col.dtype.kind == "f":
+                b_col = np.where(b_col == 0.0, -b_col, b_col)
+            elif b_kind == "other_dtype":
+                b_col = np.ascontiguousarray(b_col).view(np.int64 if b_col.dtype.kind == "f" else np.float64)
+            elif b_kind == "own":
+                b_col = _bulk("int" if kind == "int" else "float", rng, b_rows)
+            a_cols.append(col[:rows])
+            b_cols.append(b_col)
+        seed = draw(INTS)
+        runs.append(([*a_cols, "run"], [b_cols[j] for j in b_order] + [seed]))
+    a_header = [f"a{j}" for j in range(len(kinds) + 1)]
+    return a_header, [f"b{j}" for j in range(len(kinds) + 1)], runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(lockstep_runs())
+def test_files_written_in_lockstep_get_the_bytes_of_write_csv_alone(tmp_path_factory, drawn):
+    a_header, b_header, runs = drawn
+    out = tmp_path_factory.mktemp("lockstep")
+    with open_csv(str(out / "b.csv"), b_header) as b:
+        for r, (a_cols, b_cols) in enumerate(runs):
+            with open_csv(str(out / f"a{r}.csv"), a_header) as a:
+                write_rows([(a, a_cols), (b, b_cols)])
+    write_csv(str(out / "b_alone.csv"), b_header, [b_cols for _, b_cols in runs])
+    assert (out / "b.csv").read_bytes() == (out / "b_alone.csv").read_bytes()
+    for r, (a_cols, _) in enumerate(runs):
+        write_csv(str(out / f"a{r}_alone.csv"), a_header, [a_cols])
+        assert (out / f"a{r}.csv").read_bytes() == (out / f"a{r}_alone.csv").read_bytes()
