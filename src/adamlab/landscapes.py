@@ -22,10 +22,20 @@ where ``fsum`` refuses mixed infinities or overflows), exactly as
 ``value`` computes it. The component values come from a row kernel where
 the builder supplies one, equal to the scalar code bit for bit:
 ``ZhangCounterexample``'s, whose scalar squares are written as products
-(libm ``pow`` is not correctly rounded, a product is one IEEE operation),
-and ``LowerBound``'s, which keeps ``math.exp`` on its exponential rows
-(``np.exp`` is not correctly rounded either). ``QuadraticSum`` and
-``Custom`` evaluate row by row with the scalar code.
+(libm ``pow`` is not correctly rounded, a product is one IEEE operation);
+``LowerBound``'s, which keeps ``math.exp`` on its exponential rows
+(``np.exp`` is not correctly rounded either); and ``QuadraticSum``'s, which
+sums each squared distance with the same row sum. ``Custom`` evaluates row
+by row with the scalar code.
+
+The row sum, ``_row_sums``, returns ``math.fsum`` of each row of a block
+bit for bit without a Python float per row. Two cascades of Knuth's
+TwoSum carry each row's exact sum (Ogita, Rump & Oishi 2005, "Accurate sum
+and dot product"); one rounding of that sum gives ``fsum``'s result where
+the carry is exact or its error bound keeps the rounding certain. The few
+rows it cannot certify, and rows whose absolute sum lies outside
+(2**-900, 2**1000), non-finite ones included, go through the scalar
+``_sum`` one by one.
 
 Built-in kinds:
 
@@ -59,13 +69,16 @@ from .schema import Positive, Size, SquarePositive, check, parse
 
 Vector = list[float]
 
-# mean_values evaluates about this many component values at a time, in
-# blocks of VALUE_BLOCK_VALUES // n rows (at least one). With n > 1 a block's
-# values are held as Python floats for math.fsum, so keep it small: blocks of
-# 2560 (256 rows of the counterexample's 10 components) raised Fig3's peak RSS
-# by about 1 MB, blocks of 640 do not. LowerBound (n = 1) gets 640-row blocks,
-# on which NumPy's per-call cost in its row kernel stays small.
-VALUE_BLOCK_VALUES = 640
+# mean_values evaluates about this many component values times coordinates
+# at a time, in blocks of VALUE_BLOCK_VALUES // (n * d) rows (at least one):
+# 2048 rows of the counterexample's 10 components, and rows x n x d is the
+# widest array QuadraticSum's row kernel makes. A block is a few NumPy
+# arrays, not Python floats for math.fsum (of which blocks of 2560 raised
+# Fig3's peak RSS by about 1 MB): this size raises it by about 0.3 MB. It
+# spreads NumPy's per-call cost, about a hundred calls per block in
+# _row_sums at n = 10, over enough rows: the counterexample's mean_values
+# took 0.3 us per row in blocks of 2048 rows and 0.8 us in blocks of 256.
+VALUE_BLOCK_VALUES = 20480
 
 KIND_ZHANG = "ZhangCounterexample"
 KIND_LOWERBOUND = "LowerBound"
@@ -83,6 +96,55 @@ def _sum(vals: list[float]) -> float:
         for v in vals:
             total += v
         return total
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: s = fl(a + b) and err with s + err = a + b exactly,
+    wherever a + b does not overflow."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _row_sums(V: np.ndarray) -> np.ndarray:
+    """``_sum`` of each row of V (rows x n), bit for bit.
+
+    A TwoSum cascade over the columns leaves s plus the errors q equal to a
+    row's exact sum; a second one over the q leaves e plus f, so the row is
+    s + e + sum(f) exactly. Where f is all zero, fl(s + e) rounds the exact
+    sum to nearest, ties to even, as ``fsum`` does. Otherwise r, t =
+    TwoSum(s, e); fa = fl(sum |f|) is within n * 2**-53 of sum |f|
+    relative, so bound = fa * (1 + n * 2**-50) >= |sum(f)|, and r is
+    ``fsum``'s result where bound keeps r + t + sum(f) strictly within half
+    a gap of r on either side. The other rows go through ``_sum`` one by
+    one: those the bound leaves uncertain, and those whose |row|_1 is not in
+    (2**-900, 2**1000), the non-finite ones among them: inside that range
+    no partial sum overflows, and an all-zero row is outside it. A single
+    column is its own sum plus 0.0, which turns -0.0 into ``fsum``'s 0.0;
+    a certified r is never -0.0, as only -0.0 + -0.0 rounds to -0.0.
+    """
+    n = V.shape[1]
+    if n == 1:
+        return V[:, 0] + 0.0
+    with np.errstate(all="ignore"):
+        s, q = V[:, 0], []
+        for k in range(1, n):
+            s, err = _two_sum(s, V[:, k])
+            q.append(err)
+        e, fa = q[0], 0.0
+        for err in q[1:]:
+            e, f = _two_sum(e, err)
+            fa = fa + np.abs(f)
+        r, t = _two_sum(s, e)
+        bound = fa * (1.0 + n * 2.0 ** -50)
+        up = np.nextafter(r, np.inf) - r
+        dn = r - np.nextafter(r, -np.inf)
+        l1 = np.abs(V).sum(axis=1)
+        certified = (l1 > 2.0 ** -900) & (l1 < 2.0 ** 1000) & (
+            (fa == 0.0) | ((t + bound < up / 2) & (bound - t < dn / 2)))
+    for i in np.flatnonzero(~certified).tolist():
+        r[i] = _sum(V[i].tolist())
+    return r
 
 
 def _exp(x: float) -> float:
@@ -195,17 +257,14 @@ class FiniteSumObjective:
         """The mean objective of each row of W (rows x d), equal to ``value``
         of the row; a block of rows at a time (VALUE_BLOCK_VALUES)."""
         n, kernel = self.n, self.values_fn
-        rows = max(1, VALUE_BLOCK_VALUES // n)
+        rows = max(1, VALUE_BLOCK_VALUES // (n * self.d))
         out = np.empty(len(W))
         for start in range(0, len(W), rows):
             block = W[start:start + rows]
             if kernel is None:
-                vals = list(map(self.value, block.tolist()))
-            elif n == 1:  # math.fsum of one value is that value, -0.0 made 0.0
-                vals = kernel(block)[:, 0] + 0.0
+                out[start:start + len(block)] = list(map(self.value, block.tolist()))
             else:
-                vals = np.array(list(map(_sum, kernel(block).tolist()))) / n
-            out[start:start + len(block)] = vals
+                out[start:start + len(block)] = _row_sums(kernel(block)) / n
         return out
 
 
@@ -395,6 +454,15 @@ def quadratic_sum(curvatures: list[Positive], centers: list[list[float]]) -> Fin
         def grad1_fn(j: int, x: float) -> float:
             return coefs[j] * (x - centers[j])
 
+    half, C = 0.5 * np.array(a), np.array(cs)
+
+    def values_fn(W: np.ndarray) -> np.ndarray:
+        # value_fn's expressions: component j's squared distance as products,
+        # summed by _sum's bits, then times 0.5 * a[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = W[:, None, :] - C
+            return half * _row_sums((T * T).reshape(-1, d)).reshape(len(W), n)
+
     def full_grad_fn(w: Sequence[float]) -> Vector:
         return [abar * (w[l] - wstar[l]) for l in range(d)]
 
@@ -410,6 +478,7 @@ def quadratic_sum(curvatures: list[Positive], centers: list[list[float]]) -> Fin
         grad_fn=grad_fn,
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
+        values_fn=values_fn,
         grad1_fn=grad1_fn,
         known_min=fmin,
         known_L0_L1=(max(a), 0.0),

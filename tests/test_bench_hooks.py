@@ -16,8 +16,8 @@ from collections import Counter
 
 import pytest
 
-from adamlab import cli, harness, optimizers
-from adamlab.harness import run_experiment
+from adamlab import cli, harness, landscapes, optimizers
+from adamlab.harness import default_config_for, merge_config, run_experiment
 from adamlab.landscapes import FiniteSumObjective, lowerbound_objective, zhang_counterexample
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -84,6 +84,34 @@ def test_runs_evaluate_f_value_once_per_table_after_the_loop(monkeypatch):
     traj = optimizers.gd_run(obj, [0.5, 2.0], eta1=0.1, steps=5)
     assert tables == [6]
     assert scalar == []  # LowerBound's rows come from its row kernel too
+
+
+def test_fig3_and_lemmas_sum_every_f_value_row_in_numpy(monkeypatch):
+    # mean_values certifies each row's math.fsum in NumPy on the default
+    # landscape; a row it cannot certify would go through the scalar _sum
+    inside, rows, fallback = [], [], []
+    real_mean_values, real_sum = FiniteSumObjective.mean_values, landscapes._sum
+
+    def mean_values(self, W):
+        inside.append(1)
+        rows.append(len(W))
+        try:
+            return real_mean_values(self, W)
+        finally:
+            inside.pop()
+
+    def scalar_sum(vals):
+        if inside:
+            fallback.append(vals)
+        return real_sum(vals)
+
+    monkeypatch.setattr(FiniteSumObjective, "mean_values", mean_values)
+    monkeypatch.setattr(landscapes, "_sum", scalar_sum)
+    for name, T in (("Fig3", 1000), ("LemmaSuite", 100)):
+        rows.clear()
+        run_experiment(merge_config(default_config_for(name), {"T": T}))
+        assert sum(rows) > 1000, name
+    assert fallback == []
 
 
 def _result(command, overrides, tmp_path):

@@ -1,12 +1,19 @@
 import dataclasses
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from adamlab import landscapes
 from adamlab.landscapes import (
+    _LOADABLE,
     KIND_CUSTOM,
+    KIND_LOWERBOUND,
+    KIND_QUADRATIC,
+    KIND_ZHANG,
     VALUE_BLOCK_VALUES,
     FiniteSumObjective,
     check_point,
@@ -237,7 +244,7 @@ def _check_mean_values(kind, rows):
     assert _bits(got) == _bits([obj.value(w) for w in W.tolist()])
 
 
-# row counts around the counterexample's block of 64 rows (640 values / n = 10)
+# small row counts, inside one block; the next test takes the block edges
 @pytest.mark.parametrize("kind", sorted(MEAN_VALUE_CASES))
 @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 129])
 def test_mean_values_equal_value_of_each_row(kind, rows):
@@ -248,8 +255,8 @@ def test_mean_values_equal_value_of_each_row(kind, rows):
 @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
 def test_mean_values_equal_value_around_each_block_edge(kind, blocks, extra):
     # rows around the edges of this objective's own blocks
-    n = MEAN_VALUE_CASES[kind][0]().n
-    _check_mean_values(kind, blocks * max(1, VALUE_BLOCK_VALUES // n) + extra)
+    obj = MEAN_VALUE_CASES[kind][0]()
+    _check_mean_values(kind, blocks * max(1, VALUE_BLOCK_VALUES // (obj.n * obj.d)) + extra)
 
 
 @pytest.mark.parametrize(
@@ -289,6 +296,129 @@ def test_quadratic_value_overflows_to_inf_not_error():
     assert obj.value_fn(0, [1e200]) == math.inf
     assert obj.value([1e200]) == math.inf
     assert obj.mean_values(np.array([[1e200]])).tolist() == [math.inf]
+
+
+def _few_bits(lo, hi):
+    # m * 2**e with at most four mantissa bits: sums of them hit exact ties
+    return st.builds(math.ldexp, st.integers(-15, 15), st.integers(lo, hi))
+
+
+ROW_FAMILIES = [
+    _few_bits(-60, 60),  # mixed exponents
+    _few_bits(-1074, -1015),  # subnormals and the smallest normals
+    _few_bits(-905, -895),  # around 2**-900
+    _few_bits(995, 1015),  # around 2**1000
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, sys.float_info.max]),
+]
+
+
+@st.composite
+def adversarial_blocks(draw):
+    """rows x n blocks, n from 1 to 16: each row from one family or all of
+    them, some entries the negations of others (x, -x cancelling pairs)."""
+    n = draw(st.integers(1, 16))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        family = draw(st.sampled_from(ROW_FAMILIES + [st.one_of(ROW_FAMILIES)]))
+        row = draw(st.lists(family, min_size=n, max_size=n))
+        pairs = draw(st.integers(0, n // 2))
+        row[n - pairs:] = [-v for v in row[:pairs]]
+        rows.append(draw(st.permutations(row)))
+    return np.array(rows).reshape(-1, n)
+
+
+ROW_SUM_EXAMPLES = [
+    [1.0, 2.0 ** -53],  # an exact tie: to even, 1.0
+    [1.0 + 2.0 ** -52, 2.0 ** -53],  # an exact tie: to even, up
+    [1.0, 2.0 ** -53, 2.0 ** -106],  # just above a tie
+    [1.0, 2.0 ** -53, -(2.0 ** -106)],  # just below a tie
+    [2.0 ** 60, 1.0, -(2.0 ** 60), 2.0 ** -60],  # cancellation
+    [-0.0, -0.0],
+    [math.inf, -math.inf, 1.0],  # fsum refuses: NaN
+    [sys.float_info.max, sys.float_info.max, -sys.float_info.max],  # fsum overflows
+    [5e-324, 5e-324, -5e-324],
+    [math.nan, 1.0],
+    # e = 2**-53 - 2**-106 sits just below the tie, and the three errors the
+    # second cascade leaves in f lift the exact sum just above it: fsum
+    # rounds up, so only the bound on sum(f) keeps 1.0 from being certified
+    [1.0, 2.0 ** -53 - 2.0 ** -106] + [0.9 * 2.0 ** -107] * 3,
+]
+ROW_SUM_EXAMPLE_BLOCK = np.array([row + [0.0] * (5 - len(row)) for row in ROW_SUM_EXAMPLES])
+
+
+@given(adversarial_blocks())
+@example(ROW_SUM_EXAMPLE_BLOCK)
+@settings(max_examples=300, deadline=None)
+def test_row_sums_are_the_scalar_sum_of_each_row(V):
+    assert _bits(landscapes._row_sums(V)) == _bits([landscapes._sum(row) for row in V.tolist()])
+
+
+@given(adversarial_blocks())
+@example(ROW_SUM_EXAMPLE_BLOCK)
+@settings(max_examples=300, deadline=None)
+def test_row_sums_certify_only_the_fsum_of_a_row(V):
+    # with the scalar fallback made to return NaN, a row that is not NaN is
+    # the certified NumPy sum, and it is math.fsum's, which does not refuse it
+    fallback = []
+    with mock.patch.object(landscapes, "_sum", lambda vals: fallback.append(vals) or math.nan):
+        got = landscapes._row_sums(V)
+    certified = [i for i, v in enumerate(got.tolist()) if not math.isnan(v)]
+    assert len(fallback) <= len(V) - len(certified)
+    assert _bits(got[certified]) == _bits([math.fsum(V[i].tolist()) for i in certified])
+
+
+def test_row_sums_certify_the_counterexample_without_fallback():
+    # its a + 9v rows, exact ties among them, all summed in NumPy
+    obj = zhang_counterexample()
+    W = np.random.default_rng(7).uniform(-30.0, 30.0, size=(4096, 1))
+    W[:64, 0] = np.arange(-32, 32) / 4.0
+    with mock.patch.object(landscapes, "_sum", lambda vals: math.nan):
+        got = landscapes._row_sums(obj.values_fn(W))
+    assert not np.isnan(got).any()
+
+
+# each loadable kind's parameters, at n > 1 and at d = 1 to 3 where the
+# kind allows; the QuadraticSum curvature-center products stay finite, which
+# its builder's weighted center needs
+LOADABLE_SPECS = {
+    KIND_ZHANG: st.fixed_dictionaries({"scale": finite.filter(lambda s: s != 0.0)}),
+    KIND_LOWERBOUND: st.fixed_dictionaries(
+        {"L0": st.floats(1e-3, 1e3), "L1": st.floats(1e-3, 1e3), "epsilon": st.floats(1e-6, 1e3)}
+    ),
+    KIND_QUADRATIC: st.tuples(st.integers(2, 6), st.integers(1, 3)).flatmap(
+        lambda nd: st.fixed_dictionaries({
+            "curvatures": st.lists(st.floats(1e-300, 1e150), min_size=nd[0], max_size=nd[0]),
+            "centers": st.lists(
+                st.lists(st.floats(-1e150, 1e150), min_size=nd[1], max_size=nd[1]),
+                min_size=nd[0], max_size=nd[0],
+            ),
+        })
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADABLE))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_each_loadable_kind_has_a_row_kernel_equal_to_value_fn(kind, data):
+    assert set(LOADABLE_SPECS) == set(_LOADABLE)
+    obj = from_spec({"kind": kind, "parameters": data.draw(LOADABLE_SPECS[kind])})
+    # any coordinates: overflowing, infinite and NaN ones too
+    coords = st.one_of(st.floats(), st.floats(-1e200, 1e200), st.sampled_from([1e155, -1e155, 1e300]))
+    W = np.array(data.draw(st.lists(st.lists(coords, min_size=obj.d, max_size=obj.d), min_size=1, max_size=6)))
+    assert obj.values_fn is not None
+    got = obj.values_fn(W)
+    assert got.shape == (len(W), obj.n)
+    assert _bits(got) == _bits([[obj.value_fn(j, w) for j in range(obj.n)] for w in W.tolist()])
+
+
+def test_quadratic_kernel_halves_the_curvature_first():
+    # (0.5 * a[j]) * S, as value_fn: a * S overflows in the first row, and a
+    # product of subnormal size rounds in the second
+    obj = quadratic_sum([1e150, 3e-300], [[0.0], [0.0]])
+    W = np.array([[1.5e79], [3e-5]])
+    assert _bits(obj.values_fn(W)) == _bits([[obj.value_fn(j, w) for j in range(2)] for w in W.tolist()])
 
 
 # ------------------------------------------------------------ slow landscape
