@@ -19,8 +19,10 @@ as ``run(config, options, (obj, w0, con))`` on the landscape that
 ``ExperimentConfig.validate`` built. A runner first builds its runs, each a ``Run`` (id, trajectory, report row,
 plot values), then derives its conclusions from those rows; it returns the
 runs and a dict of the experiment's own report keys (``conclusions``, and
-``construction`` or ``problem_constants``). The three GD arms on the
-Theorem 2 construction run through ``_gd_sweep``. ``run_experiment`` alone
+``construction`` or ``problem_constants``). Every run is one arm, an
+``AdamArm`` or a GD arm (``GdOptions``), run by ``run_arm``, the one caller
+of ``adam_run`` and ``gd_run``; ``_gd_sweep`` builds the GD arms of the three
+step-size sweeps on the Theorem 2 construction. ``run_experiment`` alone
 joins runs and keys: it sorts the runs by id and builds the report's rows,
 the trajectories and the plot table the record names, so a run's row,
 trajectory and block share one id.
@@ -39,13 +41,14 @@ import os
 import shutil
 import sys
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Literal, Optional
 
 from . import __version__
 from .artifacts import open_csv, table_columns, write_json, write_table
 from .landscapes import FiniteSumObjective, from_spec, make_lowerbound
 from .optimizers import (
+    AdamArm,
     AdamParams,
     InitMode,
     STATUS_COMPLETED,
@@ -134,17 +137,7 @@ class Construction:
 
 
 @dataclass(frozen=True)
-class AdamOptions:
-    beta1: Beta1 = AdamParams.beta1
-    beta2: Beta2 = AdamParams.beta2
-    eta1: Positive = AdamParams.eta1
-    xi: NonNegative = AdamParams.xi
-    schedule: Schedule = AdamParams.schedule
-    init_mode: InitMode = AdamParams.init_mode
-
-
-@dataclass(frozen=True)
-class ComparisonAdamOptions(AdamOptions):
+class ComparisonAdamOptions(AdamArm):
     eta1: Positive = 0.5
     epochs: Size = 4000
 
@@ -153,17 +146,17 @@ class ComparisonAdamOptions(AdamOptions):
 class GdOptions:
     eta1: Positive = 0.1
     schedule: Schedule = "Diminishing"
-    clip_threshold: Optional[Positive] = None
+    clip_threshold: Optional[Positive] = None  # the GD arm is clipped GD with one
 
 
 @dataclass(frozen=True)
 class Fig3Options:
-    beta1: Beta1 = AdamParams.beta1
+    beta1: Beta1 = AdamArm.beta1
     beta2_grid: Axis(Beta2) = _list(0.9, 0.99, 0.999)
-    eta1: Positive = AdamParams.eta1
-    xi: NonNegative = AdamParams.xi
-    schedule: Schedule = AdamParams.schedule
-    init_mode: InitMode = AdamParams.init_mode
+    eta1: Positive = AdamArm.eta1
+    xi: NonNegative = AdamArm.xi
+    schedule: Schedule = AdamArm.schedule
+    init_mode: InitMode = AdamArm.init_mode
     x0: list[float] = _list(-2.0)
     tail_frac: Fraction = 0.1
     grad_floor: float = 1e-4
@@ -206,8 +199,8 @@ class LemmaSuiteOptions:
     beta2_grid: Axis(Beta2) = _list(0.99, 0.999)
     eta1_grid: Axis(CubeFinite) = _list(0.01, 0.1)  # compute_constants' range
     schedules: Axis(Schedule) = _list("Diminishing", "Constant")
-    xi: NonNegative = AdamParams.xi
-    init_mode: InitMode = AdamParams.init_mode
+    xi: NonNegative = AdamArm.xi
+    init_mode: InitMode = AdamArm.init_mode
     x0: list[float] = _list(-2.0)
 
     def __post_init__(self):
@@ -221,12 +214,14 @@ class CustomOptions:
     x0: Optional[list[float]] = None  # None: the origin
     record_steps: bool = False
     require_completed: bool = True
-    adam: AdamOptions = AdamOptions()
+    adam: AdamArm = AdamArm()
     gd: GdOptions = GdOptions()
 
     def __post_init__(self):
         if self.algo == "clipped_gd" and self.gd.clip_threshold is None:
             raise ValueError("gd.clip_threshold: clipped_gd needs one")
+        if self.algo == "gd" and self.gd.clip_threshold is not None:
+            raise ValueError("gd.clip_threshold: gd takes none")
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +264,17 @@ def _pick(record, *names: str) -> dict:
     return {name: getattr(record, name) for name in names}
 
 
+def run_arm(obj: FiniteSumObjective, w0: list[float], arm: AdamArm | GdOptions, budget: int, seed: int,
+            record_steps: bool) -> Trajectory:
+    """One run of ``arm`` from ``w0``: ``budget`` GD steps for a GD arm, which
+    draws no random numbers, else ``budget`` Adam epochs (over any ``epochs``
+    the arm carries) under ``seed``."""
+    if isinstance(arm, GdOptions):
+        return gd_run(obj, w0, arm.eta1, steps=budget, schedule=arm.schedule, clip_threshold=arm.clip_threshold,
+                      record_steps=record_steps)
+    return adam_run(obj, w0, AdamParams(**{**vars(arm), "epochs": budget, "seed": seed, "record_steps": record_steps}))
+
+
 # ---------------------------------------------------------------------------
 # Fig3
 
@@ -279,14 +285,10 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options, landscape: Landscape) -
 
     grid = sorted(opt.beta2_grid)
     seeds = sorted(config.seeds)
-    base = AdamParams(
-        beta1=opt.beta1, eta1=opt.eta1, xi=opt.xi, schedule=opt.schedule,
-        epochs=config.T, init_mode=opt.init_mode, record_steps=False,
-    )
     for b2 in grid:
+        arm = AdamArm(**_pick(opt, "beta1", "eta1", "xi", "schedule", "init_mode"), beta2=b2)
         for seed in seeds:
-            params = replace(base, beta2=b2, seed=seed)
-            traj = adam_run(obj, w0, params)
+            traj = run_arm(obj, w0, arm, config.T, seed, False)
             row = {
                 "beta2": b2,
                 "seed": seed,
@@ -333,7 +335,7 @@ def _gd_sweep(
             raise ValueError(f"options.{key}[{i}]: {step}, not a positive finite step size")
     sweep = []
     for mult, eta1 in sorted(zip(multipliers, etas)):
-        traj = gd_run(obj, w0, eta1, steps=steps, schedule="Diminishing", record_steps=record_steps)
+        traj = run_arm(obj, w0, GdOptions(eta1, "Diminishing"), steps, 0, record_steps)
         sweep.append((mult, traj, {"eta_mult": mult, "eta1": eta1, "summary": trajectory_summary(traj)}))
     return sweep
 
@@ -431,8 +433,7 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions, landscape: 
         row["min_grad_before_horizon"] = least
         runs.append(Run(f"gd-eta_mult={mult!r}", traj, row))
 
-    params = AdamParams(**vars(a), seed=config.seeds[0], record_steps=False)
-    traj = adam_run(obj, w0, params)
+    traj = run_arm(obj, w0, a, a.epochs, config.seeds[0], False)
     e = traj.epochs
     crossing = next(
         (k for k, gn in zip(e.k.tolist(), e.grad_norm.tolist()) if gn < con.epsilon), None
@@ -487,11 +488,8 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions, landscape:
     for beta1, beta2, eta1, schedule in combos:
         if beta1 * beta1 >= beta2:
             continue
-        params = AdamParams(
-            beta1=beta1, beta2=beta2, eta1=eta1, xi=opt.xi, schedule=schedule, epochs=config.T,
-            init_mode=opt.init_mode, seed=config.seeds[0], record_steps=True,
-        )
-        traj = adam_run(obj, w0, params)
+        arm = AdamArm(beta1, beta2, eta1, opt.xi, schedule, opt.init_mode)
+        traj = run_arm(obj, w0, arm, config.T, config.seeds[0], True)
         tc = compute_constants(beta1, beta2, eta1, pc)
         row = {"beta1": beta1, "beta2": beta2, "eta1": eta1, "schedule": schedule, "C1": tc.C1, "C2": tc.C2}
         for rep in (check_bounded_update(traj, tc), check_u_gap(traj, tc)):
@@ -519,19 +517,9 @@ def run_custom(config: ExperimentConfig, opt: CustomOptions, landscape: Landscap
     obj, w0, _ = landscape
     runs: list[Run] = []
 
+    arm = opt.adam if opt.algo == "adam" else opt.gd
     for seed in sorted(config.seeds):
-        if opt.algo == "adam":
-            params = AdamParams(
-                **vars(opt.adam), epochs=config.T, seed=seed, record_steps=opt.record_steps
-            )
-            traj = adam_run(obj, w0, params)
-        else:
-            p = opt.gd
-            clip = p.clip_threshold if opt.algo == "clipped_gd" else None
-            traj = gd_run(
-                obj, w0, p.eta1, steps=config.T, schedule=p.schedule, clip_threshold=clip,
-                record_steps=opt.record_steps,
-            )
+        traj = run_arm(obj, w0, arm, config.T, seed, opt.record_steps)
         row = {"seed": seed, "summary": trajectory_summary(traj)}
         runs.append(Run(f"{opt.algo}-seed={seed}", traj, row))
 

@@ -46,28 +46,33 @@ STATUS_NONFINITE = "NonFinite"
 
 
 @dataclass(frozen=True)
-class AdamParams:
-    """Hyperparameters for a reshuffled-Adam run.
-
-    xi is the denominator offset added to sqrt(nu); zero is allowed. seed and
-    run_index determine the permutation stream; distinct run_index values
-    give independent streams under one seed. Every field is checked against
-    its declared type when the record is built (ValueError otherwise).
-    """
+class AdamArm:
+    """Reshuffled Adam's hyperparameters, declared once: an experiment's Adam
+    arm. xi is the denominator offset added to sqrt(nu); zero is allowed.
+    Every field, a subclass's included, is checked against its declared type
+    when the record is built (ValueError otherwise)."""
 
     beta1: Beta1 = 0.9
     beta2: Beta2 = 0.999
     eta1: Positive = 0.1
     xi: NonNegative = 1e-8
     schedule: Schedule = SCHEDULE_DIMINISHING
-    epochs: Count = 100
     init_mode: InitMode = INIT_PAPER_THEORY
+
+    def __post_init__(self) -> None:
+        check(type(self), **vars(self))
+
+
+@dataclass(frozen=True)
+class AdamParams(AdamArm):
+    """A reshuffled-Adam run: an arm and the run's own fields. seed and
+    run_index determine the permutation stream; distinct run_index values
+    give independent streams under one seed."""
+
+    epochs: Count = 100
     seed: Seed = 0
     run_index: Count = 0
     record_steps: bool = True
-
-    def __post_init__(self) -> None:
-        check(AdamParams, **vars(self))
 
 
 @dataclass

@@ -8,7 +8,7 @@ import math
 import os
 import re
 import typing
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from adamlab.harness import (
 from adamlab.landscapes import (
     _LOADABLE, FiniteSumObjective, from_spec, lowerbound_objective, quadratic_sum, to_spec, zhang_counterexample,
 )
-from adamlab.optimizers import AdamParams
+from adamlab.optimizers import AdamArm, AdamParams
 from adamlab.schema import Axis, fields_of
 
 
@@ -135,8 +135,8 @@ def test_run_custom_without_objective_rejected():
 
 
 def test_run_custom_gd_and_clipped_gd():
-    for algo in ("gd", "clipped_gd"):
-        cfg = small_custom_config(algo=algo, gd={"eta1": 0.1, "clip_threshold": 1.0})
+    for algo, gd in (("gd", {"eta1": 0.1}), ("clipped_gd", {"eta1": 0.1, "clip_threshold": 1.0})):
+        cfg = small_custom_config(algo=algo, gd=gd)
         result = run_experiment(cfg)
         assert result.ok
         [rid] = list(result.trajectories)
@@ -463,6 +463,8 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch):
         # clipped GD without a threshold would run plain GD
         ("custom", {"objective": quad, "options": {"algo": "clipped_gd"}}),
         ("custom", {"objective": quad, "options": {"algo": "clipped_gd", "gd": {"eta1": 0.1}}}),
+        # and plain GD with one would drop it
+        ("custom", {"objective": quad, "options": {"algo": "gd", "gd": {"clip_threshold": 1.0}}}),
         # start points the objective cannot take
         ("lemmas", {"options": {"x0": [1.0, 2.0]}}),
         ("lemmas", {"options": {"x0": [math.nan]}}),
@@ -851,11 +853,12 @@ def test_nested_options_fill_from_defaults_and_keep_ints():
     assert opt.gd_eta_multipliers == [2] and type(opt.gd_eta_multipliers[0]) is int
     # the echo is the merged input, not the filled record
     assert asdict(cfg)["options"]["adam"] == {"epochs": 40}
-    # Custom's Adam defaults are AdamParams'
+    # Custom's Adam defaults are AdamArm's, whose fields a run's AdamParams
+    # declares no second time
     custom, _ = small_custom_config().validate()
-    assert vars(custom.adam) == {
-        k: getattr(AdamParams(), k) for k in ("beta1", "beta2", "eta1", "xi", "schedule", "init_mode")
-    }
+    assert custom.adam == AdamArm()
+    run_fields = ["epochs", "seed", "run_index", "record_steps"]
+    assert [f.name for f in fields(AdamParams)] == [f.name for f in fields(AdamArm)] + run_fields
 
 
 def test_benchmark_subcommands_are_registered(tmp_path):
