@@ -47,7 +47,12 @@ Built-in kinds:
   a central band and exponential outside, f2 is quadratic in a central band
   and linear outside. Gradient-descent step sizes above a computable
   threshold blow up double-exponentially in x; below it, progress is held
-  hostage by the flat linear y-branch.
+  hostage by the flat linear y-branch. Its ``grad_fn`` is one closure that
+  writes ``expquad_grad``'s and ``linquad_grad``'s expressions inline, in
+  their operation order, and its ``full_grad_fn`` is that closure at
+  component 0 (n = 1): one Python frame per gradient on GD's hot path. The
+  coordinate functions stay as its reference, bit for bit, and
+  ``smooth_fn`` reads ``expquad_grad``.
 * ``QuadraticSum`` -- components (a_j / 2) * |w - c_j|^2.
 * ``Custom`` -- caller-supplied callbacks, not serializable:
   ``FiniteSumObjective(KIND_CUSTOM, n, d, {}, value_fn, grad_fn, ...)``.
@@ -59,6 +64,7 @@ against it and calls it (``schema.parse``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Optional, Sequence
@@ -363,18 +369,32 @@ def lowerbound_objective(L0: Positive, L1: SquarePositive, epsilon: Positive) ->
     def value_fn(j: int, w: Sequence[float]) -> float:
         return expquad_value(w[0], L0, L1) + linquad_value(w[1], epsilon)
 
-    def grad_fn(j: int, w: Sequence[float]) -> Vector:
-        return [expquad_grad(w[0], L0, L1), linquad_grad(w[1], epsilon)]
+    b = 1.0 / L1
 
-    def full_grad_fn(w: Sequence[float]) -> Vector:
-        return grad_fn(0, w)
+    def grad_fn(j: int, w: Sequence[float]) -> Vector:
+        # [expquad_grad(x, L0, L1), linquad_grad(y, epsilon)], their
+        # expressions inline in their operation order: one call per gradient
+        x, y = w
+        if x >= b:
+            gx = L0 * _exp(L1 * x - 1.0) / L1
+        elif x <= -b:
+            gx = -L0 * _exp(-L1 * x - 1.0) / L1
+        else:
+            gx = L0 * x
+        if y >= 1.0:
+            return [gx, epsilon]
+        if y <= -1.0:
+            return [gx, -epsilon]
+        return [gx, epsilon * y]
+
+    # n = 1: the full gradient is component 0's, with no frame of its own
+    full_grad_fn = functools.partial(grad_fn, 0)
 
     def values_fn(W: np.ndarray) -> np.ndarray:
         # value_fn's expressions in its operation order, branch by mask; the
         # exponential rows go through _exp one by one, since np.exp is not
         # correctly rounded and differs from math.exp on some inputs
         x, y = W[:, 0], W[:, 1]
-        b = 1.0 / L1
         with np.errstate(over="ignore"):
             fx = 0.5 * L0 * x * x + L0 / (2.0 * L1 * L1)
             for ramp, arg in ((x >= b, L1 * x - 1.0), (x <= -b, -L1 * x - 1.0)):
@@ -387,7 +407,6 @@ def lowerbound_objective(L0: Positive, L1: SquarePositive, epsilon: Positive) ->
 
     def smooth_fn(w: Sequence[float]) -> float:
         x, y = w[0], w[1]
-        b = 1.0 / L1
         hx = L0 if abs(x) <= b else L1 * abs(expquad_grad(x, L0, L1))
         hy = epsilon if abs(y) <= 1.0 else 0.0
         return max(hx, hy)

@@ -114,9 +114,10 @@ class EpochTable(_Table):
 class StepTable(_Table):
     """One row per recorded inner step (0 rows without record_steps):
     component tau visited at (k, i) from w_before. ratio_l = |m_l| /
-    (sqrt(nu_l) + xi) after the update; update_abs_l = eta_k * ratio_l is
-    the realized move magnitude; f_value is the objective at w_before,
-    evaluated after the run."""
+    (sqrt(nu_l) + xi) after the update, GD's |step_l|; the loops record the
+    signed values and _trajectory takes their magnitude once. update_abs_l =
+    eta_k * ratio_l is the realized move magnitude; f_value is the objective
+    at w_before, evaluated after the run."""
 
     k: np.ndarray
     i: np.ndarray
@@ -202,8 +203,9 @@ def adam_epoch(
     """Advance one epoch in place with step size eta, visiting the components
     in the order tau (a permutation of range(n)). When the step column lists
     ``steps`` are given, append tau to them once and each step's w_before and
-    ratio; _trajectory derives the rest of each row. Returns the (epoch,
-    inner index) of the step whose result tripped the guard, or None."""
+    signed ratio r; _trajectory derives the rest of each row. Returns the
+    (epoch, inner index) of the step whose result tripped the guard, or
+    None."""
     # Each step's iterate is the start point adam_init checked or one the
     # guard passed. The builder's callable is bound once per epoch: calling
     # the component_grad method per inner step made Fig3's run 7-10% slower
@@ -238,7 +240,7 @@ def adam_epoch(
             x_prev = x
             x = x - eta * r
             if record:
-                add_ratio(abs(r))
+                add_ratio(r)
             if not abs(x) <= sup:
                 fail = (k, i)
                 break
@@ -271,7 +273,7 @@ def adam_epoch(
             if not abs(w_l) <= sup:
                 tripped = True
             if record:
-                add_ratio(abs(r))
+                add_ratio(r)
         if tripped:
             state.k = k + 1
             return (k, i)
@@ -301,10 +303,12 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, etas: np.ndarr
     """The Trajectory of a finished run, built from the columns only its
     loop knows (plain numbers, iterate rows flat; Adam's are lists, GD's
     are float arrays whose buffers become the NumPy columns uncopied):
-    snapshot w0 and grad_norm and step ratio, and for Adam snapshot w_prev,
-    step w_before and each epoch's order tau. Derived here:
+    snapshot w0 and grad_norm and the signed step ratio, and for Adam
+    snapshot w_prev, step w_before and each epoch's order tau. Derived here:
 
     * epoch k = 1..rows, and eta: the run's eta_schedule column cut to them;
+    * step ratio = |recorded ratio|, taken in place: np.abs only clears the
+      sign bit, as Python's abs does, so the bits are those abs gives;
     * step (k - 1, i) = divmod(row, n), with one step per epoch for GD;
     * step update_abs = eta_k * ratio, bit for bit |eta_k * r| as eta_k >= 0;
     * for GD: tau = -1; step k starts from snapshot k, so w_before and
@@ -327,6 +331,7 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, etas: np.ndarr
         f_value=obj.mean_values(w0),
     )
     ratio = matrix(steps["ratio"])
+    np.abs(ratio, out=ratio)
     recorded = len(ratio)
     k0, i = np.divmod(np.arange(recorded), obj.n if adam else 1)
     if adam:
@@ -395,10 +400,12 @@ def gd_run(
     """Full-gradient descent w <- w - eta_k grad f(w), one snapshot per step.
 
     With clip_threshold the gradient is rescaled to that Euclidean norm when
-    it exceeds it. Snapshots reuse the epoch structure with one inner step
-    per epoch (i = 0, tau = -1). The loop records each snapshot's w0 and
-    gradient norm and, with record_steps, each step's ratio |step_l|;
-    _trajectory derives the rest.
+    it exceeds it; a gradient whose finite coordinates have an overflowing
+    norm is first divided by its largest |coordinate|. Snapshots reuse the
+    epoch structure with one inner step per epoch (i = 0, tau = -1). The
+    loop records each snapshot's gradient norm and, in one pass over the
+    coordinates, each coordinate's w0 and, with record_steps, its signed
+    step step_l; _trajectory derives the rest, the ratio |step_l| included.
     """
     check(gd_run, eta1=eta1, steps=steps, schedule=schedule, clip_threshold=clip_threshold)
     w = check_point(obj, w0)
@@ -410,17 +417,22 @@ def gd_run(
     # Bound once per run, as in adam_epoch. full_grad stays the method, the
     # one the benchmark's tracer counts.
     full_grad, hypot, sup = obj.full_grad, math.hypot, GUARD_SUP_NORM
-    add_w0, add_norm, add_ratio = snaps["w0"].extend, snaps["grad_norm"].append, recs["ratio"].extend
+    add_w0, add_norm, add_ratio = snaps["w0"].append, snaps["grad_norm"].append, recs["ratio"].append
     coords = range(d)
     etas = eta_schedule(eta1, schedule, steps + 1)
 
     for k, eta in zip(range(1, steps + 1), memoryview(etas)):
         g = full_grad(w)
         gn = hypot(*g)
-        add_w0(w)
         add_norm(gn)
         step_vec = g
         if clip_threshold is not None and gn > clip_threshold:
+            if math.isinf(gn) and not any(map(math.isinf, g)):
+                # finite coordinates whose norm overflows: the same
+                # direction, scaled to a largest |coordinate| of 1
+                top = max(map(abs, g))
+                g = [v / top for v in g]
+                gn = hypot(*g)
             if math.isfinite(gn):
                 c = clip_threshold / gn
                 step_vec = [v * c for v in g]
@@ -431,13 +443,16 @@ def gd_run(
                 step_vec = [
                     math.copysign(scale, g[l]) if l in infs else 0.0 for l in range(d)
                 ]
-        if record_steps:
-            add_ratio(map(abs, step_vec))
         tripped = False
         for l in coords:
-            v = w[l] = w[l] - eta * step_vec[l]
+            w_l = w[l]
+            add_w0(w_l)
+            s = step_vec[l]
+            if record_steps:
+                add_ratio(s)
+            v = w[l] = w_l - eta * s
             # true for NaN and for |v| above the bound, infinities included
-            if not abs(v) <= sup:
+            if not -sup <= v <= sup:
                 tripped = True
         if tripped:
             status = _classify(w)
@@ -445,7 +460,7 @@ def gd_run(
             break
     else:
         # closing boundary snapshot k = steps + 1
-        add_w0(w)
+        snaps["w0"].extend(w)
         add_norm(hypot(*full_grad(w)))
 
     params = {"eta1": eta1, "steps": steps, "schedule": schedule, "clip_threshold": clip_threshold}

@@ -208,10 +208,13 @@ def problems(draw):
     if kind == "lowerbound":
         L1 = draw(st.floats(0.5, 2.0, **finite))
         obj = lowerbound_objective(draw(st.floats(0.5, 2.0, **finite)), L1, draw(st.floats(1e-3, 0.5, **finite)))
-        # either exponential arm (|x| >= 1 / L1) or the quadratic band
+        # either exponential arm (|x| >= 1 / L1) or the quadratic band, and
+        # the edges x = +-1 / L1 and y = +-1, which belong to the outer arms
         arm = draw(st.sampled_from([-1.0, 1.0]))
-        x = arm * draw(st.one_of(st.floats(1.0 / L1, 4.0, **finite), st.floats(0.0, 1.0 / L1, **finite)))
-        return obj, [x, draw(st.floats(-3.0, 3.0, **finite))]
+        x = arm * draw(st.one_of(
+            st.just(1.0 / L1), st.floats(1.0 / L1, 4.0, **finite), st.floats(0.0, 1.0 / L1, **finite),
+        ))
+        return obj, [x, draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0, **finite)))]
     bound = draw(st.one_of(st.floats(0.5, 5.0, **finite), st.just(math.inf)))
     past = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
     return boundary_drift(bound, past), [draw(st.floats(-1.0, 0.5, **finite)), 0.0]

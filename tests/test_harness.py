@@ -143,6 +143,21 @@ def test_run_custom_gd_and_clipped_gd():
         assert result.trajectories[rid].algo == algo
 
 
+def test_cli_custom_clipped_gd_runs_when_the_gradient_norm_overflows(tmp_path):
+    # finite partials of 1.7e308 whose norm is inf used to end the CLI with
+    # a ZeroDivisionError traceback
+    config = {
+        "objective": to_spec(quadratic_sum([1.7e300] * 2, [[0.0, 0.0]] * 2)),
+        "seeds": [1],
+        "T": 3,
+        "options": {"algo": "clipped_gd", "x0": [1e8, 1e8], "record_steps": True,
+                    "gd": {"eta1": 1e-300, "clip_threshold": 1.0}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["custom", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_run_fig3_structure_and_ordering_of_rows():
     cfg = merge_config(default_config_for("Fig3"), {"T": 50, "seeds": [2, 1]})
     result = run_experiment(cfg)

@@ -497,6 +497,44 @@ def test_lowerbound_kernel_mean_values_equal_value_by_repr(case):
     assert repr(got.tolist()) == repr([obj.value(w) for w in W.tolist()])
 
 
+@st.composite
+def lowerbound_gradient_points(draw):
+    """(L0, L1, epsilon) and a point for LowerBound's gradient: x at the
+    edges +-1/L1 and their neighbours on either side, at +-0.0, far enough
+    out that _exp gives inf, or drawn; y likewise at +-1."""
+    L0, L1, epsilon = draw(lowerbound_parameter), draw(lowerbound_parameter), draw(lowerbound_parameter)
+    b = 1.0 / L1
+    x_edges = [
+        b, -b, math.nextafter(b, 0.0), math.nextafter(b, math.inf),
+        math.nextafter(-b, 0.0), math.nextafter(-b, -math.inf), 0.0, -0.0, 800.0 * b, -800.0 * b, 1e308,
+    ]
+    y_edges = [
+        1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+        math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0), 0.0, -0.0,
+    ]
+    x = draw(st.one_of(st.sampled_from(x_edges), st.floats(-4.0, 4.0).map(lambda t: t * b), st.floats()))
+    y = draw(st.one_of(st.sampled_from(y_edges), st.floats()))
+    return (L0, L1, epsilon), [x, y]
+
+
+@given(lowerbound_gradient_points())
+# at x = 1/L1 the exponential arm gives 0.6 and the quadratic band
+# 0.6000000000000001: the edges belong to the arms
+@example(((3.0, 5.0, 0.5), [1.0 / 5.0, 1.0]))
+@example(((3.0, 5.0, 0.5), [-1.0 / 5.0, -1.0]))
+@example(((2.0, 0.5, 0.25), [1600.0, -0.0]))  # _exp(799.0) is inf
+@settings(max_examples=300, deadline=None)
+def test_lowerbound_gradient_is_its_coordinate_functions_bit_for_bit(case):
+    # grad_fn writes expquad_grad's and linquad_grad's expressions inline;
+    # full_grad_fn is grad_fn at component 0. repr tells NaN and -0.0 apart
+    (L0, L1, epsilon), w = case
+    obj = lowerbound_objective(L0, L1, epsilon)
+    want = repr([expquad_grad(w[0], L0, L1), linquad_grad(w[1], epsilon)])
+    assert repr(obj.grad_fn(0, w)) == want
+    assert repr(obj.full_grad_fn(w)) == want
+    assert repr(obj.full_grad(w)) == want
+
+
 def test_make_lowerbound_value_gap_identity():
     # the requested excess over the minimum is achieved exactly when it
     # equals twice the axis gap of the construction

@@ -412,6 +412,46 @@ def test_clipped_gd_caps_step_length():
         assert mv <= 1.0 * thresh + 1e-12
 
 
+def constant_gradient(grad):
+    """n = 1 Custom objective whose gradient is ``grad`` everywhere."""
+    return FiniteSumObjective(
+        KIND_CUSTOM, 1, len(grad), {},
+        value_fn=lambda j, w: math.fsum(g * v for g, v in zip(grad, w)), grad_fn=lambda j, w: list(grad),
+    )
+
+
+@pytest.mark.parametrize(
+    "obj, w0, eta1, step",
+    [
+        # both partials about 1.7e308, finite, their norm inf: 1/sqrt(2) each
+        (quadratic_sum([1.7e300] * 2, [[0.0, 0.0]] * 2), [1e8, 1e8], 1e-300, [0.7071067811865475] * 2),
+        (constant_gradient([1.7e308, 1.7e308]), [0.0, 0.0], 2.0, [0.7071067811865475] * 2),
+        (constant_gradient([-1.5e308, 1.0e308, 0.0]), [0.0] * 3, 2.0, [-0.8320502943378437, 0.5547001962252291, 0.0]),
+    ],
+)
+def test_clipped_gd_keeps_the_direction_of_a_finite_gradient_whose_norm_overflows(obj, w0, eta1, step):
+    # the norm overflows with no infinite coordinate: the step is g divided
+    # by its largest |g_l|, clipped to the threshold
+    traj = gd_run(obj, w0, eta1=eta1, steps=3, clip_threshold=1.0)
+    assert traj.status == STATUS_COMPLETED
+    assert traj.epochs.grad_norm.tolist() == [math.inf] * 4
+    assert math.hypot(*step) == pytest.approx(1.0, rel=1e-15)
+    assert traj.steps.ratio.tolist() == [[abs(v) for v in step]] * 3
+    # three steps of eta1 * step against the gradient
+    assert traj.final_w == pytest.approx([w - 3.0 * eta1 * v for w, v in zip(w0, step)], rel=1e-15)
+
+
+@given(st.lists(st.floats(), max_size=8))
+@example([-0.0, 0.0, -math.inf, math.inf, -math.nan, math.nan, -5e-324, -1e308])
+@settings(max_examples=200, deadline=None)
+def test_numpy_abs_of_the_signed_ratios_is_python_abs_bit_for_bit(vals):
+    # the loops record signed ratios and _trajectory takes np.abs once; it
+    # clears the sign bit as Python's abs does, so the bits are the same
+    got = np.abs(np.array(vals, dtype=np.float64))
+    want = np.array([abs(v) for v in vals], dtype=np.float64)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 @pytest.mark.parametrize(
     "w0, eta1, status, steps",
     [([1.0, 2.0], 0.1, STATUS_COMPLETED, 4), ([3.0, 2.0], 2.0, STATUS_DIVERGED, 3)],
