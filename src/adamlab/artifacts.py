@@ -23,25 +23,39 @@ CSV_BLOCK_ROWS = 1024
 
 
 # orjson writes a float64 with repr's shortest round-trip digits, and spells
-# it as repr does for 1e-4 <= |x| < 1e16 and +-0.0. Outside that window
-# _cells rewrites its text, with "," after every cell, to repr's spelling.
-# Exponents (0 < |x| < 1e-5 and finite |x| >= 1e16) gain repr's "+" and the
-# leading zero of a one-digit negative exponent: "1e16" -> "1e+16",
-# "1e-7" -> "1e-07".
-_EXPONENT_SPELLING = [(b"e", b"e+"), (b"e+-", b"e-")] + [(b"e-%d," % d, b"e-0%d," % d) for d in range(6, 10)]
-# 1e-5 <= |x| < 1e-4, which orjson writes positionally and repr with exponent
-# -5: "0.0000123" -> "1.23e-05", "0.00001" -> "1e-05".
-_BAND_SPELLING = [(b"0.0000%d" % d, b"%d." % d) for d in range(1, 10)] + [(b",", b"e-05,"), (b".e", b"e")]
+# it as repr does for 1e-4 <= |x| < 1e16, for +-0.0 and for |x| < 1e-9, whose
+# negative exponents have two or three digits ("1.4e-23"): these cells are
+# PLAIN. Every other cell needs one rule, PADDED plus the bin of its |x|
+# among _ODD_EDGES (np.searchsorted, side "right", which puts NaN above inf):
+# - PADDED, 1e-9 <= |x| < 1e-5: the one-digit exponent gains repr's zero,
+#   "e-" -> "e-0" ("1.5e-7" -> "1.5e-07");
+# - BAND, 1e-5 <= |x| < 1e-4, which orjson writes positionally and repr with
+#   exponent -5: "0.0000" is cut, a "." put after the first digit and
+#   "e-05" appended ("0.0000123" -> "1.23e-05", "0.00001" -> "1e-05");
+# - SIGNED, finite |x| >= 1e16: repr's "+", "e" -> "e+" ("1e16" -> "1e+16");
+# - NONFINITE, NaN and +-inf, which orjson writes as null: "nan", "inf" and
+#   "-inf".
+PLAIN, PADDED, BAND, SIGNED, NONFINITE = range(5)
+_ODD_EDGES = np.array([1e-5, 1e-4, math.inf])
 
 
-def _orjson_cells(vals: np.ndarray, rewrites: Sequence[tuple[bytes, bytes]] = ()) -> list[str]:
-    """The cells of one orjson call on a contiguous numeric array, its text
-    rewritten first."""
-    if not len(vals):
-        return []
+def _rule_cells(rule: int, vals: np.ndarray) -> list[str]:
+    """The cells of a non-empty contiguous numeric array whose every cell
+    needs rule: one orjson call, its text rewritten by that rule."""
+    if rule == NONFINITE:
+        return np.where(np.isnan(vals), "nan", np.where(vals > 0, "inf", "-inf")).tolist()
     text = orjson.dumps(vals, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
-    for old, new in rewrites:
-        text = text.replace(old, new)
+    if rule == PADDED:
+        text = text.replace(b"e-", b"e-0")
+    elif rule == SIGNED:
+        text = text.replace(b"e", b"e+")
+    elif rule == BAND:
+        # "0.0000" -> ".", then each "." and the first digit after it swap
+        chars = np.frombuffer(bytearray(text.replace(b"0.0000", b".")), np.uint8)
+        dots = np.flatnonzero(chars == ord("."))
+        chars[dots] = chars[dots + 1]
+        chars[dots + 1] = ord(".")
+        text = chars.tobytes().replace(b",", b"e-05,").replace(b".e", b"e")
     cells = text.decode().split(",")
     cells.pop()
     return cells
@@ -49,31 +63,31 @@ def _orjson_cells(vals: np.ndarray, rewrites: Sequence[tuple[bytes, bytes]] = ()
 
 def _cells(vals: np.ndarray) -> list[str]:
     """The CSV cells of one int or float64 column block: the repr of each
-    Python int or float it holds, formatted by one orjson call and never by
-    a per-cell repr. A float64 block with cells outside repr's window gets
-    them re-spelled by mask: the exponent cells and the 1e-5 <= |x| < 1e-4
-    cells each from one more orjson call whose text is rewritten in bulk
-    (_EXPONENT_SPELLING, _BAND_SPELLING), and NaN and +-inf, which orjson
-    writes as null, as "nan", "inf" and "-inf"."""
+    Python int or float it holds, never formatted by a per-cell repr. A
+    block whose cells all need one rule takes that rule's one orjson call
+    (_rule_cells); most blocks are all PLAIN. Any other block takes one
+    PLAIN call, and each other rule's cells are formatted again by that
+    rule and put back by index."""
+    if not len(vals):
+        return []
     vals = np.ascontiguousarray(vals)
-    cells = _orjson_cells(vals)
     if vals.dtype.kind != "f":
-        return cells
+        return _rule_cells(PLAIN, vals)
     a = np.abs(vals)
-    # most blocks lie inside repr's window (a NaN fails the max test)
-    if a.min(where=a > 0, initial=math.inf) >= 1e-4 and a.max() < 1e16:
-        return cells
-    exponent = ((a > 0) & (a < 1e-5)) | ((a >= 1e16) & (a < math.inf))
-    band = (a >= 1e-5) & (a < 1e-4)
-    nonfinite = ~np.isfinite(vals)
-    infs_nans = vals[nonfinite]
-    respelled = (
-        _orjson_cells(vals[exponent], _EXPONENT_SPELLING)
-        + _orjson_cells(vals[band], _BAND_SPELLING)
-        + np.where(np.isnan(infs_nans), "nan", np.where(infs_nans > 0, "inf", "-inf")).tolist()
-    )
-    for j, cell in zip(np.concatenate([np.flatnonzero(m) for m in (exponent, band, nonfinite)]).tolist(), respelled):
-        cells[j] = cell
+    # the cells that are not PLAIN, NaN among them
+    odd = np.flatnonzero(~((a < 1e-9) | ((a >= 1e-4) & (a < 1e16))))
+    if not len(odd):
+        return _rule_cells(PLAIN, vals)
+    rules = np.searchsorted(_ODD_EDGES, a[odd], side="right") + PADDED
+    counts = np.bincount(rules, minlength=NONFINITE + 1).tolist()
+    if len(vals) in counts:
+        return _rule_cells(counts.index(len(vals)), vals)
+    cells = _rule_cells(PLAIN, vals)
+    for rule in range(PADDED, NONFINITE + 1):
+        if counts[rule]:
+            at = odd[rules == rule]
+            for j, cell in zip(at.tolist(), _rule_cells(rule, vals[at])):
+                cells[j] = cell
     return cells
 
 

@@ -401,11 +401,12 @@ def gd_run(
 
     With clip_threshold the gradient is rescaled to that Euclidean norm when
     it exceeds it; a gradient whose finite coordinates have an overflowing
-    norm is first divided by its largest |coordinate|. Snapshots reuse the
-    epoch structure with one inner step per epoch (i = 0, tau = -1). The
-    loop records each snapshot's gradient norm and, in one pass over the
-    coordinates, each coordinate's w0 and, with record_steps, its signed
-    step step_l; _trajectory derives the rest, the ratio |step_l| included.
+    norm is first divided by its largest |coordinate|, and one with a NaN
+    coordinate is not clipped. Snapshots reuse the epoch structure with one
+    inner step per epoch (i = 0, tau = -1). The loop records each
+    snapshot's gradient norm and, in one pass over the coordinates, each
+    coordinate's w0 and, with record_steps, its signed step step_l;
+    _trajectory derives the rest, the ratio |step_l| included.
     """
     check(gd_run, eta1=eta1, steps=steps, schedule=schedule, clip_threshold=clip_threshold)
     w = check_point(obj, w0)
@@ -436,8 +437,9 @@ def gd_run(
             if math.isfinite(gn):
                 c = clip_threshold / gn
                 step_vec = [v * c for v in g]
-            else:
-                # direction only defined by the infinite coordinates
+            elif not any(map(math.isnan, g)):
+                # direction only defined by the infinite coordinates (a NaN
+                # partial is stepped unclipped, so the guard stops the run)
                 infs = [l for l in range(d) if math.isinf(g[l])]
                 scale = clip_threshold / math.sqrt(len(infs))
                 step_vec = [

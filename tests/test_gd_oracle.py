@@ -103,7 +103,7 @@ def reference_gd_run(
             if math.isfinite(gn):
                 c = clip_threshold / gn
                 step_vec = [v * c for v in g]
-            else:
+            elif not any(math.isnan(v) for v in g):
                 # direction only defined by the infinite coordinates
                 infs = [l for l in range(d) if math.isinf(g[l])]
                 scale = clip_threshold / math.sqrt(len(infs))
@@ -177,14 +177,17 @@ def assert_same_gd_run(got: Trajectory, expected: dict) -> None:
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
-def boundary_drift(bound: float, past: float) -> FiniteSumObjective:
+def boundary_drift(bound: float, past: float, past_y: Optional[float] = None) -> FiniteSumObjective:
     """Two components, d = 2, whose mean gradient pushes x upward at a
     constant rate and turns x's partial into ``past`` (+-inf or NaN) once x
-    is above ``bound``; y's partial stays finite, so clipping keeps only the
+    is above ``bound``. y's partial turns into ``past_y`` there too when it
+    is given, and otherwise stays finite, so clipping keeps only the
     infinite coordinate."""
 
     def grad_fn(j, w):
-        return [-1.0 - 0.5 * j if w[0] <= bound else past, 0.25 * (j + 1)]
+        if w[0] <= bound:
+            return [-1.0 - 0.5 * j, 0.25 * (j + 1)]
+        return [past, 0.25 * (j + 1) if past_y is None else past_y]
 
     return FiniteSumObjective(
         KIND_CUSTOM, 2, 2, {},
@@ -217,7 +220,8 @@ def problems(draw):
         return obj, [x, draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0, **finite)))]
     bound = draw(st.one_of(st.floats(0.5, 5.0, **finite), st.just(math.inf)))
     past = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-    return boundary_drift(bound, past), [draw(st.floats(-1.0, 0.5, **finite)), 0.0]
+    past_y = draw(st.sampled_from([None, math.inf, math.nan]))
+    return boundary_drift(bound, past, past_y), [draw(st.floats(-1.0, 0.5, **finite)), 0.0]
 
 
 gd_options = st.fixed_dictionaries({
@@ -250,6 +254,10 @@ def test_gd_oracle_covers_every_status_and_the_infinite_clip():
         (STATUS_DIVERGED, zhang_counterexample(), [0.5], dict(eta1=1e101, steps=5)),
         (STATUS_DIVERGED, boundary_drift(1.0, math.inf), [0.0, 0.0], dict(eta1=0.5, steps=10)),
         (STATUS_NONFINITE, boundary_drift(1.0, math.nan), [0.0, 0.0], dict(eta1=0.5, steps=10)),
+        # x's partial turns +inf past the bound and y's NaN: clipping does
+        # not drop the NaN, and the guard stops the run
+        (STATUS_NONFINITE, boundary_drift(1.0, math.inf, math.nan), [0.0, 0.0],
+         dict(eta1=0.5, steps=10, clip_threshold=0.5, schedule=SCHEDULE_DIMINISHING)),
         # x's partial turns +inf past the bound: the clipped step is
         # (-0.5 * eta, 0.0) there, and the run completes
         (STATUS_COMPLETED, boundary_drift(1.0, math.inf), [0.0, 0.0],

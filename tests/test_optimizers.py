@@ -441,6 +441,17 @@ def test_clipped_gd_keeps_the_direction_of_a_finite_gradient_whose_norm_overflow
     assert traj.final_w == pytest.approx([w - 3.0 * eta1 * v for w, v in zip(w0, step)], rel=1e-15)
 
 
+@pytest.mark.parametrize("grad", [[math.inf, math.nan], [math.nan, -math.inf], [1e300, math.nan]])
+def test_clipped_gd_stops_on_a_nan_partial_as_plain_gd_does(grad):
+    # beside an infinite partial, a NaN one used to get a 0.0 clipped step,
+    # and the run completed at (-0.30000000000000004, 0.0)
+    obj = constant_gradient(grad)
+    clipped = gd_run(obj, [0.0, 0.0], eta1=0.1, steps=3, clip_threshold=1.0)
+    plain = gd_run(obj, [0.0, 0.0], eta1=0.1, steps=3)
+    assert (clipped.status, clipped.fail_step) == (plain.status, plain.fail_step) == (STATUS_NONFINITE, (1, 0))
+    assert repr(clipped.final_w) == repr(plain.final_w)
+
+
 @given(st.lists(st.floats(), max_size=8))
 @example([-0.0, 0.0, -math.inf, math.inf, -math.nan, math.nan, -5e-324, -1e308])
 @settings(max_examples=200, deadline=None)

@@ -15,7 +15,8 @@ import orjson
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.artifacts import CSV_BLOCK_ROWS, open_csv, write_csv, write_rows
+from adamlab import artifacts
+from adamlab.artifacts import CSV_BLOCK_ROWS, _cells, open_csv, write_csv, write_rows
 
 B = CSV_BLOCK_ROWS
 
@@ -149,6 +150,78 @@ def test_write_csv_writes_each_special_float_among_window_cells(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+# |x| in [lo, hi) for each magnitude that needs its own spelling rule, and
+# repr's window, where orjson's cells are kept
+MAGNITUDES = {
+    "small": (5e-324, 1e-9),
+    "padded": (1e-9, 1e-5),
+    "band": (1e-5, 1e-4),
+    "window": (1e-4, 1e16),
+    "large": (1e16, math.inf),
+}
+NONFINITE = [math.nan, math.inf, -math.inf, _float(0x7FF8000000000001), _float(0xFFF8000000000000)]
+
+
+def _magnitude_bulk(rng, rows, magnitude):
+    """rows values of one magnitude and either sign: log-uniform, a quarter
+    of them with one to three significant digits, and the two edges of the
+    magnitude at drawn positions."""
+    if magnitude == "nonfinite":
+        return rng.choice(np.array(NONFINITE), rows)
+    lo, hi = MAGNITUDES[magnitude]
+    top = np.nextafter(hi, 0.0)
+    x = np.exp2(rng.uniform(np.log2(lo), np.log2(top), rows))
+    exps = rng.integers(math.floor(math.log10(lo)), math.floor(math.log10(top)) + 1, rows)
+    short = np.array([f"{m}e{e}" for m, e in zip(rng.integers(1, 1000, rows), exps)]).astype(np.float64)
+    x = np.clip(np.where(rng.random(rows) < 0.25, short, x), lo, top)
+    x[rng.integers(0, rows, 2)] = [lo, top]
+    return x * rng.choice([-1.0, 1.0], rows)
+
+
+@st.composite
+def magnitude_columns(draw):
+    """(header, columns) of one to three magnitudes each: a column is its
+    first magnitude's cells, with a few or half of its rows taken from each
+    other magnitude."""
+    rows = draw(st.sampled_from(ROW_COUNTS[1:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = draw(st.lists(st.sampled_from([*MAGNITUDES, "nonfinite"]), min_size=1, max_size=3, unique=True))
+        col = _magnitude_bulk(rng, rows, kinds[0])
+        for kind in kinds[1:]:
+            taken = rng.random(rows) < draw(st.sampled_from([0.01, 0.5]))
+            col = np.where(taken, _magnitude_bulk(rng, rows, kind), col)
+        cols.append(col)
+    return [f"c{j}" for j in range(len(cols))], cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(magnitude_columns())
+def test_write_csv_writes_blocks_of_each_magnitude_as_the_repr_writer(tmp_path_factory, table):
+    header, cols = table
+    out = tmp_path_factory.mktemp("csv")
+    reference_write_csv(str(out / "old.csv"), header, cols)
+    write_csv(str(out / "new.csv"), header, [cols])
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def test_cells_of_an_empty_block_are_none():
+    assert _cells(np.array([], dtype=np.float64)) == []
+    assert _cells(np.array([], dtype=np.int64)) == []
+
+
+def test_cells_formats_no_float_by_a_per_cell_repr(monkeypatch):
+    def no_repr(value):
+        raise AssertionError(f"repr({value!r})")
+
+    monkeypatch.setattr(artifacts, "repr", no_repr, raising=False)
+    rng = np.random.default_rng(0)
+    blocks = [np.array(SPECIAL_FLOATS)] + [_magnitude_bulk(rng, 8, m) for m in [*MAGNITUDES, "nonfinite"]]
+    for vals in blocks:
+        assert _cells(vals) == [repr(v) for v in vals.tolist()]
+
+
 # Inside repr's window write_csv keeps the cells orjson writes; these are
 # the notations it relies on.
 ORJSON_NOTATION = [
@@ -178,8 +251,17 @@ def test_orjson_notation_inside_the_window_is_repr():
 # the notations its rewrites expect.
 ORJSON_SPELLING = [
     (1e-5, "0.00001"),
+    (-0.000045, "-0.000045"),
+    (0.0000123, "0.0000123"),
+    (0.00009, "0.00009"),
     (1e-7, "1e-7"),
+    (1.5e-7, "1.5e-7"),
+    (1e-9, "1e-9"),
+    (9.999999999999999e-10, "9.999999999999999e-10"),
+    (1e-10, "1e-10"),
+    (1.4e-23, "1.4e-23"),
     (1e16, "1e16"),
+    (1.5e17, "1.5e17"),
     (5e-324, "5e-324"),
     (math.nan, "null"),
     (math.inf, "null"),
