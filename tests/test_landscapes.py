@@ -166,14 +166,16 @@ def test_counterexample_kernel_matches_value_fn_bit_for_bit(x, scale):
 def one_dimensional_objectives(draw):
     """The counterexample at either sign of its scale, or a d = 1
     QuadraticSum; coefficients large enough that a gradient at |x| up to
-    1e200 overflows. The QuadraticSum's curvature-center products stay
-    finite, which its builder's weighted center needs."""
+    1e200 overflows. The QuadraticSum's builder refuses a finite sum past
+    the float range, so its centers stay within 1e78: each center lies
+    within 2e78 of the weighted center, and the at most five terms
+    a_j / 2 * t^2 of the minimum value sum to at most 5 * 2e306 = 1e307."""
     if draw(st.booleans()):
         sign = draw(st.sampled_from([1.0, -1.0]))
         return zhang_counterexample(sign * draw(st.floats(1e-300, 1e300)))
     n = draw(st.integers(1, 5))
     curvatures = draw(st.lists(st.floats(1e-300, 1e150), min_size=n, max_size=n))
-    center = st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=1)
+    center = st.lists(st.floats(-1e78, 1e78), min_size=1, max_size=1)
     return quadratic_sum(curvatures, draw(st.lists(center, min_size=n, max_size=n)))
 
 
@@ -181,6 +183,7 @@ def one_dimensional_objectives(draw):
 @example(zhang_counterexample(1e200), 1e200)  # 2e200 * (x - 1.0) is inf
 @example(zhang_counterexample(-1e200), -1e200)
 @example(quadratic_sum([1e300], [[-1e200]]), 1e200)
+@example(quadratic_sum([1e150, 1e150], [[1e78], [-1e78]]), 1e200)
 @example(zhang_counterexample(5e-324), -0.0)
 @settings(max_examples=300, deadline=None)
 def test_grad1_fn_is_grad_fn_bit_for_bit(obj, x):
