@@ -25,31 +25,31 @@ CSV_BLOCK_ROWS = 1024
 # orjson writes a float64 with repr's shortest round-trip digits, and spells
 # it as repr does for 1e-4 <= |x| < 1e16, for +-0.0 and for |x| < 1e-9, whose
 # negative exponents have two or three digits ("1.4e-23"): these cells are
-# PLAIN. Every other cell needs one rule, PADDED plus the bin of its |x|
+# _PLAIN. Every other cell needs one rule, _PADDED plus the bin of its |x|
 # among _ODD_EDGES (np.searchsorted, side "right", which puts NaN above inf):
-# - PADDED, 1e-9 <= |x| < 1e-5: the one-digit exponent gains repr's zero,
+# - _PADDED, 1e-9 <= |x| < 1e-5: the one-digit exponent gains repr's zero,
 #   "e-" -> "e-0" ("1.5e-7" -> "1.5e-07");
-# - BAND, 1e-5 <= |x| < 1e-4, which orjson writes positionally and repr with
+# - _BAND, 1e-5 <= |x| < 1e-4, which orjson writes positionally and repr with
 #   exponent -5: "0.0000" is cut, a "." put after the first digit and
 #   "e-05" appended ("0.0000123" -> "1.23e-05", "0.00001" -> "1e-05");
-# - SIGNED, finite |x| >= 1e16: repr's "+", "e" -> "e+" ("1e16" -> "1e+16");
-# - NONFINITE, NaN and +-inf, which orjson writes as null: "nan", "inf" and
+# - _SIGNED, finite |x| >= 1e16: repr's "+", "e" -> "e+" ("1e16" -> "1e+16");
+# - _NONFINITE, NaN and +-inf, which orjson writes as null: "nan", "inf" and
 #   "-inf".
-PLAIN, PADDED, BAND, SIGNED, NONFINITE = range(5)
+_PLAIN, _PADDED, _BAND, _SIGNED, _NONFINITE = range(5)
 _ODD_EDGES = np.array([1e-5, 1e-4, math.inf])
 
 
 def _rule_cells(rule: int, vals: np.ndarray) -> list[str]:
     """The cells of a non-empty contiguous numeric array whose every cell
     needs rule: one orjson call, its text rewritten by that rule."""
-    if rule == NONFINITE:
+    if rule == _NONFINITE:
         return np.where(np.isnan(vals), "nan", np.where(vals > 0, "inf", "-inf")).tolist()
     text = orjson.dumps(vals, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
-    if rule == PADDED:
+    if rule == _PADDED:
         text = text.replace(b"e-", b"e-0")
-    elif rule == SIGNED:
+    elif rule == _SIGNED:
         text = text.replace(b"e", b"e+")
-    elif rule == BAND:
+    elif rule == _BAND:
         # "0.0000" -> ".", then each "." and the first digit after it swap
         chars = np.frombuffer(bytearray(text.replace(b"0.0000", b".")), np.uint8)
         dots = np.flatnonzero(chars == ord("."))
@@ -65,25 +65,25 @@ def _cells(vals: np.ndarray) -> list[str]:
     """The CSV cells of one int or float64 column block: the repr of each
     Python int or float it holds, never formatted by a per-cell repr. A
     block whose cells all need one rule takes that rule's one orjson call
-    (_rule_cells); most blocks are all PLAIN. Any other block takes one
-    PLAIN call, and each other rule's cells are formatted again by that
+    (_rule_cells); most blocks are all _PLAIN. Any other block takes one
+    _PLAIN call, and each other rule's cells are formatted again by that
     rule and put back by index."""
     if not len(vals):
         return []
     vals = np.ascontiguousarray(vals)
     if vals.dtype.kind != "f":
-        return _rule_cells(PLAIN, vals)
+        return _rule_cells(_PLAIN, vals)
     a = np.abs(vals)
-    # the cells that are not PLAIN, NaN among them
+    # the cells that are not _PLAIN, NaN among them
     odd = np.flatnonzero(~((a < 1e-9) | ((a >= 1e-4) & (a < 1e16))))
     if not len(odd):
-        return _rule_cells(PLAIN, vals)
-    rules = np.searchsorted(_ODD_EDGES, a[odd], side="right") + PADDED
-    counts = np.bincount(rules, minlength=NONFINITE + 1).tolist()
+        return _rule_cells(_PLAIN, vals)
+    rules = np.searchsorted(_ODD_EDGES, a[odd], side="right") + _PADDED
+    counts = np.bincount(rules, minlength=_NONFINITE + 1).tolist()
     if len(vals) in counts:
         return _rule_cells(counts.index(len(vals)), vals)
-    cells = _rule_cells(PLAIN, vals)
-    for rule in range(PADDED, NONFINITE + 1):
+    cells = _rule_cells(_PLAIN, vals)
+    for rule in range(_PADDED, _NONFINITE + 1):
         if counts[rule]:
             at = odd[rules == rule]
             for j, cell in zip(at.tolist(), _rule_cells(rule, vals[at])):

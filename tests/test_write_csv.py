@@ -206,7 +206,7 @@ def test_write_csv_writes_blocks_of_each_magnitude_as_the_repr_writer(tmp_path_f
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
-def test_cells_of_an_empty_block_are_none():
+def test_cells_of_an_empty_block_are_empty():
     assert _cells(np.array([], dtype=np.float64)) == []
     assert _cells(np.array([], dtype=np.int64)) == []
 
