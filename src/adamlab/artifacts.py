@@ -134,14 +134,6 @@ def open_csv(path: str, header: Sequence[str]) -> Iterator[TextIO]:
         yield fh
 
 
-def write_csv(path: str, header: Sequence[str], runs: Sequence[Sequence]) -> None:
-    """Write a header line, then each run's rows (write_rows), a run listing
-    its columns in header order."""
-    with open_csv(path, header) as fh:
-        for cols in runs:
-            write_rows([(fh, cols)])
-
-
 def write_json(payload: dict | list, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -155,20 +147,16 @@ def table_columns(table: list[dict[str, Any]]) -> tuple[list[str], list[list]]:
     return names, [[block[name] for name in names] for block in table]
 
 
-def write_table(table: list[dict[str, Any]], path_base: str, fmt: str) -> str:
-    """Write a plot table with its columns in name order, each run's shared
-    values repeated down its rows: as JSON, a list of one object per row; as
-    CSV, a header line and the rows, or one empty line when the table has no
-    rows."""
+def write_table(table: list[dict[str, Any]], path_base: str) -> str:
+    """Write a plot table as JSON, a list of one object per row, with its
+    columns in name order and each run's shared values repeated down its
+    rows. A CSV plot table is written by emit, each run's block beside its
+    trajectory.csv (write_rows)."""
     names, runs = table_columns(table)
-    if fmt == "json":
-        path = path_base + ".json"
-        write_json([
-            dict(zip(names, vals))
-            for block, cols in zip(table, runs)
-            for vals in zip(*(c.tolist() if isinstance(c, np.ndarray) else [c] * len(block["k"]) for c in cols))
-        ], path)
-        return path
-    path = path_base + ".csv"
-    write_csv(path, names, runs)
+    path = path_base + ".json"
+    write_json([
+        dict(zip(names, vals))
+        for block, cols in zip(table, runs)
+        for vals in zip(*(c.tolist() if isinstance(c, np.ndarray) else [c] * len(block["k"]) for c in cols))
+    ], path)
     return path

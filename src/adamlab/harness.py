@@ -485,12 +485,22 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions, landscape:
     problem_constants = _pick(pc, "L0", "L1", "D0", "D1", "f_gap")
 
     combos = sorted(itertools.product(opt.beta1_grid, opt.beta2_grid, opt.eta1_grid, opt.schedules))
+    combos = [combo for combo in combos if combo[0] * combo[0] < combo[1]]
+    # every audited cell's constants, before the first run: a grid value
+    # they cannot be computed at is refused by its key
+    constants = {}
+    for beta1, beta2, eta1, _ in combos:
+        try:
+            constants[beta1, beta2, eta1] = compute_constants(beta1, beta2, eta1, pc)
+        except ValueError as exc:  # led by the name of the argument at fault
+            arg, _, why = str(exc).partition(": ")
+            grid = getattr(opt, f"{arg}_grid")
+            value = {"beta1": beta1, "beta2": beta2, "eta1": eta1}[arg]
+            raise ValueError(f"options.{arg}_grid[{grid.index(value)}]: {why}") from None
     for beta1, beta2, eta1, schedule in combos:
-        if beta1 * beta1 >= beta2:
-            continue
         arm = AdamArm(beta1, beta2, eta1, opt.xi, schedule, opt.init_mode)
         traj = run_arm(obj, w0, arm, config.T, config.seeds[0], True)
-        tc = compute_constants(beta1, beta2, eta1, pc)
+        tc = constants[beta1, beta2, eta1]
         row = {"beta1": beta1, "beta2": beta2, "eta1": eta1, "schedule": schedule, "C1": tc.C1, "C2": tc.C2}
         for rep in (check_bounded_update(traj, tc), check_u_gap(traj, tc)):
             row[rep.name] = {"checked": rep.checked, "violations": rep.violation_count, "max_ratio": rep.max_ratio}
@@ -686,7 +696,7 @@ def emit(result: ExperimentResult, out_root: str, fmt: Optional[str] = None) -> 
             if fmt == "csv":
                 written.append(os.path.join(work, name + ".csv"))
             else:
-                written.append(write_table(result.plot_tables[name], os.path.join(work, name), fmt))
+                written.append(write_table(result.plot_tables[name], os.path.join(work, name)))
 
         if os.path.isdir(exp_dir):
             os.rename(exp_dir, old)

@@ -4,11 +4,12 @@ Each objective is f(w) = (1/n) * sum_j f_j(w), one frozen
 ``FiniteSumObjective`` record. Component values and gradients are exposed raw
 (unaveraged), as the builder's ``value_fn(j, w)`` and ``grad_fn(j, w)``,
 because reshuffled optimizers consume them one at a time; ``value`` and
-``full_grad`` average. A one-dimensional objective may also carry
-``grad1_fn(j, x)``, the component gradient as a float of a float, equal to
-``grad_fn(j, [x])[0]`` bit for bit: Adam's inner step runs a scalar body on
-it (``optimizers.adam_epoch``). ``ZhangCounterexample`` and a d = 1
-``QuadraticSum`` supply one.
+``full_grad`` average. A one-dimensional objective whose component
+gradients are affine may also carry ``affine1 = (coefs, centers)``, with
+``grad_fn(j, [x])[0]`` written as ``coefs[j] * (x - centers[j])``: Adam
+runs such an objective in one loop with that expression inline
+(``optimizers.adam_run``). ``ZhangCounterexample`` and a d = 1
+``QuadraticSum`` carry one.
 
 No method checks its point or index: ``check_point`` refuses a wrong
 dimension or a non-finite coordinate once, where a point enters a run or a
@@ -215,7 +216,8 @@ class FiniteSumObjective:
     local Lipschitz bound for the full gradient at w), ``values_fn(W)``
     (row kernel: rows x d points -> rows x n component values, each equal
     to value_fn's bit for bit) and, keyword only and for d = 1 only,
-    ``grad1_fn(j, x)`` (the float ``grad_fn(j, [x])[0]``, bit for bit).
+    ``affine1 = (coefs, centers)``, n floats each, with which ``grad_fn(j,
+    [x])[0]`` is ``coefs[j] * (x - centers[j])`` bit for bit.
     """
 
     kind: str
@@ -230,12 +232,12 @@ class FiniteSumObjective:
     known_min: Optional[float] = None
     known_D0_D1: Optional[tuple[float, float]] = None
     known_L0_L1: Optional[tuple[float, float]] = None
-    grad1_fn: Optional[Callable[[int, float], float]] = field(default=None, kw_only=True)
+    affine1: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         check(FiniteSumObjective, n=self.n, d=self.d)
-        if self.grad1_fn is not None and self.d != 1:
-            raise ValueError(f"grad1_fn needs d=1, objective has d={self.d}")
+        if self.affine1 is not None and self.d != 1:
+            raise ValueError(f"affine1 needs d=1, objective has d={self.d}")
 
     # -- evaluation, unchecked (see check_point) -----------------------------
 
@@ -320,9 +322,6 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
     def grad_fn(j: int, w: Sequence[float]) -> Vector:
         return [coefs[j] * (w[0] - centers[j])]
 
-    def grad1_fn(j: int, x: float) -> float:
-        return coefs[j] * (x - centers[j])
-
     def values_fn(W: np.ndarray) -> np.ndarray:
         # value_fn's expressions, one column per component
         x = W[:, 0]
@@ -350,7 +349,7 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
         values_fn=values_fn,
-        grad1_fn=grad1_fn,
+        affine1=(coefs, centers),
         known_min=-s / 90.0 if s > 0 else None,
         known_L0_L1=(2.0 * abs(s), 0.0),
     )
@@ -466,13 +465,8 @@ def quadratic_sum(curvatures: list[Positive], centers: list[list[float]]) -> Fin
     def grad_fn(j: int, w: Sequence[float]) -> Vector:
         return [a[j] * (w[l] - cs[j][l]) for l in range(d)]
 
-    grad1_fn = None
-    if d == 1:  # grad_fn's one coordinate
-        coefs, centers = tuple(a), tuple(c[0] for c in cs)
-
-        def grad1_fn(j: int, x: float) -> float:
-            return coefs[j] * (x - centers[j])
-
+    # grad_fn's one coordinate: a[j] * (x - cs[j][0])
+    affine1 = (tuple(a), tuple(c[0] for c in cs)) if d == 1 else None
     half, C = 0.5 * np.array(a), np.array(cs)
 
     def values_fn(W: np.ndarray) -> np.ndarray:
@@ -498,7 +492,7 @@ def quadratic_sum(curvatures: list[Positive], centers: list[list[float]]) -> Fin
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
         values_fn=values_fn,
-        grad1_fn=grad1_fn,
+        affine1=affine1,
         known_min=fmin,
         known_L0_L1=(max(a), 0.0),
     )

@@ -6,6 +6,11 @@ First and second moment accumulators carry over across epoch boundaries; no
 bias correction is applied anywhere. Step size schedules: eta_k = eta1 /
 sqrt(k) ("Diminishing", k = epoch index from 1) or constant eta1.
 
+adam_run has two loops with one update rule. An objective that carries an
+``affine1`` pair (d = 1, component gradient coefs[j] * (x - centers[j]))
+runs in one loop in adam_run's own frame, that gradient written inline;
+any other objective runs adam_epoch, the generic loop, once per epoch.
+
 Runs never raise on numerical blow-up: iterates are monitored and the
 trajectory ends with status "Diverged" (sup-norm above 1e100, infinities
 included) or "NonFinite" (NaN in the iterate), recording the failing step.
@@ -205,16 +210,13 @@ def adam_epoch(
     ``steps`` are given, append tau to them once and each step's w_before and
     signed ratio r; _trajectory derives the rest of each row. Returns the
     (epoch, inner index) of the step whose result tripped the guard, or
-    None."""
+    None. The generic loop: adam_run takes it for objectives without an
+    ``affine1`` pair."""
     # Each step's iterate is the start point adam_init checked or one the
     # guard passed. The builder's callable is bound once per epoch: calling
     # the component_grad method per inner step made Fig3's run 7-10% slower
-    # in CPU time. An objective with a grad1_fn (d = 1) takes the scalar
-    # body below instead: the same update, rule, guard and records, on the
-    # moments and iterate held in locals, with no one-element gradient list
-    # and no coordinate loop. That cut Fig3's run_s by about a quarter
-    # (BENCH_18_parent.json -> BENCH_18.json).
-    grad1 = obj.grad1_fn
+    # in CPU time.
+    grad_fn = obj.grad_fn
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
@@ -222,33 +224,9 @@ def adam_epoch(
     record = steps is not None
     if record:
         steps["tau"].extend(tau)
-        add_w = steps["w_before"].extend if grad1 is None else steps["w_before"].append
+        add_w = steps["w_before"].extend
         add_ratio = steps["ratio"].append
     sqrt, sup = math.sqrt, GUARD_SUP_NORM
-
-    if grad1 is not None:
-        x, m, nu, x_prev = state.w[0], state.m[0], state.nu[0], state.w_prev[0]
-        fail = None
-        for i, j in enumerate(tau):
-            g = grad1(j, x)
-            if record:
-                add_w(x)
-            nu = beta2 * nu + one_m_b2 * g * g
-            m = beta1 * m + one_m_b1 * g
-            den = sqrt(nu) + xi
-            r = m / den if den != 0.0 else 0.0  # as in the loop below
-            x_prev = x
-            x = x - eta * r
-            if record:
-                add_ratio(r)
-            if not abs(x) <= sup:
-                fail = (k, i)
-                break
-        state.w[0], state.m[0], state.nu[0], state.w_prev[0] = x, m, nu, x_prev
-        state.k = k + 1
-        return fail
-
-    grad_fn = obj.grad_fn
     coords = range(obj.d)
     w, m, nu, w_prev = state.w, state.m, state.nu, state.w_prev
 
@@ -362,26 +340,84 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, etas: np.ndarr
 
 def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -> Trajectory:
     """Full reshuffled-Adam run with epoch-boundary snapshots for k = 1..K+1
-    (the final boundary only when the run completes)."""
+    (the final boundary only when the run completes).
+
+    An objective with an ``affine1`` pair runs in the one loop below, its
+    component gradient ``coefs[j] * (x - centers[j])`` written inline: the
+    update, rule, guard and records of adam_epoch, on x, m, nu and the
+    previous iterate held in locals. Every other objective runs one
+    adam_epoch call per epoch."""
     state = adam_init(obj, w0, params)
     etas = eta_schedule(params.eta1, params.schedule, params.epochs + 1)
     snaps = {"w0": [], "w_prev": [], "grad_norm": []}
     steps = {"tau": [], "w_before": [], "ratio": []}
-    record = steps if params.record_steps else None
+    orders = zip(_epoch_orders(state.stream, obj.n, params.epochs), memoryview(etas))
     status = STATUS_COMPLETED
     fail: Optional[tuple[int, int]] = None
 
-    for tau, eta in zip(_epoch_orders(state.stream, obj.n, params.epochs), memoryview(etas)):
-        _snapshot(state, obj, snaps)
-        fail = adam_epoch(state, obj, params, tau, eta, record)
-        if fail is not None:
-            status = _classify(state.w)
-            break
+    if obj.affine1 is None:
+        record = steps if params.record_steps else None
+        for tau, eta in orders:
+            _snapshot(state, obj, snaps)
+            fail = adam_epoch(state, obj, params, tau, eta, record)
+            if fail is not None:
+                status = _classify(state.w)
+                break
+        else:
+            # closing boundary snapshot k = K+1
+            _snapshot(state, obj, snaps)
+        return _trajectory(obj, "adam", asdict(params), etas, snaps, steps, status, fail, state.w)
+
+    # One frame for the whole run: the snapshot is _snapshot's, through the
+    # full_grad method (the benchmark's traced leaf, one call per snapshot).
+    # Against one adam_epoch and one _snapshot call per epoch, this loop cut
+    # fig3_sweep's run_s from 0.662 to 0.516 s and lemma_audit's from 0.348
+    # to 0.297 s (BENCH_31_parent.json -> BENCH_31.json).
+    coefs, centers = obj.affine1
+    beta1, beta2, xi = params.beta1, params.beta2, params.xi
+    one_m_b1 = 1.0 - beta1
+    one_m_b2 = 1.0 - beta2
+    record = params.record_steps
+    add_tau, add_w, add_ratio = steps["tau"].extend, steps["w_before"].append, steps["ratio"].append
+    add_w0, add_prev, add_norm = snaps["w0"].append, snaps["w_prev"].append, snaps["grad_norm"].append
+    full_grad, hypot, sqrt, sup = obj.full_grad, math.hypot, math.sqrt, GUARD_SUP_NORM
+    x, m, nu, x_prev = state.w[0], state.m[0], state.nu[0], state.w_prev[0]
+    k = 1
+    for tau, eta in orders:
+        add_w0(x)
+        add_prev(x_prev)
+        add_norm(hypot(*full_grad([x])))
+        if record:
+            add_tau(tau)
+        for j in tau:
+            g = coefs[j] * (x - centers[j])
+            if record:
+                add_w(x)
+            nu = beta2 * nu + one_m_b2 * g * g
+            m = beta1 * m + one_m_b1 * g
+            den = sqrt(nu) + xi
+            r = m / den if den != 0.0 else 0.0  # as in adam_epoch
+            x_prev = x
+            x = x - eta * r
+            if record:
+                add_ratio(r)
+            # true for NaN and for |x| above the bound, infinities included
+            if not -sup <= x <= sup:
+                break
+        else:
+            k += 1
+            continue
+        # the guard tripped on component j; tau is a permutation, so its
+        # inner index is j's place in tau
+        fail = (k, tau.index(j))
+        status = _classify([x])
+        break
     else:
         # closing boundary snapshot k = K+1
-        _snapshot(state, obj, snaps)
-
-    return _trajectory(obj, "adam", asdict(params), etas, snaps, steps, status, fail, state.w)
+        add_w0(x)
+        add_prev(x_prev)
+        add_norm(hypot(*full_grad([x])))
+    return _trajectory(obj, "adam", asdict(params), etas, snaps, steps, status, fail, [x])
 
 
 # ---------------------------------------------------------------------------

@@ -144,11 +144,15 @@ def compute_constants(beta1: Beta1, beta2: Beta2, eta1: CubeFinite, pc: ProblemC
     Domain: 0 <= beta1 < 1, 0 < beta2 < 1, beta1^2 < beta2, eta1 > 0 with a
     finite cube (CubeFinite). When g(beta2) is infinite (memory too short),
     C8..C13 come back +inf; the admissibility threshold beta2 > gamma
-    excludes that region anyway.
+    excludes that region anyway. Two denominators can round to zero inside
+    that domain: 1 - sqrt(beta2^n), at n = 1 and beta2 within an ulp of 1,
+    and (1 - beta1) * eta1, for an eta1 near the smallest float. Either
+    raises ValueError, as every refusal here does, with a message led by
+    the name of the argument at fault.
     """
     check(compute_constants, beta1=beta1, beta2=beta2, eta1=eta1)
     if beta1 * beta1 >= beta2:
-        raise ValueError("need beta1^2 < beta2")
+        raise ValueError("beta1: need beta1^2 < beta2")
 
     L0, L1, D0, D1, n, d = pc.L0, pc.L1, pc.D0, pc.D1, pc.n, pc.d
     sD0, sD1 = math.sqrt(D0), math.sqrt(D1)
@@ -168,6 +172,8 @@ def compute_constants(beta1: Beta1, beta2: Beta2, eta1: CubeFinite, pc: ProblemC
     )
     C4 = 4.0 * L1 * C1 * sD1 * math.sqrt(1.0 - beta2) / (1.0 - sb2)
     hull = 1.0 - s_bn  # 1 - sqrt(beta2^n)
+    if hull == 0.0:
+        raise ValueError(f"beta2: 1 - sqrt(beta2**n) is 0.0 at beta2 {beta2!r} and n {n}, and C5, C6 and C7 divide by it")
     C5 = n * n * (1.0 + n * sqd * C1 * eta1 * L1 * sqn * sD1) * (C4 + d * C4 * sD1 / hull)
     C6 = (d * C3 + C4 * n * sD1 / hull) * eta1 * eta1
     C7 = (
@@ -178,6 +184,8 @@ def compute_constants(beta1: Beta1, beta2: Beta2, eta1: CubeFinite, pc: ProblemC
     gval = _g(beta2, n)
     if math.isinf(gval):
         C8 = C9 = C10 = C11 = C12 = C13 = math.inf
+    elif (1.0 - beta1) * eta1 == 0.0:
+        raise ValueError(f"eta1: (1 - beta1) * eta1 is 0.0 at beta1 {beta1!r} and eta1 {eta1!r}, and C8 divides by it")
     else:
         root2n = SQRT2 * n / s_bn  # sqrt(2 n^2 / beta2^n)
         C8 = (

@@ -3,8 +3,8 @@
 ``perfbench/op.py`` wraps the functions it names in ``SPAN_TARGETS`` and
 ``LEAF_TARGETS`` and counts work from the trajectories a result returns. A
 refactor that renames one of them, or stops ``adam_run`` from finding
-``adam_epoch`` as a module global, breaks the traced benchmark; these tests
-make it fail here first.
+``adam_epoch`` as a module global where it runs the generic loop, breaks the
+traced benchmark; these tests make it fail here first.
 """
 
 import importlib
@@ -42,6 +42,8 @@ def test_every_traced_target_resolves(op):
 
 
 def test_adam_run_calls_adam_epoch_as_module_global_once_per_epoch(monkeypatch):
+    # the generic loop's objectives, here d = 2; an objective with an
+    # affine1 pair runs in adam_run's own loop and calls it never
     calls = []
     real = optimizers.adam_epoch
 
@@ -50,9 +52,13 @@ def test_adam_run_calls_adam_epoch_as_module_global_once_per_epoch(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(optimizers, "adam_epoch", counted)
-    traj = optimizers.adam_run(zhang_counterexample(), [-2.0], optimizers.AdamParams(epochs=7))
+    obj = lowerbound_objective(1.0, 1.0, 0.5)
+    traj = optimizers.adam_run(obj, [0.5, 2.0], optimizers.AdamParams(epochs=7))
     assert traj.status == optimizers.STATUS_COMPLETED
     assert len(calls) == 7
+    calls.clear()
+    optimizers.adam_run(zhang_counterexample(), [-2.0], optimizers.AdamParams(epochs=7))
+    assert calls == []
 
 
 def _counted(monkeypatch, name):

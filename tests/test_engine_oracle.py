@@ -8,9 +8,9 @@ it takes the no-signal branch only when the denominator is exactly zero, so
 a NaN gradient ends the run NonFinite, and it keeps the epoch's permutation
 and inner index in locals; do not optimize it.
 
-The engine's d = 1 body, taken by objectives that carry a ``grad1_fn``,
-is checked against the same reference, including the generic loop's
-no-signal branch and its ends on NaN and infinite gradients.
+The engine's whole-run loop, taken by objectives that carry an
+``affine1`` pair, is checked against the same reference, including the
+generic loop's no-signal branch and each way a run ends.
 
 The engine stores its trajectory as NumPy columns; every stored column is
 compared with the reference's records by repr. Two record fields are not
@@ -21,7 +21,7 @@ recomputed from the columns and compared too.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import pytest
@@ -251,22 +251,16 @@ def assert_same_run(got: Trajectory, expected: ReferenceTrajectory, obj: FiniteS
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
-def drift_objective(bound: float, past: float, scalar: bool) -> FiniteSumObjective:
+def drift_objective(bound: float, past: float) -> FiniteSumObjective:
     """Three 1-d components whose gradients -1 - j/2 drift the iterate
-    upward, and turn to ``past`` once it exceeds ``bound``. With ``scalar``
-    the objective carries the same gradient as a grad1_fn, so Adam runs its
-    d = 1 body on it; without, its generic loop."""
+    upward, and turn to ``past`` once it exceeds ``bound``. Not affine, so
+    Adam runs its generic loop on it."""
 
     def grad_fn(j, w):
         return [-1.0 - 0.5 * j] if w[0] <= bound else [past]
 
-    def grad1_fn(j, x):
-        return -1.0 - 0.5 * j if x <= bound else past
-
     return FiniteSumObjective(
-        KIND_CUSTOM, 3, 1, {},
-        value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0], grad_fn=grad_fn,
-        grad1_fn=grad1_fn if scalar else None,
+        KIND_CUSTOM, 3, 1, {}, value_fn=lambda j, w: (-1.0 - 0.5 * j) * w[0], grad_fn=grad_fn,
     )
 
 
@@ -275,11 +269,13 @@ def problems(draw):
     """(objective, start point) across the serializable kinds plus a custom
     objective that drifts the iterate upward at a constant gradient and
     turns its gradient non-finite past a bound, so runs fail at varied
-    steps. The counterexample, the d = 1 QuadraticSum and half the drift
-    objectives carry a grad1_fn."""
-    kind = draw(st.sampled_from(["zhang", "quadratic", "lowerbound", "drift", "drift"]))
+    steps. The counterexample and the d = 1 QuadraticSum carry an affine1
+    pair; a counterexample scale near the float range overflows its
+    gradients, so those runs end NonFinite."""
+    kind = draw(st.sampled_from(["zhang", "zhang", "quadratic", "lowerbound", "drift"]))
     if kind == "zhang":
-        scale = draw(st.floats(0.1, 20.0, **finite)) * draw(st.sampled_from([1.0, -1.0]))
+        size = st.one_of(st.floats(0.1, 20.0, **finite), st.sampled_from([1e300, 1e308, 1.7e308]))
+        scale = draw(size) * draw(st.sampled_from([1.0, -1.0]))
         return zhang_counterexample(scale), [draw(st.floats(-5.0, 5.0, **finite))]
     if kind == "quadratic":
         n = draw(st.integers(1, 5))
@@ -299,7 +295,7 @@ def problems(draw):
     # -inf makes the update inf/inf, a NaN iterate; a NaN gradient makes
     # the moments, the update and the iterate NaN, so the run ends NonFinite
     past = draw(st.sampled_from([-math.inf, math.nan]))
-    obj = drift_objective(bound, past, draw(st.booleans()))
+    obj = drift_objective(bound, past)
     return obj, [draw(st.floats(-1.0, 0.5, **finite))]
 
 
@@ -325,8 +321,7 @@ def test_adam_run_matches_scalar_reference_bit_for_bit(problem, params, block_dr
     # small permutation blocks put block boundaries inside short runs
     obj, w0 = problem
     expected = reference_adam_run(obj, w0, params)
-    event(f"status {expected.status}")
-    event(f"d = 1 body {obj.grad1_fn is not None}")
+    event(f"{'generic' if obj.affine1 is None else 'affine'} loop, status {expected.status}")
     saved = optimizers.PERM_BLOCK_DRAWS
     optimizers.PERM_BLOCK_DRAWS = block_draws
     try:
@@ -364,11 +359,11 @@ def test_oracle_covers_every_status():
 @pytest.mark.parametrize("record_steps", [False, True])
 @pytest.mark.parametrize("init_mode", ["PaperTheory", "ZeroState"])
 @pytest.mark.parametrize("schedule", ["Diminishing", "Constant"])
-def test_d1_body_takes_the_no_signal_branch_on_an_all_zero_gradient(schedule, init_mode, record_steps):
+def test_affine_loop_takes_the_no_signal_branch_on_an_all_zero_gradient(schedule, init_mode, record_steps):
     # both centers at the start point: every gradient is 0.0, so with xi = 0
     # every denominator is exactly zero and the iterate never moves
     obj = quadratic_sum([2.0, 3.0], [[0.5], [0.5]])
-    assert obj.grad1_fn is not None
+    assert obj.affine1 is not None
     params = AdamParams(xi=0.0, schedule=schedule, init_mode=init_mode, epochs=4, record_steps=record_steps)
     got = adam_run(obj, [0.5], params)
     assert_same_run(got, reference_adam_run(obj, [0.5], params), obj)
@@ -377,21 +372,41 @@ def test_d1_body_takes_the_no_signal_branch_on_an_all_zero_gradient(schedule, in
     assert not got.steps.ratio.any()
 
 
+@pytest.mark.parametrize("record_steps", [False, True])
+@pytest.mark.parametrize("obj, w0, params, status, fail_step", [
+    (zhang_counterexample(), [0.5], AdamParams(epochs=5), STATUS_COMPLETED, None),
+    # a step of 1e99 leaves the guard's bound on the second step of epoch 2
+    (zhang_counterexample(), [-2.0], AdamParams(eta1=1e99, schedule="Constant", epochs=6, seed=4),
+     STATUS_DIVERGED, (2, 1)),
+    # component 0's gradient, finite at the start, overflows once the first
+    # step moves the iterate to about -3e10; epoch 2 visits it second, where
+    # inf / inf makes the step and the iterate NaN
+    (quadratic_sum([1e300, 1.0], [[0.0], [0.0]]), [1e-147],
+     AdamParams(eta1=1e10, schedule="Constant", init_mode="ZeroState", epochs=4, seed=0),
+     STATUS_NONFINITE, (2, 1)),
+], ids=["completed", "diverged", "nonfinite"])
+def test_affine_loop_ends_each_run_where_the_reference_does(monkeypatch, obj, w0, params, status, fail_step,
+                                                            record_steps):
+    # one epoch per permutation block, so each failing run crosses a block
+    # edge before it fails partway through an epoch
+    monkeypatch.setattr(optimizers, "PERM_BLOCK_DRAWS", obj.n)
+    params = replace(params, record_steps=record_steps)
+    got = adam_run(obj, w0, params)
+    assert obj.affine1 is not None
+    assert (got.status, got.fail_step) == (status, fail_step)
+    assert_same_run(got, reference_adam_run(obj, w0, params), obj)
+
+
 @pytest.mark.parametrize("past, eta1, status", [
     (-math.inf, 0.1, STATUS_NONFINITE),
     (math.nan, 0.1, STATUS_NONFINITE),
     (-1.0, 1e99, STATUS_DIVERGED),
 ])
-def test_d1_body_ends_a_failing_run_where_the_reference_does(past, eta1, status):
-    # the failure falls partway through an epoch, on the same step with and
-    # without the grad1_fn
+def test_generic_loop_ends_a_failing_run_where_the_reference_does(past, eta1, status):
+    # the failure falls partway through an epoch
     params = AdamParams(eta1=eta1, schedule="Constant", epochs=20, seed=5)
-    fails = set()
-    for scalar in (True, False):
-        obj = drift_objective(3.0, past, scalar)
-        got, expected = adam_run(obj, [0.0], params), reference_adam_run(obj, [0.0], params)
-        assert_same_run(got, expected, obj)
-        assert got.status == status
-        fails.add(got.fail_step)
-    [(_, i)] = fails
-    assert i > 0
+    obj = drift_objective(3.0, past)
+    got, expected = adam_run(obj, [0.0], params), reference_adam_run(obj, [0.0], params)
+    assert_same_run(got, expected, obj)
+    assert got.status == status
+    assert got.fail_step[1] > 0

@@ -734,6 +734,30 @@ def test_cli_eta1_with_an_overflowing_cube_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    # (1 - 0.5) * 5e-324 rounds to 0.0, which C8 divides by
+    ({"options": {"eta1_grid": [5e-324]}, "T": 1},
+     "options.eta1_grid[0]: (1 - beta1) * eta1 is 0.0 at beta1 0.5 and eta1 5e-324, and C8 divides by it"),
+    # at n = 1, sqrt(beta2) rounds to 1.0 and 1 - sqrt(beta2**n) to 0.0
+    ({"objective": {"kind": "QuadraticSum", "parameters": {"curvatures": [1.0], "centers": [[0.0]]}},
+      "options": {"beta2_grid": [0.99, 0.9999999999999999]}, "T": 1},
+     "options.beta2_grid[1]: 1 - sqrt(beta2**n) is 0.0 at beta2 0.9999999999999999 and n 1,"
+     " and C5, C6 and C7 divide by it"),
+], ids=["eta1", "beta2"])
+def test_cli_lemma_grid_value_with_a_zero_denominator_is_refused_before_any_run(
+    overrides, message, monkeypatch, tmp_path, capsys
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_arm", no_run)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(overrides))
+    assert cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _axis_item(hint):
     """X if ``hint`` is ``Axis(X)``, else None."""
     if typing.get_origin(hint) is typing.Annotated and typing.get_origin(typing.get_args(hint)[0]) is list:

@@ -192,19 +192,21 @@ def one_dimensional_objectives(draw):
 @example(quadratic_sum([1e150, 1e150], [[1e78], [-1e78]]), 1e200)
 @example(zhang_counterexample(5e-324), -0.0)
 @settings(max_examples=300, deadline=None)
-def test_grad1_fn_is_grad_fn_bit_for_bit(obj, x):
+def test_affine1_pair_is_grad_fn_bit_for_bit(obj, x):
+    coefs, centers = obj.affine1
     for j in range(obj.n):
-        assert repr(obj.grad1_fn(j, x)) == repr(obj.grad_fn(j, [x])[0])
+        assert repr(coefs[j] * (x - centers[j])) == repr(obj.grad_fn(j, [x])[0])
 
 
-def test_grad1_fn_only_on_one_dimension():
-    assert zhang_counterexample(1e200).grad1_fn(0, 1e200) == math.inf
-    assert quadratic_sum([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]]).grad1_fn is None
-    assert lowerbound_objective(1.0, 1.0, 0.5).grad1_fn is None
-    with pytest.raises(ValueError, match="grad1_fn needs d=1"):
+def test_affine1_pair_only_on_one_dimension():
+    coefs, centers = zhang_counterexample(1e200).affine1
+    assert coefs[0] * (1e200 - centers[0]) == math.inf
+    assert quadratic_sum([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]]).affine1 is None
+    assert lowerbound_objective(1.0, 1.0, 0.5).affine1 is None
+    with pytest.raises(ValueError, match="affine1 needs d=1"):
         FiniteSumObjective(
             KIND_CUSTOM, 1, 2, {},
-            value_fn=lambda j, w: 0.0, grad_fn=lambda j, w: [0.0, 0.0], grad1_fn=lambda j, x: 0.0,
+            value_fn=lambda j, w: 0.0, grad_fn=lambda j, w: [0.0, 0.0], affine1=((1.0,), (0.0,)),
         )
 
 

@@ -1,5 +1,6 @@
 import math
 import typing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,7 +192,8 @@ def test_c1_anchor_values():
 
 def test_compute_constants_domain_errors():
     pc = ProblemConstants(L0=1.0, L1=0.0, D0=0.0, D1=1.0, n=4, d=1, f_gap=1.0)
-    with pytest.raises(ValueError):
+    # each refusal's message leads with the argument at fault
+    with pytest.raises(ValueError, match="^beta1: "):
         compute_constants(0.8, 0.5, 0.1, pc)  # beta1^2 >= beta2
     with pytest.raises(ValueError):
         compute_constants(0.0, 0.99, 0.0, pc)
@@ -203,6 +205,19 @@ def test_compute_constants_domain_errors():
         compute_constants(0.0, 0.99, 1e120, pc)
     with pytest.raises(ValueError):
         compute_constants(0.0, 0.99, 0.1, ProblemConstants(L0=-1.0, L1=0.0, D0=0.0, D1=1.0, n=4, d=1, f_gap=1.0))
+
+
+def test_compute_constants_refuses_a_denominator_that_rounds_to_zero():
+    pc = ProblemConstants(L0=1.0, L1=1.0, D0=1.0, D1=1.0, n=1, d=1, f_gap=1.0)
+    below_one = math.nextafter(1.0, 0.0)
+    # pow(beta2, 0.5) rounds to 1.0 at n = 1; at n = 2 beta2 ** 1 does not
+    with pytest.raises(ValueError, match=r"^beta2: 1 - sqrt\(beta2\*\*n\) is 0.0 at beta2 0.9999999999999999 and n 1"):
+        compute_constants(0.0, below_one, 0.1, pc)
+    assert math.isfinite(compute_constants(0.0, below_one, 0.1, replace(pc, n=2)).C5)
+    # (1 - 0.5) * 5e-324 rounds to 0.0; (1 - 0.0) * 5e-324 does not
+    with pytest.raises(ValueError, match=r"^eta1: \(1 - beta1\) \* eta1 is 0.0 at beta1 0.5 and eta1 5e-324"):
+        compute_constants(0.5, 0.999, 5e-324, replace(pc, n=10))
+    assert math.isfinite(compute_constants(0.0, 0.999, 5e-324, replace(pc, n=10)).C8)
 
 
 def test_short_memory_region_yields_infinite_tail_constants():

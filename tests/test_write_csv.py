@@ -1,8 +1,10 @@
-"""write_csv writes the bytes of the per-cell repr writer it replaced.
+"""The CSV writer writes the bytes of the per-cell repr writer it replaced.
 
-The reference below is write_csv as it was before numeric columns were
-formatted by orjson: every cell of a block went through `tolist()` and then
-`repr`, or was written as is when the block's first cell was a string. The
+The reference below is the one-file writer as it was before numeric columns
+were formatted by orjson: every cell of a block went through `tolist()` and
+then `repr`, or was written as is when the block's first cell was a string.
+``write_csv`` below writes one file through the package's writer, a header
+line by ``open_csv`` and then each run's rows by ``write_rows``. The
 property draws columns of every kind the writer takes and compares the
 written bytes.
 """
@@ -16,9 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adamlab import artifacts
-from adamlab.artifacts import CSV_BLOCK_ROWS, _cells, open_csv, write_csv, write_rows
+from adamlab.artifacts import CSV_BLOCK_ROWS, _cells, open_csv, write_rows
 
 B = CSV_BLOCK_ROWS
+
+
+def write_csv(path, header, runs):
+    """A header line, then each run's rows, a run listing its columns in
+    header order: one file through open_csv and write_rows."""
+    with open_csv(path, header) as fh:
+        for cols in runs:
+            write_rows([(fh, cols)])
 
 
 def reference_write_csv(path, header, cols):
