@@ -19,10 +19,15 @@ as ``run(config, options, (obj, w0, con))`` on the landscape that
 ``ExperimentConfig.validate`` built. A runner first builds its runs, each a ``Run`` (id, trajectory, report row,
 plot values), then derives its conclusions from those rows; it returns the
 runs and a dict of the experiment's own report keys (``conclusions``, and
-``construction`` or ``problem_constants``). Every run is one arm, an
-``AdamArm`` or a GD arm (``GdOptions``), run by ``run_arm``, the one caller
-of ``adam_run`` and ``gd_run``; ``_gd_sweep`` builds the GD arms of the three
-step-size sweeps on the Theorem 2 construction. ``run_experiment`` alone
+``construction`` or ``problem_constants``). Every run is one cell: an arm,
+an ``AdamArm`` or a GD arm (``GdOptions``), with a budget, a seed and
+``record_steps``. A runner hands its cells to ``run_cells``, which returns
+their trajectories in cell order: a group of at least ``LOCKSTEP_MIN_LANES``
+Adam cells that share a permutation stream on an objective with an
+``affine1`` pair runs as the lanes of one ``adam_lockstep`` call, and every
+other cell runs ``run_arm``, the one caller of ``adam_run`` and ``gd_run``.
+``_gd_sweep`` builds the GD cells of the three step-size sweeps on the
+Theorem 2 construction. ``run_experiment`` alone
 joins runs and keys: it sorts the runs by id and builds the report's rows,
 the trajectories and the plot table the record names, so a run's row,
 trajectory and block share one id.
@@ -55,6 +60,7 @@ from .optimizers import (
     STATUS_DIVERGED,
     Schedule,
     Trajectory,
+    adam_lockstep,
     adam_run,
     export_trajectory_csv,
     gd_run,
@@ -264,6 +270,10 @@ def _pick(record, *names: str) -> dict:
     return {name: getattr(record, name) for name in names}
 
 
+def _params(arm: AdamArm, budget: int, seed: int, record_steps: bool) -> AdamParams:
+    return AdamParams(**{**vars(arm), "epochs": budget, "seed": seed, "record_steps": record_steps})
+
+
 def run_arm(obj: FiniteSumObjective, w0: list[float], arm: AdamArm | GdOptions, budget: int, seed: int,
             record_steps: bool) -> Trajectory:
     """One run of ``arm`` from ``w0``: ``budget`` GD steps for a GD arm, which
@@ -272,7 +282,41 @@ def run_arm(obj: FiniteSumObjective, w0: list[float], arm: AdamArm | GdOptions, 
     if isinstance(arm, GdOptions):
         return gd_run(obj, w0, arm.eta1, steps=budget, schedule=arm.schedule, clip_threshold=arm.clip_threshold,
                       record_steps=record_steps)
-    return adam_run(obj, w0, AdamParams(**{**vars(arm), "epochs": budget, "seed": seed, "record_steps": record_steps}))
+    return adam_run(obj, w0, _params(arm, budget, seed, record_steps))
+
+
+# (arm, budget, seed, record_steps): one run of a runner
+Cell = tuple[AdamArm | GdOptions, int, int, bool]
+
+# The fewest Adam cells that run_cells advances in lockstep. CPU time of
+# one adam_lockstep call over that of its lanes' adam_run calls, _trajectory
+# included, on the counterexample at 1000 epochs (median of 9 interleaved
+# pairs, BENCH_32.json "crossover"); below 1 the lockstep group is faster:
+#
+#   lanes                4     8     12    16    20    24    48
+#   with step records    2.19  1.57  1.16  0.88  0.86  0.77  0.60
+#   without              4.08  2.31  1.69  1.20  0.95  0.91  0.51
+LOCKSTEP_MIN_LANES = 20
+
+
+def run_cells(obj: FiniteSumObjective, w0: list[float], cells: list[Cell]) -> list[Trajectory]:
+    """The trajectory of each cell from ``w0``, in cell order. Adam cells
+    that share a budget, a seed and record_steps share one permutation
+    stream: on an objective with an ``affine1`` pair, a group of at least
+    LOCKSTEP_MIN_LANES of them runs as the lanes of one adam_lockstep call,
+    bit for bit what run_arm gives each. Every other cell runs run_arm."""
+    trajs: list[Optional[Trajectory]] = [None] * len(cells)
+    groups: dict[tuple, list[int]] = {}
+    if obj.affine1 is not None:
+        for c, (arm, *run) in enumerate(cells):
+            if isinstance(arm, AdamArm):
+                groups.setdefault(tuple(run), []).append(c)
+    for run, lanes in groups.items():
+        if len(lanes) >= LOCKSTEP_MIN_LANES:
+            group = adam_lockstep(obj, w0, [_params(cells[c][0], *run) for c in lanes])
+            for c, traj in zip(lanes, group):
+                trajs[c] = traj
+    return [traj or run_arm(obj, w0, *cell) for traj, cell in zip(trajs, cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +329,17 @@ def run_fig3(config: ExperimentConfig, opt: Fig3Options, landscape: Landscape) -
 
     grid = sorted(opt.beta2_grid)
     seeds = sorted(config.seeds)
-    for b2 in grid:
-        arm = AdamArm(**_pick(opt, "beta1", "eta1", "xi", "schedule", "init_mode"), beta2=b2)
-        for seed in seeds:
-            traj = run_arm(obj, w0, arm, config.T, seed, False)
-            row = {
-                "beta2": b2,
-                "seed": seed,
-                "tail_mean_grad_norm": tail_mean_grad_norm(traj, opt.tail_frac),
-                "summary": trajectory_summary(traj),
-            }
-            runs.append(Run(f"b2={b2!r}-seed={seed}", traj, row, {"beta2": b2, "seed": seed}))
+    shared = _pick(opt, "beta1", "eta1", "xi", "schedule", "init_mode")
+    cells = [(b2, seed) for b2 in grid for seed in seeds]
+    trajs = run_cells(obj, w0, [(AdamArm(**shared, beta2=b2), config.T, seed, False) for b2, seed in cells])
+    for (b2, seed), traj in zip(cells, trajs):
+        row = {
+            "beta2": b2,
+            "seed": seed,
+            "tail_mean_grad_norm": tail_mean_grad_norm(traj, opt.tail_frac),
+            "summary": trajectory_summary(traj),
+        }
+        runs.append(Run(f"b2={b2!r}-seed={seed}", traj, row, {"beta2": b2, "seed": seed}))
 
     tails = {(run.row["beta2"], run.row["seed"]): run.row["tail_mean_grad_norm"] for run in runs}
     floor_ok = {s: tails[(grid[0], s)] > opt.grad_floor for s in seeds}
@@ -333,11 +377,12 @@ def _gd_sweep(
         if not 0.0 < eta1 < math.inf:
             step = f"{mult!r} * eta_star {eta_star!r} is {eta1!r}"
             raise ValueError(f"options.{key}[{i}]: {step}, not a positive finite step size")
-    sweep = []
-    for mult, eta1 in sorted(zip(multipliers, etas)):
-        traj = run_arm(obj, w0, GdOptions(eta1, "Diminishing"), steps, 0, record_steps)
-        sweep.append((mult, traj, {"eta_mult": mult, "eta1": eta1, "summary": trajectory_summary(traj)}))
-    return sweep
+    cells = sorted(zip(multipliers, etas))
+    trajs = run_cells(obj, w0, [(GdOptions(eta1, "Diminishing"), steps, 0, record_steps) for _, eta1 in cells])
+    return [
+        (mult, traj, {"eta_mult": mult, "eta1": eta1, "summary": trajectory_summary(traj)})
+        for (mult, eta1), traj in zip(cells, trajs)
+    ]
 
 
 def _min_before_horizon(traj: Trajectory, con: Thm2Construction) -> tuple[int, Optional[float]]:
@@ -433,7 +478,7 @@ def run_comparison(config: ExperimentConfig, opt: ComparisonOptions, landscape: 
         row["min_grad_before_horizon"] = least
         runs.append(Run(f"gd-eta_mult={mult!r}", traj, row))
 
-    traj = run_arm(obj, w0, a, a.epochs, config.seeds[0], False)
+    [traj] = run_cells(obj, w0, [(a, a.epochs, config.seeds[0], False)])
     e = traj.epochs
     crossing = next(
         (k for k, gn in zip(e.k.tolist(), e.grad_norm.tolist()) if gn < con.epsilon), None
@@ -497,9 +542,11 @@ def run_lemma_suite(config: ExperimentConfig, opt: LemmaSuiteOptions, landscape:
             grid = getattr(opt, f"{arg}_grid")
             value = {"beta1": beta1, "beta2": beta2, "eta1": eta1}[arg]
             raise ValueError(f"options.{arg}_grid[{grid.index(value)}]: {why}") from None
-    for beta1, beta2, eta1, schedule in combos:
-        arm = AdamArm(beta1, beta2, eta1, opt.xi, schedule, opt.init_mode)
-        traj = run_arm(obj, w0, arm, config.T, config.seeds[0], True)
+    trajs = run_cells(obj, w0, [
+        (AdamArm(beta1, beta2, eta1, opt.xi, schedule, opt.init_mode), config.T, config.seeds[0], True)
+        for beta1, beta2, eta1, schedule in combos
+    ])
+    for (beta1, beta2, eta1, schedule), traj in zip(combos, trajs):
         tc = constants[beta1, beta2, eta1]
         row = {"beta1": beta1, "beta2": beta2, "eta1": eta1, "schedule": schedule, "C1": tc.C1, "C2": tc.C2}
         for rep in (check_bounded_update(traj, tc), check_u_gap(traj, tc)):
@@ -528,8 +575,9 @@ def run_custom(config: ExperimentConfig, opt: CustomOptions, landscape: Landscap
     runs: list[Run] = []
 
     arm = opt.adam if opt.algo == "adam" else opt.gd
-    for seed in sorted(config.seeds):
-        traj = run_arm(obj, w0, arm, config.T, seed, opt.record_steps)
+    seeds = sorted(config.seeds)
+    trajs = run_cells(obj, w0, [(arm, config.T, seed, opt.record_steps) for seed in seeds])
+    for seed, traj in zip(seeds, trajs):
         row = {"seed": seed, "summary": trajectory_summary(traj)}
         runs.append(Run(f"{opt.algo}-seed={seed}", traj, row))
 

@@ -73,6 +73,45 @@ def _counted(monkeypatch, name):
     return calls
 
 
+@pytest.mark.parametrize("init_mode, per_lane", [("PaperTheory", 10 + 1), ("ZeroState", 0)])
+def test_lockstep_lanes_call_the_traced_leaves_as_scalar_runs_do(monkeypatch, init_mode, per_lane):
+    # the default LemmaSuite grid's 24 cells share one stream and run as the
+    # lanes of one lockstep group; each lane still evaluates one full
+    # gradient per snapshot, and a PaperTheory lane's warm start n + 1
+    # component gradients, so the benchmark's leaves count the same work
+    inside, counts = [], Counter()
+    real_cells = harness.run_cells
+
+    def run_cells(*args):
+        inside.append(1)
+        try:
+            return real_cells(*args)
+        finally:
+            inside.pop()
+
+    def count(name):
+        real = getattr(FiniteSumObjective, name)
+
+        def counted(self, *args):
+            counts[name] += bool(inside)
+            return real(self, *args)
+
+        monkeypatch.setattr(FiniteSumObjective, name, counted)
+
+    def no_scalar_run(*args):
+        raise AssertionError("a scalar Adam run")
+
+    monkeypatch.setattr(harness, "run_cells", run_cells)
+    monkeypatch.setattr(harness, "adam_run", no_scalar_run)
+    count("full_grad")
+    count("component_grad")
+    config = merge_config(default_config_for("LemmaSuite"), {"T": 5, "options": {"init_mode": init_mode}})
+    trajs = run_experiment(config).trajectories.values()
+    assert len(trajs) == 24 >= harness.LOCKSTEP_MIN_LANES
+    assert counts["full_grad"] == sum(len(t.epochs) for t in trajs) == 24 * 6
+    assert counts["component_grad"] == 24 * per_lane
+
+
 def test_runs_evaluate_f_value_once_per_table_after_the_loop(monkeypatch):
     # f_value is filled from the stored iterates through mean_values, never
     # by a scalar evaluation inside the loop

@@ -10,7 +10,10 @@ and inner index in locals; do not optimize it.
 
 The engine's whole-run loop, taken by objectives that carry an
 ``affine1`` pair, is checked against the same reference, including the
-generic loop's no-signal branch and each way a run ends.
+generic loop's no-signal branch and each way a run ends. The lockstep
+engine that ``harness.run_cells`` takes for a large enough group of cells
+on one stream is checked against ``run_arm`` of each cell, that scalar
+loop, on every column, status, failing step and final iterate.
 
 The engine stores its trajectory as NumPy columns; every stored column is
 compared with the reference's records by repr. Two record fields are not
@@ -27,7 +30,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from adamlab import optimizers
+from adamlab import harness, optimizers
 from adamlab.landscapes import (
     KIND_CUSTOM,
     FiniteSumObjective,
@@ -410,3 +413,153 @@ def test_generic_loop_ends_a_failing_run_where_the_reference_does(past, eta1, st
     assert_same_run(got, expected, obj)
     assert got.status == status
     assert got.fail_step[1] > 0
+
+
+# ---------------------------------------------------------------- lockstep
+
+LANES = harness.LOCKSTEP_MIN_LANES
+
+
+def assert_same_trajectory(got: Trajectory, want: Trajectory) -> None:
+    """Every table column, by repr, and the run's status, failing step, final
+    iterate and records."""
+    for table in ("steps", "epochs"):
+        for col in getattr(want, table).__dataclass_fields__:
+            a, b = getattr(getattr(got, table), col), getattr(getattr(want, table), col)
+            assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist()), (table, col)
+    assert (got.status, got.fail_step, repr(got.final_w)) == (want.status, want.fail_step, repr(want.final_w))
+    assert (got.algo, got.params, got.objective_spec) == (want.algo, want.params, want.objective_spec)
+
+
+def assert_cells_match_run_arm(obj, w0, cells, lockstep_lanes):
+    """run_cells gives each cell run_arm's trajectory, and hands exactly
+    ``lockstep_lanes`` of them, in groups, to adam_lockstep."""
+    seen = []
+    real = harness.adam_lockstep
+
+    def counted(obj, w0, lanes):
+        seen.append(len(lanes))
+        return real(obj, w0, lanes)
+
+    harness.adam_lockstep = counted
+    try:
+        got = harness.run_cells(obj, w0, cells)
+    finally:
+        harness.adam_lockstep = real
+    assert sum(seen) == lockstep_lanes
+    assert len(got) == len(cells)
+    for traj, cell in zip(got, cells):
+        assert_same_trajectory(traj, harness.run_arm(obj, w0, *cell))
+    return got
+
+
+def affine_problems():
+    """(objective, start point) with an affine1 pair: the counterexample,
+    at extreme scales among others, and a d = 1 QuadraticSum."""
+    scale = st.one_of(st.floats(0.1, 20.0, **finite), st.sampled_from([1e150, 1e300, 1e308, 1.7e308]))
+    zhang = st.tuples(
+        st.builds(zhang_counterexample, st.tuples(scale, st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])),
+        st.lists(st.floats(-5.0, 5.0, **finite), min_size=1, max_size=1),
+    )
+    quadratic = st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.builds(quadratic_sum, st.lists(st.floats(0.1, 1e300, **finite), min_size=n, max_size=n),
+                  st.lists(st.lists(st.floats(-5.0, 5.0, **finite), min_size=1, max_size=1), min_size=n, max_size=n)),
+        st.lists(st.floats(-1e10, 1e10, **finite), min_size=1, max_size=1),
+    ))
+    return st.one_of(zhang, quadratic)
+
+
+adam_arms = st.builds(
+    optimizers.AdamArm,
+    beta1=st.floats(0.0, 0.99, **finite),
+    beta2=st.floats(0.01, 0.9999, **finite),
+    # small, large enough to overflow or go NaN mid-run, and past the guard
+    eta1=st.one_of(st.floats(1e-3, 2.0, **finite), st.sampled_from([1e3, 1e10, 1e99, 1e101])),
+    xi=st.one_of(st.just(0.0), st.just(1e-8), st.floats(0.0, 1.0, **finite)),
+    schedule=st.sampled_from(["Diminishing", "Constant"]),
+    init_mode=st.sampled_from(["PaperTheory", "ZeroState"]),
+)
+
+
+@given(
+    affine_problems(),
+    st.lists(adam_arms, min_size=LANES - 1, max_size=LANES + 2),
+    st.integers(0, 12),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.lists(st.tuples(adam_arms, st.integers(0, 3), st.integers(0, 3), st.booleans()), max_size=2),
+    st.randoms(use_true_random=False),
+    st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_cells_matches_run_arm_bit_for_bit(problem, arms, budget, seed, record, others, rnd, block_draws):
+    # one group of LANES - 1 to LANES + 2 cells that share a stream, beside
+    # cells of other streams and a GD cell, in a drawn order; small
+    # permutation blocks put block edges inside short runs
+    obj, w0 = problem
+    cells = [(arm, budget, seed, record) for arm in arms] + others + [(harness.GdOptions(0.1), budget, 0, record)]
+    rnd.shuffle(cells)
+    saved = optimizers.PERM_BLOCK_DRAWS
+    optimizers.PERM_BLOCK_DRAWS = block_draws
+    try:
+        in_group = len(arms) + sum(cell[1:] == (budget, seed, record) for cell in others)
+        got = assert_cells_match_run_arm(obj, w0, cells, in_group if in_group >= LANES else 0)
+    finally:
+        optimizers.PERM_BLOCK_DRAWS = saved
+    event(f"lockstep {in_group >= LANES}, statuses {sorted({t.status for t in got})}")
+
+
+@pytest.mark.parametrize("lanes", [LANES - 1, LANES])
+@pytest.mark.parametrize("record_steps, epochs, block_draws", [
+    (False, 900, optimizers.PERM_BLOCK_DRAWS), (True, 90, 100),
+])
+def test_a_group_takes_lockstep_from_its_lane_count(monkeypatch, lanes, record_steps, epochs, block_draws):
+    # the default LemmaSuite grid's arms, cycled; without step records, 900
+    # epochs of n = 10 cross the default permutation block of 819 epochs,
+    # and with them 90 epochs cross eight blocks of 10
+    monkeypatch.setattr(optimizers, "PERM_BLOCK_DRAWS", block_draws)
+    grid = [optimizers.AdamArm(b1, b2, eta1, 1e-8, schedule)
+            for b1 in (0.0, 0.5, 0.9) for b2 in (0.99, 0.999) for eta1 in (0.01, 0.1)
+            for schedule in ("Diminishing", "Constant")]
+    cells = [(grid[c % len(grid)], epochs, 7, record_steps) for c in range(lanes)]
+    assert epochs > block_draws // 10
+    assert_cells_match_run_arm(zhang_counterexample(), [-2.0], cells, lanes if lanes >= LANES else 0)
+
+
+@pytest.mark.parametrize("record_steps", [False, True])
+def test_lockstep_takes_the_no_signal_branch_where_xi_is_zero(record_steps):
+    # both centers at the start point: every gradient is 0.0, so each lane
+    # with xi = 0 has a zero denominator on every step and never moves
+    obj = quadratic_sum([2.0, 3.0], [[0.5], [0.5]])
+    arms = [optimizers.AdamArm(0.9, 0.99, eta1, xi, schedule, init_mode)
+            for eta1 in (0.1, 1.0) for xi in (0.0, 1e-8) for schedule in ("Diminishing", "Constant")
+            for init_mode in ("PaperTheory", "ZeroState")]
+    cells = [(arm, 5, 3, record_steps) for arm in (arms * 2)[:LANES]]
+    got = assert_cells_match_run_arm(obj, [0.5], cells, LANES)
+    assert all(t.final_w == (0.5,) and not t.steps.ratio.any() for t in got)
+
+
+@pytest.mark.parametrize("record_steps", [False, True])
+def test_lockstep_ends_each_lane_where_run_arm_does(monkeypatch, record_steps):
+    # lanes that diverge or go NaN at different (k, i) beside lanes that
+    # complete; one epoch per permutation block
+    monkeypatch.setattr(optimizers, "PERM_BLOCK_DRAWS", 2)
+    obj = quadratic_sum([1e300, 1.0], [[0.0], [0.0]])
+    etas = [1e-3, 0.1, 1e3, 1e10, 3e10, 1e50, 1e99, 1e101, 1e150, 1e200]
+    arms = [optimizers.AdamArm(0.5, 0.9, eta1, 1e-8, schedule, "ZeroState")
+            for eta1 in etas for schedule in ("Diminishing", "Constant")]
+    cells = [(arm, 6, 0, record_steps) for arm in arms]
+    got = assert_cells_match_run_arm(obj, [1e-147], cells, len(cells))
+    assert {t.status for t in got} == {STATUS_COMPLETED, STATUS_DIVERGED, STATUS_NONFINITE}
+    assert len({t.fail_step for t in got}) >= 3
+
+
+def test_lockstep_group_where_every_lane_fails():
+    # each lane leaves the guard's bound on step 0, 1 or 2 of epoch 1, so
+    # the loop stops before the closing snapshot
+    arms = [optimizers.AdamArm(b1, 0.99, eta1, 1e-8, schedule) for b1 in (0.0, 0.5) for eta1 in (1e99, 1e100, 1e101)
+            for schedule in ("Diminishing", "Constant")]
+    cells = [(arm, 50, 4, True) for arm in (arms * 2)[:LANES]]
+    got = assert_cells_match_run_arm(zhang_counterexample(), [-2.0], cells, LANES)
+    assert all(t.status == STATUS_DIVERGED for t in got)
+    assert {t.fail_step for t in got} == {(1, 0), (1, 1), (1, 2)}

@@ -750,7 +750,7 @@ def test_cli_lemma_grid_value_with_a_zero_denominator_is_refused_before_any_run(
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr(harness, "run_arm", no_run)
+    monkeypatch.setattr(harness, "run_cells", no_run)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(overrides))
     assert cli_main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
