@@ -38,6 +38,11 @@ rows it cannot certify, and rows whose absolute sum lies outside
 (2**-900, 2**1000), non-finite ones included, go through the scalar
 ``_sum`` one by one.
 
+``grad_norms(W)`` is its counterpart for Adam's snapshot ``grad_norm`` column:
+each row's ``math.hypot(*full_grad(row))`` bit for bit, which at d = 1 is
+``np.abs`` of the builder's full-gradient row kernel ``full_grads_fn`` where
+it has one (``np.hypot`` differs from ``math.hypot`` on some pairs).
+
 Built-in kinds:
 
 * ``ZhangCounterexample`` -- one steep quadratic pulling toward x = 1 plus
@@ -215,7 +220,9 @@ class FiniteSumObjective:
     for component j, the optional ``full_grad_fn(w)``, ``smooth_fn(w)`` (a
     local Lipschitz bound for the full gradient at w), ``values_fn(W)``
     (row kernel: rows x d points -> rows x n component values, each equal
-    to value_fn's bit for bit) and, keyword only and for d = 1 only,
+    to value_fn's bit for bit), ``full_grads_fn(W)`` (row kernel: rows x d
+    points -> rows x d full gradients, each equal to full_grad_fn's bit for
+    bit) and, keyword only and for d = 1 only,
     ``affine1 = (coefs, centers)``, n floats each, with which ``grad_fn(j,
     [x])[0]`` is ``coefs[j] * (x - centers[j])`` bit for bit.
     """
@@ -229,6 +236,7 @@ class FiniteSumObjective:
     full_grad_fn: Optional[Callable[[Sequence[float]], Vector]] = None
     smooth_fn: Optional[Callable[[Sequence[float]], float]] = None
     values_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    full_grads_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_min: Optional[float] = None
     known_D0_D1: Optional[tuple[float, float]] = None
     known_L0_L1: Optional[tuple[float, float]] = None
@@ -274,6 +282,13 @@ class FiniteSumObjective:
             else:
                 out[start:start + len(block)] = _row_sums(kernel(block)) / n
         return out
+
+    def grad_norms(self, W: np.ndarray) -> np.ndarray:
+        """``math.hypot(*full_grad(row))`` of each row of W (rows x d)."""
+        if self.d == 1 and self.full_grads_fn is not None:
+            with np.errstate(over="ignore"):
+                return np.abs(self.full_grads_fn(W)[:, 0])
+        return np.array([math.hypot(*self.full_grad(w)) for w in W.tolist()], dtype=np.float64)
 
 
 def check_point(obj: FiniteSumObjective, w: Sequence[float]) -> list[float]:
@@ -336,6 +351,9 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
     def full_grad_fn(w: Sequence[float]) -> Vector:
         return [0.02 * s * w[0]]
 
+    def full_grads_fn(W: np.ndarray) -> np.ndarray:
+        return (0.02 * s) * W
+
     def smooth_fn(w: Sequence[float]) -> float:
         return abs(0.02 * s)
 
@@ -349,6 +367,7 @@ def zhang_counterexample(scale: float = 1.0) -> FiniteSumObjective:
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
         values_fn=values_fn,
+        full_grads_fn=full_grads_fn,
         affine1=(coefs, centers),
         known_min=-s / 90.0 if s > 0 else None,
         known_L0_L1=(2.0 * abs(s), 0.0),
@@ -479,6 +498,9 @@ def quadratic_sum(curvatures: list[Positive], centers: list[list[float]]) -> Fin
     def full_grad_fn(w: Sequence[float]) -> Vector:
         return [abar * (w[l] - wstar[l]) for l in range(d)]
 
+    def full_grads_fn(W: np.ndarray) -> np.ndarray:
+        return abar * (W - np.array(wstar))
+
     def smooth_fn(w: Sequence[float]) -> float:
         return abs(abar)
 
@@ -492,6 +514,7 @@ def quadratic_sum(curvatures: list[Positive], centers: list[list[float]]) -> Fin
         full_grad_fn=full_grad_fn,
         smooth_fn=smooth_fn,
         values_fn=values_fn,
+        full_grads_fn=full_grads_fn,
         affine1=affine1,
         known_min=fmin,
         known_L0_L1=(max(a), 0.0),

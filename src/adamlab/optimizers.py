@@ -107,8 +107,8 @@ class _Table:
 class EpochTable(_Table):
     """One row per epoch-boundary snapshot k = 1, 2, ...: w0 = w_{k,0},
     w_prev = the iterate one inner step earlier (equal to w0 at k = 1), and
-    the full-gradient norm and objective value at w0, the value evaluated
-    after the run. Row k - 1 holds snapshot k."""
+    the full-gradient norm and objective value at w0, the value (and Adam's
+    norm) evaluated after the run. Row k - 1 holds snapshot k."""
 
     k: np.ndarray
     eta: np.ndarray
@@ -262,12 +262,11 @@ def adam_epoch(
     return None
 
 
-def _snapshot(state: AdamState, obj: FiniteSumObjective, epochs: dict[str, list]) -> None:
-    """Append the boundary snapshot's w0, w_prev and gradient norm to the
-    epoch column lists; _trajectory derives the rest of the row."""
+def _snapshot(state: AdamState, epochs: dict[str, list]) -> None:
+    """Append the boundary snapshot's w0 and w_prev to the epoch column
+    lists; _trajectory derives the rest of the row."""
     epochs["w0"].extend(state.w)
     epochs["w_prev"].extend(state.w_prev)
-    epochs["grad_norm"].append(math.hypot(*obj.full_grad(state.w)))
 
 
 def _epoch_orders(stream: SplitMix64, n: int, epochs: int):
@@ -284,8 +283,9 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, etas: np.ndarr
     """The Trajectory of a finished run, built from the columns only its
     loop knows (plain numbers, iterate rows flat; Adam's are lists, GD's
     are float arrays whose buffers become the NumPy columns uncopied):
-    snapshot w0 and grad_norm and the signed step ratio, and for Adam
-    snapshot w_prev, step w_before and each epoch's order tau. Derived here:
+    snapshot w0 and the signed step ratio, for GD snapshot grad_norm (its
+    clipping reads it in the loop), and for Adam snapshot w_prev, step
+    w_before and each epoch's order tau. Derived here:
 
     * epoch k = 1..rows, and eta: the run's eta_schedule column cut to them;
     * step ratio = |recorded ratio|, taken in place: np.abs only clears the
@@ -294,7 +294,8 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, etas: np.ndarr
     * step update_abs = eta_k * ratio, bit for bit |eta_k * r| as eta_k >= 0;
     * for GD: tau = -1; step k starts from snapshot k, so w_before and
       f_value are views of the epoch columns; w_prev is w0 one row down;
-    * both f_value columns through mean_values.
+    * both f_value columns through mean_values, and Adam's snapshot
+      grad_norm through grad_norms.
     """
     d, adam = obj.d, algo == "adam"
 
@@ -308,7 +309,7 @@ def _trajectory(obj: FiniteSumObjective, algo: str, params: dict, etas: np.ndarr
         eta=etas[:len(k)],
         w0=w0,
         w_prev=matrix(snaps["w_prev"]) if adam else np.concatenate([w0[:1], w0[:-1]]),
-        grad_norm=np.asarray(snaps["grad_norm"], dtype=np.float64),
+        grad_norm=obj.grad_norms(w0) if adam else np.asarray(snaps["grad_norm"], dtype=np.float64),
         f_value=obj.mean_values(w0),
     )
     ratio = matrix(steps["ratio"])
@@ -350,10 +351,11 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
     component gradient ``coefs[j] * (x - centers[j])`` written inline: the
     update, rule, guard and records of adam_epoch, on x, m, nu and the
     previous iterate held in locals. Every other objective runs one
-    adam_epoch call per epoch."""
+    adam_epoch call per epoch. Neither loop takes a gradient norm: the
+    snapshots' norms come from grad_norms after the run (_trajectory)."""
     state = adam_init(obj, w0, params)
     etas = eta_schedule(params.eta1, params.schedule, params.epochs + 1)
-    snaps = {"w0": [], "w_prev": [], "grad_norm": []}
+    snaps = {"w0": [], "w_prev": []}
     steps = {"tau": [], "w_before": [], "ratio": []}
     orders = zip(_epoch_orders(state.stream, obj.n, params.epochs), memoryview(etas))
     status = STATUS_COMPLETED
@@ -362,35 +364,33 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
     if obj.affine1 is None:
         record = steps if params.record_steps else None
         for tau, eta in orders:
-            _snapshot(state, obj, snaps)
+            _snapshot(state, snaps)
             fail = adam_epoch(state, obj, params, tau, eta, record)
             if fail is not None:
                 status = _classify(state.w)
                 break
         else:
             # closing boundary snapshot k = K+1
-            _snapshot(state, obj, snaps)
+            _snapshot(state, snaps)
         return _trajectory(obj, "adam", asdict(params), etas, snaps, steps, status, fail, state.w)
 
-    # One frame for the whole run: the snapshot is _snapshot's, through the
-    # full_grad method (the benchmark's traced leaf, one call per snapshot).
-    # Against one adam_epoch and one _snapshot call per epoch, this loop cut
-    # fig3_sweep's run_s from 0.662 to 0.516 s and lemma_audit's from 0.348
-    # to 0.297 s (BENCH_31_parent.json -> BENCH_31.json).
+    # One frame for the whole run. Against one adam_epoch and one _snapshot
+    # call per epoch, this loop cut fig3_sweep's run_s from 0.662 to 0.516 s
+    # and lemma_audit's from 0.348 to 0.297 s (BENCH_31_parent.json ->
+    # BENCH_31.json).
     coefs, centers = obj.affine1
     beta1, beta2, xi = params.beta1, params.beta2, params.xi
     one_m_b1 = 1.0 - beta1
     one_m_b2 = 1.0 - beta2
     record = params.record_steps
     add_tau, add_w, add_ratio = steps["tau"].extend, steps["w_before"].append, steps["ratio"].append
-    add_w0, add_prev, add_norm = snaps["w0"].append, snaps["w_prev"].append, snaps["grad_norm"].append
-    full_grad, hypot, sqrt, sup = obj.full_grad, math.hypot, math.sqrt, GUARD_SUP_NORM
+    add_w0, add_prev = snaps["w0"].append, snaps["w_prev"].append
+    sqrt, sup = math.sqrt, GUARD_SUP_NORM
     x, m, nu, x_prev = state.w[0], state.m[0], state.nu[0], state.w_prev[0]
     k = 1
     for tau, eta in orders:
         add_w0(x)
         add_prev(x_prev)
-        add_norm(hypot(*full_grad([x])))
         if record:
             add_tau(tau)
         for j in tau:
@@ -420,7 +420,6 @@ def adam_run(obj: FiniteSumObjective, w0: Sequence[float], params: AdamParams) -
         # closing boundary snapshot k = K+1
         add_w0(x)
         add_prev(x_prev)
-        add_norm(hypot(*full_grad([x])))
     return _trajectory(obj, "adam", asdict(params), etas, snaps, steps, status, fail, [x])
 
 
@@ -438,9 +437,9 @@ def adam_lockstep(obj: FiniteSumObjective, w0: Sequence[float], lanes: Sequence[
     views of preallocated (rows x lanes) arrays: every step's with
     record_steps, else one epoch's. The guard reads each epoch's block of
     iterates once; a lane it stops ends at adam_run's step, status and
-    final iterate, and its columns are cut there. Snapshot norms are taken
-    per lane after the loop, one full_grad call per snapshot, and each
-    lane's columns reach _trajectory as views of the shared arrays."""
+    final iterate, and its columns are cut there. Each lane's columns reach
+    _trajectory as views of the shared arrays, and _trajectory takes its
+    snapshot norms from grad_norms."""
     n, R, epochs, record = obj.n, len(lanes), lanes[0].epochs, lanes[0].record_steps
     states = [adam_init(obj, w0, p) for p in lanes]
     # every operand is an array: at 24 lanes a ufunc call took about 0.4 us
@@ -513,7 +512,6 @@ def adam_lockstep(obj: FiniteSumObjective, w0: Sequence[float], lanes: Sequence[
             # closing boundary snapshot k = K+1 of the lanes that completed
             W0[epochs], WP[epochs] = X[b + 1], X[b]
 
-    full_grad, hypot = obj.full_grad, math.hypot
     tau_col = np.array(taus, dtype=np.int64)
     out = []
     for lane, (params, end) in enumerate(zip(lanes, ends)):
@@ -524,9 +522,7 @@ def adam_lockstep(obj: FiniteSumObjective, w0: Sequence[float], lanes: Sequence[
             k, i, x = end
             snaps, recorded = k, (k - 1) * n + i + 1
             status, fail = _classify([x]), (k, i)
-        w0_col = W0[:snaps, lane]
-        cols = {"w0": w0_col, "w_prev": WP[:snaps, lane],
-                "grad_norm": [hypot(*full_grad([v])) for v in w0_col.tolist()]}
+        cols = {"w0": W0[:snaps, lane], "w_prev": WP[:snaps, lane]}
         steps = {"tau": tau_col, "w_before": X[1:recorded + 1, lane], "ratio": ratios[:recorded, lane]} \
             if record else {"tau": [], "w_before": [], "ratio": []}
         out.append(_trajectory(obj, "adam", asdict(params), E[:, lane], cols, steps, status, fail, [x]))

@@ -18,7 +18,7 @@ import pytest
 
 from adamlab import cli, harness, landscapes, optimizers
 from adamlab.harness import default_config_for, merge_config, run_experiment
-from adamlab.landscapes import FiniteSumObjective, lowerbound_objective, zhang_counterexample
+from adamlab.landscapes import FiniteSumObjective, lowerbound_objective, quadratic_sum, zhang_counterexample
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -76,9 +76,10 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("init_mode, per_lane", [("PaperTheory", 10 + 1), ("ZeroState", 0)])
 def test_lockstep_lanes_call_the_traced_leaves_as_scalar_runs_do(monkeypatch, init_mode, per_lane):
     # the default LemmaSuite grid's 24 cells share one stream and run as the
-    # lanes of one lockstep group; each lane still evaluates one full
-    # gradient per snapshot, and a PaperTheory lane's warm start n + 1
-    # component gradients, so the benchmark's leaves count the same work
+    # lanes of one lockstep group; as in a scalar run on the counterexample,
+    # whose full-gradient row kernel gives every snapshot norm after the run
+    # (grad_norms), no lane calls full_grad, and a PaperTheory lane's warm
+    # start still makes n + 1 component_grad calls
     inside, counts = [], Counter()
     real_cells = harness.run_cells
 
@@ -108,8 +109,24 @@ def test_lockstep_lanes_call_the_traced_leaves_as_scalar_runs_do(monkeypatch, in
     config = merge_config(default_config_for("LemmaSuite"), {"T": 5, "options": {"init_mode": init_mode}})
     trajs = run_experiment(config).trajectories.values()
     assert len(trajs) == 24 >= harness.LOCKSTEP_MIN_LANES
-    assert counts["full_grad"] == sum(len(t.epochs) for t in trajs) == 24 * 6
+    assert sum(len(t.epochs) for t in trajs) == 24 * 6
+    assert counts["full_grad"] == 0
     assert counts["component_grad"] == 24 * per_lane
+
+
+def test_adam_snapshot_norms_call_full_grad_only_without_a_row_kernel(monkeypatch):
+    # grad_norms reads an objective's full-gradient row kernel at d = 1; the
+    # others, a d = 2 QuadraticSum's kernel unread as np.hypot is not
+    # math.hypot, take one full_grad call per snapshot, after the loop
+    calls = _counted(monkeypatch, "full_grad")
+    p = optimizers.AdamParams(epochs=7)
+    for obj, w0 in ((zhang_counterexample(), [-2.0]), (quadratic_sum([1.0, 2.0], [[0.0], [1.0]]), [3.0])):
+        assert len(optimizers.adam_run(obj, w0, p).epochs) == 8
+        assert calls == []
+    for obj in (lowerbound_objective(1.0, 1.0, 0.5), quadratic_sum([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]])):
+        calls.clear()
+        assert len(optimizers.adam_run(obj, [0.5, 2.0], p).epochs) == 8
+        assert len(calls) == 8
 
 
 def test_runs_evaluate_f_value_once_per_table_after_the_loop(monkeypatch):
@@ -211,8 +228,9 @@ def test_count_work_counts_table_rows(op, tmp_path):
 def test_traced_benchmark_counts_the_objective_leaves_the_runs_call(tmp_path):
     # op.py traced in its own process, as the benchmark runs it: it replaces
     # component_grad, full_grad and value on the class after objects exist,
-    # so they must stay plain methods there. Every epoch snapshot evaluates
-    # one full gradient; no run evaluates a value.
+    # so they must stay plain methods there. Adam on the counterexample
+    # takes its snapshot norms from the full-gradient row kernel, so only
+    # GD's snapshots call full_grad, one call each; no run evaluates a value.
     experiments = [
         ("fig3", {"seeds": [1, 2], "T": 20, "options": {"beta2_grid": [0.9]}}),
         ("thm2-slow", {"options": {"steps": 200}}),
@@ -235,10 +253,12 @@ def test_traced_benchmark_counts_the_objective_leaves_the_runs_call(tmp_path):
     assert proc.returncode == 0, proc.stderr
     res = json.loads((tmp_path / "result.json").read_text())
     layers, leaves = res["layers"], res["leaves_by_experiment"]
-    # Fig3: 2 runs x (20 epochs + the closing snapshot)
-    assert leaves["landscapes.full_grad@Fig3"] == 2 * 21
-    assert layers["landscapes.full_grad.calls"] == layers["optimizers.epoch_snapshots"]
-    assert leaves["landscapes.full_grad@Thm2Slow"] > 0
+    # Fig3: 2 runs x (20 epochs + the closing snapshot), and a PaperTheory
+    # warm start of n + 1 component gradients per run
+    assert "landscapes.full_grad@Fig3" not in leaves
+    assert leaves["landscapes.component_grad@Fig3"] == 2 * 11
+    assert leaves["landscapes.full_grad@Thm2Slow"] == layers["landscapes.full_grad.calls"]
+    assert layers["landscapes.full_grad.calls"] == layers["optimizers.epoch_snapshots"] - 2 * 21 > 0
     # both objectives' f_value columns come from their row kernels
     assert "landscapes.value@Fig3" not in leaves
     assert "landscapes.value@Thm2Slow" not in leaves

@@ -9,6 +9,11 @@ dataclass or an objective builder) gives its required fields and its budgets,
 kept small, and any of the others. A new option is fuzzed with no edit here. Each drawn config runs
 through ``cli.main`` in process, which must return 0, 1 with a report
 written, or 2 with a message whose key path names a config field.
+
+The suite draws 25 derandomized configs per experiment. A longer run, with
+fresh random draws each time, is opt-in:
+
+    ADAMLAB_FUZZ_EXAMPLES=2000 python -m pytest tests/test_config_fuzz.py
 """
 
 import contextlib
@@ -108,12 +113,15 @@ def configs(exp):
             lambda top: {**top, **extra}))
 
 
+FUZZ_EXAMPLES = int(os.environ.get("ADAMLAB_FUZZ_EXAMPLES", "0"))
+
 CONFIG_FIELDS = "|".join(f.name for f in dataclasses.fields(ExperimentConfig))
 KEY_PATH = re.compile(rf"config error: ({CONFIG_FIELDS})(\.\w+|\[\d+\])*: ")
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
-@settings(max_examples=25, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=FUZZ_EXAMPLES or 25, derandomize=not FUZZ_EXAMPLES, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_config_ends_in_an_exit_code(name, data):
     exp = REGISTRY[name]

@@ -51,6 +51,7 @@ from adamlab.optimizers import (
     adam_init,
     adam_run,
 )
+from adamlab.rng import stream_for_run
 
 # ---------------------------------------------------------------- reference
 
@@ -563,3 +564,28 @@ def test_lockstep_group_where_every_lane_fails():
     got = assert_cells_match_run_arm(zhang_counterexample(), [-2.0], cells, LANES)
     assert all(t.status == STATUS_DIVERGED for t in got)
     assert {t.fail_step for t in got} == {(1, 0), (1, 1), (1, 2)}
+
+
+@pytest.mark.parametrize("record_steps", [False, True])
+def test_lockstep_fail_index_passes_a_step_at_exactly_the_guard_bound(record_steps):
+    # x0 is the bound itself, 1e100, and the centers of components 0 and 1:
+    # their gradients are 0.0, so epoch 1's first two steps (order [1, 0, 2]
+    # under seed 1) leave x at exactly 1e100, which the guard passes. Step 2
+    # follows component 2 toward 2e100; at eta1 1e90 or more it leaves the
+    # bound, so a lane fails at (1, 2), not at the first step that reached
+    # |x| = 1e100. At 1e80 the step is under half a gap at 1e100 and every
+    # lane completes at x = 1e100.
+    obj = quadratic_sum([1.0, 1.0, 1.0], [[GUARD_SUP_NORM], [GUARD_SUP_NORM], [2e100]])
+    assert next(optimizers._epoch_orders(stream_for_run(1, 0), 3, 1)) == [1, 0, 2]
+    arms = [optimizers.AdamArm(beta1, 0.9, eta1, xi, "Constant", init_mode)
+            for beta1 in (0.0, 0.5) for eta1 in (1e80, 1e90, 1e95) for xi, init_mode in
+            ((1e-8, "PaperTheory"), (0.0, "ZeroState"))]
+    cells = [(arm, 4, 1, record_steps) for arm in (arms * 2)[:LANES]]
+    got = assert_cells_match_run_arm(obj, [GUARD_SUP_NORM], cells, LANES)
+    for traj, (arm, *_) in zip(got, cells):
+        if arm.eta1 == 1e80:
+            assert (traj.status, traj.final_w) == (STATUS_COMPLETED, (GUARD_SUP_NORM,))
+        else:
+            assert (traj.status, traj.fail_step) == (STATUS_DIVERGED, (1, 2))
+            assert len(traj.steps) == (3 if record_steps else 0)
+            assert traj.steps.w_before[:, 0].tolist() == ([GUARD_SUP_NORM] * 3 if record_steps else [])

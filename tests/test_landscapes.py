@@ -432,6 +432,57 @@ def test_quadratic_kernel_halves_the_curvature_first():
     assert _bits(obj.values_fn(W)) == _bits([[obj.value_fn(j, w) for j in range(2)] for w in W.tolist()])
 
 
+# ------------------------------------------------------------ snapshot norms
+
+# the rows every grad_norms case is tried at, beside any finite coordinate
+NORM_ROWS = (1e100, -1e100, 0.0, -0.0)
+
+
+@st.composite
+def grad_norm_cases(draw):
+    """(objective, rows): the counterexample at scales up to +-1.7e308, where
+    (0.02 * s) * x overflows to +-inf; d = 1, 2 and 3 QuadraticSums with
+    extreme centers (a draw the builder refuses is rejected); and LowerBound
+    and a d = 1 and a d = 2 Custom objective, which have no row kernel."""
+    kind = draw(st.sampled_from([KIND_ZHANG, KIND_QUADRATIC, KIND_LOWERBOUND, KIND_CUSTOM]))
+    if kind == KIND_ZHANG:
+        scale = draw(st.one_of(st.sampled_from([1.7e308, -1.7e308, 1e300, 5e-324]), finite.filter(bool)))
+        obj = zhang_counterexample(scale)
+    elif kind == KIND_QUADRATIC:
+        d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        coord = st.one_of(st.sampled_from([1e150, -1e150, 1e100, -0.0]), st.floats(-1e150, 1e150))
+        try:
+            obj = quadratic_sum(draw(st.lists(st.floats(1e-300, 1e150), min_size=n, max_size=n)),
+                                draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)))
+        except ValueError as e:
+            if "leaves the float range" not in str(e):
+                raise
+            reject()
+    elif kind == KIND_LOWERBOUND:
+        obj = lowerbound_objective(1.0, 0.5, 0.25)
+    else:
+        obj = draw(st.sampled_from([_custom(), FiniteSumObjective(
+            KIND_CUSTOM, 2, 1, {}, value_fn=lambda j, w: 0.0, grad_fn=lambda j, w: [(j + 1.5) * w[0]])]))
+    row = st.lists(st.one_of(st.sampled_from(NORM_ROWS), finite), min_size=obj.d, max_size=obj.d)
+    return obj, np.array(draw(st.lists(row, max_size=6)), dtype=np.float64).reshape(-1, obj.d)
+
+
+@given(grad_norm_cases())
+@example((zhang_counterexample(1.7e308), np.array([[v] for v in NORM_ROWS])))
+@example((zhang_counterexample(-1.7e308), np.array([[v] for v in NORM_ROWS])))
+@example((quadratic_sum([1e150], [[-1e150]]), np.array([[v] for v in NORM_ROWS])))
+@example((quadratic_sum([2.0, 1e-300], [[1e150, 0.0], [-1e150, -0.0]]), np.array([[1e100, -0.0], [-1e100, 0.0]])))
+@settings(max_examples=300, deadline=None)
+def test_grad_norms_are_hypot_of_full_grad_bit_for_bit(case):
+    obj, W = case
+    got = obj.grad_norms(W)
+    assert got.shape == (len(W),) and got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [math.hypot(*obj.full_grad(w)).hex() for w in W.tolist()]
+    if obj.full_grads_fn is not None:  # each kernel row is full_grad's, at any d
+        with np.errstate(over="ignore"):
+            assert _bits(obj.full_grads_fn(W)) == _bits([obj.full_grad(w) for w in W.tolist()])
+
+
 # ------------------------------------------------------------ slow landscape
 
 
